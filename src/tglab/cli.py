@@ -12,7 +12,7 @@ verify        run the oracle cross-check suite, report the max discrepancy
 Configuration is a sectioned key=value plain-text file; one experiment per
 file.  `[profile NAME]` sections declare leakage profiles
 (kind = critically_damped with g = ..., or kind = csv with path = ...);
-`[run]` holds the mandatory seed plus optional tolerance and efficiency;
+`[run]` holds the mandatory seed plus the optional detection efficiency;
 each command reads its own section.  All randomness derives from the single
 seed, so identical config and seed give byte-identical outputs.
 
@@ -33,14 +33,9 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, TglabError, VerificationError
 from .growth import StrategyConfig, run_pipeline
-from .leakage import (
-    CriticallyDamped,
-    LeakageProfile,
-    load_profile_csv,
-)
+from .leakage import CriticallyDamped, LeakageProfile, load_profile_csv
 from .metrics import compare_strategies, expected_f_sq, fidelity_histogram
-
-QUARTER_PI = math.pi / 4
+from .tilted_graph import QUARTER_PI
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +47,6 @@ class ExperimentConfig:
     profiles: dict              # name -> LeakageProfile
     sections: dict              # section -> {key: (value, line)}
     seed: int
-    tolerance: float
     efficiency: float
     base_dir: Path
 
@@ -149,15 +143,11 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError("a [run] section with an explicit seed is mandatory "
                           "(determinism contract)")
     seed = _take(run, "seed", int, required=True, section_name="run")
-    tolerance = _take(run, "tolerance", float, default=1e-8)
-    if not (0.0 < tolerance <= 1e-3):
-        raise ConfigError(f"tolerance must lie in (0, 1e-3], got {tolerance}",
-                          run["tolerance"][1])
     efficiency = _take(run, "efficiency", float, default=1.0)
     if not (0.0 < efficiency <= 1.0):
         raise ConfigError(f"efficiency must lie in (0, 1], got {efficiency}",
                           run["efficiency"][1])
-    return ExperimentConfig(profiles, sections, seed, tolerance, efficiency, path.parent)
+    return ExperimentConfig(profiles, sections, seed, efficiency, path.parent)
 
 
 def _profile_ref(cfg: ExperimentConfig, section: dict, key: str, section_name: str):
@@ -293,7 +283,6 @@ def _cmd_grow(cfg: ExperimentConfig, out_dir: Path, seed: int) -> list:
         pairing=_take(section, "pairing", str, default="sorted"),
         flip_rule=_take(section, "flip_rule", bool, default=True),
         join_method=_take(section, "join_method", str, default="auto"),
-        comparison_mode=_take(section, "comparison_mode", str, default="3f2"),
         detection_efficiency=cfg.efficiency,
         join_nodes=_take(section, "join_nodes", int, default=0),
         join_kind=_take(section, "join_kind", str, default="bridge"),

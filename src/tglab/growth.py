@@ -31,7 +31,9 @@ from .procedures import bridge, choose_method, merge, p_success, r_function, rea
 from .seeding import derive_rng
 from .tilted_graph import QUARTER_PI, TiltedGraph, canonical_angle, ghz_graph
 
-_PHASE1, _REALIGN, _JOIN = 1, 2, 3
+# One stream tag per kind of random decision, so no two decisions share a key
+# path at any round, pair, piece or attempt count (verify draws under 7 and 8).
+_PHASE1, _REALIGN, _JOIN, _PAIRING, _JOIN_REALIGN = 1, 2, 3, 4, 5
 
 
 class InventoryExhausted(TglabError):
@@ -63,12 +65,10 @@ class StrategyConfig:
     pairing: str = "sorted"             # "sorted" | "random"
     flip_rule: bool = True
     join_method: str = "auto"           # "auto" | "force-i" | "force-ii"
-    comparison_mode: str = "3f2"
     detection_efficiency: float = 1.0
     join_nodes: int = 0                 # 0 skips the join phase
     join_kind: str = "bridge"           # "bridge" | "merge"
     recycle_annotations: bool = True
-    realign_budget: int | None = None   # max realign attempts per piece
     max_rounds: int = 100_000
 
     def __post_init__(self):
@@ -199,7 +199,7 @@ def run_phase1(cfg: StrategyConfig, stats: RunStats | None = None,
             stats.close(pieces)
             return pieces, stats
         if cfg.pairing == "random":
-            perm = derive_rng(cfg.seed, _PHASE1, round_idx, 0xFFFF).permutation(len(active))
+            perm = derive_rng(cfg.seed, _PAIRING, round_idx).permutation(len(active))
             order = [active[k] for k in perm]
             pairs = [(order[k], order[k + 1]) for k in range(0, len(order) - 1, 2)]
         else:
@@ -250,13 +250,11 @@ def run_phase1(cfg: StrategyConfig, stats: RunStats | None = None,
 # ---------------------------------------------------------------------------
 
 def realign_piece(piece: GhzPiece, acceptance: float, seed: int, piece_idx: int,
-                  stats: RunStats, budget: int | None = None) -> GhzPiece | None:
-    """Run the realignment loop on one piece; None when it is used up."""
+                  stats: RunStats, tag: int = _REALIGN) -> GhzPiece | None:
+    """Run the realignment loop on one piece (streams under `tag`); None when used up."""
     attempt = 0
     while piece.fidelity < acceptance - 1e-12 and piece.size >= 2:
-        if budget is not None and attempt >= budget:
-            break
-        rng = derive_rng(seed, _REALIGN, piece_idx, attempt)
+        rng = derive_rng(seed, tag, piece_idx, attempt)
         p = p_success(piece.tilt)
         stats.realignments_attempted += 1
         stats.qubits_consumed += 1
@@ -274,13 +272,12 @@ def realign_piece(piece: GhzPiece, acceptance: float, seed: int, piece_idx: int,
 
 
 def run_realignment(pieces, acceptance: float, seed: int,
-                    stats: RunStats | None = None,
-                    budget: int | None = None) -> tuple[list, RunStats]:
+                    stats: RunStats | None = None) -> tuple[list, RunStats]:
     """Purify every piece below the acceptance; discard exhausted ones."""
     stats = stats or RunStats()
     out = []
     for idx, piece in enumerate(pieces):
-        kept = realign_piece(piece, acceptance, seed, idx, stats, budget)
+        kept = realign_piece(piece, acceptance, seed, idx, stats)
         if kept is not None:
             out.append(kept)
     stats.close(out)
@@ -408,7 +405,7 @@ def run_join(pieces, cfg: StrategyConfig, stats: RunStats | None = None,
     usable = []
     for idx, piece in enumerate(pieces):
         if piece.fidelity < 1.0 - 1e-12:
-            piece = realign_piece(piece, 1.0, cfg.seed, 10_000 + idx, stats)
+            piece = realign_piece(piece, 1.0, cfg.seed, idx, stats, _JOIN_REALIGN)
         if piece is not None and piece.size >= 3:
             usable.append(piece)
     if len(usable) < n_nodes:
@@ -428,8 +425,7 @@ def run_pipeline(cfg: StrategyConfig) -> tuple[list, RunStats, TiltedGraph | Non
     """Phase 1, realignment, and (optionally) the join phase."""
     stats = RunStats()
     pieces, stats = run_phase1(cfg, stats)
-    pieces, stats = run_realignment(pieces, cfg.fidelity_acceptance, cfg.seed, stats,
-                                    cfg.realign_budget)
+    pieces, stats = run_realignment(pieces, cfg.fidelity_acceptance, cfg.seed, stats)
     graph = None
     if cfg.join_nodes:
         graph, _, stats = run_join(pieces, cfg, stats)

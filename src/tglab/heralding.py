@@ -37,9 +37,8 @@ from .tilted_graph import (
     canonical_angle,
     is_ghz_star,
     star_center_id,
+    z_pi_count,
 )
-
-_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -213,21 +212,6 @@ class SideInfo:
     branch_sign: int       # relative sign of the side's two branches from z(pi) flags
 
 
-def _z_pi_count(g: TiltedGraph, vids) -> int:
-    count = 0
-    for vid in vids:
-        v = g.vertex(vid)
-        if abs(v.z_phase) < _TOL:
-            continue
-        if abs(v.z_phase - math.pi) < _TOL:
-            if v.hadamard:
-                raise GraphConfigError(f"vertex {vid}: z(pi) under a Hadamard flag is unsupported here")
-            count += 1
-        else:
-            raise GraphConfigError(f"vertex {vid}: z_phase {v.z_phase:.6g} unsupported in a DH component")
-    return count
-
-
 def _effective_tilt(tilt: float, flip: bool, z_flips: int) -> tuple[float, int]:
     """(theta_eff in [0, pi/2], relative branch sign) of a side's amplitudes."""
     alpha, beta = math.cos(tilt), math.sin(tilt)
@@ -246,7 +230,7 @@ def classify_dh_side(g: TiltedGraph, q: int) -> SideInfo:
     if len(comp) == 1:
         if v.hadamard:
             raise GraphConfigError(f"fresh qubit {q} may not carry a Hadamard flag")
-        theta, sign = _effective_tilt(v.tilt, v.x_flip, _z_pi_count(g, [q]))
+        theta, sign = _effective_tilt(v.tilt, v.x_flip, z_pi_count(g, [q]))
         return SideInfo(FRESH, q, comp, q, theta, sign)
     # a plain degree-one vertex hanging off its node by a pure edge: the
     # "Hadamard-removed" cherry case (the node behind it may be any graph);
@@ -255,11 +239,11 @@ def classify_dh_side(g: TiltedGraph, q: int) -> SideInfo:
         (nb,) = g.neighbors(q)
         if not g.vertex(nb).hadamard and g.edge(q, nb).kind is EdgeKind.PURE:
             if len(comp) > 2 or not is_ghz_star(g, comp):
-                theta, sign = _effective_tilt(v.tilt, False, _z_pi_count(g, [q]))
+                theta, sign = _effective_tilt(v.tilt, False, z_pi_count(g, [q]))
                 return SideInfo(CHERRY, q, comp, nb, theta, sign)
     # a member (centre or Hadamard leaf) of a GHZ star
     center = star_center_id(g, comp)
-    theta, sign = _effective_tilt(g.vertex(center).tilt, v.x_flip, _z_pi_count(g, comp))
+    theta, sign = _effective_tilt(g.vertex(center).tilt, v.x_flip, z_pi_count(g, comp))
     return SideInfo(GHZ, q, comp, center, theta, sign)
 
 
@@ -282,10 +266,6 @@ def dh_context(g: TiltedGraph, qa: int, qb: int, pa: LeakageProfile, pb: Leakage
     return DhContext(a.theta_eff, b.theta_eff, pa, pb, detection_efficiency)
 
 
-def _ghz_member_flip(g: TiltedGraph, vid: int) -> bool:
-    return g.vertex(vid).x_flip
-
-
 def _rewrite_ghz_success(g: TiltedGraph, a: SideInfo, b: SideInfo,
                          theta_beta: float, sign: int) -> TiltedGraph:
     """Fuse two GHZ stars into one (the Eq.-12-style 2n-qubit tilted GHZ).
@@ -295,8 +275,8 @@ def _rewrite_ghz_success(g: TiltedGraph, a: SideInfo, b: SideInfo,
     the partner qubit, on the first side's other members (XOR their previous
     flips and the used qubit's), and symmetrically on the second side.
     """
-    fa = _ghz_member_flip(g, a.qubit)
-    fb = _ghz_member_flip(g, b.qubit)
+    fa = g.vertex(a.qubit).x_flip
+    fb = g.vertex(b.qubit).x_flip
     out = g.without_vertices(a.component | b.component)
     vertices = [Vertex(a.qubit, theta_beta, z_phase=math.pi if sign < 0 else 0.0)]
     edges = []
@@ -304,9 +284,9 @@ def _rewrite_ghz_success(g: TiltedGraph, a: SideInfo, b: SideInfo,
         if vid == b.qubit:
             flip = True
         elif vid in a.component:
-            flip = (not fa) ^ _ghz_member_flip(g, vid)
+            flip = (not fa) ^ g.vertex(vid).x_flip
         else:
-            flip = fb ^ _ghz_member_flip(g, vid)
+            flip = fb ^ g.vertex(vid).x_flip
         vertices.append(Vertex(vid, QUARTER_PI, hadamard=True, x_flip=flip))
         edges.append((a.qubit, vid, EdgeAnnotation.pure()))
     merged = TiltedGraph(list(out.vertices()) + vertices, list(out.edges()) + edges)

@@ -208,21 +208,17 @@ def save_profile_csv(profile: LeakageProfile, path, points: int = 4097) -> None:
             fh.write(f"{ti:.17g},{pi:.17g}\n")
 
 
-def sample_time(profile: LeakageProfile, rng: np.random.Generator) -> float:
-    """Draw one click time from the renormalised profile."""
-    return float(profile.sample(rng))
-
-
 # ---------------------------------------------------------------------------
 # Quadrature
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Composite-Simpson settings: uniform grid on [0, t_max]^d.
+    """Quadrature window [0, t_max] (per axis in 2-d) and accuracy.
 
-    panel_count is the starting panel number per axis; panels double until
-    the value agrees with the half-resolution grid to relative_tolerance.
+    panel_count is the starting resolution per axis (Simpson panels here,
+    at least 64 Gauss-Legendre nodes in metrics); it doubles until the value
+    agrees with the half-resolution one to relative_tolerance.
     """
 
     relative_tolerance: float = 1e-8
@@ -252,46 +248,33 @@ def _simpson_weights(n: int) -> np.ndarray:
     return w
 
 
-def _simpson_value(f, t_max: float, n: int, ndim: int) -> float:
+def _simpson_value(f, t_max: float, n: int) -> float:
     t = np.linspace(0.0, t_max, n + 1)
-    h = t_max / n
-    w = _simpson_weights(n) * (h / 3.0)
-    if ndim == 1:
-        vals = np.asarray(f(t), dtype=float)
-        if vals.shape != t.shape:
-            raise QuadratureError("1-d integrand must return an array matching its input grid")
-        return float(np.dot(w, vals))
-    # sparse grids: the integrand must broadcast (t1 is a column, t2 a row)
-    vals = np.asarray(f(t[:, None], t[None, :]), dtype=float)
-    if vals.shape != (t.size, t.size):
-        vals = np.broadcast_to(vals, (t.size, t.size))
-    return float(w @ vals @ w)
+    w = _simpson_weights(n) * (t_max / n / 3.0)
+    vals = np.asarray(f(t), dtype=float)
+    if vals.shape != t.shape:
+        raise QuadratureError("integrand must return an array matching its input grid")
+    return float(np.dot(w, vals))
 
 
-_MAX_PANELS = {1: 1 << 20, 2: 1 << 12}
+def integrate(f, settings: QuadratureSettings) -> float:
+    """Deterministic integral of f over [0, t_max] to relative_tolerance.
 
-
-def integrate(f, settings: QuadratureSettings, ndim: int = 1) -> float:
-    """Deterministic integral of f over [0, t_max]^ndim to relative_tolerance.
-
-    f must be vectorised: for ndim=1 it maps an array of times to densities,
-    for ndim=2 it maps two meshgrid arrays (t1, t2) to values.  Panels double
-    until successive Simpson grids agree; exceeding the panel budget raises
-    QuadratureError.
+    f must be vectorised: it maps an array of times to densities.  Panels
+    double until successive Simpson grids agree; disagreement still at
+    2^21 panels raises QuadratureError.
     """
-    if ndim not in (1, 2):
-        raise QuadratureError(f"only 1-d and 2-d integrals are supported, got ndim={ndim}")
     n = settings.panel_count
-    prev = _simpson_value(f, settings.t_max, n, ndim)
-    while n <= _MAX_PANELS[ndim]:
+    prev = _simpson_value(f, settings.t_max, n)
+    while n <= 1 << 20:
         n *= 2
-        cur = _simpson_value(f, settings.t_max, n, ndim)
+        cur = _simpson_value(f, settings.t_max, n)
         scale = max(abs(cur), abs(prev), 1e-300)
         if abs(cur - prev) <= settings.relative_tolerance * scale:
             return cur
         prev = cur
     raise QuadratureError(
-        f"{ndim}-d quadrature did not reach rtol={settings.relative_tolerance} within {n} panels"
+        f"quadrature did not reach rtol={settings.relative_tolerance} within {n} panels"
     )
 
 
@@ -308,4 +291,4 @@ def overlap_integral(pa: LeakageProfile, pb: LeakageProfile,
     def integrand(t):
         return np.sqrt(pa.density(t) * pb.density(t))
 
-    return integrate(integrand, settings, ndim=1)
+    return integrate(integrand, settings)

@@ -65,10 +65,12 @@ class FidelityHistogram:
 class ComparisonReport:
     """First-attempt comparison of post-selection against the adaptive strategy.
 
-    p_outside_window is the full first-attempt success probability of the
-    adaptive strategy, counting within-window segments as deterministic
-    successes; p_outside_only is the plain out-of-window contribution (it
-    vanishes as the window grows).
+    p_postselect is the window mass.  p_outside_window is the full
+    first-attempt success probability of the adaptive strategy, counting
+    within-window segments as deterministic successes; p_outside_only is the
+    plain out-of-window contribution (it vanishes as the window grows).  So
+    p_total = p_postselect + p_outside_window = 2 p_postselect + p_outside_only,
+    as the paper's Section IV figures (3.3% / 35.7% / 39.0%) pin.
     """
 
     p_postselect: float
@@ -94,77 +96,74 @@ def expected_f(theta_a: float, theta_b: float, pa: LeakageProfile, pb: LeakagePr
     return ExpectationResult(value, "closed-form", 2.0 * settings.relative_tolerance * value)
 
 
-def _gauss_nodes(n: int, t_max: float):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * t_max * (x + 1.0), 0.5 * t_max * w
-
-
-def _efsq_pass(theta1: float, theta2: float, pa, pb, n: int, t_max: float) -> float:
-    t, w = _gauss_nodes(n, t_max)
-    da, db = pa.density(t), pb.density(t)
-    u = np.outer(da, db)
-    v = u.T
-    denom = theta1 * u + theta2 * v
+def _masked_ratio(num, den):
+    """num / den where den > 0, else 0 (the integrands vanish with the densities)."""
+    den = np.asarray(den)
     with np.errstate(invalid="ignore", divide="ignore"):
-        vals = np.where(denom > 0.0, theta1 * theta2 * u * v / np.where(denom > 0, denom, 1.0), 0.0)
-    return float(w @ vals @ w)
+        return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
+
+
+def _excess(x, y):
+    """Fidelity excess F = sqrt(X Y) / (X + Y), 0 where both terms vanish."""
+    return _masked_ratio(np.sqrt(x * y), x + y)
+
+
+def _gauss_quadrature(kernel, pa, pb, settings, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """2-d integrals of the arrays kernel(U, V) yields, on the truncated square.
+
+    Gauss-Legendre nodes (the integrands are analytic there), doubling
+    deterministically until two resolutions agree in every component.
+    Returns the values and their last change.
+    """
+    if settings is None:
+        settings = settings_for(pa, pb, relative_tolerance=1e-9)
+
+    def one_pass(n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        t, w = 0.5 * settings.t_max * (x + 1.0), 0.5 * settings.t_max * w
+        u = np.outer(pa.density(t), pb.density(t))
+        return np.array([w @ vals @ w for vals in kernel(u, u.T)])
+
+    n = max(settings.panel_count, 64)
+    prev = one_pass(n)
+    while n <= 1024:
+        n *= 2
+        cur = one_pass(n)
+        change = np.abs(cur - prev)
+        if np.all(change <= settings.relative_tolerance * np.maximum(np.abs(cur), 1e-300)):
+            return cur, change
+        prev = cur
+    raise QuadratureError(f"{what} did not converge within the panel budget")
 
 
 def expected_f_sq(theta_a: float, theta_b: float, pa: LeakageProfile, pb: LeakageProfile,
                   settings: QuadratureSettings | None = None) -> ExpectationResult:
-    """Direct 2-d quadrature of E(F^2).
-
-    Gauss-Legendre nodes (the integrand is analytic on the truncated square),
-    doubling deterministically until two resolutions agree.
-    """
-    if settings is None:
-        settings = settings_for(pa, pb, relative_tolerance=1e-9)
+    """Direct 2-d quadrature of E(F^2)."""
     th1, th2 = big_thetas(theta_a, theta_b)
     if th1 == 0.0 or th2 == 0.0:
         return ExpectationResult(0.0, "quadrature", 0.0)
-    n = max(settings.panel_count, 64)
-    prev = _efsq_pass(th1, th2, pa, pb, n, settings.t_max)
-    while n <= 1024:
-        n *= 2
-        cur = _efsq_pass(th1, th2, pa, pb, n, settings.t_max)
-        if abs(cur - prev) <= settings.relative_tolerance * max(abs(cur), 1e-300):
-            return ExpectationResult(cur, "quadrature", abs(cur - prev))
-        prev = cur
-    raise QuadratureError("E(F^2) quadrature did not converge within the panel budget")
 
+    def kernel(u, v):
+        yield _masked_ratio(th1 * th2 * u * v, th1 * u + th2 * v)
 
-def _moment_pass(pa, pb, max_order: int, n: int, t_max: float, numerator: str) -> np.ndarray:
-    t, w = _gauss_nodes(n, t_max)
-    da, db = pa.density(t), pb.density(t)
-    u = np.outer(da, db)
-    v = u.T
-    s = u + v
-    with np.errstate(invalid="ignore", divide="ignore"):
-        base = np.where(s > 0.0, u * v / np.where(s > 0, s, 1.0), 0.0)
-        frac = np.where(s > 0.0, (v if numerator == "V" else u) / np.where(s > 0, s, 1.0), 0.0)
-    out = np.empty(max_order + 1)
-    cur = base
-    for k in range(max_order + 1):
-        out[k] = float(w @ cur @ w)
-        if k < max_order:
-            cur = cur * frac
-    return out
+    value, change = _gauss_quadrature(kernel, pa, pb, settings, "E(F^2) quadrature")
+    return ExpectationResult(float(value[0]), "quadrature", float(change[0]))
 
 
 def series_moments(pa: LeakageProfile, pb: LeakageProfile, max_order: int,
                    settings: QuadratureSettings | None = None, numerator: str = "V") -> np.ndarray:
     """I_n (numerator "V") or J_n (numerator "U") moments up to max_order."""
-    if settings is None:
-        settings = settings_for(pa, pb, relative_tolerance=1e-9)
-    n = max(settings.panel_count, 64)
-    prev = _moment_pass(pa, pb, max_order, n, settings.t_max, numerator)
-    while n <= 1024:
-        n *= 2
-        cur = _moment_pass(pa, pb, max_order, n, settings.t_max, numerator)
-        if np.all(np.abs(cur - prev) <= settings.relative_tolerance * np.maximum(np.abs(cur), 1e-300)):
-            return cur
-        prev = cur
-    raise QuadratureError("series moments did not converge within the panel budget")
+
+    def kernel(u, v):
+        s = u + v
+        cur = _masked_ratio(u * v, s)
+        frac = _masked_ratio(v if numerator == "V" else u, s)
+        yield cur
+        for _ in range(max_order):
+            cur = cur * frac
+            yield cur
+
+    return _gauss_quadrature(kernel, pa, pb, settings, "series moments")[0]
 
 
 def _series_region(theta_a: float, theta_b: float) -> tuple[str, float, float]:
@@ -226,11 +225,8 @@ def _mixture_cells(theta_a, theta_b, pa, pb, nodes):
         t2 = p2.inverse_cdf(u)
         x = th1 * np.outer(pa.density(t1), pb.density(t2))
         y = th2 * np.outer(pb.density(t1), pa.density(t2))
-        s = x + y
-        with np.errstate(invalid="ignore", divide="ignore"):
-            f = np.where(s > 0.0, np.sqrt(x * y) / np.where(s > 0, s, 1.0), 0.0)
         cell = th * p1.total_mass * p2.total_mass / nodes**2
-        yield f.ravel(), cell
+        yield _excess(x, y).ravel(), cell
 
 
 def fidelity_histogram(theta_a: float, theta_b: float, pa: LeakageProfile, pb: LeakageProfile,
@@ -244,15 +240,6 @@ def fidelity_histogram(theta_a: float, theta_b: float, pa: LeakageProfile, pb: L
         hist, _ = np.histogram(np.clip(f, 0.0, MAX_F), bins=edges)
         masses += hist * cell
     return FidelityHistogram(edges, masses)
-
-
-def window_mass(theta_a: float, theta_b: float, pa: LeakageProfile, pb: LeakageProfile,
-                epsilon: float, nodes: int = 2000) -> float:
-    """Probability of a first-attempt fidelity inside the acceptance window."""
-    total = 0.0
-    for f, cell in _mixture_cells(theta_a, theta_b, pa, pb, nodes):
-        total += cell * int(np.count_nonzero(f > MAX_F - epsilon))
-    return total
 
 
 def first_attempt_success(f, mode: str):
@@ -306,8 +293,6 @@ def fidelity_value(theta_a: float, theta_b: float, pa: LeakageProfile, pb: Leaka
                    t1, t2):
     """F = sqrt(XY)/(X+Y) at given click times (vectorised)."""
     th1, th2 = big_thetas(theta_a, theta_b)
-    x = th1 * pa.density(t1) * pb.density(t2)
-    y = th2 * pb.density(t1) * pa.density(t2)
-    s = x + y
-    out = np.where(np.asarray(s) > 0.0, np.sqrt(x * y) / np.where(np.asarray(s) > 0, s, 1.0), 0.0)
+    out = _excess(th1 * pa.density(t1) * pb.density(t2),
+                  th2 * pb.density(t1) * pa.density(t2))
     return float(out) if np.ndim(out) == 0 else out

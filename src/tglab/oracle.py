@@ -155,16 +155,6 @@ def overlap(a: StateVector, b: StateVector) -> float:
     return abs(np.vdot(a.amps, amps_b)) ** 2
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One rotated computational-basis measurement."""
-
-    qubit: int
-    rotation: np.ndarray
-    outcome: int
-    probability: float
-
-
 def project(state: StateVector, qubit, outcome: int, pre_rotation=None) -> tuple[float, StateVector]:
     """Deterministically project; returns (Born probability, reduced state).
 
@@ -179,18 +169,6 @@ def project(state: StateVector, qubit, outcome: int, pre_rotation=None) -> tuple
     if p <= 1e-300:
         return 0.0, StateVector(remaining, np.zeros_like(slab))
     return p, StateVector(remaining, slab / math.sqrt(p * total))
-
-
-def measure(state: StateVector, qubit, pre_rotation, rng) -> tuple[MeasurementRecord, StateVector]:
-    """Rotate, sample a computational-basis outcome, project and renormalise."""
-    rotated = state.apply_single(qubit, pre_rotation) if pre_rotation is not None else state
-    ax = rotated.axis(qubit)
-    slab1 = np.moveaxis(rotated.amps, ax, 0)[1]
-    p1 = float(np.vdot(slab1, slab1).real) / float(np.vdot(rotated.amps, rotated.amps).real)
-    outcome = 1 if rng.random() < p1 else 0
-    p, post = project(rotated, qubit, outcome)
-    rot = np.eye(2, dtype=complex) if pre_rotation is None else np.asarray(pre_rotation, dtype=complex)
-    return MeasurementRecord(qubit, rot, outcome, p), post
 
 
 # ---------------------------------------------------------------------------

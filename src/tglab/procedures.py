@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import GraphConfigError, ImpossibleStateError
 from .tilted_graph import (
+    ANGLE_TOL,
     HALF_PI,
     QUARTER_PI,
     EdgeAnnotation,
@@ -51,10 +52,8 @@ from .tilted_graph import (
     combine_weighted_edges,
     is_ghz_star,
     star_center_id,
+    z_pi_count,
 )
-
-
-_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +144,7 @@ def bridge_beta(gamma1: float, theta_b: float, sign: int) -> float:
     Handles signed theta_b; for theta_b > 0 it reduces to the closed form
     cos(beta) = N_B cos(theta_b)(sign cos gamma1 - sin gamma1).
     """
-    if abs(math.sin(2.0 * theta_b)) < _TOL:
+    if abs(math.sin(2.0 * theta_b)) < ANGLE_TOL:
         raise GraphConfigError("degenerate central tilt: nothing to bridge with")
     tau = canonical_angle(sign * QUARTER_PI - gamma1)
     lam = math.sqrt(2.0) * bridge_n_factor(gamma1, theta_b, sign) * abs(
@@ -227,20 +226,6 @@ def _draw(outcome, rng, p) -> int:
     return 1 if rng.random() < p else 0
 
 
-def _z_flag_parity(g: TiltedGraph, vids) -> int:
-    flips = 0
-    for vid in vids:
-        v = g.vertex(vid)
-        if abs(v.z_phase) < _TOL:
-            continue
-        if abs(v.z_phase - math.pi) < _TOL and not v.hadamard:
-            flips += 1
-        else:
-            raise GraphConfigError(
-                f"vertex {vid}: z_phase {v.z_phase:.6g} is unsupported in this procedure")
-    return -1 if flips % 2 else 1
-
-
 def _swap_tilt(t: float) -> float:
     # (cos t, sin t) -> (sin t, cos t) reorders the branch basis
     return canonical_angle(HALF_PI - t)
@@ -269,7 +254,7 @@ def realign(g: TiltedGraph, cherry: int, rng=None, outcome: int | None = None
 
     if is_ghz_star(g, comp):
         center = star_center_id(g, comp)
-        zsign = _z_flag_parity(g, comp)
+        zsign = -1 if z_pi_count(g, comp) % 2 else 1
         tilt = g.vertex(center).tilt
         alpha, beta = math.cos(tilt), zsign * math.sin(tilt)
         if v.x_flip:
@@ -304,7 +289,7 @@ def realign(g: TiltedGraph, cherry: int, rng=None, outcome: int | None = None
             f"vertex {cherry} is not a realignable cherry (no Hadamard correlation)")
     if hv.hadamard or hv.x_flip:
         raise GraphConfigError(f"tilt holder {holder} carries unsupported frame flags")
-    zsign = _z_flag_parity(g, [holder, cherry])
+    zsign = -1 if z_pi_count(g, [holder, cherry]) % 2 else 1
     alpha, beta = math.cos(hv.tilt), zsign * math.sin(hv.tilt)
     if v.x_flip:
         # the cherry value tracks the holder branch through CZ + H; a
@@ -328,7 +313,7 @@ def realign(g: TiltedGraph, cherry: int, rng=None, outcome: int | None = None
 
 def _join_site(g: TiltedGraph, central: int, expected: EdgeKind):
     v = g.vertex(central)
-    if v.hadamard or v.x_flip or abs(v.z_phase) > _TOL:
+    if v.hadamard or v.x_flip or abs(v.z_phase) > ANGLE_TOL:
         raise GraphConfigError(f"central vertex {central} carries unsupported frame flags")
     nbs = g.neighbors(central)
     if len(nbs) != 2:

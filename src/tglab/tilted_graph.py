@@ -32,7 +32,7 @@ HALF_PI = 0.5 * math.pi
 QUARTER_PI = 0.25 * math.pi
 TWO_PI = 2.0 * math.pi
 
-_ANGLE_TOL = 1e-12
+ANGLE_TOL = 1e-12
 
 
 def canonical_angle(x: float) -> float:
@@ -48,20 +48,20 @@ def canonical_phase(x: float) -> float:
     y = math.fmod(float(x), TWO_PI)
     if y < 0.0:
         y += TWO_PI
-    if abs(y) < _ANGLE_TOL or abs(y - TWO_PI) < _ANGLE_TOL:
+    if abs(y) < ANGLE_TOL or abs(y - TWO_PI) < ANGLE_TOL:
         y = 0.0
     return y
 
 
 def is_untilted(theta: float) -> bool:
     """True for theta = +-pi/4, the pure graph-state preparation."""
-    return abs(abs(canonical_angle(theta)) - QUARTER_PI) < _ANGLE_TOL
+    return abs(abs(canonical_angle(theta)) - QUARTER_PI) < ANGLE_TOL
 
 
 def is_degenerate_tilt(theta: float) -> bool:
     """True for theta in {0, pi/2}: a product-state vertex that cannot entangle."""
     t = canonical_angle(theta)
-    return abs(t) < _ANGLE_TOL or abs(t - HALF_PI) < _ANGLE_TOL
+    return abs(t) < ANGLE_TOL or abs(t - HALF_PI) < ANGLE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +99,9 @@ class Vertex:
         """Absorb a Z(alpha) applied *below* the recorded corrections."""
         if self.hadamard:
             a = canonical_phase(alpha)
-            if abs(a) < _ANGLE_TOL:
+            if abs(a) < ANGLE_TOL:
                 return self
-            if abs(a - math.pi) < _ANGLE_TOL:
+            if abs(a - math.pi) < ANGLE_TOL:
                 # Z(pi) through H becomes X, landing between X^x_flip and H
                 return replace(self, x_flip=not self.x_flip)
             raise GraphConfigError(
@@ -121,7 +121,7 @@ class Vertex:
     @property
     def plain(self) -> bool:
         """No correction flags at all."""
-        return not self.hadamard and not self.x_flip and abs(self.z_phase) < _ANGLE_TOL
+        return not self.hadamard and not self.x_flip and abs(self.z_phase) < ANGLE_TOL
 
 
 def apply_x_flip(v: Vertex) -> Vertex:
@@ -132,6 +132,24 @@ def apply_x_flip(v: Vertex) -> Vertex:
     neighbour Z corrections that commuting X through control-Z produces.
     """
     return replace(v, tilt=canonical_angle(HALF_PI - v.tilt), x_flip=not v.x_flip)
+
+
+def z_pi_count(g: "TiltedGraph", vids) -> int:
+    """Number of Z(pi) flags (branch-sign flips) on the given vertices.
+
+    Any other Z phase, or a Z(pi) under a Hadamard flag, raises GraphConfigError.
+    """
+    count = 0
+    for vid in vids:
+        v = g.vertex(vid)
+        if abs(v.z_phase) < ANGLE_TOL:
+            continue
+        if abs(v.z_phase - math.pi) >= ANGLE_TOL:
+            raise GraphConfigError(f"vertex {vid}: z_phase {v.z_phase:.6g} is unsupported here")
+        if v.hadamard:
+            raise GraphConfigError(f"vertex {vid}: z(pi) under a Hadamard flag is unsupported here")
+        count += 1
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +187,7 @@ class EdgeAnnotation:
     @property
     def maximal(self) -> bool:
         """True when phi = +-pi/4 (rewritable to a pure structure)."""
-        return self.kind is not EdgeKind.PURE and abs(abs(self.phi) - QUARTER_PI) < _ANGLE_TOL
+        return self.kind is not EdgeKind.PURE and abs(abs(self.phi) - QUARTER_PI) < ANGLE_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,40 @@
+"""Test-side reference: composite-Simpson quadrature on the square [0, t_max]^2.
+
+The library integrates 2-d quantities with Gauss-Legendre nodes
+(tglab.metrics); this independent tensor-product Simpson rule checks it and
+the closed forms.  It doubles the panels per axis until two grids agree to
+the settings' relative tolerance, up to 2^13 panels.
+"""
+
+import numpy as np
+
+from tglab.errors import QuadratureError
+from tglab.leakage import QuadratureSettings
+
+_MAX_PANELS = 1 << 12
+
+
+def _simpson_2d(f, t_max: float, n: int) -> float:
+    t = np.linspace(0.0, t_max, n + 1)
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w *= t_max / n / 3.0
+    # the integrand must broadcast: t1 is a column, t2 a row
+    vals = np.asarray(f(t[:, None], t[None, :]), dtype=float)
+    vals = np.broadcast_to(vals, (t.size, t.size))
+    return float(w @ vals @ w)
+
+
+def simpson_2d(f, settings: QuadratureSettings) -> float:
+    """Integral of f(t1, t2) over [0, t_max]^2 to settings.relative_tolerance."""
+    n = settings.panel_count
+    prev = _simpson_2d(f, settings.t_max, n)
+    while n <= _MAX_PANELS:
+        n *= 2
+        cur = _simpson_2d(f, settings.t_max, n)
+        if abs(cur - prev) <= settings.relative_tolerance * max(abs(cur), abs(prev), 1e-300):
+            return cur
+        prev = cur
+    raise QuadratureError(f"2-d Simpson did not reach rtol={settings.relative_tolerance} "
+                          f"within {n} panels")

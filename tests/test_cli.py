@@ -58,7 +58,7 @@ class TestParseConfig:
         cfg = parse_config(cfg_path)
         assert set(cfg.profiles) == {"A", "B"}
         assert cfg.seed == 77
-        assert cfg.tolerance == 1e-8 and cfg.efficiency == 1.0
+        assert cfg.efficiency == 1.0
 
     def test_negative_g_rejected_with_line(self, tmp_path):
         p = tmp_path / "bad.cfg"

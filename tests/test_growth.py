@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -187,16 +188,46 @@ class TestRealignment:
         out, stats = run_realignment([piece], piece.fidelity - 1e-6, seed=2)
         assert out == [piece]
 
-    def test_budget_limits_attempts(self):
-        piece = GhzPiece(8, 0.3, tuple(range(8)))
-        stats = RunStats()
-        out = realign_piece(piece, 1.0, 123, 0, stats, budget=1)
-        assert stats.realignments_attempted <= 1
-
 
 def synthetic_inventory(n_pieces, size, tilt=QUARTER_PI):
     return [GhzPiece(size, tilt, tuple(f"c{i:02d}" for i in range(k * size, (k + 1) * size)))
             for k in range(n_pieces)]
+
+
+@pytest.fixture
+def stream_sites(monkeypatch):
+    """{derive_rng tag: the growth call-site paths that drew under that tag}."""
+    import tglab.growth as growth
+    real, sites = growth.derive_rng, {}
+
+    def recording(seed, *key):
+        frame, path = sys._getframe(1), []
+        while frame is not None:
+            if frame.f_globals.get("__name__") == growth.__name__:
+                path.append((frame.f_code.co_name, frame.f_lineno))
+            frame = frame.f_back
+        sites.setdefault(key[0], set()).add(tuple(path))
+        return real(seed, *key)
+
+    monkeypatch.setattr(growth, "derive_rng", recording)
+    return sites
+
+
+class TestStreamTags:
+    """Each kind of random decision (call-site path) owns its derive_rng tag,
+    so no two decisions can share a stream however large the campaign."""
+
+    def test_pairing_and_pair_draws(self, stream_sites):
+        run_phase1(StrategyConfig(profiles=pool(12), seed=5, target_ghz_size=4,
+                                  pairing="random"))
+        assert sorted(len(paths) for paths in stream_sites.values()) == [1, 1], stream_sites
+
+    def test_boundary_and_join_realignment(self, stream_sites):
+        tilted = GhzPiece(6, 0.6, tuple(f"c{i:02d}" for i in range(6)))
+        run_realignment([tilted], 1.0, seed=4)
+        run_join([tilted, GhzPiece(6, QUARTER_PI, tuple(f"c{i:02d}" for i in range(6, 12)))],
+                 join_cfg(20, 4, join_nodes=2, join_kind="bridge"))
+        assert sorted(len(paths) for paths in stream_sites.values()) == [1, 1, 1], stream_sites
 
 
 def join_cfg(n_cavities, seed, **kw):

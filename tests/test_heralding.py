@@ -102,8 +102,9 @@ class TestClickDensities:
     def test_joint_mass_is_success_probability(self, theta_a, theta_b):
         ctx = ctx_of(theta_a, theta_b)
         s = settings_for(PA, PB)
+        from reference_quadrature import simpson_2d
         from tglab.heralding import joint_terms
-        mass = integrate(lambda a, b: sum(joint_terms(a, b, ctx)), s, ndim=2)
+        mass = simpson_2d(lambda a, b: sum(joint_terms(a, b, ctx)), s)
         assert mass == pytest.approx(success_probability(theta_a, theta_b), abs=1e-8)
 
     def test_identical_profiles_factorise(self):
@@ -223,6 +224,19 @@ class TestClassification:
         g = ghz_graph([0, 1, 2], 0.7)
         with pytest.raises(GraphConfigError):
             dh_context(g, 0, 1, PA, PB)
+
+    def test_unsupported_z_flags_rejected(self):
+        star = ghz_graph([0, 1, 2], 0.7)        # centre 0, Hadamard leaves 1, 2
+        cherry = star.with_vertex(Vertex(3, QUARTER_PI)).with_edge(3, 0, EdgeAnnotation.pure())
+        cases = [
+            (TiltedGraph([Vertex(0, 0.4, z_phase=math.pi / 2)]), 0),            # fresh
+            (star.map_vertex(0, lambda v: v.append_z(math.pi / 2)), 2),         # ghz, Z(pi/2)
+            (star.map_vertex(1, lambda v: v.append_z(math.pi)), 2),             # ghz, Z(pi) under H
+            (cherry.map_vertex(3, lambda v: v.append_z(math.pi / 2)), 3),       # cherry
+        ]
+        for g, q in cases:
+            with pytest.raises(GraphConfigError):
+                classify_dh_side(g, q)
 
 
 def random_success(rng, theta_eff_a, theta_eff_b):

@@ -5,7 +5,7 @@ import pytest
 
 from tglab.errors import QuadratureError
 from tglab.heralding import DhContext, big_thetas, sample_clicks_array, success_probability
-from tglab.leakage import CriticallyDamped, integrate, settings_for
+from tglab.leakage import CriticallyDamped, settings_for
 from tglab.metrics import (
     compare_strategies,
     efsq_first_order,
@@ -17,7 +17,6 @@ from tglab.metrics import (
     first_attempt_success,
     resource_ratio,
     series_moments,
-    window_mass,
 )
 
 QUARTER_PI = math.pi / 4
@@ -40,6 +39,7 @@ class TestExpectedF:
     @pytest.mark.parametrize("theta_b", np.linspace(0.3, 1.35, 5))
     def test_quadrature_cross_check(self, theta_a, theta_b):
         # int int sqrt(X Y) against the closed form, criterion-5 style
+        from reference_quadrature import simpson_2d
         th1, th2 = big_thetas(theta_a, theta_b)
 
         def integrand(t1, t2):
@@ -47,7 +47,7 @@ class TestExpectedF:
             y = th2 * PB.density(t1) * PA.density(t2)
             return np.sqrt(x * y)
 
-        val = integrate(integrand, settings_for(PA, PB, relative_tolerance=1e-7), ndim=2)
+        val = simpson_2d(integrand, settings_for(PA, PB, relative_tolerance=1e-7))
         assert val == pytest.approx(expected_f(theta_a, theta_b, PA, PB).value, abs=1e-6)
 
     def test_x_flip_invariance(self):
@@ -163,7 +163,7 @@ class TestFidelityHistogram:
         assert hist.masses[:-1].sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_window_mass_reproduces_postselect_number(self):
-        mass = window_mass(QUARTER_PI, QUARTER_PI, PA, PB, 1e-4, nodes=2000)
+        mass = compare_strategies(PA, PB, 1e-4, nodes=2000).p_postselect
         assert mass == pytest.approx(0.033, abs=0.003)
 
     def test_bin_count_enforced(self):

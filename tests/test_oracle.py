@@ -9,7 +9,6 @@ from tglab.oracle import (
     build_state,
     evolve_single,
     jump_operators,
-    measure,
     overlap,
     project,
     rk4_step_size,
@@ -67,17 +66,6 @@ class TestMeasurement:
         p0, _ = project(s, 0, 0)
         p1, _ = project(s, 0, 1)
         assert p0 == pytest.approx(0.5) and p1 == pytest.approx(0.5)
-
-    def test_measure_statistics_and_record(self):
-        s = build_state(TiltedGraph([Vertex(0, 0.3)]))
-        rng = np.random.default_rng(0)
-        outcomes = []
-        for _ in range(4000):
-            rec, _ = measure(s, 0, None, rng)
-            outcomes.append(rec.outcome)
-            assert rec.probability == pytest.approx(math.sin(0.3) ** 2 if rec.outcome else math.cos(0.3) ** 2)
-        freq = np.mean(outcomes)
-        assert abs(freq - math.sin(0.3) ** 2) < 3 * math.sqrt(0.25 / 4000)
 
     def test_x_measurement_merges_fig5(self):
         g = eq29_graph(QUARTER_PI)

@@ -200,6 +200,13 @@ class TestRealignGhz:
         record, after = realign(g, cherry, outcome=outcome)
         replay(g, record, after)
 
+    def test_unsupported_z_flags_rejected(self):
+        g = ghz_graph(range(3), 0.7)             # centre 0, Hadamard leaves 1, 2
+        for bad in (g.map_vertex(0, lambda v: v.append_z(math.pi / 2)),
+                    g.map_vertex(2, lambda v: v.append_z(math.pi))):
+            with pytest.raises(GraphConfigError):
+                realign(bad, 1, outcome=1)
+
     def test_two_qubit_star_center_as_cherry(self):
         g = ghz_graph([0, 1], 0.8)
         record, after = realign(g, 0, outcome=1)   # plain centre is a valid cherry
@@ -264,6 +271,13 @@ class TestRealignCentral:
             record, after = realign(g, 13, outcome=outcome)
             assert after.edge(0, 10).phi == pytest.approx(0.3)  # untouched
             replay(g, record, after)
+
+    def test_unsupported_z_flags_rejected(self):
+        g = self.post_dh_cherry_graph(0.8)
+        for bad in (g.map_vertex(3, lambda v: v.append_z(math.pi / 2)),   # holder, Z(pi/2)
+                    g.map_vertex(13, lambda v: v.append_z(math.pi))):     # Z(pi) under H
+            with pytest.raises(GraphConfigError):
+                realign(bad, 13, outcome=1)
 
     def test_plain_cherry_rejected(self):
         # a |+> cherry with no Hadamard correlation cannot realign the holder
