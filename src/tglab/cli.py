@@ -13,8 +13,9 @@ Configuration is a sectioned key=value plain-text file; one experiment per
 file.  `[profile NAME]` sections declare leakage profiles
 (kind = critically_damped with g = ..., or kind = csv with path = ...);
 `[run]` holds the mandatory seed plus the optional detection efficiency;
-each command reads its own section.  All randomness derives from the single
-seed, so identical config and seed give byte-identical outputs.
+each command reads its own section.  An unknown section or key, or a value
+outside its set, is a configuration error.  All randomness derives from the
+single seed, so identical config and seed give byte-identical outputs.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure,
 3 verification failure.
@@ -32,9 +33,9 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, TglabError, VerificationError
-from .growth import StrategyConfig, run_pipeline
+from .growth import JOIN_KINDS, JOIN_METHODS, PAIRINGS, StrategyConfig, run_pipeline
 from .leakage import CriticallyDamped, LeakageProfile, load_profile_csv
-from .metrics import compare_strategies, expected_f_sq, fidelity_histogram
+from .metrics import MODES, compare_strategies, expected_f_sq, fidelity_histogram
 from .tilted_graph import QUARTER_PI
 
 
@@ -64,8 +65,11 @@ def _parse_sections(text: str) -> dict:
                 raise ConfigError("empty section name", ln)
             if name in sections:
                 raise ConfigError(f"duplicate section [{name}]", ln)
+            kind = "profile NAME" if name.startswith("profile ") else name
+            if kind not in SECTIONS:
+                raise ConfigError(f"unknown section [{name}]", ln)
             sections[name] = {}
-            current = name
+            current, known = name, SECTIONS[kind][1]
             continue
         if "=" not in line:
             raise ConfigError(f"expected 'key = value', got {line!r}", ln)
@@ -74,13 +78,16 @@ def _parse_sections(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError("empty key", ln)
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in [{current}]", ln)
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r} in [{current}]", ln)
         sections[current][key] = (value, ln)
     return sections
 
 
-def _take(section: dict, key: str, kind, default=None, required=False, section_name=""):
+def _take(section: dict, key: str, kind, default=None, required=False, section_name="",
+          choices=()):
     if key not in section:
         if required:
             lines = [ln for _, ln in section.values()]
@@ -95,9 +102,12 @@ def _take(section: dict, key: str, kind, default=None, required=False, section_n
             if value.lower() in ("off", "false", "no", "0"):
                 return False
             raise ValueError(value)
-        return kind(value)
+        parsed = kind(value)
     except (ValueError, TypeError):
         raise ConfigError(f"cannot parse {key} = {value!r} as {kind.__name__}", ln) from None
+    if choices and parsed not in choices:
+        raise ConfigError(f"{key} = {value!r} is not one of {', '.join(choices)}", ln)
+    return parsed
 
 
 def _build_profile(name: str, section: dict, base_dir: Path) -> LeakageProfile:
@@ -189,8 +199,7 @@ def emit_csv(rows, path) -> Path:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_calibrate(cfg: ExperimentConfig, out_dir: Path) -> list:
-    section = cfg.sections.get("calibrate", {})
+def _cmd_calibrate(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int) -> list:
     points = _take(section, "points", int, default=2049)
     if points < 2:
         raise ConfigError("calibrate needs at least 2 points", section["points"][1])
@@ -205,8 +214,7 @@ def _cmd_calibrate(cfg: ExperimentConfig, out_dir: Path) -> list:
     return artifacts
 
 
-def _cmd_efsq_surface(cfg: ExperimentConfig, out_dir: Path) -> list:
-    section = cfg.sections.get("efsq-surface", {})
+def _cmd_efsq_surface(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int) -> list:
     pa = _profile_ref(cfg, section, "profile_a", "efsq-surface")
     pb = _profile_ref(cfg, section, "profile_b", "efsq-surface")
     grid = _take(section, "grid", int, default=21)
@@ -222,8 +230,7 @@ def _cmd_efsq_surface(cfg: ExperimentConfig, out_dir: Path) -> list:
     return [emit_csv(rows, out_dir / "efsq_surface.csv")]
 
 
-def _cmd_fidelity_hist(cfg: ExperimentConfig, out_dir: Path) -> list:
-    section = cfg.sections.get("fidelity-hist", {})
+def _cmd_fidelity_hist(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int) -> list:
     pa = _profile_ref(cfg, section, "profile_a", "fidelity-hist")
     pb = _profile_ref(cfg, section, "profile_b", "fidelity-hist")
     bins = _take(section, "bins", int, default=200)
@@ -236,18 +243,21 @@ def _cmd_fidelity_hist(cfg: ExperimentConfig, out_dir: Path) -> list:
     return [emit_csv(rows, out_dir / "fidelity_hist.csv")]
 
 
-def _cmd_compare(cfg: ExperimentConfig, out_dir: Path) -> list:
-    section = cfg.sections.get("compare", {})
+def _cmd_compare(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int) -> list:
     pa = _profile_ref(cfg, section, "profile_a", "compare")
     pb = _profile_ref(cfg, section, "profile_b", "compare")
     epsilon = _take(section, "epsilon", float, default=1e-4)
     if epsilon <= 0:
         raise ConfigError("epsilon must be positive", section["epsilon"][1])
     nodes = _take(section, "nodes", int, default=2000)
-    modes = _take(section, "modes", str, default="3f2,exact")
+    modes = [m.strip() for m in _take(section, "modes", str, default="3f2,exact").split(",")]
+    for mode in modes:
+        if mode not in MODES:
+            raise ConfigError(f"modes: {mode!r} is not one of {', '.join(MODES)}",
+                              section["modes"][1])
     rows = [("mode", "epsilon", "p_postselect", "p_outside_window", "p_total",
              "p_outside_only")]
-    for mode in (m.strip() for m in modes.split(",")):
+    for mode in modes:
         rep = compare_strategies(pa, pb, epsilon, mode, nodes=nodes)
         rows.append((mode, rep.epsilon, rep.p_postselect, rep.p_outside_window,
                      rep.p_total, rep.p_outside_only))
@@ -257,8 +267,7 @@ def _cmd_compare(cfg: ExperimentConfig, out_dir: Path) -> list:
     return [emit_csv(rows, out_dir / "compare.csv")]
 
 
-def _cmd_grow(cfg: ExperimentConfig, out_dir: Path, seed: int) -> list:
-    section = cfg.sections.get("grow", {})
+def _cmd_grow(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int) -> list:
     pool_spec = _take(section, "pool", str, required=True, section_name="grow")
     profiles = {}
     for item in pool_spec.split(","):
@@ -280,12 +289,12 @@ def _cmd_grow(cfg: ExperimentConfig, out_dir: Path, seed: int) -> list:
         seed=seed,
         target_ghz_size=_take(section, "target_ghz_size", int, default=4),
         fidelity_acceptance=_take(section, "acceptance", float, default=1.0),
-        pairing=_take(section, "pairing", str, default="sorted"),
+        pairing=_take(section, "pairing", str, default="sorted", choices=PAIRINGS),
         flip_rule=_take(section, "flip_rule", bool, default=True),
-        join_method=_take(section, "join_method", str, default="auto"),
+        join_method=_take(section, "join_method", str, default="auto", choices=JOIN_METHODS),
         detection_efficiency=cfg.efficiency,
         join_nodes=_take(section, "join_nodes", int, default=0),
-        join_kind=_take(section, "join_kind", str, default="bridge"),
+        join_kind=_take(section, "join_kind", str, default="bridge", choices=JOIN_KINDS),
         recycle_annotations=_take(section, "recycle", bool, default=True),
     )
     pieces, stats, graph = run_pipeline(strategy)
@@ -312,10 +321,9 @@ def _cmd_grow(cfg: ExperimentConfig, out_dir: Path, seed: int) -> list:
     return artifacts
 
 
-def _cmd_verify(cfg: ExperimentConfig, out_dir: Path, seed: int) -> list:
+def _cmd_verify(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int) -> list:
     from .verify import run_verification
 
-    section = cfg.sections.get("verify", {})
     cases = _take(section, "cases", int, default=60)
     budget = _take(section, "tolerance", float, default=1e-9)
     report = run_verification(seed=seed, cases=cases)
@@ -330,26 +338,31 @@ def _cmd_verify(cfg: ExperimentConfig, out_dir: Path, seed: int) -> list:
     return [artifact]
 
 
-COMMANDS = ("calibrate", "efsq-surface", "fidelity-hist", "compare", "grow", "verify")
+# Every section a config may hold: the command that reads it (None for the
+# sections parse_config reads) and its keys.  "profile NAME" stands for each
+# [profile NAME] section.
+SECTIONS = {
+    "run": (None, ("seed", "efficiency")),
+    "profile NAME": (None, ("kind", "g", "path")),
+    "calibrate": (_cmd_calibrate, ("points",)),
+    "efsq-surface": (_cmd_efsq_surface, ("profile_a", "profile_b", "grid")),
+    "fidelity-hist": (_cmd_fidelity_hist,
+                      ("profile_a", "profile_b", "bins", "nodes", "theta_a", "theta_b")),
+    "compare": (_cmd_compare, ("profile_a", "profile_b", "epsilon", "nodes", "modes")),
+    "grow": (_cmd_grow, ("pool", "target_ghz_size", "acceptance", "pairing", "flip_rule",
+                         "join_method", "join_nodes", "join_kind", "recycle")),
+    "verify": (_cmd_verify, ("cases", "tolerance")),
+}
+COMMANDS = tuple(name for name, (handler, _) in SECTIONS.items() if handler)
 
 
 def run_command(command: str, cfg: ExperimentConfig, out_dir, seed: int | None = None) -> list:
     """Dispatch one subcommand; returns the artifact paths."""
-    out_dir = Path(out_dir)
-    seed = cfg.seed if seed is None else seed
-    if command == "calibrate":
-        return _cmd_calibrate(cfg, out_dir)
-    if command == "efsq-surface":
-        return _cmd_efsq_surface(cfg, out_dir)
-    if command == "fidelity-hist":
-        return _cmd_fidelity_hist(cfg, out_dir)
-    if command == "compare":
-        return _cmd_compare(cfg, out_dir)
-    if command == "grow":
-        return _cmd_grow(cfg, out_dir, seed)
-    if command == "verify":
-        return _cmd_verify(cfg, out_dir, seed)
-    raise ConfigError(f"unknown command {command!r}; pick one of {', '.join(COMMANDS)}")
+    if command not in COMMANDS:
+        raise ConfigError(f"unknown command {command!r}; pick one of {', '.join(COMMANDS)}")
+    handler = SECTIONS[command][0]
+    return handler(cfg, cfg.sections.get(command, {}), Path(out_dir),
+                   cfg.seed if seed is None else seed)
 
 
 def main(argv=None) -> int:

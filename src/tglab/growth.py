@@ -29,11 +29,15 @@ from .errors import GraphConfigError, TglabError
 from .heralding import DhContext, apply_dh_to_graph, sample_dh
 from .procedures import bridge, choose_method, merge, p_success, r_function, realign
 from .seeding import derive_rng
-from .tilted_graph import QUARTER_PI, TiltedGraph, canonical_angle, ghz_graph
+from .tilted_graph import QUARTER_PI, TiltedGraph, canonical_angle, ghz_graph, swap_tilt
 
 # One stream tag per kind of random decision, so no two decisions share a key
 # path at any round, pair, piece or attempt count (verify draws under 7 and 8).
 _PHASE1, _REALIGN, _JOIN, _PAIRING, _JOIN_REALIGN = 1, 2, 3, 4, 5
+
+PAIRINGS = ("sorted", "random")
+JOIN_METHODS = ("auto", "force-i", "force-ii")
+JOIN_KINDS = ("bridge", "merge")
 
 
 class InventoryExhausted(TglabError):
@@ -78,11 +82,11 @@ class StrategyConfig:
             raise GraphConfigError("target GHZ size must be at least 2")
         if not (0.5 < self.fidelity_acceptance <= 1.0):
             raise GraphConfigError("fidelity acceptance must lie in (1/2, 1]")
-        if self.pairing not in ("sorted", "random"):
+        if self.pairing not in PAIRINGS:
             raise GraphConfigError(f"unknown pairing strategy {self.pairing!r}")
-        if self.join_method not in ("auto", "force-i", "force-ii"):
+        if self.join_method not in JOIN_METHODS:
             raise GraphConfigError(f"unknown join method {self.join_method!r}")
-        if self.join_kind not in ("bridge", "merge"):
+        if self.join_kind not in JOIN_KINDS:
             raise GraphConfigError(f"unknown join kind {self.join_kind!r}")
 
 
@@ -129,14 +133,13 @@ class RunStats:
 # Phase-1 strategies
 # ---------------------------------------------------------------------------
 
-def maybe_flip(theta_a: float, theta_b: float) -> tuple[bool, bool]:
-    """Spin-flip rule: flip the second partner when the tilts are far apart.
+def maybe_flip(theta_a: float, theta_b: float) -> bool:
+    """Spin-flip rule: whether to flip the second partner (the tilts are far apart).
 
     The trigger is |sin^2(theta_a) - sin^2(theta_b)| > 1/2; flipping maps
     theta -> pi/2 - theta and always brings the difference within 1/2.
     """
-    gap = abs(math.sin(theta_a) ** 2 - math.sin(theta_b) ** 2)
-    return False, gap > 0.5
+    return abs(math.sin(theta_a) ** 2 - math.sin(theta_b) ** 2) > 0.5
 
 
 def pair_inventory(pieces) -> tuple[list, int | None]:
@@ -153,12 +156,8 @@ def pair_inventory(pieces) -> tuple[list, int | None]:
 
 def effective_pair_tilts(theta_a: float, theta_b: float, flip_rule: bool) -> tuple[float, float]:
     """Tilts actually fed to a phase-1 DH attempt after the spin-flip rule."""
-    if flip_rule:
-        flip_a, flip_b = maybe_flip(theta_a, theta_b)
-        if flip_a:
-            theta_a = canonical_angle(math.pi / 2 - theta_a)
-        if flip_b:
-            theta_b = canonical_angle(math.pi / 2 - theta_b)
+    if flip_rule and maybe_flip(theta_a, theta_b):
+        theta_b = swap_tilt(theta_b)
     return theta_a, theta_b
 
 
@@ -217,26 +216,25 @@ def run_phase1(cfg: StrategyConfig, stats: RunStats | None = None,
             rng = derive_rng(cfg.seed, _PHASE1, round_idx, k)
             results[k] = _phase1_attempt(pieces[ia], pieces[ib], cfg, rng, round_idx)
 
+        # survivors keep their index order; re-prepared atoms go to the end
         consumed = 0
-        new_pieces = dict(enumerate(pieces))
+        survivors, fresh = list(pieces), []
         for k, (ia, ib) in enumerate(pairs):
             stats.dh_attempts += 1
             merged = results[k]
+            survivors[ib] = None
             if merged is not None:
                 stats.dh_successes += 1
-                new_pieces[ia] = merged
-                del new_pieces[ib]
+                survivors[ia] = merged
             else:
                 lost = pieces[ia].size + pieces[ib].size
                 consumed += lost
                 stats.qubits_consumed += lost
                 stats.qubits_drawn += lost
-                new_pieces[ia] = GhzPiece(1, QUARTER_PI, (pieces[ia].cavities[0],))
-                del new_pieces[ib]
-                for c in pieces[ia].cavities[1:] + pieces[ib].cavities:
-                    key = max(new_pieces) + 1
-                    new_pieces[key] = GhzPiece(1, QUARTER_PI, (c,))
-        pieces = [new_pieces[k] for k in sorted(new_pieces)]
+                survivors[ia] = GhzPiece(1, QUARTER_PI, (pieces[ia].cavities[0],))
+                fresh += [GhzPiece(1, QUARTER_PI, (c,))
+                          for c in pieces[ia].cavities[1:] + pieces[ib].cavities]
+        pieces = [p for p in survivors if p is not None] + fresh
         stats.rounds.append(RoundRow(
             round_idx, len(pairs), sum(r is not None for r in results), consumed,
             float(np.mean([p.tilt for p in pieces])),
@@ -318,11 +316,6 @@ def _free_leaf(g: TiltedGraph, center: int) -> int | None:
     return None
 
 
-def _pure_join(g: TiltedGraph, a: int, b: int) -> bool:
-    annot = g.edge(a, b)
-    return annot is not None and annot.kind.value == "pure"
-
-
 def _join_once(g: TiltedGraph, anchor: int, other: int, cfg: StrategyConfig,
                join_idx: int, stats: RunStats, cavity_of: dict,
                trace: list | None = None) -> TiltedGraph:
@@ -385,7 +378,8 @@ def _join_once(g: TiltedGraph, anchor: int, other: int, cfg: StrategyConfig,
             stats.merges += 1
         else:
             stats.bridges += 1
-        if rec.annotation_after.maximal or _pure_join(g, anchor, other):
+        # a maximal annotation is canonicalized to the pure join
+        if rec.annotation_after.maximal:
             return g
         if not cfg.recycle_annotations and g.edge(anchor, other) is not None:
             g = g.without_edge(anchor, other)

@@ -15,8 +15,7 @@ densities P_A, P_B:
 The graph rewrites cover the three supported configurations of each side:
 a fresh qubit, a member of a GHZ star, and a "Hadamard-removed" cherry (a
 plain degree-one vertex hanging off a star centre).  Detector parity is a
-known Z error and is corrected immediately by default; pass
-correct_parity=False to keep it as a recorded z_phase for oracle tests.
+known Z error and is corrected immediately.
 """
 
 from __future__ import annotations
@@ -34,9 +33,11 @@ from .tilted_graph import (
     EdgeKind,
     TiltedGraph,
     Vertex,
+    branch_amplitudes,
     canonical_angle,
     is_ghz_star,
     star_center_id,
+    with_star,
     z_pi_count,
 )
 
@@ -75,14 +76,6 @@ class ClickPair:
             raise GraphConfigError(f"click times must be positive, got ({self.t1}, {self.t2})")
 
 
-@dataclass(frozen=True)
-class ClickLikelihood:
-    """The X and Y terms of the joint click density."""
-
-    x_term: float
-    y_term: float
-
-
 def big_thetas(theta_a: float, theta_b: float) -> tuple[float, float]:
     t1 = (math.cos(theta_a) * math.sin(theta_b)) ** 2
     t2 = (math.sin(theta_a) * math.cos(theta_b)) ** 2
@@ -103,11 +96,6 @@ def joint_terms(t1, t2, ctx: DhContext):
     return x, y
 
 
-def click_likelihood(ctx: DhContext, clicks: ClickPair) -> ClickLikelihood:
-    x, y = joint_terms(clicks.t1, clicks.t2, ctx)
-    return ClickLikelihood(x_term=float(x), y_term=float(y))
-
-
 def click_density_first(t1, ctx: DhContext):
     """Round-one click density Q1; integrates to the success probability.
 
@@ -119,8 +107,8 @@ def click_density_first(t1, ctx: DhContext):
 
 def click_density_joint(clicks: ClickPair, ctx: DhContext) -> float:
     """Joint click density Q12 = X + Y."""
-    like = click_likelihood(ctx, clicks)
-    return like.x_term + like.y_term
+    x, y = joint_terms(clicks.t1, clicks.t2, ctx)
+    return float(x) + float(y)
 
 
 def click_density_second(t2, t1: float, ctx: DhContext):
@@ -160,11 +148,11 @@ def sample_clicks_array(ctx: DhContext, rng: np.random.Generator, n: int):
 
 def tilt_after_dh(ctx: DhContext, clicks: ClickPair) -> float:
     """The resulting tilt: cos(theta_beta) = sqrt(Y/(X+Y)), in [0, pi/2]."""
-    like = click_likelihood(ctx, clicks)
-    if like.x_term <= 0.0 and like.y_term <= 0.0:
+    x, y = joint_terms(clicks.t1, clicks.t2, ctx)
+    if x <= 0.0 and y <= 0.0:
         raise ImpossibleStateError(
             f"both click likelihoods vanish at ({clicks.t1}, {clicks.t2}); tilt undefined")
-    return math.atan2(math.sqrt(like.x_term), math.sqrt(like.y_term))
+    return math.atan2(math.sqrt(x), math.sqrt(y))
 
 
 @dataclass(frozen=True)
@@ -214,11 +202,7 @@ class SideInfo:
 
 def _effective_tilt(tilt: float, flip: bool, z_flips: int) -> tuple[float, int]:
     """(theta_eff in [0, pi/2], relative branch sign) of a side's amplitudes."""
-    alpha, beta = math.cos(tilt), math.sin(tilt)
-    if flip:
-        alpha, beta = beta, alpha
-    if z_flips % 2:
-        beta = -beta
+    alpha, beta = branch_amplitudes(tilt, flip, z_flips)
     sign = -1 if alpha * beta < 0 else 1
     return math.atan2(abs(beta), abs(alpha)), sign
 
@@ -277,20 +261,18 @@ def _rewrite_ghz_success(g: TiltedGraph, a: SideInfo, b: SideInfo,
     """
     fa = g.vertex(a.qubit).x_flip
     fb = g.vertex(b.qubit).x_flip
-    out = g.without_vertices(a.component | b.component)
-    vertices = [Vertex(a.qubit, theta_beta, z_phase=math.pi if sign < 0 else 0.0)]
-    edges = []
-    for vid in sorted((a.component | b.component) - {a.qubit}):
+    members = a.component | b.component
+    leaves = []
+    for vid in sorted(members - {a.qubit}):
         if vid == b.qubit:
             flip = True
         elif vid in a.component:
             flip = (not fa) ^ g.vertex(vid).x_flip
         else:
             flip = fb ^ g.vertex(vid).x_flip
-        vertices.append(Vertex(vid, QUARTER_PI, hadamard=True, x_flip=flip))
-        edges.append((a.qubit, vid, EdgeAnnotation.pure()))
-    merged = TiltedGraph(list(out.vertices()) + vertices, list(out.edges()) + edges)
-    return merged
+        leaves.append(Vertex(vid, QUARTER_PI, hadamard=True, x_flip=flip))
+    center = Vertex(a.qubit, theta_beta, z_phase=math.pi if sign < 0 else 0.0)
+    return with_star(g, members, center, leaves)
 
 
 def _rewrite_cherry_success(g: TiltedGraph, a: SideInfo, b: SideInfo,
@@ -301,21 +283,15 @@ def _rewrite_cherry_success(g: TiltedGraph, a: SideInfo, b: SideInfo,
     state-vector oracle): X on the partner qubit, Z(pi) on the first node's
     centre, Z(pi) parity on the new central vertex.
     """
-    out = g.without_vertices([a.qubit, b.qubit])
     central = Vertex(a.qubit, theta_beta, z_phase=math.pi if sign < 0 else 0.0)
     cherry = Vertex(b.qubit, QUARTER_PI, hadamard=True).append_x()
-    vertices = list(out.vertices()) + [central, cherry]
-    edges = list(out.edges()) + [
-        (a.qubit, b.qubit, EdgeAnnotation.pure()),
-        (a.qubit, a.center, EdgeAnnotation.pure()),
-        (a.qubit, b.center, EdgeAnnotation.pure()),
-    ]
-    merged = TiltedGraph(vertices, edges)
-    return merged.map_vertex(a.center, lambda v: v.append_z(math.pi))
+    out = with_star(g, [a.qubit, b.qubit], central, [cherry])
+    for node in (a.center, b.center):
+        out = out.with_edge(a.qubit, node, EdgeAnnotation.pure())
+    return out.map_vertex(a.center, lambda v: v.append_z(math.pi))
 
 
-def apply_dh_to_graph(g: TiltedGraph, qa: int, qb: int, outcome: DhOutcome,
-                      correct_parity: bool = True) -> TiltedGraph:
+def apply_dh_to_graph(g: TiltedGraph, qa: int, qb: int, outcome: DhOutcome) -> TiltedGraph:
     """Rewrite the graph for one DH outcome between qubits qa and qb.
 
     Success fuses the two components according to their configuration;
@@ -342,6 +318,4 @@ def apply_dh_to_graph(g: TiltedGraph, qa: int, qb: int, outcome: DhOutcome,
     else:
         raise GraphConfigError(
             f"unsupported DH configuration pair: {a.config} with {b.config}")
-    if correct_parity:
-        merged = merged.map_vertex(a.qubit, lambda v: v.append_z(-v.z_phase))
-    return merged
+    return merged.map_vertex(a.qubit, lambda v: v.append_z(-v.z_phase))

@@ -86,9 +86,7 @@ class LeakageProfile:
 
     def sample(self, rng: np.random.Generator, size=None):
         """Draw times from the renormalised density via the tabulated inverse CDF."""
-        t, cdf = self._inverse_cdf_table
-        u = rng.random(size)
-        return np.interp(u, cdf, t)
+        return self.inverse_cdf(rng.random(size))
 
     def cdf(self, t):
         """Renormalised cumulative distribution, linear between table nodes."""

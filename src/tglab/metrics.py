@@ -32,10 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError
-from .heralding import big_thetas
+from .heralding import DhContext, big_thetas, joint_terms
 from .leakage import LeakageProfile, QuadratureSettings, overlap_integral, settings_for
 
 MAX_F = 0.5
+MODES = ("3f2", "exact")       # first-attempt success models
 
 
 @dataclass(frozen=True)
@@ -248,13 +249,13 @@ def first_attempt_success(f, mode: str):
     3f2 mode: the 3 F^2 approximation; exact mode: the method-(ii) outcome
     tree 2F^2 + 2F^4/(1-2F^2).
     """
+    if mode not in MODES:
+        raise QuadratureError(f"unknown comparison mode {mode!r}")
     f = np.asarray(f, dtype=float)
     if mode == "3f2":
         out = 3.0 * f**2
-    elif mode == "exact":
-        out = 2.0 * f**2 + 2.0 * f**4 / (1.0 - np.minimum(2.0 * f**2, 0.5))
     else:
-        raise QuadratureError(f"unknown comparison mode {mode!r}")
+        out = 2.0 * f**2 + 2.0 * f**4 / (1.0 - np.minimum(2.0 * f**2, 0.5))
     return float(out) if out.ndim == 0 else out
 
 
@@ -292,7 +293,5 @@ def resource_ratio(p_gate: float, n: float) -> float:
 def fidelity_value(theta_a: float, theta_b: float, pa: LeakageProfile, pb: LeakageProfile,
                    t1, t2):
     """F = sqrt(XY)/(X+Y) at given click times (vectorised)."""
-    th1, th2 = big_thetas(theta_a, theta_b)
-    out = _excess(th1 * pa.density(t1) * pb.density(t2),
-                  th2 * pb.density(t1) * pa.density(t2))
+    out = _excess(*joint_terms(t1, t2, DhContext(theta_a, theta_b, pa, pb)))
     return float(out) if np.ndim(out) == 0 else out

@@ -40,18 +40,20 @@ import numpy as np
 from .errors import GraphConfigError, ImpossibleStateError
 from .tilted_graph import (
     ANGLE_TOL,
-    HALF_PI,
     QUARTER_PI,
     EdgeAnnotation,
     EdgeKind,
     TiltedGraph,
     Vertex,
+    branch_amplitudes,
     canonical_angle,
     canonicalize,
     combine_partial_fusions,
     combine_weighted_edges,
     is_ghz_star,
     star_center_id,
+    swap_tilt,
+    with_star,
     z_pi_count,
 )
 
@@ -71,22 +73,16 @@ def m_matrix(theta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RotationDescriptor:
-    """Pre-measurement rotation: M(theta), M(beta) S, or a Pauli basis."""
+    """Pre-measurement rotation: M(theta) or M(beta) S."""
 
-    kind: str                 # "M" | "MS" | "X" | "Y" | "Z"
-    angle: float | None = None
+    kind: str                 # "M" | "MS"
+    angle: float
 
     def matrix(self) -> np.ndarray:
         if self.kind == "M":
             return m_matrix(self.angle)
         if self.kind == "MS":
             return m_matrix(self.angle) @ S_MATRIX
-        if self.kind == "X":
-            return H_MATRIX.copy()
-        if self.kind == "Y":
-            return H_MATRIX @ S_MATRIX.conj().T
-        if self.kind == "Z":
-            return np.eye(2, dtype=complex)
         raise GraphConfigError(f"unknown rotation kind {self.kind!r}")
 
 
@@ -226,11 +222,6 @@ def _draw(outcome, rng, p) -> int:
     return 1 if rng.random() < p else 0
 
 
-def _swap_tilt(t: float) -> float:
-    # (cos t, sin t) -> (sin t, cos t) reorders the branch basis
-    return canonical_angle(HALF_PI - t)
-
-
 # ---------------------------------------------------------------------------
 # Realignment
 # ---------------------------------------------------------------------------
@@ -251,59 +242,40 @@ def realign(g: TiltedGraph, cherry: int, rng=None, outcome: int | None = None
     if g.edge(cherry, holder).kind is not EdgeKind.PURE:
         raise GraphConfigError("the cherry must hang on a pure edge")
     comp = g.component_of(cherry)
-
-    if is_ghz_star(g, comp):
+    star = is_ghz_star(g, comp)
+    if star:
         center = star_center_id(g, comp)
-        zsign = -1 if z_pi_count(g, comp) % 2 else 1
-        tilt = g.vertex(center).tilt
-        alpha, beta = math.cos(tilt), zsign * math.sin(tilt)
-        if v.x_flip:
-            alpha, beta = beta, alpha
-        theta_rot = math.atan2(beta, alpha)
-        p = p_success(theta_rot)
-        bit = _draw(outcome, rng, p)
-        # success branch is sin(t) cos(t) (u + v) exactly: any amplitude signs
-        # are global, so the surviving structure is +pi/4 tilted
-        t_cherry_basis = QUARTER_PI if bit else -r_function(theta_rot)
-        t_eff = _swap_tilt(t_cherry_basis) if v.x_flip else t_cherry_basis
-        remaining = sorted(comp - {cherry})
-        new_center = center if center in remaining else remaining[0]
-        vertices, edges = [], []
-        for vid in remaining:
-            old = g.vertex(vid)
-            if vid == new_center:
-                vertices.append(Vertex(vid, t_eff, x_flip=old.x_flip))
-            else:
-                vertices.append(Vertex(vid, QUARTER_PI, hadamard=True, x_flip=old.x_flip))
-                edges.append((new_center, vid, EdgeAnnotation.pure()))
-        rest = g.without_vertices(comp)
-        out = TiltedGraph(list(rest.vertices()) + vertices, list(rest.edges()) + edges)
-        record = ProcedureOutcome("realign", bool(bit), p, cherry,
-                                  RotationDescriptor("M", theta_rot), bit, tilt_after=t_eff)
-        return record, out
-
-    # central-vertex flavour: a Hadamard cherry on a tilt holder
-    hv = g.vertex(holder)
-    if not v.hadamard:
-        raise GraphConfigError(
-            f"vertex {cherry} is not a realignable cherry (no Hadamard correlation)")
-    if hv.hadamard or hv.x_flip:
-        raise GraphConfigError(f"tilt holder {holder} carries unsupported frame flags")
-    zsign = -1 if z_pi_count(g, [holder, cherry]) % 2 else 1
-    alpha, beta = math.cos(hv.tilt), zsign * math.sin(hv.tilt)
-    if v.x_flip:
-        # the cherry value tracks the holder branch through CZ + H; a
-        # recorded X flip on the cherry inverts the correlation
-        alpha, beta = beta, alpha
+        tilt, flagged = g.vertex(center).tilt, comp
+    else:
+        # central-vertex flavour: a Hadamard cherry on a tilt holder
+        hv = g.vertex(holder)
+        if not v.hadamard:
+            raise GraphConfigError(
+                f"vertex {cherry} is not a realignable cherry (no Hadamard correlation)")
+        if hv.hadamard or hv.x_flip:
+            raise GraphConfigError(f"tilt holder {holder} carries unsupported frame flags")
+        tilt, flagged = hv.tilt, [holder, cherry]
+    # the cherry value tracks the holder branch (through CZ + H in the
+    # central flavour); a recorded X flip on the cherry inverts the correlation
+    alpha, beta = branch_amplitudes(tilt, v.x_flip, z_pi_count(g, flagged))
     theta_rot = math.atan2(beta, alpha)
     p = p_success(theta_rot)
     bit = _draw(outcome, rng, p)
+    # success branch is sin(t) cos(t) (u + v) exactly: any amplitude signs
+    # are global, so the surviving structure is +pi/4 tilted
     t_cherry_basis = QUARTER_PI if bit else -r_function(theta_rot)
-    t_holder = _swap_tilt(t_cherry_basis) if v.x_flip else t_cherry_basis
-    out = g.without_vertices([cherry])
-    out = out.with_vertex(Vertex(holder, t_holder, z_phase=0.0))
+    tilt_after = swap_tilt(t_cherry_basis) if v.x_flip else t_cherry_basis
+    if star:
+        remaining = sorted(comp - {cherry})
+        new_center = center if center in remaining else remaining[0]
+        leaves = [Vertex(vid, QUARTER_PI, hadamard=True, x_flip=g.vertex(vid).x_flip)
+                  for vid in remaining if vid != new_center]
+        out = with_star(g, comp, Vertex(new_center, tilt_after,
+                                        x_flip=g.vertex(new_center).x_flip), leaves)
+    else:
+        out = g.without_vertices([cherry]).with_vertex(Vertex(holder, tilt_after))
     record = ProcedureOutcome("realign", bool(bit), p, cherry,
-                              RotationDescriptor("M", theta_rot), bit, tilt_after=t_holder)
+                              RotationDescriptor("M", theta_rot), bit, tilt_after=tilt_after)
     return record, out
 
 

@@ -124,6 +124,11 @@ class Vertex:
         return not self.hadamard and not self.x_flip and abs(self.z_phase) < ANGLE_TOL
 
 
+def swap_tilt(theta: float) -> float:
+    """The tilt whose branches are theta's swapped: (cos, sin) -> (sin, cos)."""
+    return canonical_angle(HALF_PI - theta)
+
+
 def apply_x_flip(v: Vertex) -> Vertex:
     """The X-rotation identity: tilt theta -> pi/2 - theta, flip flag toggles.
 
@@ -131,7 +136,7 @@ def apply_x_flip(v: Vertex) -> Vertex:
     preserves the represented state; inside a graph the caller owns the
     neighbour Z corrections that commuting X through control-Z produces.
     """
-    return replace(v, tilt=canonical_angle(HALF_PI - v.tilt), x_flip=not v.x_flip)
+    return replace(v, tilt=swap_tilt(v.tilt), x_flip=not v.x_flip)
 
 
 def z_pi_count(g: "TiltedGraph", vids) -> int:
@@ -150,6 +155,17 @@ def z_pi_count(g: "TiltedGraph", vids) -> int:
             raise GraphConfigError(f"vertex {vid}: z(pi) under a Hadamard flag is unsupported here")
         count += 1
     return count
+
+
+def branch_amplitudes(tilt: float, x_flip: bool, z_flips: int) -> tuple[float, float]:
+    """Amplitudes (cos tilt, sin tilt) after z_flips Z(pi) flags (an odd count
+    negates the second), then an X flip (which swaps the two)."""
+    alpha, beta = math.cos(tilt), math.sin(tilt)
+    if z_flips % 2:
+        beta = -beta
+    if x_flip:
+        alpha, beta = beta, alpha
+    return alpha, beta
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +242,13 @@ def _pair(a: int, b: int) -> tuple[int, int]:
 
 
 class TiltedGraph:
-    """Immutable-by-convention tilted graph; every edit returns a new graph."""
+    """Immutable-by-convention tilted graph; every edit returns a new graph.
 
-    __slots__ = ("_vertices", "_edges")
+    Edges live in one adjacency map {vid: {neighbour: annotation}}; edits copy
+    only the rows they change and never mutate a published row.
+    """
+
+    __slots__ = ("_vertices", "_adj")
 
     def __init__(self, vertices=(), edges=()):
         vmap = {}
@@ -236,16 +256,16 @@ class TiltedGraph:
             if v.id in vmap:
                 raise GraphConfigError(f"duplicate vertex id {v.id}")
             vmap[v.id] = v
-        emap = {}
+        adj = {vid: {} for vid in vmap}
         for a, b, annot in edges:
             key = _pair(a, b)
-            if key in emap:
-                raise GraphConfigError(f"duplicate annotation on edge {key}")
             if a not in vmap or b not in vmap:
                 raise GraphConfigError(f"edge {key} references a missing vertex")
-            emap[key] = annot
+            if b in adj[a]:
+                raise GraphConfigError(f"duplicate annotation on edge {key}")
+            adj[a][b] = adj[b][a] = annot
         self._vertices = vmap
-        self._edges = emap
+        self._adj = adj
 
     # -- queries ------------------------------------------------------------
 
@@ -270,54 +290,56 @@ class TiltedGraph:
         return (self._vertices[i] for i in self.vertex_ids)
 
     def edges(self):
-        for key in sorted(self._edges):
-            yield key[0], key[1], self._edges[key]
+        """(a, b, annotation) with a < b, in sorted (a, b) order."""
+        for a in self.vertex_ids:
+            row = self._adj[a]
+            for b in sorted(row):
+                if a < b:
+                    yield a, b, row[b]
 
     def edge(self, a: int, b: int) -> EdgeAnnotation | None:
-        return self._edges.get(_pair(a, b))
+        _pair(a, b)
+        return self._adj.get(a, {}).get(b)
 
     def neighbors(self, vid: int) -> tuple[int, ...]:
         self.vertex(vid)
-        out = [b if a == vid else a for (a, b) in self._edges if vid in (a, b)]
-        return tuple(sorted(out))
+        return tuple(sorted(self._adj[vid]))
 
     def degree(self, vid: int) -> int:
-        return len(self.neighbors(vid))
+        self.vertex(vid)
+        return len(self._adj[vid])
 
     def components(self) -> tuple[frozenset, ...]:
         seen, comps = set(), []
         for vid in self.vertex_ids:
-            if vid in seen:
-                continue
-            stack, comp = [vid], set()
-            while stack:
-                cur = stack.pop()
-                if cur in comp:
-                    continue
-                comp.add(cur)
-                stack.extend(n for n in self.neighbors(cur) if n not in comp)
-            seen |= comp
-            comps.append(frozenset(comp))
+            if vid not in seen:
+                comp = self.component_of(vid)
+                seen |= comp
+                comps.append(comp)
         return tuple(comps)
 
     def component_of(self, vid: int) -> frozenset:
         self.vertex(vid)
-        for comp in self.components():
-            if vid in comp:
-                return comp
-        raise AssertionError("unreachable")
+        comp, stack = {vid}, [vid]
+        while stack:
+            for nb in self._adj[stack.pop()]:
+                if nb not in comp:
+                    comp.add(nb)
+                    stack.append(nb)
+        return frozenset(comp)
 
     # -- copy-on-write edits --------------------------------------------------
 
     def _clone(self) -> "TiltedGraph":
         g = TiltedGraph.__new__(TiltedGraph)
         g._vertices = dict(self._vertices)
-        g._edges = dict(self._edges)
+        g._adj = dict(self._adj)
         return g
 
     def with_vertex(self, v: Vertex) -> "TiltedGraph":
         g = self._clone()
         g._vertices[v.id] = v
+        g._adj.setdefault(v.id, {})
         return g
 
     def map_vertex(self, vid: int, fn) -> "TiltedGraph":
@@ -329,31 +351,36 @@ class TiltedGraph:
             self.vertex(vid)
         g = TiltedGraph.__new__(TiltedGraph)
         g._vertices = {k: v for k, v in self._vertices.items() if k not in vids}
-        g._edges = {k: a for k, a in self._edges.items() if not (set(k) & vids)}
+        g._adj = {k: row for k, row in self._adj.items() if k not in vids}
+        for nb in {nb for vid in vids for nb in self._adj[vid]} - vids:
+            g._adj[nb] = {k: a for k, a in g._adj[nb].items() if k not in vids}
         return g
 
     def with_edge(self, a: int, b: int, annot: EdgeAnnotation) -> "TiltedGraph":
-        key = _pair(a, b)
+        _pair(a, b)
         self.vertex(a), self.vertex(b)
         g = self._clone()
-        g._edges[key] = annot
+        g._adj[a] = {**self._adj[a], b: annot}
+        g._adj[b] = {**self._adj[b], a: annot}
         return g
 
     def without_edge(self, a: int, b: int) -> "TiltedGraph":
         key = _pair(a, b)
-        if key not in self._edges:
+        if self.edge(a, b) is None:
             raise GraphConfigError(f"no edge {key}")
         g = self._clone()
-        del g._edges[key]
+        g._adj[a] = {k: x for k, x in self._adj[a].items() if k != b}
+        g._adj[b] = {k: x for k, x in self._adj[b].items() if k != a}
         return g
 
     def __eq__(self, other):
         if not isinstance(other, TiltedGraph):
             return NotImplemented
-        return self._vertices == other._vertices and self._edges == other._edges
+        return self._vertices == other._vertices and self._adj == other._adj
 
     def __repr__(self):
-        return f"TiltedGraph({len(self._vertices)} vertices, {len(self._edges)} edges)"
+        n_edges = sum(map(len, self._adj.values())) // 2
+        return f"TiltedGraph({len(self._vertices)} vertices, {n_edges} edges)"
 
     # -- serialization --------------------------------------------------------
 
@@ -391,6 +418,21 @@ class TiltedGraph:
 # GHZ-star structure helpers
 # ---------------------------------------------------------------------------
 
+def with_star(g: TiltedGraph, removed, center: Vertex, leaves) -> TiltedGraph:
+    """Drop the vertices `removed`, then join `center` to each leaf by a pure edge."""
+    out = g.without_vertices(removed)     # fresh maps: safe to extend here
+    leaves = tuple(leaves)
+    for v in (center, *leaves):
+        if v.id in out._vertices:
+            raise GraphConfigError(f"duplicate vertex id {v.id}")
+        out._vertices[v.id] = v
+    pure = EdgeAnnotation.pure()
+    out._adj[center.id] = {leaf.id: pure for leaf in leaves}
+    for leaf in leaves:
+        out._adj[leaf.id] = {center.id: pure}
+    return out
+
+
 def ghz_graph(ids, tilt: float = QUARTER_PI, center: int | None = None) -> TiltedGraph:
     """Star representation of an N-qubit (tilted) GHZ state.
 
@@ -404,14 +446,8 @@ def ghz_graph(ids, tilt: float = QUARTER_PI, center: int | None = None) -> Tilte
         center = ids[0]
     if center not in ids:
         raise GraphConfigError(f"centre {center} not among ids {ids}")
-    vertices = [Vertex(center, tilt)]
-    edges = []
-    for i in ids:
-        if i == center:
-            continue
-        vertices.append(Vertex(i, QUARTER_PI, hadamard=True))
-        edges.append((center, i, EdgeAnnotation.pure()))
-    return TiltedGraph(vertices, edges)
+    leaves = [Vertex(i, QUARTER_PI, hadamard=True) for i in ids if i != center]
+    return with_star(TiltedGraph(), (), Vertex(center, tilt), leaves)
 
 
 def star_center_id(g: TiltedGraph, comp: frozenset) -> int:
@@ -454,17 +490,9 @@ def reroot_star(g: TiltedGraph, comp: frozenset, new_center: int) -> TiltedGraph
     if new_center not in comp:
         raise GraphConfigError(f"vertex {new_center} is not in the component")
     tilt = g.vertex(old).tilt
-    out = g.without_vertices(comp)
-    vertices = list(out.vertices())
-    edges = list(out.edges())
-    for vid in sorted(comp):
-        src = g.vertex(vid)
-        if vid == new_center:
-            vertices.append(replace(src, tilt=tilt, hadamard=False))
-        else:
-            vertices.append(replace(src, tilt=QUARTER_PI, hadamard=True))
-            edges.append((new_center, vid, EdgeAnnotation.pure()))
-    return TiltedGraph(vertices, edges)
+    leaves = [replace(g.vertex(vid), tilt=QUARTER_PI, hadamard=True)
+              for vid in sorted(comp) if vid != new_center]
+    return with_star(g, comp, replace(g.vertex(new_center), tilt=tilt, hadamard=False), leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -488,19 +516,12 @@ def _fusion_rewrite(g: TiltedGraph, a: int, b: int, sign: int) -> TiltedGraph:
                 f"fusion rewrite needs plain untilted endpoints, vertex {v.id} is not")
     nx = set(g.neighbors(x)) - {y}
     ny = set(g.neighbors(y)) - {x}
-    for n in nx:
-        if g.edge(x, n).kind is not EdgeKind.PURE:
-            raise GraphConfigError(f"fusion rewrite needs pure edges at {x}")
-    for n in ny:
-        if g.edge(y, n).kind is not EdgeKind.PURE:
-            raise GraphConfigError(f"fusion rewrite needs pure edges at {y}")
-
     out = g.without_edge(x, y)
-    for n in nx | ny:
-        if out.edge(x, n) is not None:
-            out = out.without_edge(x, n)
-        if out.edge(y, n) is not None:
-            out = out.without_edge(y, n)
+    for end, others in ((x, nx), (y, ny)):
+        for n in others:
+            if g.edge(end, n).kind is not EdgeKind.PURE:
+                raise GraphConfigError(f"fusion rewrite needs pure edges at {end}")
+            out = out.without_edge(end, n)
     for n in nx ^ ny:                       # shared neighbours cancel (CZ^2 = 1)
         out = out.with_edge(x, n, EdgeAnnotation.pure())
     out = out.with_edge(x, y, EdgeAnnotation.pure())

@@ -25,6 +25,7 @@ from .tilted_graph import (
     Vertex,
     canonicalize,
     ghz_graph,
+    with_star,
 )
 
 
@@ -32,31 +33,18 @@ def _eq29_instance(rng, annot_kind=None, with_cherry=False):
     """Random central-vertex structure between two untilted stars, <= 10 qubits."""
     theta = float(rng.uniform(0.02, math.pi / 2 - 0.02))
     la, lb = int(rng.integers(0, 3)), int(rng.integers(0, 3))
-    vertices = [Vertex(0, theta)]
-    edges = []
-    nid = 1
-    for leaves in (la, lb):
-        center = nid
-        vertices.append(Vertex(center, QUARTER_PI))
-        edges.append((0, center, EdgeAnnotation.pure()))
-        nid += 1
-        for _ in range(leaves):
-            vertices.append(Vertex(nid, QUARTER_PI, hadamard=True))
-            edges.append((center, nid, EdgeAnnotation.pure()))
-            nid += 1
-    if with_cherry:
-        vertices.append(Vertex(nid, QUARTER_PI, hadamard=True))
-        edges.append((0, nid, EdgeAnnotation.pure()))
-    g = TiltedGraph(vertices, edges)
-    centers = (1, 2 + la)
+    centers, nid = (1, 2 + la), 3 + la + lb
+    g = with_star(TiltedGraph(), (), Vertex(0, theta),
+                  [Vertex(nid, QUARTER_PI, hadamard=True)] if with_cherry else [])
+    for center, leaves in zip(centers, (la, lb)):
+        g = with_star(g, (), Vertex(center, QUARTER_PI), [
+            Vertex(k, QUARTER_PI, hadamard=True) for k in range(center + 1, center + 1 + leaves)])
+        g = g.with_edge(0, center, EdgeAnnotation.pure())
     if annot_kind is not None:
         gamma = float(rng.uniform(-math.pi / 2 + 0.02, math.pi / 2 - 0.02))
         annot = (EdgeAnnotation.partial_fusion(gamma) if annot_kind == "partial"
                  else EdgeAnnotation.weighted(gamma))
-        try:
-            g = g.with_edge(*centers, annot)
-        except Exception:
-            pass
+        g = g.with_edge(*centers, annot)
     return g, centers, (nid if with_cherry else None)
 
 

@@ -170,6 +170,28 @@ class TestMainExitCodes:
         p.write_text(GOOD.replace("cases = 12", "cases = 12\ntolerance = 1e-16"))
         assert main(["verify", "--config", str(p), "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("command, old, new", [
+        ("grow", "join_nodes = 2", "join_nodes = 2\nacceptence = 0.9"),
+        ("compare", "seed = 77", "seed = 77\ntolerance = 1e-9"),
+        ("verify", "[verify]", "[verfy]"),
+        ("compare", "modes = 3f2", "modes = 3f2,exct"),
+        ("grow", "join_nodes = 2", "join_nodes = 2\npairing = sortd"),
+        ("grow", "join_nodes = 2", "join_nodes = 2\njoin_method = force-iii"),
+        ("grow", "join_nodes = 2", "join_nodes = 2\njoin_kind = merger"),
+    ], ids=["misspelt-key", "removed-key", "misspelt-section", "bad-mode", "bad-pairing",
+            "bad-join-method", "bad-join-kind"])
+    def test_unknown_names_and_values_are_config_errors(self, tmp_path, capsys, command, old,
+                                                         new):
+        text = GOOD.replace(old, new)
+        line = text.splitlines().index(new.splitlines()[-1]) + 1
+        p = tmp_path / "bad.cfg"
+        p.write_text(text)
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert f"line {line}:" in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_idempotent_outputs(self, cfg_path, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -39,8 +39,8 @@ def pool(n, spread=True):
 
 class TestMaybeFlip:
     def test_examples(self):
-        assert maybe_flip(QUARTER_PI, QUARTER_PI) == (False, False)
-        assert maybe_flip(math.pi / 12, 5 * math.pi / 12)[1] is True
+        assert maybe_flip(QUARTER_PI, QUARTER_PI) is False
+        assert maybe_flip(math.pi / 12, 5 * math.pi / 12) is True
 
     def test_flip_raises_efsq_on_antidiagonal(self):
         # where the rule triggers (|sin^2 - sin^2| > 1/2, i.e. theta < pi/6 on

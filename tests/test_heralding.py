@@ -252,7 +252,10 @@ class TestGraphRewrites:
         out = random_success(rng, info_a.theta_eff, info_b.theta_eff)
         before = build_state(g)
         post, density = dh_physical_post_state(before, qa, qb, out.clicks, out.parity)
-        after = apply_dh_to_graph(g, qa, qb, out, correct_parity=False)
+        if out.parity * info_a.branch_sign * info_b.branch_sign < 0:
+            # the rewrite corrects the known Z(pi) on the new centre qa
+            post = post.apply_single(qa, np.diag([1.0, -1.0]))
+        after = apply_dh_to_graph(g, qa, qb, out)
         got = build_state(after)
         assert overlap(post, got) > 1 - 1e-10
         ctx = DhContext(info_a.theta_eff, info_b.theta_eff, PA, PB)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tglab.errors import GraphConfigError, ImpossibleStateError
@@ -192,6 +192,75 @@ class TestGraphStructure:
     def test_from_text_rejects_garbage(self):
         with pytest.raises(GraphConfigError):
             TiltedGraph.from_text("V 0 not_a_float 0 0 0\n")
+
+
+def _model_component(vertices, edges, vid):
+    comp, stack = {vid}, [vid]
+    while stack:
+        cur = stack.pop()
+        for a, b in edges:
+            for u, w in ((a, b), (b, a)):
+                if u == cur and w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+    return frozenset(comp)
+
+
+def _assert_matches_model(g, vertices, edges):
+    """Every structural query of g agrees with a plain vertex set and edge map."""
+    assert set(g.vertex_ids) == vertices
+    assert list(g.edges()) == [(a, b, edges[a, b]) for a, b in sorted(edges)]
+    for v in vertices:
+        nbs = sorted([b for a, b in edges if a == v] + [a for a, b in edges if b == v])
+        assert g.neighbors(v) == tuple(nbs)
+        assert g.degree(v) == len(nbs)
+        assert g.component_of(v) == _model_component(vertices, edges, v)
+        for w in vertices - {v}:
+            assert g.edge(v, w) == edges.get((min(v, w), max(v, w)))
+    comps, seen = [], set()
+    for v in sorted(vertices):
+        if v not in seen:
+            comps.append(_model_component(vertices, edges, v))
+            seen |= comps[-1]
+    assert g.components() == tuple(comps)
+
+
+ANNOTATIONS = (EdgeAnnotation.pure(), EdgeAnnotation.weighted(0.3),
+               EdgeAnnotation.partial_fusion(-0.7))
+
+
+class TestAdjacencyInvariants:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_edits_match_edge_set_model(self, data):
+        g, vertices, edges = TiltedGraph(), set(), {}
+        for _ in range(data.draw(st.integers(1, 25))):
+            source, before, model = g, g.to_text(), (vertices, edges)
+            op = data.draw(st.sampled_from(
+                ("with_vertex", "with_edge", "without_edge", "without_vertices", "map_vertex")))
+            if op == "with_vertex" or not vertices:
+                vid = data.draw(st.integers(0, 7))
+                g, vertices = g.with_vertex(Vertex(vid, data.draw(canonical_angles))), vertices | {vid}
+            elif op == "with_edge" and len(vertices) >= 2:
+                a, b = data.draw(st.lists(st.sampled_from(sorted(vertices)), min_size=2,
+                                          max_size=2, unique=True))
+                annot = data.draw(st.sampled_from(ANNOTATIONS))
+                g, edges = g.with_edge(a, b, annot), {**edges, (min(a, b), max(a, b)): annot}
+            elif op == "without_edge" and edges:
+                a, b = data.draw(st.permutations(data.draw(st.sampled_from(sorted(edges)))))
+                g = g.without_edge(a, b)
+                edges = {k: x for k, x in edges.items() if k != (min(a, b), max(a, b))}
+            elif op == "without_vertices":
+                gone = set(data.draw(st.lists(st.sampled_from(sorted(vertices)), max_size=3)))
+                g, vertices = g.without_vertices(gone), vertices - gone
+                edges = {k: x for k, x in edges.items() if not set(k) & gone}
+            elif op == "map_vertex":
+                g = g.map_vertex(data.draw(st.sampled_from(sorted(vertices))),
+                                 lambda v: v.append_x())
+            # an edit that mutated a row it shares with its source shows here
+            assert source.to_text() == before
+            _assert_matches_model(source, *model)
+            _assert_matches_model(g, vertices, edges)
 
 
 class TestGhzStar:
