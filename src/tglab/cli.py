@@ -13,9 +13,10 @@ Configuration is a sectioned key=value plain-text file; one experiment per
 file.  `[profile NAME]` sections declare leakage profiles
 (kind = critically_damped with g = ..., or kind = csv with path = ...);
 `[run]` holds the mandatory seed plus the optional detection efficiency;
-each command reads its own section.  An unknown section or key, or a value
-outside its set, is a configuration error.  All randomness derives from the
-single seed, so identical config and seed give byte-identical outputs.
+each command reads its own section.  An unknown section or key, a value
+outside its set, or a count below its minimum is a configuration error.  All
+randomness derives from the single seed, so identical config and seed give
+byte-identical outputs.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure,
 3 verification failure.
@@ -34,7 +35,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, TglabError, VerificationError
 from .growth import JOIN_KINDS, JOIN_METHODS, PAIRINGS, StrategyConfig, run_pipeline
-from .leakage import CriticallyDamped, LeakageProfile, load_profile_csv
+from .leakage import CriticallyDamped, LeakageProfile, load_profile_csv, save_profile_csv
 from .metrics import MODES, compare_strategies, expected_f_sq, fidelity_histogram
 from .tilted_graph import QUARTER_PI
 
@@ -49,7 +50,6 @@ class ExperimentConfig:
     sections: dict              # section -> {key: (value, line)}
     seed: int
     efficiency: float
-    base_dir: Path
 
 
 def _parse_sections(text: str) -> dict:
@@ -87,7 +87,7 @@ def _parse_sections(text: str) -> dict:
 
 
 def _take(section: dict, key: str, kind, default=None, required=False, section_name="",
-          choices=()):
+          choices=(), at_least=None):
     if key not in section:
         if required:
             lines = [ln for _, ln in section.values()]
@@ -107,10 +107,12 @@ def _take(section: dict, key: str, kind, default=None, required=False, section_n
         raise ConfigError(f"cannot parse {key} = {value!r} as {kind.__name__}", ln) from None
     if choices and parsed not in choices:
         raise ConfigError(f"{key} = {value!r} is not one of {', '.join(choices)}", ln)
+    if at_least is not None and parsed < at_least:
+        raise ConfigError(f"{key} must be at least {at_least}, got {value!r}", ln)
     return parsed
 
 
-def _build_profile(name: str, section: dict, base_dir: Path) -> LeakageProfile:
+def _build_profile(name: str, section: dict, config_dir: Path) -> LeakageProfile:
     kind = _take(section, "kind", str, required=True, section_name=f"profile {name}")
     if kind == "critically_damped":
         g_value, ln = section.get("g", (None, None))
@@ -127,7 +129,7 @@ def _build_profile(name: str, section: dict, base_dir: Path) -> LeakageProfile:
         path_value, ln = section.get("path", (None, None))
         if path_value is None:
             raise ConfigError(f"[profile {name}] needs path for a csv profile")
-        path = base_dir / path_value
+        path = config_dir / path_value
         if not path.exists():
             raise ConfigError(f"profile file {path} does not exist", ln)
         return load_profile_csv(path)
@@ -157,7 +159,7 @@ def parse_config(path) -> ExperimentConfig:
     if not (0.0 < efficiency <= 1.0):
         raise ConfigError(f"efficiency must lie in (0, 1], got {efficiency}",
                           run["efficiency"][1])
-    return ExperimentConfig(profiles, sections, seed, efficiency, path.parent)
+    return ExperimentConfig(profiles, sections, seed, efficiency)
 
 
 def _profile_ref(cfg: ExperimentConfig, section: dict, key: str, section_name: str):
@@ -200,26 +202,18 @@ def emit_csv(rows, path) -> Path:
 # ---------------------------------------------------------------------------
 
 def _cmd_calibrate(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int) -> list:
-    points = _take(section, "points", int, default=2049)
-    if points < 2:
-        raise ConfigError("calibrate needs at least 2 points", section["points"][1])
+    points = _take(section, "points", int, default=2049, at_least=2)
     if not cfg.profiles:
         raise ConfigError("no [profile ...] sections to calibrate")
-    artifacts = []
-    for name in sorted(cfg.profiles):
-        prof = cfg.profiles[name]
-        t = np.linspace(0.0, prof.t_max, points)
-        rows = [("time", "density")] + [(ti, di) for ti, di in zip(t, prof.density(t))]
-        artifacts.append(emit_csv(rows, out_dir / f"calibrate_{name}.csv"))
-    return artifacts
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return [save_profile_csv(cfg.profiles[name], out_dir / f"calibrate_{name}.csv", points)
+            for name in sorted(cfg.profiles)]
 
 
 def _cmd_efsq_surface(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int) -> list:
     pa = _profile_ref(cfg, section, "profile_a", "efsq-surface")
     pb = _profile_ref(cfg, section, "profile_b", "efsq-surface")
-    grid = _take(section, "grid", int, default=21)
-    if grid < 2:
-        raise ConfigError("efsq-surface needs grid >= 2", section["grid"][1])
+    grid = _take(section, "grid", int, default=21, at_least=2)
     svals = np.linspace(0.02, 0.98, grid)
     rows = [("sin2_theta_a", "sin2_theta_b", "efsq")]
     for sa in svals:
@@ -233,8 +227,8 @@ def _cmd_efsq_surface(cfg: ExperimentConfig, section: dict, out_dir: Path, seed:
 def _cmd_fidelity_hist(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int) -> list:
     pa = _profile_ref(cfg, section, "profile_a", "fidelity-hist")
     pb = _profile_ref(cfg, section, "profile_b", "fidelity-hist")
-    bins = _take(section, "bins", int, default=200)
-    nodes = _take(section, "nodes", int, default=1500)
+    bins = _take(section, "bins", int, default=200, at_least=10)
+    nodes = _take(section, "nodes", int, default=1500, at_least=1)
     theta_a = _take(section, "theta_a", float, default=QUARTER_PI)
     theta_b = _take(section, "theta_b", float, default=QUARTER_PI)
     hist = fidelity_histogram(theta_a, theta_b, pa, pb, bins=bins, nodes=nodes)
@@ -249,7 +243,7 @@ def _cmd_compare(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int)
     epsilon = _take(section, "epsilon", float, default=1e-4)
     if epsilon <= 0:
         raise ConfigError("epsilon must be positive", section["epsilon"][1])
-    nodes = _take(section, "nodes", int, default=2000)
+    nodes = _take(section, "nodes", int, default=2000, at_least=1)
     modes = [m.strip() for m in _take(section, "modes", str, default="3f2,exact").split(",")]
     for mode in modes:
         if mode not in MODES:
@@ -287,13 +281,13 @@ def _cmd_grow(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int) ->
     strategy = StrategyConfig(
         profiles=profiles,
         seed=seed,
-        target_ghz_size=_take(section, "target_ghz_size", int, default=4),
+        target_ghz_size=_take(section, "target_ghz_size", int, default=4, at_least=2),
         fidelity_acceptance=_take(section, "acceptance", float, default=1.0),
         pairing=_take(section, "pairing", str, default="sorted", choices=PAIRINGS),
         flip_rule=_take(section, "flip_rule", bool, default=True),
         join_method=_take(section, "join_method", str, default="auto", choices=JOIN_METHODS),
         detection_efficiency=cfg.efficiency,
-        join_nodes=_take(section, "join_nodes", int, default=0),
+        join_nodes=_take(section, "join_nodes", int, default=0, at_least=0),
         join_kind=_take(section, "join_kind", str, default="bridge", choices=JOIN_KINDS),
         recycle_annotations=_take(section, "recycle", bool, default=True),
     )
@@ -324,7 +318,7 @@ def _cmd_grow(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int) ->
 def _cmd_verify(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int) -> list:
     from .verify import run_verification
 
-    cases = _take(section, "cases", int, default=60)
+    cases = _take(section, "cases", int, default=60, at_least=1)
     budget = _take(section, "tolerance", float, default=1e-9)
     report = run_verification(seed=seed, cases=cases)
     rows = [("check", "max_discrepancy")]

@@ -38,6 +38,7 @@ _PHASE1, _REALIGN, _JOIN, _PAIRING, _JOIN_REALIGN = 1, 2, 3, 4, 5
 PAIRINGS = ("sorted", "random")
 JOIN_METHODS = ("auto", "force-i", "force-ii")
 JOIN_KINDS = ("bridge", "merge")
+MAX_ROUNDS = 100_000        # phase-1 rounds, and DH attempts per join
 
 
 class InventoryExhausted(TglabError):
@@ -73,7 +74,6 @@ class StrategyConfig:
     join_nodes: int = 0                 # 0 skips the join phase
     join_kind: str = "bridge"           # "bridge" | "merge"
     recycle_annotations: bool = True
-    max_rounds: int = 100_000
 
     def __post_init__(self):
         if not self.profiles:
@@ -192,7 +192,7 @@ def run_phase1(cfg: StrategyConfig, stats: RunStats | None = None,
     pieces = [GhzPiece(1, QUARTER_PI, (c,)) for c in cavities]
     stats.qubits_drawn += len(pieces)
 
-    for round_idx in range(cfg.max_rounds):
+    for round_idx in range(MAX_ROUNDS):
         active = [i for i, p in enumerate(pieces) if p.size < cfg.target_ghz_size]
         if not active:
             stats.close(pieces)
@@ -240,7 +240,7 @@ def run_phase1(cfg: StrategyConfig, stats: RunStats | None = None,
             float(np.mean([p.tilt for p in pieces])),
             float(np.mean([p.fidelity for p in pieces]))))
     raise InventoryExhausted(f"no piece reached size {cfg.target_ghz_size} "
-                             f"within {cfg.max_rounds} rounds")
+                             f"within {MAX_ROUNDS} rounds")
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +328,7 @@ def _join_once(g: TiltedGraph, anchor: int, other: int, cfg: StrategyConfig,
     the state-vector oracle.
     """
     proc = merge if cfg.join_kind == "merge" else bridge
-    for attempt in range(cfg.max_rounds):
+    for attempt in range(MAX_ROUNDS):
         rng = derive_rng(cfg.seed, _JOIN, join_idx, attempt)
         qa = _free_leaf(g, anchor)
         qb = _free_leaf(g, other)

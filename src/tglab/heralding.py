@@ -197,14 +197,12 @@ class SideInfo:
     component: frozenset
     center: int            # star centre (ghz) / remnant centre (cherry) / the qubit itself
     theta_eff: float       # effective tilt fed to the click statistics
-    branch_sign: int       # relative sign of the side's two branches from z(pi) flags
 
 
-def _effective_tilt(tilt: float, flip: bool, z_flips: int) -> tuple[float, int]:
-    """(theta_eff in [0, pi/2], relative branch sign) of a side's amplitudes."""
+def _effective_tilt(tilt: float, flip: bool, z_flips: int) -> float:
+    """theta_eff in [0, pi/2] of a side's amplitudes."""
     alpha, beta = branch_amplitudes(tilt, flip, z_flips)
-    sign = -1 if alpha * beta < 0 else 1
-    return math.atan2(abs(beta), abs(alpha)), sign
+    return math.atan2(abs(beta), abs(alpha))
 
 
 def classify_dh_side(g: TiltedGraph, q: int) -> SideInfo:
@@ -214,8 +212,8 @@ def classify_dh_side(g: TiltedGraph, q: int) -> SideInfo:
     if len(comp) == 1:
         if v.hadamard:
             raise GraphConfigError(f"fresh qubit {q} may not carry a Hadamard flag")
-        theta, sign = _effective_tilt(v.tilt, v.x_flip, z_pi_count(g, [q]))
-        return SideInfo(FRESH, q, comp, q, theta, sign)
+        theta = _effective_tilt(v.tilt, v.x_flip, z_pi_count(g, [q]))
+        return SideInfo(FRESH, q, comp, q, theta)
     # a plain degree-one vertex hanging off its node by a pure edge: the
     # "Hadamard-removed" cherry case (the node behind it may be any graph);
     # a proper two-qubit GHZ star stays a GHZ member instead
@@ -223,12 +221,12 @@ def classify_dh_side(g: TiltedGraph, q: int) -> SideInfo:
         (nb,) = g.neighbors(q)
         if not g.vertex(nb).hadamard and g.edge(q, nb).kind is EdgeKind.PURE:
             if len(comp) > 2 or not is_ghz_star(g, comp):
-                theta, sign = _effective_tilt(v.tilt, False, z_pi_count(g, [q]))
-                return SideInfo(CHERRY, q, comp, nb, theta, sign)
+                theta = _effective_tilt(v.tilt, False, z_pi_count(g, [q]))
+                return SideInfo(CHERRY, q, comp, nb, theta)
     # a member (centre or Hadamard leaf) of a GHZ star
     center = star_center_id(g, comp)
-    theta, sign = _effective_tilt(g.vertex(center).tilt, v.x_flip, z_pi_count(g, comp))
-    return SideInfo(GHZ, q, comp, center, theta, sign)
+    theta = _effective_tilt(g.vertex(center).tilt, v.x_flip, z_pi_count(g, comp))
+    return SideInfo(GHZ, q, comp, center, theta)
 
 
 def _check_pairing(a: SideInfo, b: SideInfo) -> None:
@@ -251,7 +249,7 @@ def dh_context(g: TiltedGraph, qa: int, qb: int, pa: LeakageProfile, pb: Leakage
 
 
 def _rewrite_ghz_success(g: TiltedGraph, a: SideInfo, b: SideInfo,
-                         theta_beta: float, sign: int) -> TiltedGraph:
+                         theta_beta: float) -> TiltedGraph:
     """Fuse two GHZ stars into one (the Eq.-12-style 2n-qubit tilted GHZ).
 
     The new centre is the first side's qubit with tilt theta_beta; the branch
@@ -271,19 +269,18 @@ def _rewrite_ghz_success(g: TiltedGraph, a: SideInfo, b: SideInfo,
         else:
             flip = fb ^ g.vertex(vid).x_flip
         leaves.append(Vertex(vid, QUARTER_PI, hadamard=True, x_flip=flip))
-    center = Vertex(a.qubit, theta_beta, z_phase=math.pi if sign < 0 else 0.0)
-    return with_star(g, members, center, leaves)
+    return with_star(g, members, Vertex(a.qubit, theta_beta), leaves)
 
 
 def _rewrite_cherry_success(g: TiltedGraph, a: SideInfo, b: SideInfo,
-                            theta_beta: float, sign: int) -> TiltedGraph:
+                            theta_beta: float) -> TiltedGraph:
     """Install the central tilted vertex with its cherry between the two nodes.
 
     Corrections (derived against the constructive target and checked by the
     state-vector oracle): X on the partner qubit, Z(pi) on the first node's
-    centre, Z(pi) parity on the new central vertex.
+    centre.
     """
-    central = Vertex(a.qubit, theta_beta, z_phase=math.pi if sign < 0 else 0.0)
+    central = Vertex(a.qubit, theta_beta)
     cherry = Vertex(b.qubit, QUARTER_PI, hadamard=True).append_x()
     out = with_star(g, [a.qubit, b.qubit], central, [cherry])
     for node in (a.center, b.center):
@@ -298,7 +295,9 @@ def apply_dh_to_graph(g: TiltedGraph, qa: int, qb: int, outcome: DhOutcome) -> T
     failure Z-measures the used qubits (collapsing GHZ components to
     separable states, which are dropped, and trimming cherry-configured
     nodes by their used qubit only).  Measurement byproducts of the removals
-    are corrected immediately.
+    are corrected immediately, and so is the Z error on the new centre that
+    the detector parity and the sides' Z(pi) flags leave, so a success
+    rewrite does not depend on them.
     """
     a, b = classify_dh_side(g, qa), classify_dh_side(g, qb)
     _check_pairing(a, b)
@@ -309,13 +308,9 @@ def apply_dh_to_graph(g: TiltedGraph, qa: int, qb: int, outcome: DhOutcome) -> T
             removed |= {side.qubit} if side.config == CHERRY else set(side.component)
         return g.without_vertices(removed)
 
-    sign = outcome.parity * a.branch_sign * b.branch_sign
     configs = {a.config, b.config}
     if configs <= {FRESH, GHZ}:
-        merged = _rewrite_ghz_success(g, a, b, outcome.theta_beta, sign)
-    elif configs == {CHERRY}:
-        merged = _rewrite_cherry_success(g, a, b, outcome.theta_beta, sign)
-    else:
-        raise GraphConfigError(
-            f"unsupported DH configuration pair: {a.config} with {b.config}")
-    return merged.map_vertex(a.qubit, lambda v: v.append_z(-v.z_phase))
+        return _rewrite_ghz_success(g, a, b, outcome.theta_beta)
+    if configs == {CHERRY}:
+        return _rewrite_cherry_success(g, a, b, outcome.theta_beta)
+    raise GraphConfigError(f"unsupported DH configuration pair: {a.config} with {b.config}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -196,47 +197,26 @@ def load_profile_csv(path) -> Tabulated:
     return Tabulated(times, densities)
 
 
-def save_profile_csv(profile: LeakageProfile, path, points: int = 4097) -> None:
+def save_profile_csv(profile: LeakageProfile, path, points: int = 4097) -> Path:
     """Write a profile as a `time,density` CSV with 17-significant-digit floats."""
+    path = Path(path)
     t = np.linspace(0.0, profile.t_max, points)
     p = profile.density(t)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("time,density\n")
         for ti, pi in zip(t, p):
             fh.write(f"{ti:.17g},{pi:.17g}\n")
+    return path
 
 
 # ---------------------------------------------------------------------------
 # Quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Quadrature window [0, t_max] (per axis in 2-d) and accuracy.
-
-    panel_count is the starting resolution per axis (Simpson panels here,
-    at least 64 Gauss-Legendre nodes in metrics); it doubles until the value
-    agrees with the half-resolution one to relative_tolerance.
-    """
-
-    relative_tolerance: float = 1e-8
-    t_max: float = 2.0
-    panel_count: int = 64
-
-    def __post_init__(self):
-        if not (0.0 < self.relative_tolerance <= 1e-3):
-            raise QuadratureError(f"relative_tolerance must lie in (0, 1e-3], got {self.relative_tolerance}")
-        if not (np.isfinite(self.t_max) and self.t_max > 0):
-            raise QuadratureError(f"t_max must be positive and finite, got {self.t_max}")
-        if self.panel_count < 2 or self.panel_count % 2:
-            raise QuadratureError(f"panel_count must be a positive even integer, got {self.panel_count}")
-
-
-def settings_for(*profiles: LeakageProfile, relative_tolerance: float = 1e-9,
-                 panel_count: int = 64) -> QuadratureSettings:
-    """Settings whose window covers every given profile's support."""
-    t_max = max(p.t_max for p in profiles)
-    return QuadratureSettings(relative_tolerance=relative_tolerance, t_max=t_max, panel_count=panel_count)
+# Every library integral runs to this relative tolerance, starting from this
+# many panels (Simpson here, Gauss-Legendre nodes in metrics).
+RELATIVE_TOLERANCE = 1e-9
+START_PANELS = 64
 
 
 def _simpson_weights(n: int) -> np.ndarray:
@@ -255,38 +235,36 @@ def _simpson_value(f, t_max: float, n: int) -> float:
     return float(np.dot(w, vals))
 
 
-def integrate(f, settings: QuadratureSettings) -> float:
-    """Deterministic integral of f over [0, t_max] to relative_tolerance.
+def integrate(f, t_max: float) -> float:
+    """Deterministic integral of f over [0, t_max] to RELATIVE_TOLERANCE (1e-9).
 
     f must be vectorised: it maps an array of times to densities.  Panels
-    double until successive Simpson grids agree; disagreement still at
-    2^21 panels raises QuadratureError.
+    double from START_PANELS until successive Simpson grids agree;
+    disagreement still at 2^21 panels raises QuadratureError.
     """
-    n = settings.panel_count
-    prev = _simpson_value(f, settings.t_max, n)
+    if not (np.isfinite(t_max) and t_max > 0):
+        raise QuadratureError(f"t_max must be positive and finite, got {t_max}")
+    n = START_PANELS
+    prev = _simpson_value(f, t_max, n)
     while n <= 1 << 20:
         n *= 2
-        cur = _simpson_value(f, settings.t_max, n)
+        cur = _simpson_value(f, t_max, n)
         scale = max(abs(cur), abs(prev), 1e-300)
-        if abs(cur - prev) <= settings.relative_tolerance * scale:
+        if abs(cur - prev) <= RELATIVE_TOLERANCE * scale:
             return cur
         prev = cur
-    raise QuadratureError(
-        f"quadrature did not reach rtol={settings.relative_tolerance} within {n} panels"
-    )
+    raise QuadratureError(f"quadrature did not reach rtol={RELATIVE_TOLERANCE} within {n} panels")
 
 
-def overlap_integral(pa: LeakageProfile, pb: LeakageProfile,
-                     settings: QuadratureSettings | None = None) -> float:
+def overlap_integral(pa: LeakageProfile, pb: LeakageProfile) -> float:
     """Bhattacharyya overlap of two profiles, int sqrt(P_A P_B) dt in [0, 1].
 
-    Equals 8 (g_A g_B)^{3/2} / (g_A + g_B)^3 for two critically damped
-    profiles; 1 exactly when the profiles coincide.
+    Integrated over both profiles' support.  Equals
+    8 (g_A g_B)^{3/2} / (g_A + g_B)^3 for two critically damped profiles;
+    1 exactly when the profiles coincide.
     """
-    if settings is None:
-        settings = settings_for(pa, pb)
 
     def integrand(t):
         return np.sqrt(pa.density(t) * pb.density(t))
 
-    return integrate(integrand, settings)
+    return integrate(integrand, max(pa.t_max, pb.t_max))

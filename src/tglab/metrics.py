@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import QuadratureError
 from .heralding import DhContext, big_thetas, joint_terms
-from .leakage import LeakageProfile, QuadratureSettings, overlap_integral, settings_for
+from .leakage import RELATIVE_TOLERANCE, START_PANELS, LeakageProfile, overlap_integral
+from .tilted_graph import QUARTER_PI
 
 MAX_F = 0.5
 MODES = ("3f2", "exact")       # first-attempt success models
@@ -86,15 +87,12 @@ class ComparisonReport:
 # Expectations
 # ---------------------------------------------------------------------------
 
-def expected_f(theta_a: float, theta_b: float, pa: LeakageProfile, pb: LeakageProfile,
-               settings: QuadratureSettings | None = None) -> ExpectationResult:
+def expected_f(theta_a: float, theta_b: float, pa: LeakageProfile,
+               pb: LeakageProfile) -> ExpectationResult:
     """Closed form for E(F): the tilt factor times the profile overlap squared."""
-    if settings is None:
-        settings = settings_for(pa, pb)
     th1, th2 = big_thetas(theta_a, theta_b)
-    ov = overlap_integral(pa, pb, settings)
-    value = math.sqrt(th1 * th2) * ov**2
-    return ExpectationResult(value, "closed-form", 2.0 * settings.relative_tolerance * value)
+    value = math.sqrt(th1 * th2) * overlap_integral(pa, pb) ** 2
+    return ExpectationResult(value, "closed-form", 2.0 * RELATIVE_TOLERANCE * value)
 
 
 def _masked_ratio(num, den):
@@ -109,36 +107,36 @@ def _excess(x, y):
     return _masked_ratio(np.sqrt(x * y), x + y)
 
 
-def _gauss_quadrature(kernel, pa, pb, settings, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """2-d integrals of the arrays kernel(U, V) yields, on the truncated square.
+def _gauss_quadrature(kernel, pa, pb, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """2-d integrals of the arrays kernel(U, V) yields, on the square [0, t_max]^2.
 
-    Gauss-Legendre nodes (the integrands are analytic there), doubling
-    deterministically until two resolutions agree in every component.
-    Returns the values and their last change.
+    t_max covers both profiles' support.  Gauss-Legendre nodes (the
+    integrands are analytic there), doubling deterministically from
+    START_PANELS until two resolutions agree in every component to
+    RELATIVE_TOLERANCE (1e-9).  Returns the values and their last change.
     """
-    if settings is None:
-        settings = settings_for(pa, pb, relative_tolerance=1e-9)
+    t_max = max(pa.t_max, pb.t_max)
 
     def one_pass(n):
         x, w = np.polynomial.legendre.leggauss(n)
-        t, w = 0.5 * settings.t_max * (x + 1.0), 0.5 * settings.t_max * w
+        t, w = 0.5 * t_max * (x + 1.0), 0.5 * t_max * w
         u = np.outer(pa.density(t), pb.density(t))
         return np.array([w @ vals @ w for vals in kernel(u, u.T)])
 
-    n = max(settings.panel_count, 64)
+    n = START_PANELS
     prev = one_pass(n)
     while n <= 1024:
         n *= 2
         cur = one_pass(n)
         change = np.abs(cur - prev)
-        if np.all(change <= settings.relative_tolerance * np.maximum(np.abs(cur), 1e-300)):
+        if np.all(change <= RELATIVE_TOLERANCE * np.maximum(np.abs(cur), 1e-300)):
             return cur, change
         prev = cur
     raise QuadratureError(f"{what} did not converge within the panel budget")
 
 
-def expected_f_sq(theta_a: float, theta_b: float, pa: LeakageProfile, pb: LeakageProfile,
-                  settings: QuadratureSettings | None = None) -> ExpectationResult:
+def expected_f_sq(theta_a: float, theta_b: float, pa: LeakageProfile,
+                  pb: LeakageProfile) -> ExpectationResult:
     """Direct 2-d quadrature of E(F^2)."""
     th1, th2 = big_thetas(theta_a, theta_b)
     if th1 == 0.0 or th2 == 0.0:
@@ -147,12 +145,12 @@ def expected_f_sq(theta_a: float, theta_b: float, pa: LeakageProfile, pb: Leakag
     def kernel(u, v):
         yield _masked_ratio(th1 * th2 * u * v, th1 * u + th2 * v)
 
-    value, change = _gauss_quadrature(kernel, pa, pb, settings, "E(F^2) quadrature")
+    value, change = _gauss_quadrature(kernel, pa, pb, "E(F^2) quadrature")
     return ExpectationResult(float(value[0]), "quadrature", float(change[0]))
 
 
 def series_moments(pa: LeakageProfile, pb: LeakageProfile, max_order: int,
-                   settings: QuadratureSettings | None = None, numerator: str = "V") -> np.ndarray:
+                   numerator: str = "V") -> np.ndarray:
     """I_n (numerator "V") or J_n (numerator "U") moments up to max_order."""
 
     def kernel(u, v):
@@ -164,7 +162,7 @@ def series_moments(pa: LeakageProfile, pb: LeakageProfile, max_order: int,
             cur = cur * frac
             yield cur
 
-    return _gauss_quadrature(kernel, pa, pb, settings, "series moments")[0]
+    return _gauss_quadrature(kernel, pa, pb, "series moments")[0]
 
 
 def _series_region(theta_a: float, theta_b: float) -> tuple[str, float, float]:
@@ -182,11 +180,10 @@ def _series_region(theta_a: float, theta_b: float) -> tuple[str, float, float]:
 
 
 def efsq_series(theta_a: float, theta_b: float, pa: LeakageProfile, pb: LeakageProfile,
-                order: int, settings: QuadratureSettings | None = None
-                ) -> tuple[ExpectationResult, SeriesTerms]:
+                order: int) -> tuple[ExpectationResult, SeriesTerms]:
     """Alternating-series evaluation of E(F^2) in the better-converging region."""
     region, prefactor, k = _series_region(theta_a, theta_b)
-    moments = series_moments(pa, pb, order, settings)
+    moments = series_moments(pa, pb, order)
     powers = (-k) ** np.arange(order + 1)
     value = float(prefactor * np.dot(powers, moments))
     tail = prefactor * abs(k) ** (order + 1) * moments[-1] / max(1.0 - abs(k), 1e-12)
@@ -194,8 +191,8 @@ def efsq_series(theta_a: float, theta_b: float, pa: LeakageProfile, pb: LeakageP
             SeriesTerms(tuple(moments), region))
 
 
-def efsq_first_order(theta_a: float, theta_b: float, pa: LeakageProfile, pb: LeakageProfile,
-                     settings: QuadratureSettings | None = None) -> ExpectationResult:
+def efsq_first_order(theta_a: float, theta_b: float, pa: LeakageProfile,
+                     pb: LeakageProfile) -> ExpectationResult:
     """First-order form Theta_L (1 - K/2) I_0, exact on the diagonal.
 
     Up to the constant I_0 this is independent of the leakage profiles
@@ -205,7 +202,7 @@ def efsq_first_order(theta_a: float, theta_b: float, pa: LeakageProfile, pb: Lea
     th_l, th_s = max(th1, th2), min(th1, th2)
     if th_s == 0.0:
         return ExpectationResult(0.0, "series1", 0.0)
-    i0 = float(series_moments(pa, pb, 0, settings)[0])
+    i0 = float(series_moments(pa, pb, 0)[0])
     k = th_l / th_s - 1.0
     value = th_l * (1.0 - 0.5 * k) * i0
     return ExpectationResult(value, "series1", abs(th_l * 0.5 * k**2 * i0))
@@ -217,6 +214,8 @@ def efsq_first_order(theta_a: float, theta_b: float, pa: LeakageProfile, pb: Lea
 
 def _mixture_cells(theta_a, theta_b, pa, pb, nodes):
     """Yield (F values, per-cell mass) for both product-measure components."""
+    if nodes < 1:
+        raise QuadratureError(f"need at least 1 node per axis, got {nodes}")
     th1, th2 = big_thetas(theta_a, theta_b)
     u = (np.arange(nodes) + 0.5) / nodes
     for p1, p2, th in ((pa, pb, th1), (pb, pa, th2)):
@@ -260,10 +259,10 @@ def first_attempt_success(f, mode: str):
 
 
 def compare_strategies(pa: LeakageProfile, pb: LeakageProfile, epsilon: float,
-                       mode: str = "3f2", theta_a: float = math.pi / 4,
-                       theta_b: float = math.pi / 4, nodes: int = 2000) -> ComparisonReport:
+                       mode: str = "3f2", nodes: int = 2000) -> ComparisonReport:
     """Post-selection versus adaptive growth on the first merge/bridge attempt.
 
+    Both qubits enter untilted (theta = pi/4), as in the paper's Section IV.
     p_postselect is the window mass; p_outside_window adds the out-of-window
     first-attempt successes to it; p_total is their sum.
     """
@@ -272,7 +271,7 @@ def compare_strategies(pa: LeakageProfile, pb: LeakageProfile, epsilon: float,
     first_attempt_success(0.0, mode)
     p_post = 0.0
     p_out = 0.0
-    for f, cell in _mixture_cells(theta_a, theta_b, pa, pb, nodes):
+    for f, cell in _mixture_cells(QUARTER_PI, QUARTER_PI, pa, pb, nodes):
         win = f > MAX_F - epsilon
         p_post += cell * int(np.count_nonzero(win))
         p_out += cell * float(first_attempt_success(f[~win], mode).sum())

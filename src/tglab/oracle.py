@@ -33,7 +33,7 @@ from .tilted_graph import EdgeKind, TiltedGraph
 
 QUBIT_CAP = 14
 
-_H_GATE = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+H_GATE = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 _X_GATE = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
@@ -136,7 +136,7 @@ def build_state(g: TiltedGraph) -> StateVector:
         state.amps /= n
     for v in g.vertices():
         if v.hadamard:
-            state = state.apply_single(v.id, _H_GATE)
+            state = state.apply_single(v.id, H_GATE)
         if v.x_flip:
             state = state.apply_single(v.id, _X_GATE)
         if v.z_phase:

@@ -63,7 +63,6 @@ from .tilted_graph import (
 # ---------------------------------------------------------------------------
 
 S_MATRIX = np.diag([1.0, 1.0j])
-H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 
 
 def m_matrix(theta: float) -> np.ndarray:

@@ -95,11 +95,11 @@ def procedures_vs_oracle(seed: int, cases: int) -> float:
     return worst
 
 
-def trajectory_vs_closed_form(grid: int = 5) -> tuple[float, float]:
-    """Max tilt and joint-density deviation of the trajectory integrator."""
+def trajectory_vs_closed_form() -> tuple[float, float]:
+    """Max tilt and joint-density deviation of the trajectory integrator (5 x 5 clicks)."""
     a, b = CavityParams(10.0, 40.0), CavityParams(12.5, 50.0)
-    t1s = np.linspace(0.03, 0.45, grid)
-    t2s = np.linspace(0.04, 0.5, grid)
+    t1s = np.linspace(0.03, 0.45, 5)
+    t2s = np.linspace(0.04, 0.5, 5)
     theta, dens = trajectory_dh_grid(a, b, t1s, t2s)
     pa = lambda t: critically_damped_density(a.g, t)
     pb = lambda t: critically_damped_density(b.g, t)

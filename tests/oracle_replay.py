@@ -4,8 +4,7 @@ import math
 
 import numpy as np
 
-from tglab.oracle import StateVector, build_state, overlap, project
-from tglab.procedures import H_MATRIX
+from tglab.oracle import H_GATE, StateVector, build_state, overlap, project
 
 Z_PI = np.diag([1.0, -1.0]).astype(complex)
 
@@ -53,8 +52,8 @@ def replay_join_trace(trace, profiles, tol=1e-9):
         if kind == "dh":
             _, qa, qb, out, cav_a, cav_b, nb_a, nb_b = event
             # the engine strips the Hadamard labels first: a physical H each
-            state = state.apply_single(qa, H_MATRIX)
-            state = state.apply_single(qb, H_MATRIX)
+            state = state.apply_single(qa, H_GATE)
+            state = state.apply_single(qb, H_GATE)
             if out.success:
                 state, _ = dh_physical_post_state(state, qa, qb, out.clicks, out.parity,
                                                   profiles[cav_a], profiles[cav_b])
@@ -76,11 +75,11 @@ def replay_join_trace(trace, profiles, tol=1e-9):
             _, cherry, neighbor = event
             # an X-basis measurement removes the Hadamard cherry; outcome 1
             # leaves a Z byproduct on the holder, corrected on the spot
-            p0, cand = project(state, cherry, 0, H_MATRIX)
+            p0, cand = project(state, cherry, 0, H_GATE)
             if p0 > 1e-12:
                 state = cand
             else:
-                _, cand = project(state, cherry, 1, H_MATRIX)
+                _, cand = project(state, cherry, 1, H_GATE)
                 state = cand.apply_single(neighbor, Z_PI)
         elif kind == "procedure":
             _, rec = event

@@ -2,14 +2,13 @@
 
 The library integrates 2-d quantities with Gauss-Legendre nodes
 (tglab.metrics); this independent tensor-product Simpson rule checks it and
-the closed forms.  It doubles the panels per axis until two grids agree to
-the settings' relative tolerance, up to 2^13 panels.
+the closed forms.  It doubles the panels per axis from 64 until two grids
+agree to the relative tolerance rtol, up to 2^13 panels.
 """
 
 import numpy as np
 
 from tglab.errors import QuadratureError
-from tglab.leakage import QuadratureSettings
 
 _MAX_PANELS = 1 << 12
 
@@ -26,15 +25,14 @@ def _simpson_2d(f, t_max: float, n: int) -> float:
     return float(w @ vals @ w)
 
 
-def simpson_2d(f, settings: QuadratureSettings) -> float:
-    """Integral of f(t1, t2) over [0, t_max]^2 to settings.relative_tolerance."""
-    n = settings.panel_count
-    prev = _simpson_2d(f, settings.t_max, n)
+def simpson_2d(f, t_max: float, rtol: float = 1e-9) -> float:
+    """Integral of f(t1, t2) over [0, t_max]^2 to relative tolerance rtol."""
+    n = 64
+    prev = _simpson_2d(f, t_max, n)
     while n <= _MAX_PANELS:
         n *= 2
-        cur = _simpson_2d(f, settings.t_max, n)
-        if abs(cur - prev) <= settings.relative_tolerance * max(abs(cur), abs(prev), 1e-300):
+        cur = _simpson_2d(f, t_max, n)
+        if abs(cur - prev) <= rtol * max(abs(cur), abs(prev), 1e-300):
             return cur
         prev = cur
-    raise QuadratureError(f"2-d Simpson did not reach rtol={settings.relative_tolerance} "
-                          f"within {n} panels")
+    raise QuadratureError(f"2-d Simpson did not reach rtol={rtol} within {n} panels")

@@ -150,6 +150,19 @@ class TestCommands:
         assert any("verify" in str(a) for a in arts)
 
 
+def assert_config_error(tmp_path, capsys, command, text, bad_line):
+    """`command` on config `text` exits 1 naming the line of `bad_line`, printing
+    nothing to stdout and writing no CSV."""
+    line = text.splitlines().index(bad_line.splitlines()[-1]) + 1
+    p = tmp_path / "bad.cfg"
+    p.write_text(text)
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert f"line {line}:" in captured.err
+    assert captured.out == ""
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 class TestMainExitCodes:
     def test_success(self, cfg_path, tmp_path, capsys):
         assert main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
@@ -182,15 +195,20 @@ class TestMainExitCodes:
             "bad-join-method", "bad-join-kind"])
     def test_unknown_names_and_values_are_config_errors(self, tmp_path, capsys, command, old,
                                                          new):
-        text = GOOD.replace(old, new)
-        line = text.splitlines().index(new.splitlines()[-1]) + 1
-        p = tmp_path / "bad.cfg"
-        p.write_text(text)
-        assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 1
-        captured = capsys.readouterr()
-        assert f"line {line}:" in captured.err
-        assert captured.out == ""
-        assert not list(tmp_path.rglob("*.csv"))
+        assert_config_error(tmp_path, capsys, command, GOOD.replace(old, new), new)
+
+    @pytest.mark.parametrize("command, old, new", [
+        ("compare", "nodes = 600", "nodes = 0"),
+        ("compare", "nodes = 600", "nodes = -3"),
+        ("fidelity-hist", "nodes = 300", "nodes = 0"),
+        ("fidelity-hist", "bins = 20", "bins = 5"),
+        ("verify", "cases = 12", "cases = 0"),
+        ("grow", "join_nodes = 2", "join_nodes = -1"),
+        ("grow", "target_ghz_size = 8", "target_ghz_size = 1"),
+    ], ids=["compare-nodes-0", "compare-nodes-negative", "hist-nodes-0", "hist-bins-5",
+            "verify-cases-0", "grow-join-nodes-negative", "grow-target-1"])
+    def test_out_of_range_counts_are_config_errors(self, tmp_path, capsys, command, old, new):
+        assert_config_error(tmp_path, capsys, command, GOOD.replace(old, new), new)
 
     def test_idempotent_outputs(self, cfg_path, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

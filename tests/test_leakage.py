@@ -7,14 +7,12 @@ from tglab.errors import ProfileError, QuadratureError
 from tglab.leakage import (
     CavityParams,
     CriticallyDamped,
-    QuadratureSettings,
     Tabulated,
     critically_damped_density,
     integrate,
     load_profile_csv,
     overlap_integral,
     save_profile_csv,
-    settings_for,
     tabulate_profile,
 )
 
@@ -38,7 +36,7 @@ class TestCriticallyDampedDensity:
     @pytest.mark.parametrize("g", [0.5, 10.0, 12.5, 80.0])
     def test_unit_normalisation(self, g):
         prof = CriticallyDamped(g)
-        val = integrate(prof.density, settings_for(prof))
+        val = integrate(prof.density, prof.t_max)
         assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_bad_inputs(self):
@@ -63,32 +61,27 @@ class TestCavityParams:
 
 class TestIntegrate:
     def test_zero_integrand(self):
-        assert integrate(lambda t: np.zeros_like(t), QuadratureSettings(t_max=2.0)) == 0.0
+        assert integrate(lambda t: np.zeros_like(t), 2.0) == 0.0
 
     def test_product_of_normalised_densities(self):
         from reference_quadrature import simpson_2d
         pa, pb = CriticallyDamped(10.0), CriticallyDamped(12.5)
-        val = simpson_2d(lambda t1, t2: pa.density(t1) * pb.density(t2), settings_for(pa, pb))
+        val = simpson_2d(lambda t1, t2: pa.density(t1) * pb.density(t2), max(pa.t_max, pb.t_max))
         assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_determinism(self):
-        s = QuadratureSettings(t_max=1.0)
         f = lambda t: np.exp(-3.0 * t) * t**2
-        assert integrate(f, s) == integrate(f, s)
+        assert integrate(f, 1.0) == integrate(f, 1.0)
 
     def test_nonconvergence_reported(self):
         # panel budget of a 1-d integral is finite; a wild oscillator blows it
-        s = QuadratureSettings(relative_tolerance=1e-9, t_max=1.0, panel_count=2)
         with pytest.raises(QuadratureError):
-            integrate(lambda t: np.sin(2.0e9 * t) * t, s)
+            integrate(lambda t: np.sin(2.0e9 * t) * t, 1.0)
 
-    def test_settings_validation(self):
+    @pytest.mark.parametrize("t_max", [-1.0, 0.0, math.inf, math.nan])
+    def test_window_validation(self, t_max):
         with pytest.raises(QuadratureError):
-            QuadratureSettings(relative_tolerance=0.1)
-        with pytest.raises(QuadratureError):
-            QuadratureSettings(t_max=-1.0)
-        with pytest.raises(QuadratureError):
-            QuadratureSettings(panel_count=3)
+            integrate(lambda t: np.ones_like(t), t_max)
 
 
 class TestOverlapIntegral:
@@ -145,7 +138,7 @@ class TestTabulated:
 
     def test_declared_mass_matches_quadrature(self):
         p = tabulate_profile(CriticallyDamped(10.0), 8193)
-        val = integrate(p.density, settings_for(p, relative_tolerance=1e-9))
+        val = integrate(p.density, p.t_max)
         assert val == pytest.approx(p.total_mass, abs=1e-8)
 
     def test_csv_round_trip_bit_exact(self, tmp_path):

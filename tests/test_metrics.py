@@ -5,7 +5,7 @@ import pytest
 
 from tglab.errors import QuadratureError
 from tglab.heralding import DhContext, big_thetas, sample_clicks_array, success_probability
-from tglab.leakage import CriticallyDamped, settings_for
+from tglab.leakage import CriticallyDamped
 from tglab.metrics import (
     compare_strategies,
     efsq_first_order,
@@ -26,9 +26,12 @@ OVERLAP_CLOSED = 8.0 * (10.0 * 12.5) ** 1.5 / 22.5**3
 
 
 class TestExpectedF:
-    def test_identical_profiles_quarter(self):
-        p = CriticallyDamped(10.0)
+    @pytest.mark.parametrize("g", [10.0, 0.5])
+    def test_identical_profiles_quarter(self, g):
+        # g = 0.5 has support to t = 40, far past a fixed [0, 2] window
+        p = CriticallyDamped(g)
         assert expected_f(QUARTER_PI, QUARTER_PI, p, p).value == pytest.approx(0.25, abs=1e-8)
+        assert expected_f_sq(QUARTER_PI, QUARTER_PI, p, p).value == pytest.approx(0.125, abs=1e-8)
 
     def test_example_pair_value(self):
         res = expected_f(QUARTER_PI, QUARTER_PI, PA, PB)
@@ -47,7 +50,7 @@ class TestExpectedF:
             y = th2 * PB.density(t1) * PA.density(t2)
             return np.sqrt(x * y)
 
-        val = simpson_2d(integrand, settings_for(PA, PB, relative_tolerance=1e-7))
+        val = simpson_2d(integrand, max(PA.t_max, PB.t_max), rtol=1e-7)
         assert val == pytest.approx(expected_f(theta_a, theta_b, PA, PB).value, abs=1e-6)
 
     def test_x_flip_invariance(self):
@@ -169,6 +172,13 @@ class TestFidelityHistogram:
     def test_bin_count_enforced(self):
         with pytest.raises(QuadratureError):
             fidelity_histogram(QUARTER_PI, QUARTER_PI, PA, PB, bins=5)
+
+    @pytest.mark.parametrize("nodes", [0, -3])
+    def test_node_count_enforced(self, nodes):
+        with pytest.raises(QuadratureError):
+            fidelity_histogram(QUARTER_PI, QUARTER_PI, PA, PB, nodes=nodes)
+        with pytest.raises(QuadratureError):
+            compare_strategies(PA, PB, 1e-4, nodes=nodes)
 
 
 class TestCompareStrategies:
