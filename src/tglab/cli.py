@@ -263,7 +263,7 @@ def _cmd_compare(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int)
 
 def _cmd_grow(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int) -> list:
     pool_spec = _take(section, "pool", str, required=True, section_name="grow")
-    profiles = {}
+    profiles, seen = {}, set()
     for item in pool_spec.split(","):
         item = item.strip()
         if not item:
@@ -276,8 +276,15 @@ def _cmd_grow(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int) ->
                               section["pool"][1]) from None
         if name not in cfg.profiles:
             raise ConfigError(f"unknown profile {name!r} in grow pool", section["pool"][1])
+        if name in seen:
+            raise ConfigError(f"profile {name!r} appears twice in grow pool", section["pool"][1])
+        if count < 1:
+            raise ConfigError(f"grow pool count of {name!r} must be at least 1, got {count}",
+                              section["pool"][1])
+        seen.add(name)
+        # a pool name holds no ":", so the ids of two profiles never meet
         for k in range(count):
-            profiles[f"{name}{k:03d}"] = cfg.profiles[name]
+            profiles[f"{name}:{k:03d}"] = cfg.profiles[name]
     strategy = StrategyConfig(
         profiles=profiles,
         seed=seed,

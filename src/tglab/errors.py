@@ -36,4 +36,4 @@ class ConfigError(TglabError):
 
 
 class VerificationError(TglabError):
-    """Oracle cross-check exceeded its discrepancy budget."""
+    """Oracle cross-check exceeded its discrepancy budget or had no case to check."""

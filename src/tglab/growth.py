@@ -13,9 +13,11 @@ inventory as a TiltedGraph and drives the heralding and procedure rewrites
 directly, so small campaigns can be replayed on the state-vector oracle.
 
 Every random decision draws from an independent generator derived from the
-campaign seed and the decision's coordinates (round, pair, attempt, ...),
-so results do not depend on evaluation order: serial and parallel
-schedules, or a reversed scan, produce identical statistics.
+campaign seed and the decision's coordinates (round, piece, attempt, ...).
+Phase 1 derives one generator per round and draws one block of uniforms
+from it, five per pair, and pair k reads row k.  So results do not depend
+on evaluation order: serial and parallel schedules, or a reversed scan,
+produce identical statistics.
 """
 
 from __future__ import annotations
@@ -88,6 +90,8 @@ class StrategyConfig:
             raise GraphConfigError(f"unknown join method {self.join_method!r}")
         if self.join_kind not in JOIN_KINDS:
             raise GraphConfigError(f"unknown join kind {self.join_kind!r}")
+        if self.join_nodes < 0:
+            raise GraphConfigError(f"join node count must be non-negative, got {self.join_nodes}")
 
 
 @dataclass
@@ -162,14 +166,15 @@ def effective_pair_tilts(theta_a: float, theta_b: float, flip_rule: bool) -> tup
 
 
 def _phase1_attempt(piece_a: GhzPiece, piece_b: GhzPiece, cfg: StrategyConfig,
-                    rng, round_idx: int):
-    """One DH attempt between two pieces; returns (merged piece or None)."""
+                    u, round_idx: int):
+    """One DH attempt between two pieces on the five uniforms `u`; returns
+    the merged piece or None."""
     ta, tb = effective_pair_tilts(piece_a.tilt, piece_b.tilt, cfg.flip_rule)
     cav_a = piece_a.cavities[round_idx % piece_a.size]
     cav_b = piece_b.cavities[round_idx % piece_b.size]
     ctx = DhContext(ta, tb, cfg.profiles[cav_a], cfg.profiles[cav_b],
                     cfg.detection_efficiency)
-    out = sample_dh(ctx, rng)
+    out = sample_dh(ctx, u)
     if not out.success:
         return None
     return GhzPiece(piece_a.size + piece_b.size, out.theta_beta,
@@ -181,8 +186,10 @@ def run_phase1(cfg: StrategyConfig, stats: RunStats | None = None,
     """Grow GHZ pieces to the target size by pairwise double heralding.
 
     Failed applications project both pieces into separable states; their
-    atoms are re-prepared as fresh single-qubit pieces.  scan_reverse only
-    exercises the evaluation-order independence (results are identical).
+    atoms are re-prepared as fresh single-qubit pieces.  Each round draws
+    one (pairs x 5) block of uniforms from its own stream and pair k reads
+    row k, so scan_reverse only exercises the evaluation-order independence
+    (results are identical).
     """
     cavities = sorted(cfg.profiles)
     if len(cavities) < cfg.target_ghz_size:
@@ -210,11 +217,11 @@ def run_phase1(cfg: StrategyConfig, stats: RunStats | None = None,
             return pieces, stats
 
         results = [None] * len(pairs)
+        draws = derive_rng(cfg.seed, _PHASE1, round_idx).random((len(pairs), 5)).tolist()
         scan = range(len(pairs) - 1, -1, -1) if scan_reverse else range(len(pairs))
         for k in scan:
             ia, ib = pairs[k]
-            rng = derive_rng(cfg.seed, _PHASE1, round_idx, k)
-            results[k] = _phase1_attempt(pieces[ia], pieces[ib], cfg, rng, round_idx)
+            results[k] = _phase1_attempt(pieces[ia], pieces[ib], cfg, draws[k], round_idx)
 
         # survivors keep their index order; re-prepared atoms go to the end
         consumed = 0
@@ -341,7 +348,7 @@ def _join_once(g: TiltedGraph, anchor: int, other: int, cfg: StrategyConfig,
         ctx = DhContext(g.vertex(qa).tilt, g.vertex(qb).tilt,
                         cfg.profiles[cavity_of[qa]], cfg.profiles[cavity_of[qb]],
                         cfg.detection_efficiency)
-        out = sample_dh(ctx, rng)
+        out = sample_dh(ctx, rng.random(5))
         stats.join_dh_attempts += 1
         nb_a, nb_b = g.neighbors(qa)[0], g.neighbors(qb)[0]
         g = apply_dh_to_graph(g, qa, qb, out)

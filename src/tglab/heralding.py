@@ -120,19 +120,19 @@ def click_density_second(t2, t1: float, ctx: DhContext):
     return (x + y) / q1
 
 
-def sample_clicks(ctx: DhContext, rng: np.random.Generator) -> ClickPair:
-    """Draw (t1, t2) from Q12 conditioned on success.
+def sample_clicks(ctx: DhContext, u) -> ClickPair:
+    """Draw (t1, t2) from Q12 conditioned on success, from three uniforms.
 
-    Q12 is the exact mixture Theta_1 P_A(t1) P_B(t2) + Theta_2 P_B(t1) P_A(t2),
-    so pick the branch with probability Theta_1/(Theta_1 + Theta_2) and draw
-    each time from the corresponding renormalised profile.
+    Q12 is the exact mixture Theta_1 P_A(t1) P_B(t2) + Theta_2 P_B(t1) P_A(t2):
+    u[0] < Theta_1/(Theta_1 + Theta_2) picks the Theta_1 branch, and u[1],
+    u[2] are the quantiles of the first and second click under the branch's
+    renormalised profiles.
     """
     th1, th2 = big_thetas(ctx.theta_a, ctx.theta_b)
     if th1 + th2 <= 0.0:
         raise ImpossibleStateError("degenerate tilts: success probability is zero")
-    if rng.random() < th1 / (th1 + th2):
-        return ClickPair(float(ctx.pa.sample(rng)), float(ctx.pb.sample(rng)))
-    return ClickPair(float(ctx.pb.sample(rng)), float(ctx.pa.sample(rng)))
+    first, second = (ctx.pa, ctx.pb) if u[0] < th1 / (th1 + th2) else (ctx.pb, ctx.pa)
+    return ClickPair(float(first.inverse_cdf(u[1])), float(second.inverse_cdf(u[2])))
 
 
 def sample_clicks_array(ctx: DhContext, rng: np.random.Generator, n: int):
@@ -169,13 +169,20 @@ class DhOutcome:
         return DhOutcome(False)
 
 
-def sample_dh(ctx: DhContext, rng: np.random.Generator) -> DhOutcome:
-    """Sample one full DH application (success flag, clicks, tilt, parity)."""
+def sample_dh(ctx: DhContext, u) -> DhOutcome:
+    """Sample one full DH application (success flag, clicks, tilt, parity).
+
+    The outcome is a pure function of ctx and five uniforms in [0, 1):
+    u[0] is the success test (success when u[0] < p), u[1:4] go to
+    sample_clicks (branch, first and second click quantile) and u[4] draws
+    the detector parity.  Phase 1 passes each pair its own row of the
+    round's uniform block; the join phase passes rng.random(5).
+    """
     p = success_probability(ctx.theta_a, ctx.theta_b, ctx.detection_efficiency)
-    if rng.random() >= p:
+    if u[0] >= p:
         return DhOutcome.failure()
-    clicks = sample_clicks(ctx, rng)
-    parity = 1 if rng.random() < 0.5 else -1
+    clicks = sample_clicks(ctx, u[1:4])
+    parity = 1 if u[4] < 0.5 else -1
     return DhOutcome(True, tilt_after_dh(ctx, clicks), clicks, parity)
 
 

@@ -14,6 +14,7 @@ shape.  Arbitrary calibrated profiles are supported through tabulation
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -46,10 +47,17 @@ class CavityParams:
 def critically_damped_density(g: float, t):
     """Density 4 g^3 t^2 exp(-2 g t) with a Heaviside cutoff at t = 0.
 
-    Accepts scalar or ndarray t; rejects non-finite input.
+    Accepts scalar or ndarray t; rejects non-finite input.  A Python or
+    NumPy float t takes a scalar path (math.exp), which agrees with the
+    array path to rounding.
     """
-    if not (np.isfinite(g) and g > 0):
+    if not (math.isfinite(g) and g > 0):
         raise ProfileError(f"coupling strength must be positive and finite, got {g}")
+    if isinstance(t, float):
+        t = float(t)
+        if not math.isfinite(t):
+            raise ProfileError("non-finite time passed to critically_damped_density")
+        return 4.0 * g**3 * (t * t) * math.exp(-2.0 * g * t) if t > 0 else 0.0
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ProfileError("non-finite time passed to critically_damped_density")

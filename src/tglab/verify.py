@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .errors import VerificationError
 from .heralding import ClickPair, DhContext, tilt_after_dh
 from .leakage import CavityParams, CriticallyDamped, critically_damped_density
 from .oracle import build_state, overlap, project, trajectory_dh_grid
@@ -140,6 +141,8 @@ def canonicalization_preserves_states(seed: int, cases: int) -> float:
 
 def run_verification(seed: int = 0, cases: int = 60) -> dict:
     """The cross-check suite; returns {check name: max discrepancy}."""
+    if cases < 1:
+        raise VerificationError(f"the oracle cross-check needs at least 1 case, got {cases}")
     theta_dev, dens_dev = trajectory_vs_closed_form()
     return {
         "procedures_vs_oracle": procedures_vs_oracle(seed, cases),

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
+from tglab import cli
 from tglab.cli import emit_csv, main, parse_config, run_command
-from tglab.errors import ConfigError
+from tglab.errors import ConfigError, TglabError
 from tglab.leakage import load_profile_csv
 
 GOOD = """
@@ -149,6 +150,23 @@ class TestCommands:
         arts = run_command("verify", cfg, tmp_path / "out")
         assert any("verify" in str(a) for a in arts)
 
+    def test_pool_ids_are_distinct(self, tmp_path, monkeypatch):
+        # profile A's cavity 1000 and profile A1's cavity 0 are two cavities
+        text = GOOD.replace("[profile B]", "[profile A1]\nkind = critically_damped\ng = 12.5\n\n"
+                            "[profile B]").replace("pool = A:24,B:24", "pool = A:1001,A1:1,B:2")
+        p = tmp_path / "exp.cfg"
+        p.write_text(text)
+        pools = []
+
+        def stop(strategy):
+            pools.append(len(strategy.profiles))
+            raise TglabError("stop before growing")
+
+        monkeypatch.setattr(cli, "run_pipeline", stop)
+        with pytest.raises(TglabError):
+            run_command("grow", parse_config(p), tmp_path / "out")
+        assert pools == [1004]
+
 
 def assert_config_error(tmp_path, capsys, command, text, bad_line):
     """`command` on config `text` exits 1 naming the line of `bad_line`, printing
@@ -209,6 +227,11 @@ class TestMainExitCodes:
             "verify-cases-0", "grow-join-nodes-negative", "grow-target-1"])
     def test_out_of_range_counts_are_config_errors(self, tmp_path, capsys, command, old, new):
         assert_config_error(tmp_path, capsys, command, GOOD.replace(old, new), new)
+
+    @pytest.mark.parametrize("new", ["pool = A:24,A:24", "pool = A:0,B:24", "pool = A:-3,B:24"],
+                             ids=["repeated-profile", "zero-count", "negative-count"])
+    def test_bad_pool_entries_are_config_errors(self, tmp_path, capsys, new):
+        assert_config_error(tmp_path, capsys, "grow", GOOD.replace("pool = A:24,B:24", new), new)
 
     def test_idempotent_outputs(self, cfg_path, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -123,6 +123,10 @@ class TestPhase1:
         with pytest.raises(InventoryExhausted):
             run_phase1(StrategyConfig(profiles=pool(3), seed=1, target_ghz_size=4))
 
+    def test_negative_join_nodes_rejected(self):
+        with pytest.raises(GraphConfigError):
+            StrategyConfig(profiles=pool(12), seed=1, join_nodes=-1)
+
     def test_bounded_deterioration_and_sorted_beats_random(self):
         # the identical-tilt limit is exact (tested at formula level); with a
         # finite mismatched pool the size-4 fidelity stays close to the
@@ -228,6 +232,20 @@ class TestStreamTags:
         run_join([tilted, GhzPiece(6, QUARTER_PI, tuple(f"c{i:02d}" for i in range(6, 12)))],
                  join_cfg(20, 4, join_nodes=2, join_kind="bridge"))
         assert sorted(len(paths) for paths in stream_sites.values()) == [1, 1, 1], stream_sites
+
+    def test_one_phase1_stream_per_round(self, monkeypatch):
+        import tglab.growth as growth
+        real, keys = growth.derive_rng, []
+
+        def recording(seed, *key):
+            keys.append(key)
+            return real(seed, *key)
+
+        monkeypatch.setattr(growth, "derive_rng", recording)
+        _, stats = run_phase1(StrategyConfig(profiles=pool(40), seed=5, target_ghz_size=8))
+        assert len(stats.rounds) > 1
+        assert [k for k in keys if k[0] == growth._PHASE1] == \
+            [(growth._PHASE1, row.round) for row in stats.rounds]
 
 
 def join_cfg(n_cavities, seed, **kw):

@@ -12,6 +12,7 @@ from tglab.heralding import (
     DhContext,
     DhOutcome,
     apply_dh_to_graph,
+    big_thetas,
     classify_dh_side,
     click_density_first,
     click_density_joint,
@@ -128,15 +129,15 @@ class TestClickDensities:
 class TestSampling:
     def test_seeded_determinism(self):
         ctx = ctx_of(0.6, 0.9)
-        a = [sample_clicks(ctx, np.random.default_rng(5)) for _ in range(3)]
-        b = [sample_clicks(ctx, np.random.default_rng(5)) for _ in range(3)]
+        a = [sample_clicks(ctx, np.random.default_rng(5).random(3)) for _ in range(3)]
+        b = [sample_clicks(ctx, np.random.default_rng(5).random(3)) for _ in range(3)]
         assert a == b
 
     def test_t1_histogram_matches_q1(self):
         ctx = ctx_of(0.6, 0.9)
         rng = np.random.default_rng(77)
         n = 100_000
-        t1s = np.sort([sample_clicks(ctx, rng).t1 for _ in range(n)])
+        t1s = np.sort([sample_clicks(ctx, rng.random(3)).t1 for _ in range(n)])
         mass = success_probability(0.6, 0.9)
         grid = np.linspace(1e-4, 2.0, 2001)
         dens = np.array([click_density_first(t, ctx) for t in grid]) / mass
@@ -151,9 +152,35 @@ class TestSampling:
         ctx = ctx_of(0.5, 1.0)
         rng = np.random.default_rng(123)
         n = 20_000
-        hits = sum(sample_dh(ctx, rng).success for _ in range(n))
+        hits = sum(sample_dh(ctx, rng.random(5)).success for _ in range(n))
         p = success_probability(0.5, 1.0)
         assert abs(hits / n - p) < 3 * math.sqrt(p * (1 - p) / n)
+
+    def test_sample_dh_is_a_function_of_its_uniforms(self):
+        ctx = ctx_of(0.6, 0.9, eff=0.9)
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            u = rng.random(5).tolist()
+            assert sample_dh(ctx, u) == sample_dh(ctx, np.array(u))
+
+    @pytest.mark.parametrize("branch_u", [0.05, 0.95])
+    def test_sample_dh_reads_its_uniforms_in_order(self, branch_u):
+        ctx = ctx_of(0.6, 0.9, eff=0.9)
+        p = success_probability(0.6, 0.9, 0.9)
+        th1, th2 = big_thetas(ctx.theta_a, ctx.theta_b)
+        assert 0.05 < th1 / (th1 + th2) < 0.95
+        # success exactly when u[0] < p
+        for u0 in (0.0, math.nextafter(p, 0.0)):
+            assert sample_dh(ctx, [u0, branch_u, 0.3, 0.7, 0.2]).success
+        for u0 in (p, math.nextafter(p, 1.0), 0.999):
+            assert sample_dh(ctx, [u0, branch_u, 0.3, 0.7, 0.2]) == DhOutcome.failure()
+        out = sample_dh(ctx, [0.0, branch_u, 0.3, 0.7, 0.2])
+        first, second = (PA, PB) if branch_u < th1 / (th1 + th2) else (PB, PA)
+        assert out.clicks == ClickPair(float(first.inverse_cdf(0.3)),
+                                       float(second.inverse_cdf(0.7)))
+        assert out.theta_beta == tilt_after_dh(ctx, out.clicks)
+        assert out.parity == 1
+        assert sample_dh(ctx, [0.0, branch_u, 0.3, 0.7, 0.5]).parity == -1
 
 
 class TestTiltAfterDh:

@@ -42,8 +42,18 @@ class TestCriticallyDampedDensity:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ProfileError):
             critically_damped_density(-1.0, 0.1)
-        with pytest.raises(ProfileError):
-            critically_damped_density(10.0, float("nan"))
+        for bad in (float("nan"), float("inf"), np.float64("nan"), np.float64("inf")):
+            with pytest.raises(ProfileError):
+                critically_damped_density(10.0, bad)
+
+    @pytest.mark.parametrize("g", [0.5, 10.0, 12.5])
+    def test_scalar_path_matches_array_path(self, g):
+        for t in (0.0, -0.3, 1e-9, 0.13, 2.0, 20.0 / g):
+            (expect,) = critically_damped_density(g, np.array([t]))
+            for scalar in (t, np.float64(t)):
+                got = critically_damped_density(g, scalar)
+                assert type(got) is float
+                assert got == pytest.approx(expect, rel=1e-15, abs=0.0)
 
 
 class TestCavityParams:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tglab.errors import GraphConfigError, TrajectoryError
+from tglab.errors import GraphConfigError, TrajectoryError, VerificationError
 from tglab.leakage import CavityParams, critically_damped_density
 from tglab.oracle import (
     build_state,
@@ -17,6 +17,7 @@ from tglab.oracle import (
     trajectory_dh_grid,
 )
 from tglab.tilted_graph import EdgeAnnotation, TiltedGraph, Vertex, canonicalize, ghz_graph
+from tglab.verify import run_verification
 
 QUARTER_PI = math.pi / 4
 H_GATE = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)
@@ -181,3 +182,10 @@ class TestTrajectory:
     def test_short_decay_window_reports_residual(self):
         with pytest.raises(TrajectoryError):
             trajectory_dh_grid(EXAMPLE_A, EXAMPLE_B, [0.05], [0.2], decay_time=0.05)
+
+
+class TestRunVerification:
+    def test_zero_cases_rejected(self):
+        # no randomized case would make procedures_vs_oracle a vacuous 0.0
+        with pytest.raises(VerificationError):
+            run_verification(seed=1, cases=0)
