@@ -13,10 +13,10 @@ Configuration is a sectioned key=value plain-text file; one experiment per
 file.  `[profile NAME]` sections declare leakage profiles
 (kind = critically_damped with g = ..., or kind = csv with path = ...);
 `[run]` holds the mandatory seed plus the optional detection efficiency;
-each command reads its own section.  An unknown section or key, a value
-outside its set, or a count below its minimum is a configuration error.  All
-randomness derives from the single seed, so identical config and seed give
-byte-identical outputs.
+each command reads its own section.  An unknown section or key, a key of the
+other profile kind, a value outside its set, a non-finite number, or a count
+below its minimum is a configuration error.  All randomness derives from the
+single seed, so identical config and seed give byte-identical outputs.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure,
 3 verification failure.
@@ -87,7 +87,7 @@ def _parse_sections(text: str) -> dict:
 
 
 def _take(section: dict, key: str, kind, default=None, required=False, section_name="",
-          choices=(), at_least=None):
+          choices=(), at_least=None, positive=False):
     if key not in section:
         if required:
             lines = [ln for _, ln in section.values()]
@@ -105,6 +105,10 @@ def _take(section: dict, key: str, kind, default=None, required=False, section_n
         parsed = kind(value)
     except (ValueError, TypeError):
         raise ConfigError(f"cannot parse {key} = {value!r} as {kind.__name__}", ln) from None
+    if kind is float and not math.isfinite(parsed):
+        raise ConfigError(f"{key} must be finite, got {value!r}", ln)
+    if positive and parsed <= 0:
+        raise ConfigError(f"{key} must be positive, got {value!r}", ln)
     if choices and parsed not in choices:
         raise ConfigError(f"{key} = {value!r} is not one of {', '.join(choices)}", ln)
     if at_least is not None and parsed < at_least:
@@ -113,28 +117,19 @@ def _take(section: dict, key: str, kind, default=None, required=False, section_n
 
 
 def _build_profile(name: str, section: dict, config_dir: Path) -> LeakageProfile:
-    kind = _take(section, "kind", str, required=True, section_name=f"profile {name}")
+    where = f"profile {name}"
+    kind = _take(section, "kind", str, required=True, section_name=where,
+                 choices=("critically_damped", "csv"))
+    other = "path" if kind == "critically_damped" else "g"
+    if other in section:
+        raise ConfigError(f"a {kind} profile takes no {other}", section[other][1])
     if kind == "critically_damped":
-        g_value, ln = section.get("g", (None, None))
-        if g_value is None:
-            raise ConfigError(f"[profile {name}] needs g for a critically damped profile")
-        try:
-            g = float(g_value)
-        except ValueError:
-            raise ConfigError(f"cannot parse g = {g_value!r} as float", ln) from None
-        if not (g > 0 and math.isfinite(g)):
-            raise ConfigError(f"coupling strength must be positive, got g = {g}", ln)
-        return CriticallyDamped(g)
-    if kind == "csv":
-        path_value, ln = section.get("path", (None, None))
-        if path_value is None:
-            raise ConfigError(f"[profile {name}] needs path for a csv profile")
-        path = config_dir / path_value
-        if not path.exists():
-            raise ConfigError(f"profile file {path} does not exist", ln)
-        return load_profile_csv(path)
-    _, ln = section["kind"]
-    raise ConfigError(f"unknown profile kind {kind!r} (critically_damped or csv)", ln)
+        return CriticallyDamped(_take(section, "g", float, required=True, section_name=where,
+                                      positive=True))
+    path = config_dir / _take(section, "path", str, required=True, section_name=where)
+    if not path.exists():
+        raise ConfigError(f"profile file {path} does not exist", section["path"][1])
+    return load_profile_csv(path)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -240,9 +235,7 @@ def _cmd_fidelity_hist(cfg: ExperimentConfig, section: dict, out_dir: Path, seed
 def _cmd_compare(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int) -> list:
     pa = _profile_ref(cfg, section, "profile_a", "compare")
     pb = _profile_ref(cfg, section, "profile_b", "compare")
-    epsilon = _take(section, "epsilon", float, default=1e-4)
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive", section["epsilon"][1])
+    epsilon = _take(section, "epsilon", float, default=1e-4, positive=True)
     nodes = _take(section, "nodes", int, default=2000, at_least=1)
     modes = [m.strip() for m in _take(section, "modes", str, default="3f2,exact").split(",")]
     for mode in modes:
@@ -326,7 +319,7 @@ def _cmd_verify(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int) 
     from .verify import run_verification
 
     cases = _take(section, "cases", int, default=60, at_least=1)
-    budget = _take(section, "tolerance", float, default=1e-9)
+    budget = _take(section, "tolerance", float, default=1e-9, positive=True)
     report = run_verification(seed=seed, cases=cases)
     rows = [("check", "max_discrepancy")]
     rows += [(name, value) for name, value in report.items()]

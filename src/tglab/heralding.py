@@ -247,14 +247,6 @@ def _check_pairing(a: SideInfo, b: SideInfo) -> None:
             f"qubits {a.qubit}, {b.qubit} share a component; DH needs distinct pieces")
 
 
-def dh_context(g: TiltedGraph, qa: int, qb: int, pa: LeakageProfile, pb: LeakageProfile,
-               detection_efficiency: float = 1.0) -> DhContext:
-    """Context for a DH application between supported graph qubits."""
-    a, b = classify_dh_side(g, qa), classify_dh_side(g, qb)
-    _check_pairing(a, b)
-    return DhContext(a.theta_eff, b.theta_eff, pa, pb, detection_efficiency)
-
-
 def _rewrite_ghz_success(g: TiltedGraph, a: SideInfo, b: SideInfo,
                          theta_beta: float) -> TiltedGraph:
     """Fuse two GHZ stars into one (the Eq.-12-style 2n-qubit tilted GHZ).

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -38,10 +38,6 @@ class CavityParams:
             raise ProfileError(f"coupling strength must be positive and finite, got {self.g}")
         if not (np.isfinite(self.kappa) and self.kappa > 0):
             raise ProfileError(f"cavity leakage rate must be positive and finite, got {self.kappa}")
-
-    @property
-    def critically_damped(self) -> bool:
-        return bool(np.isclose(self.kappa, 4.0 * self.g))
 
 
 def critically_damped_density(g: float, t):
@@ -86,12 +82,7 @@ class LeakageProfile:
 
     @cached_property
     def _inverse_cdf_table(self):
-        t = np.linspace(0.0, self.t_max, _CDF_TABLE_SIZE)
-        p = self.density(t)
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(t))])
-        if cdf[-1] <= 0.0:
-            raise ProfileError("cannot sample from a zero-mass profile")
-        return t, cdf / cdf[-1]
+        return _cdf_table(self)
 
     def sample(self, rng: np.random.Generator, size=None):
         """Draw times from the renormalised density via the tabulated inverse CDF."""
@@ -128,8 +119,28 @@ class CriticallyDamped(LeakageProfile):
         # Gamma(3, 2g) survival at t = 20/g is ~4e-15.
         return 20.0 / self.g
 
+    @cached_property
+    def _inverse_cdf_table(self):
+        # the table depends on g alone, so profiles with equal g share one
+        return _critically_damped_table(self.g)
+
     def __repr__(self):
         return f"CriticallyDamped(g={self.g})"
+
+
+def _cdf_table(profile: LeakageProfile):
+    """(grid, renormalised trapezoid CDF) over [0, t_max]; shared, so only read it."""
+    t = np.linspace(0.0, profile.t_max, _CDF_TABLE_SIZE)
+    p = profile.density(t)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(t))])
+    if cdf[-1] <= 0.0:
+        raise ProfileError("cannot sample from a zero-mass profile")
+    return t, cdf / cdf[-1]
+
+
+@lru_cache(maxsize=64)
+def _critically_damped_table(g: float):
+    return _cdf_table(CriticallyDamped(g))
 
 
 class Tabulated(LeakageProfile):
@@ -178,7 +189,7 @@ class Tabulated(LeakageProfile):
 
 
 def tabulate_profile(profile: LeakageProfile, points: int = 4097) -> Tabulated:
-    """Sample any profile onto a uniform grid (used by calibration output)."""
+    """Any profile as a Tabulated one, sampled on `points` uniform nodes of [0, t_max]."""
     t = np.linspace(0.0, profile.t_max, points)
     return Tabulated(t, profile.density(t))
 

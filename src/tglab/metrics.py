@@ -266,8 +266,8 @@ def compare_strategies(pa: LeakageProfile, pb: LeakageProfile, epsilon: float,
     p_postselect is the window mass; p_outside_window adds the out-of-window
     first-attempt successes to it; p_total is their sum.
     """
-    if epsilon <= 0.0:
-        raise QuadratureError(f"window width must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise QuadratureError(f"window width must be positive and finite, got {epsilon}")
     first_attempt_success(0.0, mode)
     p_post = 0.0
     p_out = 0.0

@@ -23,7 +23,6 @@ cap.  They exist to arbitrate every analytic formula in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,9 +64,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.qubit_ids, self.amps.copy())
 
     def apply_single(self, qubit, gate) -> "StateVector":
         ax = self.axis(qubit)
@@ -273,14 +269,6 @@ def _excited_residual(psi: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.sum(np.abs(psi[..., mask]) ** 2, axis=-1))))
 
 
-@dataclass(frozen=True)
-class TrajectoryResult:
-    """Tilt and joint click density from one replayed double heralding."""
-
-    theta_beta: float
-    density: float
-
-
 def trajectory_dh_grid(a: CavityParams, b: CavityParams, t1s, t2s,
                        decay_time: float | None = None):
     """Replay double heralding over a grid of click times.
@@ -342,9 +330,3 @@ def trajectory_dh_grid(a: CavityParams, b: CavityParams, t1s, t2s,
     with np.errstate(invalid="ignore"):
         theta = np.arctan2(np.abs(amp_10[:, 0, :, 0]), np.abs(amp_01[:, 0, :, 0]))
     return theta, dens
-
-
-def trajectory_dh(a: CavityParams, b: CavityParams, t1: float, t2: float) -> TrajectoryResult:
-    """Single-point double-heralding replay; see trajectory_dh_grid."""
-    theta, dens = trajectory_dh_grid(a, b, [t1], [t2])
-    return TrajectoryResult(float(theta[0, 0]), float(dens[0, 0]))

@@ -58,12 +58,6 @@ def is_untilted(theta: float) -> bool:
     return abs(abs(canonical_angle(theta)) - QUARTER_PI) < ANGLE_TOL
 
 
-def is_degenerate_tilt(theta: float) -> bool:
-    """True for theta in {0, pi/2}: a product-state vertex that cannot entangle."""
-    t = canonical_angle(theta)
-    return abs(t) < ANGLE_TOL or abs(t - HALF_PI) < ANGLE_TOL
-
-
 # ---------------------------------------------------------------------------
 # Vertices and their correction-flag algebra
 # ---------------------------------------------------------------------------
@@ -114,29 +108,10 @@ class Vertex:
     def untilted(self) -> bool:
         return is_untilted(self.tilt)
 
-    @property
-    def degenerate(self) -> bool:
-        return is_degenerate_tilt(self.tilt)
-
-    @property
-    def plain(self) -> bool:
-        """No correction flags at all."""
-        return not self.hadamard and not self.x_flip and abs(self.z_phase) < ANGLE_TOL
-
 
 def swap_tilt(theta: float) -> float:
     """The tilt whose branches are theta's swapped: (cos, sin) -> (sin, cos)."""
     return canonical_angle(HALF_PI - theta)
-
-
-def apply_x_flip(v: Vertex) -> Vertex:
-    """The X-rotation identity: tilt theta -> pi/2 - theta, flip flag toggles.
-
-    X|theta> = |pi/2 - theta>, so for an isolated plain vertex this rewrite
-    preserves the represented state; inside a graph the caller owns the
-    neighbour Z corrections that commuting X through control-Z produces.
-    """
-    return replace(v, tilt=swap_tilt(v.tilt), x_flip=not v.x_flip)
 
 
 def z_pi_count(g: "TiltedGraph", vids) -> int:
@@ -282,9 +257,6 @@ class TiltedGraph:
             return self._vertices[vid]
         except KeyError:
             raise GraphConfigError(f"no vertex {vid}") from None
-
-    def has_vertex(self, vid: int) -> bool:
-        return vid in self._vertices
 
     def vertices(self):
         return (self._vertices[i] for i in self.vertex_ids)
@@ -476,23 +448,6 @@ def is_ghz_star(g: TiltedGraph, comp: frozenset) -> bool:
         return True
     except GraphConfigError:
         return False
-
-
-def component_tilt(g: TiltedGraph, comp: frozenset) -> float:
-    return g.vertex(star_center_id(g, comp)).tilt
-
-
-def reroot_star(g: TiltedGraph, comp: frozenset, new_center: int) -> TiltedGraph:
-    """Re-express a GHZ star around another member (same physical state)."""
-    old = star_center_id(g, comp)
-    if new_center == old:
-        return g
-    if new_center not in comp:
-        raise GraphConfigError(f"vertex {new_center} is not in the component")
-    tilt = g.vertex(old).tilt
-    leaves = [replace(g.vertex(vid), tilt=QUARTER_PI, hadamard=True)
-              for vid in sorted(comp) if vid != new_center]
-    return with_star(g, comp, replace(g.vertex(new_center), tilt=tilt, hadamard=False), leaves)
 
 
 # ---------------------------------------------------------------------------

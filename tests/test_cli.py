@@ -228,6 +228,33 @@ class TestMainExitCodes:
     def test_out_of_range_counts_are_config_errors(self, tmp_path, capsys, command, old, new):
         assert_config_error(tmp_path, capsys, command, GOOD.replace(old, new), new)
 
+    @pytest.mark.parametrize("command, old, new", [
+        ("verify", "cases = 12", "cases = 12\ntolerance = nan"),
+        ("verify", "cases = 12", "cases = 12\ntolerance = -1"),
+        ("verify", "cases = 12", "cases = 12\ntolerance = 0"),
+        ("compare", "epsilon = 1e-4", "epsilon = nan"),
+        ("compare", "epsilon = 1e-4", "epsilon = inf"),
+        ("fidelity-hist", "nodes = 300", "nodes = 300\ntheta_a = nan"),
+        ("grow", "join_nodes = 2", "join_nodes = 2\nacceptance = nan"),
+        ("compare", "g = 10.0", "g = inf"),
+    ], ids=["verify-tolerance-nan", "verify-tolerance-negative", "verify-tolerance-0",
+            "compare-epsilon-nan", "compare-epsilon-inf", "hist-theta-a-nan", "grow-acceptance-nan",
+            "profile-g-inf"])
+    def test_non_finite_and_non_positive_floats_are_config_errors(self, tmp_path, capsys,
+                                                                 command, old, new):
+        assert_config_error(tmp_path, capsys, command, GOOD.replace(old, new), new)
+
+    @pytest.mark.parametrize("old, new, bad_line", [
+        ("g = 10.0\n", "", "kind = critically_damped"),
+        ("kind = critically_damped\ng = 10.0", "kind = csv", "kind = csv"),
+        ("g = 10.0", "g = 10.0\npath = a.csv", "path = a.csv"),
+        ("kind = critically_damped\ng = 10.0", "kind = csv\npath = a.csv\ng = 10.0", "g = 10.0"),
+        ("kind = critically_damped\ng = 10.0", "kind = critical\ng = 10.0", "kind = critical"),
+    ], ids=["missing-g", "missing-path", "path-on-critically-damped", "g-on-csv", "bad-kind"])
+    def test_profile_sections_are_checked_with_lines(self, tmp_path, capsys, old, new, bad_line):
+        # a missing key is reported at its section's first line (profile A's kind)
+        assert_config_error(tmp_path, capsys, "compare", GOOD.replace(old, new, 1), bad_line)
+
     @pytest.mark.parametrize("new", ["pool = A:24,A:24", "pool = A:0,B:24", "pool = A:-3,B:24"],
                              ids=["repeated-profile", "zero-count", "negative-count"])
     def test_bad_pool_entries_are_config_errors(self, tmp_path, capsys, new):

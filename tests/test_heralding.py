@@ -17,14 +17,13 @@ from tglab.heralding import (
     click_density_first,
     click_density_joint,
     click_density_second,
-    dh_context,
     sample_clicks,
     sample_dh,
     success_probability,
     tilt_after_dh,
 )
 from tglab.leakage import CriticallyDamped, integrate
-from tglab.oracle import StateVector, build_state, overlap, trajectory_dh
+from tglab.oracle import StateVector, build_state, overlap, trajectory_dh_grid
 from tglab.tilted_graph import (
     EdgeAnnotation,
     TiltedGraph,
@@ -218,9 +217,10 @@ class TestTiltAfterDh:
 
     def test_matches_trajectory_oracle(self):
         from tglab.leakage import CavityParams
-        res = trajectory_dh(CavityParams(10.0, 40.0), CavityParams(12.5, 50.0), 0.05, 0.2)
+        theta, _ = trajectory_dh_grid(CavityParams(10.0, 40.0), CavityParams(12.5, 50.0),
+                                      [0.05], [0.2])
         ctx = ctx_of(QUARTER_PI, QUARTER_PI)
-        assert tilt_after_dh(ctx, ClickPair(0.05, 0.2)) == pytest.approx(res.theta_beta, abs=1e-6)
+        assert tilt_after_dh(ctx, ClickPair(0.05, 0.2)) == pytest.approx(theta[0, 0], abs=1e-6)
 
     def test_undefined_tilt(self):
         from tglab.leakage import Tabulated
@@ -251,7 +251,7 @@ class TestClassification:
     def test_same_component_rejected(self):
         g = ghz_graph([0, 1, 2], 0.7)
         with pytest.raises(GraphConfigError):
-            dh_context(g, 0, 1, PA, PB)
+            apply_dh_to_graph(g, 0, 1, DhOutcome.failure())
 
     def test_unsupported_z_flags_rejected(self):
         star = ghz_graph([0, 1, 2], 0.7)        # centre 0, Hadamard leaves 1, 2
@@ -349,7 +349,7 @@ class TestGraphRewrites:
         comp = after.component_of(0)
         assert comp == frozenset(range(6))
         # physically a 6-qubit GHZ with tilt theta_beta, modulo the recorded flips
-        flips = [vid for vid in range(6) if after.has_vertex(vid) and after.vertex(vid).x_flip]
+        flips = [vid for vid in range(6) if vid in after.vertex_ids and after.vertex(vid).x_flip]
         ref = ghz_graph(sorted(comp), out.theta_beta, center=1)
         for vid in flips:
             ref = ref.map_vertex(vid, lambda v: v.append_x())

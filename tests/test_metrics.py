@@ -180,6 +180,11 @@ class TestFidelityHistogram:
         with pytest.raises(QuadratureError):
             compare_strategies(PA, PB, 1e-4, nodes=nodes)
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-4, math.nan, math.inf])
+    def test_window_width_enforced(self, epsilon):
+        with pytest.raises(QuadratureError):
+            compare_strategies(PA, PB, epsilon, nodes=10)
+
 
 class TestCompareStrategies:
     def test_3f2_mode_reproduces_reported_numbers(self):

@@ -13,7 +13,6 @@ from tglab.oracle import (
     project,
     rk4_step_size,
     single_system_click_density,
-    trajectory_dh,
     trajectory_dh_grid,
 )
 from tglab.tilted_graph import EdgeAnnotation, TiltedGraph, Vertex, canonicalize, ghz_graph
@@ -160,24 +159,24 @@ class TestTrajectory:
             assert abs(a - b) < 1e-10
 
     def test_identical_cavities_give_perfect_path_erasure(self):
-        res = trajectory_dh(EXAMPLE_A, EXAMPLE_A, 0.07, 0.31)
-        assert res.theta_beta == pytest.approx(QUARTER_PI, abs=1e-9)
+        theta, _ = trajectory_dh_grid(EXAMPLE_A, EXAMPLE_A, [0.07], [0.31])
+        assert theta[0, 0] == pytest.approx(QUARTER_PI, abs=1e-9)
 
     def test_example_point_matches_closed_forms(self):
         t1, t2 = 0.05, 0.2
-        res = trajectory_dh(EXAMPLE_A, EXAMPLE_B, t1, t2)
+        theta, dens = trajectory_dh_grid(EXAMPLE_A, EXAMPLE_B, [t1], [t2])
         pa = lambda t: critically_damped_density(10.0, t)
         pb = lambda t: critically_damped_density(12.5, t)
         u = pa(t1) * pb(t2)
         v = pb(t1) * pa(t2)
         theta_ref = math.acos((1.0 + u / v) ** -0.5)
         q12 = 0.25 * (u + v)
-        assert res.theta_beta == pytest.approx(theta_ref, abs=1e-6)
-        assert res.density == pytest.approx(q12, abs=1e-6)
+        assert theta[0, 0] == pytest.approx(theta_ref, abs=1e-6)
+        assert dens[0, 0] == pytest.approx(q12, abs=1e-6)
 
     def test_rejects_nonpositive_times(self):
         with pytest.raises(TrajectoryError):
-            trajectory_dh(EXAMPLE_A, EXAMPLE_B, 0.0, 0.1)
+            trajectory_dh_grid(EXAMPLE_A, EXAMPLE_B, [0.0], [0.1])
 
     def test_short_decay_window_reports_residual(self):
         with pytest.raises(TrajectoryError):

@@ -12,17 +12,14 @@ from tglab.tilted_graph import (
     EdgeKind,
     TiltedGraph,
     Vertex,
-    apply_x_flip,
     canonical_angle,
     canonicalize,
     combine_partial_fusions,
     combine_weighted_edges,
-    component_tilt,
     ghz_graph,
-    is_degenerate_tilt,
     is_untilted,
-    reroot_star,
     star_center_id,
+    swap_tilt,
 )
 
 HALF_PI = math.pi / 2
@@ -59,8 +56,6 @@ class TestAngles:
     def test_untilted_and_degenerate(self):
         assert is_untilted(QUARTER_PI) and is_untilted(-QUARTER_PI)
         assert not is_untilted(0.3)
-        assert is_degenerate_tilt(0.0) and is_degenerate_tilt(HALF_PI)
-        assert not is_degenerate_tilt(QUARTER_PI)
 
 
 class TestCombinePartialFusions:
@@ -143,19 +138,24 @@ class TestCombineWeightedEdges:
         assert np.abs(lhs - ratio * rhs).max() < 1e-9
 
 
+def x_flipped(theta):
+    """X|theta> = |pi/2 - theta>: the swapped tilt under a recorded X flag."""
+    return Vertex(0, swap_tilt(theta), x_flip=True)
+
+
 class TestXFlip:
     def test_untilted_fixed_point(self):
-        v = apply_x_flip(Vertex(0, QUARTER_PI))
+        v = x_flipped(QUARTER_PI)
         assert v.tilt == pytest.approx(QUARTER_PI) and v.x_flip
 
     def test_degenerate_and_arithmetic(self):
-        assert apply_x_flip(Vertex(0, 0.0)).tilt == pytest.approx(HALF_PI)
-        assert apply_x_flip(Vertex(0, math.pi / 6)).tilt == pytest.approx(math.pi / 3)
+        assert x_flipped(0.0).tilt == pytest.approx(HALF_PI)
+        assert x_flipped(math.pi / 6).tilt == pytest.approx(math.pi / 3)
 
     def test_preserves_isolated_state(self):
         for theta in (0.3, QUARTER_PI, 1.1):
             g1 = TiltedGraph([Vertex(0, theta)])
-            g2 = TiltedGraph([apply_x_flip(Vertex(0, theta))])
+            g2 = TiltedGraph([x_flipped(theta)])
             assert states_match(build_state(g1), build_state(g2))
 
 
@@ -277,11 +277,11 @@ class TestGhzStar:
         g = ghz_graph([5, 6, 7], 0.4, center=6)
         comp = g.component_of(5)
         assert star_center_id(g, comp) == 6
-        assert component_tilt(g, comp) == pytest.approx(0.4)
+        assert g.vertex(star_center_id(g, comp)).tilt == pytest.approx(0.4)
 
     def test_reroot_preserves_state(self):
         g = ghz_graph([0, 1, 2, 3], 0.7)
-        h = reroot_star(g, g.component_of(0), 2)
+        h = ghz_graph([0, 1, 2, 3], 0.7, center=2)
         assert star_center_id(h, h.component_of(0)) == 2
         assert states_match(build_state(g), build_state(h))
 
@@ -317,7 +317,7 @@ class TestCanonicalize:
     def test_negative_tilt_in_star(self):
         g = ghz_graph([0, 1, 2], -0.5)
         c = canonicalize(g)
-        assert component_tilt(c, c.component_of(0)) == pytest.approx(0.5)
+        assert c.vertex(star_center_id(c, c.component_of(0))).tilt == pytest.approx(0.5)
         assert states_match(build_state(g), build_state(c))
 
     @pytest.mark.parametrize("sign", [1, -1])
