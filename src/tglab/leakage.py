@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +82,12 @@ class LeakageProfile:
 
     @cached_property
     def _inverse_cdf_table(self):
-        return _cdf_table(self)
+        t = np.linspace(0.0, self.t_max, _CDF_TABLE_SIZE)
+        p = self.density(t)
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(t))])
+        if cdf[-1] <= 0.0:
+            raise ProfileError("cannot sample from a zero-mass profile")
+        return t, cdf / cdf[-1]
 
     def sample(self, rng: np.random.Generator, size=None):
         """Draw times from the renormalised density via the tabulated inverse CDF."""
@@ -119,28 +124,8 @@ class CriticallyDamped(LeakageProfile):
         # Gamma(3, 2g) survival at t = 20/g is ~4e-15.
         return 20.0 / self.g
 
-    @cached_property
-    def _inverse_cdf_table(self):
-        # the table depends on g alone, so profiles with equal g share one
-        return _critically_damped_table(self.g)
-
     def __repr__(self):
         return f"CriticallyDamped(g={self.g})"
-
-
-def _cdf_table(profile: LeakageProfile):
-    """(grid, renormalised trapezoid CDF) over [0, t_max]; shared, so only read it."""
-    t = np.linspace(0.0, profile.t_max, _CDF_TABLE_SIZE)
-    p = profile.density(t)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(t))])
-    if cdf[-1] <= 0.0:
-        raise ProfileError("cannot sample from a zero-mass profile")
-    return t, cdf / cdf[-1]
-
-
-@lru_cache(maxsize=64)
-def _critically_damped_table(g: float):
-    return _cdf_table(CriticallyDamped(g))
 
 
 class Tabulated(LeakageProfile):

@@ -3,6 +3,8 @@
 Every public top-level function and class in src/tglab is either used by name
 (an ast.Name or ast.Attribute, not a string or a comment) somewhere in the
 package outside its own definition, or it is paper-level API declared below.
+Only top-level names are guarded: methods and properties are not checked, and
+an attribute of the same name anywhere (say `.sample`) counts as a use.
 """
 
 import ast

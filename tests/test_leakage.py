@@ -191,21 +191,3 @@ class TestSampling:
     def test_zero_mass_profile_rejected(self):
         with pytest.raises(ProfileError):
             Tabulated([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
-
-    @pytest.mark.parametrize("make", [lambda: CriticallyDamped(7.5),
-                                      lambda: Tabulated([0.0, 1.0, 2.0], [0.0, 0.5, 0.0])],
-                             ids=["critically-damped", "tabulated"])
-    def test_inverse_cdf_table_builds(self, monkeypatch, make):
-        # equal-g critically damped profiles share one table (built here, or
-        # by an earlier caller in this process); a tabulated profile builds its
-        # own, once
-        cls = type(make())
-        density, builds = cls.density, []
-        monkeypatch.setattr(cls, "density", lambda self, t: builds.append(self) or density(self, t))
-        profiles = [make() for _ in range(50)]
-        quantiles = {float(p.inverse_cdf(u)) for p in profiles for u in (0.3, 0.3)}
-        assert len(quantiles) == 1
-        if cls is CriticallyDamped:
-            assert len(builds) <= 1
-        else:
-            assert len(builds) == len(profiles)
