@@ -14,8 +14,8 @@ file.  `[profile NAME]` sections declare leakage profiles
 (kind = critically_damped with g = ..., or kind = csv with path = ...);
 `[run]` holds the mandatory seed plus the optional detection efficiency;
 each command reads its own section.  An unknown section or key, a key of the
-other profile kind, a value outside its set, a non-finite number, or a count
-below its minimum is a configuration error.  All randomness derives from the
+other profile kind, a value outside its set or range, a non-finite number, or
+a count below its minimum is a configuration error.  All randomness derives from the
 single seed, so identical config and seed give byte-identical outputs.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure,
@@ -87,7 +87,7 @@ def _parse_sections(text: str) -> dict:
 
 
 def _take(section: dict, key: str, kind, default=None, required=False, section_name="",
-          choices=(), at_least=None, positive=False):
+          choices=(), at_least=None, positive=False, within=None):
     if key not in section:
         if required:
             lines = [ln for _, ln in section.values()]
@@ -113,6 +113,8 @@ def _take(section: dict, key: str, kind, default=None, required=False, section_n
         raise ConfigError(f"{key} = {value!r} is not one of {', '.join(choices)}", ln)
     if at_least is not None and parsed < at_least:
         raise ConfigError(f"{key} must be at least {at_least}, got {value!r}", ln)
+    if within is not None and not within[0] < parsed <= within[1]:
+        raise ConfigError(f"{key} must lie in ({within[0]:g}, {within[1]:g}], got {value!r}", ln)
     return parsed
 
 
@@ -150,10 +152,7 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError("a [run] section with an explicit seed is mandatory "
                           "(determinism contract)")
     seed = _take(run, "seed", int, required=True, section_name="run")
-    efficiency = _take(run, "efficiency", float, default=1.0)
-    if not (0.0 < efficiency <= 1.0):
-        raise ConfigError(f"efficiency must lie in (0, 1], got {efficiency}",
-                          run["efficiency"][1])
+    efficiency = _take(run, "efficiency", float, default=1.0, within=(0.0, 1.0))
     return ExperimentConfig(profiles, sections, seed, efficiency)
 
 
@@ -278,11 +277,13 @@ def _cmd_grow(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int) ->
         # a pool name holds no ":", so the ids of two profiles never meet
         for k in range(count):
             profiles[f"{name}:{k:03d}"] = cfg.profiles[name]
+    if not profiles:
+        raise ConfigError("the cavity pool is empty", section["pool"][1])
     strategy = StrategyConfig(
         profiles=profiles,
         seed=seed,
         target_ghz_size=_take(section, "target_ghz_size", int, default=4, at_least=2),
-        fidelity_acceptance=_take(section, "acceptance", float, default=1.0),
+        fidelity_acceptance=_take(section, "acceptance", float, default=1.0, within=(0.5, 1.0)),
         pairing=_take(section, "pairing", str, default="sorted", choices=PAIRINGS),
         flip_rule=_take(section, "flip_rule", bool, default=True),
         join_method=_take(section, "join_method", str, default="auto", choices=JOIN_METHODS),

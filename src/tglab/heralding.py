@@ -35,7 +35,6 @@ from .tilted_graph import (
     Vertex,
     branch_amplitudes,
     canonical_angle,
-    is_ghz_star,
     star_center_id,
     with_star,
     z_pi_count,
@@ -222,14 +221,13 @@ def classify_dh_side(g: TiltedGraph, q: int) -> SideInfo:
         theta = _effective_tilt(v.tilt, v.x_flip, z_pi_count(g, [q]))
         return SideInfo(FRESH, q, comp, q, theta)
     # a plain degree-one vertex hanging off its node by a pure edge: the
-    # "Hadamard-removed" cherry case (the node behind it may be any graph);
-    # a proper two-qubit GHZ star stays a GHZ member instead
+    # "Hadamard-removed" cherry case (the node behind it may be any graph;
+    # with no Hadamard flag on either end, the pair is never a GHZ star)
     if not v.hadamard and not v.x_flip and g.degree(q) == 1:
         (nb,) = g.neighbors(q)
         if not g.vertex(nb).hadamard and g.edge(q, nb).kind is EdgeKind.PURE:
-            if len(comp) > 2 or not is_ghz_star(g, comp):
-                theta = _effective_tilt(v.tilt, False, z_pi_count(g, [q]))
-                return SideInfo(CHERRY, q, comp, nb, theta)
+            theta = _effective_tilt(v.tilt, False, z_pi_count(g, [q]))
+            return SideInfo(CHERRY, q, comp, nb, theta)
     # a member (centre or Hadamard leaf) of a GHZ star
     center = star_center_id(g, comp)
     theta = _effective_tilt(g.vertex(center).tilt, v.x_flip, z_pi_count(g, comp))

@@ -61,6 +61,18 @@ def critically_damped_density(g: float, t):
     return float(out) if out.ndim == 0 else out
 
 
+def critically_damped_difference_density(g1: float, g2: float, r):
+    """Density of T1 - T2 at r >= 0 (vectorised) for independent critically
+    damped click times T1, T2 with couplings g1, g2; swap g1 and g2 for -r.
+
+    With r_i = 2 g_i and c = r_1 + r_2 it is
+    (r_1 r_2)^3 / 4 exp(-r_1 r) (2 r^2 / c^3 + 12 r / c^4 + 24 / c^5).
+    """
+    r1, r2 = 2.0 * g1, 2.0 * g2
+    c = r1 + r2
+    return (r1 * r2) ** 3 / 4.0 * np.exp(-r1 * r) * (2.0 * r * r + 12.0 * r / c + 24.0 / c**2) / c**3
+
+
 # ---------------------------------------------------------------------------
 # Profiles
 # ---------------------------------------------------------------------------
@@ -218,7 +230,7 @@ def save_profile_csv(profile: LeakageProfile, path, points: int = 4097) -> Path:
 # ---------------------------------------------------------------------------
 
 # Every library integral runs to this relative tolerance, starting from this
-# many panels (Simpson here, Gauss-Legendre nodes in metrics).
+# many Simpson panels.
 RELATIVE_TOLERANCE = 1e-9
 START_PANELS = 64
 

@@ -17,6 +17,13 @@ convergent where |K| < 1 (the R_I region tan^2 theta_b < 2 tan^2 theta_a
 carries prefactor Theta_1, R_J the mirror image); I_1 = I_0 / 2 makes the
 first-order form Theta_L (1 - K/2) I_0 integration-free up to I_0.
 
+Under the density V (t1 ~ P_B, t2 ~ P_A), with sigma the logistic function
+and S = log(U/V): E(F^2) = Theta_2 E_V[sigma(S + log Theta_1/Theta_2)],
+I_n = E_V[sigma(S) sigma(-S)^n] and J_n (U for V in I_n's numerator) =
+E_V[sigma(S)^(n+1)].  For critically damped profiles S = 2 (g_B - g_A)
+(t1 - t2), so each is a 1-d integral over the difference of two Gamma(3)
+click times; E(F^2) and its series take no other profile pair.
+
 Distribution-level quantities (the fidelity histogram and the post-selection
 comparison) integrate over the exact product-measure mixture decomposition
 of Q12 in profile-CDF coordinates, where every midpoint cell carries equal
@@ -33,7 +40,8 @@ import numpy as np
 
 from .errors import QuadratureError
 from .heralding import DhContext, big_thetas, joint_terms
-from .leakage import RELATIVE_TOLERANCE, START_PANELS, LeakageProfile, overlap_integral
+from .leakage import (RELATIVE_TOLERANCE, CriticallyDamped, LeakageProfile,
+                      critically_damped_difference_density, integrate, overlap_integral)
 from .tilted_graph import QUARTER_PI
 
 MAX_F = 0.5
@@ -95,74 +103,50 @@ def expected_f(theta_a: float, theta_b: float, pa: LeakageProfile,
     return ExpectationResult(value, "closed-form", 2.0 * RELATIVE_TOLERANCE * value)
 
 
-def _masked_ratio(num, den):
-    """num / den where den > 0, else 0 (the integrands vanish with the densities)."""
-    den = np.asarray(den)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-
-
 def _excess(x, y):
     """Fidelity excess F = sqrt(X Y) / (X + Y), 0 where both terms vanish."""
-    return _masked_ratio(np.sqrt(x * y), x + y)
+    s = x + y
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(s > 0.0, np.sqrt(x * y) / np.where(s > 0.0, s, 1.0), 0.0)
 
 
-def _gauss_quadrature(kernel, pa, pb, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """2-d integrals of the arrays kernel(U, V) yields, on the square [0, t_max]^2.
+def _sigmoid(z):
+    """The logistic function 1 / (1 + e^-z), free of overflow."""
+    return np.exp(-np.logaddexp(0.0, -z))
 
-    t_max covers both profiles' support.  Gauss-Legendre nodes (the
-    integrands are analytic there), doubling deterministically from
-    START_PANELS until two resolutions agree in every component to
-    RELATIVE_TOLERANCE (1e-9).  Returns the values and their last change.
+
+def _expectation_v(kernel, pa, pb, what: str) -> float:
+    """E_V[kernel(S)] for two critically damped profiles: S = 2 (g_B - g_A) D
+    with D = t1 - t2, one integral over |D| per sign of D, so each is smooth.
     """
-    t_max = max(pa.t_max, pb.t_max)
-
-    def one_pass(n):
-        x, w = np.polynomial.legendre.leggauss(n)
-        t, w = 0.5 * t_max * (x + 1.0), 0.5 * t_max * w
-        u = np.outer(pa.density(t), pb.density(t))
-        return np.array([w @ vals @ w for vals in kernel(u, u.T)])
-
-    n = START_PANELS
-    prev = one_pass(n)
-    while n <= 1024:
-        n *= 2
-        cur = one_pass(n)
-        change = np.abs(cur - prev)
-        if np.all(change <= RELATIVE_TOLERANCE * np.maximum(np.abs(cur), 1e-300)):
-            return cur, change
-        prev = cur
-    raise QuadratureError(f"{what} did not converge within the panel budget")
+    if not (isinstance(pa, CriticallyDamped) and isinstance(pb, CriticallyDamped)):
+        raise QuadratureError(f"{what} needs two critically damped profiles, got {pa!r}, {pb!r}")
+    slope = 2.0 * (pb.g - pa.g)
+    above = integrate(lambda r: critically_damped_difference_density(pb.g, pa.g, r)
+                      * kernel(slope * r), pb.t_max)
+    below = integrate(lambda r: critically_damped_difference_density(pa.g, pb.g, r)
+                      * kernel(-slope * r), pa.t_max)
+    return above + below
 
 
 def expected_f_sq(theta_a: float, theta_b: float, pa: LeakageProfile,
                   pb: LeakageProfile) -> ExpectationResult:
-    """Direct 2-d quadrature of E(F^2)."""
+    """E(F^2) = Theta_2 E_V[sigma(S + log Theta_1/Theta_2)] (critically damped pair)."""
     th1, th2 = big_thetas(theta_a, theta_b)
     if th1 == 0.0 or th2 == 0.0:
         return ExpectationResult(0.0, "quadrature", 0.0)
-
-    def kernel(u, v):
-        yield _masked_ratio(th1 * th2 * u * v, th1 * u + th2 * v)
-
-    value, change = _gauss_quadrature(kernel, pa, pb, "E(F^2) quadrature")
-    return ExpectationResult(float(value[0]), "quadrature", float(change[0]))
+    shift = math.log(th1 / th2)
+    value = th2 * _expectation_v(lambda s: _sigmoid(s + shift), pa, pb, "E(F^2)")
+    return ExpectationResult(value, "quadrature", 2.0 * RELATIVE_TOLERANCE * value)
 
 
 def series_moments(pa: LeakageProfile, pb: LeakageProfile, max_order: int,
                    numerator: str = "V") -> np.ndarray:
     """I_n (numerator "V") or J_n (numerator "U") moments up to max_order."""
-
-    def kernel(u, v):
-        s = u + v
-        cur = _masked_ratio(u * v, s)
-        frac = _masked_ratio(v if numerator == "V" else u, s)
-        yield cur
-        for _ in range(max_order):
-            cur = cur * frac
-            yield cur
-
-    return _gauss_quadrature(kernel, pa, pb, "series moments")[0]
+    sign = -1.0 if numerator == "V" else 1.0
+    return np.array([_expectation_v(lambda s: _sigmoid(s) * _sigmoid(sign * s) ** n,
+                                    pa, pb, "series moments")
+                     for n in range(max_order + 1)])
 
 
 def _series_region(theta_a: float, theta_b: float) -> tuple[str, float, float]:

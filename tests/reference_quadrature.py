@@ -1,8 +1,8 @@
 """Test-side reference: composite-Simpson quadrature on the square [0, t_max]^2.
 
-The library integrates 2-d quantities with Gauss-Legendre nodes
-(tglab.metrics); this independent tensor-product Simpson rule checks it and
-the closed forms.  It doubles the panels per axis from 64 until two grids
+The library reduces E(F^2) and its series to 1-d integrals over t1 - t2
+(tglab.metrics); this independent tensor-product Simpson rule checks them
+against their 2-d definitions, and checks the closed forms.  It doubles the panels per axis from 64 until two grids
 agree to the relative tolerance rtol, up to 2^13 panels.
 """
 

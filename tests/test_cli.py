@@ -5,7 +5,7 @@ import pytest
 from tglab import cli
 from tglab.cli import emit_csv, main, parse_config, run_command
 from tglab.errors import ConfigError, TglabError
-from tglab.leakage import load_profile_csv
+from tglab.leakage import CriticallyDamped, load_profile_csv, save_profile_csv
 
 GOOD = """
 [profile A]
@@ -196,6 +196,19 @@ class TestMainExitCodes:
                      "[grow]\npool = A:3\ntarget_ghz_size = 4\n")
         assert main(["grow", "--config", str(p), "--out", str(tmp_path)]) == 2
 
+    def test_csv_profile_surface_is_numeric_failure(self, tmp_path, capsys):
+        # E(F^2) takes two critically damped profiles; a tabulated pair fails at once
+        text = GOOD
+        for name, g in (("A", "10.0"), ("B", "12.5")):
+            save_profile_csv(CriticallyDamped(float(g)), tmp_path / f"{name}.csv", points=65)
+            text = text.replace(f"kind = critically_damped\ng = {g}",
+                                f"kind = csv\npath = {name}.csv")
+        p = tmp_path / "exp.cfg"
+        p.write_text(text)
+        assert main(["efsq-surface", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert "needs two critically damped profiles" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_verification_failure_is_three(self, cfg_path, tmp_path, capsys):
         p = tmp_path / "v.cfg"
         p.write_text(GOOD.replace("cases = 12", "cases = 12\ntolerance = 1e-16"))
@@ -244,6 +257,15 @@ class TestMainExitCodes:
                                                                  command, old, new):
         assert_config_error(tmp_path, capsys, command, GOOD.replace(old, new), new)
 
+    @pytest.mark.parametrize("command, old, new", [
+        ("grow", "join_nodes = 2", "join_nodes = 2\nacceptance = 1.5"),
+        ("grow", "join_nodes = 2", "join_nodes = 2\nacceptance = 0.5"),
+        ("compare", "seed = 77", "seed = 77\nefficiency = 0"),
+    ], ids=["grow-acceptance-above-1", "grow-acceptance-half", "run-efficiency-0"])
+    def test_fractions_outside_their_range_are_config_errors(self, tmp_path, capsys, command,
+                                                              old, new):
+        assert_config_error(tmp_path, capsys, command, GOOD.replace(old, new), new)
+
     @pytest.mark.parametrize("old, new, bad_line", [
         ("g = 10.0\n", "", "kind = critically_damped"),
         ("kind = critically_damped\ng = 10.0", "kind = csv", "kind = csv"),
@@ -255,8 +277,10 @@ class TestMainExitCodes:
         # a missing key is reported at its section's first line (profile A's kind)
         assert_config_error(tmp_path, capsys, "compare", GOOD.replace(old, new, 1), bad_line)
 
-    @pytest.mark.parametrize("new", ["pool = A:24,A:24", "pool = A:0,B:24", "pool = A:-3,B:24"],
-                             ids=["repeated-profile", "zero-count", "negative-count"])
+    @pytest.mark.parametrize("new", ["pool = A:24,A:24", "pool = A:0,B:24", "pool = A:-3,B:24",
+                                     "pool =", "pool = ,"],
+                             ids=["repeated-profile", "zero-count", "negative-count", "empty",
+                                  "empty-entries"])
     def test_bad_pool_entries_are_config_errors(self, tmp_path, capsys, new):
         assert_config_error(tmp_path, capsys, "grow", GOOD.replace("pool = A:24,B:24", new), new)
 

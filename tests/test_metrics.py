@@ -5,7 +5,7 @@ import pytest
 
 from tglab.errors import QuadratureError
 from tglab.heralding import DhContext, big_thetas, sample_clicks_array, success_probability
-from tglab.leakage import CriticallyDamped
+from tglab.leakage import CriticallyDamped, tabulate_profile
 from tglab.metrics import (
     compare_strategies,
     efsq_first_order,
@@ -88,6 +88,47 @@ class TestExpectedFSq:
             efsq = expected_f_sq(ta, tb, PA, PB).value
             assert efsq <= 0.5 * ef + 1e-12          # F never exceeds 1/2
             assert efsq >= ef**2 - 1e-12             # non-negative variance
+
+    @pytest.mark.parametrize("quantity", [("efsq", 0.3, 0.9), ("efsq", 1.2, 0.4), ("I", 0),
+                                          ("I", 3), ("J", 3)], ids=str)
+    def test_matches_2d_reference(self, quantity):
+        # the 1-d integrals over t1 - t2 against the 2-d definitions
+        from reference_quadrature import simpson_2d
+        kind, *args = quantity
+
+        def integrand(t1, t2):
+            u = PA.density(t1) * PB.density(t2)
+            v = PB.density(t1) * PA.density(t2)
+            if kind == "efsq":
+                th1, th2 = big_thetas(*args)
+                u, v = th1 * u, th2 * v
+            s = u + v
+            s[s == 0.0] = np.inf          # the integrand vanishes with both densities
+            out = u * v / s
+            if kind != "efsq":
+                out *= ((v if kind == "I" else u) / s) ** args[0]
+            return out
+
+        if kind == "efsq":
+            value = expected_f_sq(*args, PA, PB).value
+        else:
+            value = series_moments(PA, PB, args[0], numerator="V" if kind == "I" else "U")[-1]
+        ref = simpson_2d(integrand, max(PA.t_max, PB.t_max), rtol=1e-8)
+        assert value == pytest.approx(ref, rel=1e-8)
+
+    @pytest.mark.parametrize("pair", ["tabulated", "mixed"])
+    def test_other_profile_pairs_rejected_before_integrating(self, pair, monkeypatch):
+        pa = tabulate_profile(PA, 257)
+        pb = tabulate_profile(PB, 257) if pair == "tabulated" else PB
+
+        def integrate(f, t_max):
+            raise AssertionError("integrated a pair it rejects")
+
+        monkeypatch.setattr("tglab.metrics.integrate", integrate)
+        with pytest.raises(QuadratureError, match="critically damped"):
+            expected_f_sq(0.7, 0.8, pa, pb)
+        with pytest.raises(QuadratureError, match="critically damped"):
+            series_moments(pa, pb, 3)
 
 
 class TestSeries:
