@@ -17,11 +17,15 @@ Two independent oracles:
   joint click density.
 
 Both are deliberately naive: fixed-step RK4, dense amplitudes, a 14-qubit
-cap.  They exist to arbitrate every analytic formula in the package.
+cap.  They exist to arbitrate every analytic formula in the package.  The
+RK4 step is applied as powers of its one-step propagator, and a state is
+built as one diagonal (the preparations and the edge operators, all
+diagonal in the Z basis) followed by one local gate per decorated axis.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -33,7 +37,6 @@ from .tilted_graph import EdgeKind, TiltedGraph
 QUBIT_CAP = 14
 
 H_GATE = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
-_X_GATE = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -66,78 +69,77 @@ class StateVector:
         return float(np.linalg.norm(self.amps))
 
     def apply_single(self, qubit, gate) -> "StateVector":
-        ax = self.axis(qubit)
-        a = np.moveaxis(self.amps, ax, 0)
         gate = np.asarray(gate, dtype=complex)
-        new = np.moveaxis(np.tensordot(gate, a, axes=([1], [0])), 0, ax)
-        return StateVector(self.qubit_ids, new)
-
-    def apply_diag_pair(self, qa, qb, even: complex, odd: complex) -> "StateVector":
-        """Multiply amplitudes by `even` on Z_a Z_b = +1 and `odd` on -1."""
-        i, j = self.axis(qa), self.axis(qb)
-        amps = self.amps.copy()
-        za = 1 - 2 * _axis_bits(self.qubit_count, i)
-        zb = 1 - 2 * _axis_bits(self.qubit_count, j)
-        amps *= np.where(za * zb > 0, complex(even), complex(odd))
-        return StateVector(self.qubit_ids, amps)
-
-    def apply_cz(self, qa, qb) -> "StateVector":
-        i, j = self.axis(qa), self.axis(qb)
-        amps = self.amps.copy()
-        idx = [slice(None)] * self.qubit_count
-        idx[i] = 1
-        idx[j] = 1
-        amps[tuple(idx)] *= -1.0
-        return StateVector(self.qubit_ids, amps)
+        return StateVector(self.qubit_ids, gate @ _slab(self.amps, self.axis(qubit)))
 
 
-def _axis_bits(n: int, axis: int) -> np.ndarray:
-    bits = np.zeros((2,) * n, dtype=np.int8)
-    idx = [slice(None)] * n
-    idx[axis] = 1
-    bits[tuple(idx)] = 1
-    return bits
+def _slab(amps: np.ndarray, ax: int) -> np.ndarray:
+    """The amplitudes as (2^ax, 2, rest), so that axis 1 is qubit `ax` and a
+    2x2 gate acts on it as `gate @ slab`."""
+    return amps.reshape(1 << ax, 2, -1)
+
+
+@functools.lru_cache(maxsize=None)
+def _bit_table(n: int) -> np.ndarray:
+    """(2^n, n): column k is qubit k's bit (0 or 1) in each basis index."""
+    return ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.int8)
+
+
+def _edge_diagonal(annot) -> tuple:
+    """The edge operator's diagonal over the bits (00, 01, 10, 11) of its ends."""
+    if annot.kind is EdgeKind.PURE:
+        return 1.0, 1.0, 1.0, -1.0
+    if annot.kind is EdgeKind.WEIGHTED:
+        even = complex(math.cos(annot.phi), math.sin(annot.phi))
+        return even, even.conjugate(), even.conjugate(), even
+    c, s = math.cos(annot.phi), math.sin(annot.phi)
+    return c + s, c - s, c - s, c + s
 
 
 def build_state(g: TiltedGraph) -> StateVector:
     """Constructive state of a tilted graph (see tilted_graph's contract).
 
     Preparations, then control-Z edges, then U/P annotations (P followed by
-    renormalisation), then the per-vertex corrections H, X, Z(phase).
+    renormalisation), then the per-vertex corrections H, X, Z(phase).  All
+    but the corrections are diagonal, each over the bits of at most two
+    qubits, so their factors are gathered through the bit table and
+    multiplied; the corrections of a vertex are one 2x2 gate on its axis.
     """
-    ids = g.vertex_ids
-    if not ids:
-        raise GraphConfigError("cannot build the state of an empty graph")
-    state = StateVector(ids[:1], np.array([math.cos(g.vertex(ids[0]).tilt),
-                                           math.sin(g.vertex(ids[0]).tilt)]))
-    for vid in ids[1:]:
-        t = g.vertex(vid).tilt
-        amps = np.multiply.outer(state.amps, np.array([math.cos(t), math.sin(t)], dtype=complex))
-        state = StateVector(state.qubit_ids + (vid,), amps)
+    verts = list(g.vertices())
+    ids = tuple(v.id for v in verts)
+    n = len(ids)
+    if not 0 < n <= QUBIT_CAP:
+        raise GraphConfigError(f"cannot build the state of {n} qubits (cap {QUBIT_CAP})")
+    axis = {vid: k for k, vid in enumerate(ids)}
+    # a preparation is a factor over its vertex's bit taken twice: index 0 or 3
+    rows = [(math.cos(v.tilt), 0.0, 0.0, math.sin(v.tilt)) for v in verts]
+    first, second = list(range(n)), list(range(n))
     has_fusion = False
     for a, b, annot in g.edges():
-        if annot.kind is EdgeKind.PURE:
-            state = state.apply_cz(a, b)
-        elif annot.kind is EdgeKind.WEIGHTED:
-            e = complex(math.cos(annot.phi), math.sin(annot.phi))
-            state = state.apply_diag_pair(a, b, e, e.conjugate())
-        else:
-            c, s = math.cos(annot.phi), math.sin(annot.phi)
-            state = state.apply_diag_pair(a, b, c + s, c - s)
-            has_fusion = True
+        first.append(axis[a])
+        second.append(axis[b])
+        rows.append(_edge_diagonal(annot))
+        has_fusion |= annot.kind is EdgeKind.PARTIAL
+    bits, table = _bit_table(n), np.array(rows, dtype=complex).ravel()
+    offsets = np.arange(0, table.size, 4)
+    amps = np.ones(1 << n, dtype=complex)
+    block = max(1, 2**16 >> n)  # factors per gather: at most 2^16 cells gathered at once
+    for cut in (slice(lo, lo + block) for lo in range(0, len(rows), block)):
+        amps *= table[2 * bits[:, first[cut]] + bits[:, second[cut]] + offsets[cut]].prod(axis=1)
     if has_fusion:
-        n = state.norm()
-        if n < 1e-12:
+        norm = float(np.linalg.norm(amps))
+        if norm < 1e-12:
             raise ImpossibleStateError("partial fusions annihilated the state")
-        state.amps /= n
-    for v in g.vertices():
-        if v.hadamard:
-            state = state.apply_single(v.id, H_GATE)
-        if v.x_flip:
-            state = state.apply_single(v.id, _X_GATE)
-        if v.z_phase:
-            state = state.apply_single(v.id, np.diag([1.0, np.exp(1j * v.z_phase)]))
-    return state
+        amps /= norm
+    for k, v in enumerate(verts):
+        if v.hadamard or v.x_flip or v.z_phase:
+            gate = H_GATE if v.hadamard else np.eye(2)
+            if v.x_flip:
+                gate = gate[::-1]  # X @ gate swaps the rows
+            if v.z_phase:
+                gate = gate * np.array([[1.0], [np.exp(1j * v.z_phase)]])
+            amps = gate @ _slab(amps, k)
+    return StateVector(ids, amps)
 
 
 def overlap(a: StateVector, b: StateVector) -> float:
@@ -157,8 +159,7 @@ def project(state: StateVector, qubit, outcome: int, pre_rotation=None) -> tuple
     The measured qubit is traced out of the returned state.
     """
     work = state if pre_rotation is None else state.apply_single(qubit, pre_rotation)
-    ax = work.axis(qubit)
-    slab = np.moveaxis(work.amps, ax, 0)[outcome]
+    slab = _slab(work.amps, work.axis(qubit))[:, outcome]
     total = float(np.vdot(work.amps, work.amps).real)
     p = float(np.vdot(slab, slab).real) / total
     remaining = tuple(q for q in work.qubit_ids if q != qubit)
@@ -209,19 +210,24 @@ def rk4_step_size(*params: CavityParams) -> float:
     return 1.0 / (100.0 * max(max(p.g, p.kappa) for p in params))
 
 
+def _rk4_propagator(k_matrix: np.ndarray, dt: float) -> np.ndarray:
+    """One RK4 step of d psi/dt = K psi is exactly psi <- P(dt K) psi, with
+    P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
+    z = dt * k_matrix
+    eye = np.eye(len(k_matrix), dtype=complex)
+    return eye + z @ (eye + z @ (eye + z @ (eye + z / 4.0) / 3.0) / 2.0)
+
+
 def _evolve(psi: np.ndarray, k_matrix: np.ndarray, duration: float, h: float) -> np.ndarray:
-    """Fixed-step RK4 for d psi/dt = K psi, batched over leading axes."""
+    """Fixed-step RK4 for d psi/dt = K psi, batched over leading axes: whole
+    steps of h, then one of the remainder, as powers of the step propagator."""
     if duration < 0:
         raise TrajectoryError("cannot evolve for a negative duration")
-    kt = k_matrix.T
     steps, rem = divmod(duration, h)
-    for dt in [h] * int(steps) + ([rem] if rem > 1e-15 else []):
-        k1 = psi @ kt
-        k2 = (psi + 0.5 * dt * k1) @ kt
-        k3 = (psi + 0.5 * dt * k2) @ kt
-        k4 = (psi + dt * k3) @ kt
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return psi
+    prop = np.linalg.matrix_power(_rk4_propagator(k_matrix, h), int(steps))
+    if rem > 1e-15:
+        prop = _rk4_propagator(k_matrix, rem) @ prop
+    return psi @ prop.T
 
 
 def evolve_single(p: CavityParams, times) -> np.ndarray:
@@ -261,11 +267,8 @@ def _flip_and_pump(psi: np.ndarray) -> np.ndarray:
 
 
 def _excited_residual(psi: np.ndarray) -> float:
-    mask = np.zeros(16, dtype=bool)
-    for ia in range(4):
-        for ib in range(4):
-            if ia in _EXCITED or ib in _EXCITED:
-                mask[4 * ia + ib] = True
+    ia, ib = np.divmod(np.arange(16), 4)
+    mask = np.isin(ia, _EXCITED) | np.isin(ib, _EXCITED)
     return float(np.sqrt(np.max(np.sum(np.abs(psi[..., mask]) ** 2, axis=-1))))
 
 

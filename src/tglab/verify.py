@@ -10,6 +10,7 @@ deterministic in the seed.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -49,8 +50,7 @@ def _eq29_instance(rng, annot_kind=None, with_cherry=False):
     return g, centers, (nid if with_cherry else None)
 
 
-def _check_procedure(g, record, g_after) -> float:
-    state = build_state(g)
+def _check_procedure(state, record, g_after) -> float:
     p, post = project(state, record.measured_qubit, record.outcome_bit,
                       record.rotation.matrix())
     expected = record.probability if record.outcome_bit else 1.0 - record.probability
@@ -73,26 +73,20 @@ def procedures_vs_oracle(seed: int, cases: int) -> float:
             cherry = int(rng.integers(0, n))
             if cherry == 0 and n > 2:
                 cherry = 1
-            for outcome in (0, 1):
-                record, after = realign(g, cherry, outcome=outcome)
-                worst = max(worst, _check_procedure(g, record, after))
+            run = partial(realign, g, cherry)
         elif which == 1:
             g, _, cherry = _eq29_instance(rng, annot_kind=None, with_cherry=True)
-            for outcome in (0, 1):
-                record, after = realign(g, cherry, outcome=outcome)
-                worst = max(worst, _check_procedure(g, record, after))
-        elif which == 2:
-            g, _, _ = _eq29_instance(rng, annot_kind="partial" if rng.random() < 0.7 else None)
-            sign = int(rng.choice([-1, 1])) if rng.random() < 0.3 else None
-            for outcome in (0, 1):
-                record, after = merge(g, 0, sign=sign, outcome=outcome)
-                worst = max(worst, _check_procedure(g, record, after))
+            run = partial(realign, g, cherry)
         else:
-            g, _, _ = _eq29_instance(rng, annot_kind="weighted" if rng.random() < 0.7 else None)
+            kind = "partial" if which == 2 else "weighted"
+            g, _, _ = _eq29_instance(rng, annot_kind=kind if rng.random() < 0.7 else None)
             sign = int(rng.choice([-1, 1])) if rng.random() < 0.3 else None
-            for outcome in (0, 1):
-                record, after = bridge(g, 0, sign=sign, outcome=outcome)
-                worst = max(worst, _check_procedure(g, record, after))
+            procedure = merge if which == 2 else bridge
+            run = partial(procedure, g, 0, sign=sign)
+        state = build_state(g)
+        for outcome in (0, 1):
+            record, after = run(outcome=outcome)
+            worst = max(worst, _check_procedure(state, record, after))
     return worst
 
 
