@@ -237,10 +237,12 @@ def _cmd_compare(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int)
     epsilon = _take(section, "epsilon", float, default=1e-4, positive=True)
     nodes = _take(section, "nodes", int, default=2000, at_least=1)
     modes = [m.strip() for m in _take(section, "modes", str, default="3f2,exact").split(",")]
-    for mode in modes:
+    for k, mode in enumerate(modes):
         if mode not in MODES:
             raise ConfigError(f"modes: {mode!r} is not one of {', '.join(MODES)}",
                               section["modes"][1])
+        if mode in modes[:k]:
+            raise ConfigError(f"mode {mode!r} appears twice in modes", section["modes"][1])
     rows = [("mode", "epsilon", "p_postselect", "p_outside_window", "p_total",
              "p_outside_only")]
     for mode in modes:

@@ -27,8 +27,9 @@ click times; E(F^2) and its series take no other profile pair.
 Distribution-level quantities (the fidelity histogram and the post-selection
 comparison) integrate over the exact product-measure mixture decomposition
 of Q12 in profile-CDF coordinates, where every midpoint cell carries equal
-mass; a uniform grid of a few thousand nodes per axis resolves the 1e-4
-fidelity window.
+mass; a few thousand nodes per axis resolve the 1e-4 fidelity window.  F on
+the grid comes from per-axis density ratios, in row blocks of at most 2^16
+cells; rows and columns where a density vanishes hold F = 0, counted, not built.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .tilted_graph import QUARTER_PI
 
 MAX_F = 0.5
 MODES = ("3f2", "exact")       # first-attempt success models
+BLOCK_CELLS = 1 << 16          # grid cells evaluated at once, as oracle gathers
 
 
 @dataclass(frozen=True)
@@ -101,13 +103,6 @@ def expected_f(theta_a: float, theta_b: float, pa: LeakageProfile,
     th1, th2 = big_thetas(theta_a, theta_b)
     value = math.sqrt(th1 * th2) * overlap_integral(pa, pb) ** 2
     return ExpectationResult(value, "closed-form", 2.0 * RELATIVE_TOLERANCE * value)
-
-
-def _excess(x, y):
-    """Fidelity excess F = sqrt(X Y) / (X + Y), 0 where both terms vanish."""
-    s = x + y
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(s > 0.0, np.sqrt(x * y) / np.where(s > 0.0, s, 1.0), 0.0)
 
 
 def _sigmoid(z):
@@ -196,33 +191,49 @@ def efsq_first_order(theta_a: float, theta_b: float, pa: LeakageProfile,
 # Distribution-level quantities
 # ---------------------------------------------------------------------------
 
-def _mixture_cells(theta_a, theta_b, pa, pb, nodes):
-    """Yield (F values, per-cell mass) for both product-measure components."""
+def _grid_sum(theta_a, theta_b, pa, pb, nodes, per_block):
+    """Sum of per_block(F), additive over cells, on both product-measure components,
+    each weighted once by its cell mass.  F = 1/(w + 1/w) with w = sqrt(X/Y), a row
+    factor sqrt(Theta_1 P_A / Theta_2 P_B)(t1) times a column factor sqrt(P_B / P_A)(t2),
+    in row blocks of at most BLOCK_CELLS cells that reuse two buffers.  Rows and
+    columns where a density vanishes hold F = 0: their cells are counted, not built.
+    """
     if nodes < 1:
         raise QuadratureError(f"need at least 1 node per axis, got {nodes}")
     th1, th2 = big_thetas(theta_a, theta_b)
     u = (np.arange(nodes) + 0.5) / nodes
+    total = 0.0 * per_block(np.zeros(1))                 # a zero of per_block's shape
     for p1, p2, th in ((pa, pb, th1), (pb, pa, th2)):
         if th == 0.0:
             continue
         t1 = p1.inverse_cdf(u)
         t2 = p2.inverse_cdf(u)
-        x = th1 * np.outer(pa.density(t1), pb.density(t2))
-        y = th2 * np.outer(pb.density(t1), pa.density(t2))
-        cell = th * p1.total_mass * p2.total_mass / nodes**2
-        yield _excess(x, y).ravel(), cell
+        a, b, c, d = th1 * pa.density(t1), th2 * pb.density(t1), pb.density(t2), pa.density(t2)
+        rows, cols = (a > 0.0) & (b > 0.0), (c > 0.0) & (d > 0.0)
+        rows, cols = np.sqrt(a[rows]) / np.sqrt(b[rows]), np.sqrt(c[cols]) / np.sqrt(d[cols])
+        acc = per_block(np.zeros(1)) * (nodes**2 - rows.size * cols.size)   # F = 0 cells
+        step = max(1, BLOCK_CELLS // max(1, cols.size))
+        w, tmp = np.empty((2, min(step, rows.size), cols.size))
+        for lo in range(0, rows.size, step):
+            r = rows[lo:lo + step]
+            with np.errstate(over="ignore"):             # w = inf only where F < 1e-300
+                e = np.multiply.outer(r, cols, out=w[:r.size])
+            np.divide(1.0, e, out=e, where=e > 1.0)      # e = min(w, 1/w)
+            e /= np.add(1.0, np.square(e, out=tmp[:r.size]), out=tmp[:r.size])
+            acc = acc + per_block(e.ravel())
+        total = total + acc * (th * p1.total_mass * p2.total_mass / nodes**2)
+    return total
 
 
 def fidelity_histogram(theta_a: float, theta_b: float, pa: LeakageProfile, pb: LeakageProfile,
                        bins: int = 200, nodes: int = 1500) -> FidelityHistogram:
-    """Mass of each F-bin under the joint click density (sub-normalised)."""
+    """Mass of each F-bin under the joint click density (sub-normalised).  F comes
+    from per-axis density ratios in blocks; its zero-density cells fall in bin 0."""
     if bins < 10:
         raise QuadratureError(f"need at least 10 fidelity bins, got {bins}")
     edges = np.linspace(0.0, MAX_F, bins + 1)
-    masses = np.zeros(bins)
-    for f, cell in _mixture_cells(theta_a, theta_b, pa, pb, nodes):
-        hist, _ = np.histogram(np.clip(f, 0.0, MAX_F), bins=edges)
-        masses += hist * cell
+    masses = _grid_sum(theta_a, theta_b, pa, pb, nodes,
+                       lambda f: np.histogram(np.clip(f, 0.0, MAX_F, out=f), bins=edges)[0])
     return FidelityHistogram(edges, masses)
 
 
@@ -234,12 +245,18 @@ def first_attempt_success(f, mode: str):
     """
     if mode not in MODES:
         raise QuadratureError(f"unknown comparison mode {mode!r}")
-    f = np.asarray(f, dtype=float)
+    f2 = np.square(np.asarray(f, dtype=float))
     if mode == "3f2":
-        out = 3.0 * f**2
-    else:
-        out = 2.0 * f**2 + 2.0 * f**4 / (1.0 - np.minimum(2.0 * f**2, 0.5))
-    return float(out) if out.ndim == 0 else out
+        out = 3.0 * f2
+    else:                       # 2 (F^2 + F^4 / (1 - 2 F^2)), few block-sized temporaries
+        den = np.minimum(f2, 0.25)
+        den *= -2.0
+        den += 1.0
+        out = np.square(f2)
+        out /= den
+        out += f2
+        out *= 2.0
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def compare_strategies(pa: LeakageProfile, pb: LeakageProfile, epsilon: float,
@@ -248,17 +265,17 @@ def compare_strategies(pa: LeakageProfile, pb: LeakageProfile, epsilon: float,
 
     Both qubits enter untilted (theta = pi/4), as in the paper's Section IV.
     p_postselect is the window mass; p_outside_window adds the out-of-window
-    first-attempt successes to it; p_total is their sum.
+    first-attempt successes to it; p_total is their sum.  F comes from per-axis
+    density ratios in blocks; its zero-density cells take the same window test.
     """
     if not 0.0 < epsilon < math.inf:
         raise QuadratureError(f"window width must be positive and finite, got {epsilon}")
-    first_attempt_success(0.0, mode)
-    p_post = 0.0
-    p_out = 0.0
-    for f, cell in _mixture_cells(QUARTER_PI, QUARTER_PI, pa, pb, nodes):
-        win = f > MAX_F - epsilon
-        p_post += cell * int(np.count_nonzero(win))
-        p_out += cell * float(first_attempt_success(f[~win], mode).sum())
+    threshold = MAX_F - epsilon
+
+    def window_sums(f):         # [cells in the window, first-attempt successes outside it]
+        win = f > threshold
+        return np.array([np.count_nonzero(win), first_attempt_success(f[~win], mode).sum()])
+    p_post, p_out = map(float, _grid_sum(QUARTER_PI, QUARTER_PI, pa, pb, nodes, window_sums))
     p_outside_window = p_post + p_out
     return ComparisonReport(p_post, p_outside_window, p_post + p_outside_window,
                             p_out, epsilon, mode)
@@ -275,6 +292,7 @@ def resource_ratio(p_gate: float, n: float) -> float:
 
 def fidelity_value(theta_a: float, theta_b: float, pa: LeakageProfile, pb: LeakageProfile,
                    t1, t2):
-    """F = sqrt(XY)/(X+Y) at given click times (vectorised)."""
-    out = _excess(*joint_terms(t1, t2, DhContext(theta_a, theta_b, pa, pb)))
+    """F = sqrt(XY)/(X+Y) at given click times (vectorised), 0 where both terms vanish."""
+    x, y = joint_terms(t1, t2, DhContext(theta_a, theta_b, pa, pb))
+    out = np.sqrt(x * y) / np.where(x + y > 0.0, x + y, 1.0)
     return float(out) if np.ndim(out) == 0 else out

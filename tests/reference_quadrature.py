@@ -1,14 +1,26 @@
-"""Test-side reference: composite-Simpson quadrature on the square [0, t_max]^2.
+"""Test-side references: composite-Simpson quadrature on the square [0, t_max]^2,
+and the dense midpoint grid of the distribution-level metrics.
 
 The library reduces E(F^2) and its series to 1-d integrals over t1 - t2
 (tglab.metrics); this independent tensor-product Simpson rule checks them
 against their 2-d definitions, and checks the closed forms.  It doubles the panels per axis from 64 until two grids
 agree to the relative tolerance rtol, up to 2^13 panels.
+
+The library evaluates the fidelity grid of `compare_strategies` and
+`fidelity_histogram` from per-axis density ratios, in row blocks.  The dense
+path below builds the full nodes x nodes X, Y and F arrays from outer products
+of the densities and adds up the same window and bin counts: the blocked grid
+must reproduce its counts exactly, save where the dense X Y underflows (see
+positive_cell_mass), and its sums to rounding.
 """
+
+import math
 
 import numpy as np
 
 from tglab.errors import QuadratureError
+from tglab.heralding import big_thetas
+from tglab.metrics import MAX_F
 
 _MAX_PANELS = 1 << 12
 
@@ -36,3 +48,63 @@ def simpson_2d(f, t_max: float, rtol: float = 1e-9) -> float:
             return cur
         prev = cur
     raise QuadratureError(f"2-d Simpson did not reach rtol={rtol} within {n} panels")
+
+
+def dense_mixture_cells(theta_a, theta_b, pa, pb, nodes):
+    """Yield (F values, per-cell mass) for both product-measure components,
+    F = sqrt(X Y) / (X + Y) from dense outer products of the densities."""
+    th1, th2 = big_thetas(theta_a, theta_b)
+    u = (np.arange(nodes) + 0.5) / nodes
+    for p1, p2, th in ((pa, pb, th1), (pb, pa, th2)):
+        if th == 0.0:
+            continue
+        t1 = p1.inverse_cdf(u)
+        t2 = p2.inverse_cdf(u)
+        x = th1 * np.outer(pa.density(t1), pb.density(t2))
+        y = th2 * np.outer(pb.density(t1), pa.density(t2))
+        s = x + y
+        with np.errstate(invalid="ignore", divide="ignore"):
+            f = np.where(s > 0.0, np.sqrt(x * y) / np.where(s > 0.0, s, 1.0), 0.0)
+        yield f.ravel(), th * p1.total_mass * p2.total_mass / nodes**2
+
+
+def dense_fidelity_histogram(theta_a, theta_b, pa, pb, bins, nodes):
+    """The bin masses of `fidelity_histogram` on the dense grid."""
+    edges = np.linspace(0.0, MAX_F, bins + 1)
+    masses = np.zeros(bins)
+    for f, cell in dense_mixture_cells(theta_a, theta_b, pa, pb, nodes):
+        hist, _ = np.histogram(np.clip(f, 0.0, MAX_F), bins=edges)
+        masses += hist * cell
+    return masses
+
+
+def dense_compare_strategies(pa, pb, epsilon, mode, nodes):
+    """(p_postselect, p_outside_window, p_total, p_outside_only) on the dense grid."""
+    p_post = 0.0
+    p_out = 0.0
+    for f, cell in dense_mixture_cells(math.pi / 4, math.pi / 4, pa, pb, nodes):
+        win = f > MAX_F - epsilon
+        p_post += cell * int(np.count_nonzero(win))
+        f = f[~win]
+        success = 3.0 * f**2 if mode == "3f2" else (
+            2.0 * f**2 + 2.0 * f**4 / (1.0 - np.minimum(2.0 * f**2, 0.5)))
+        p_out += cell * float(success.sum())
+    p_outside_window = p_post + p_out
+    return p_post, p_outside_window, p_post + p_outside_window, p_out
+
+
+def positive_cell_mass(pa, pb, nodes):
+    """The mass of the untilted grid cells where Theta_1 P_A(t1), Theta_2 P_B(t1),
+    P_B(t2) and P_A(t2) are all positive: the window F > 0 in exact arithmetic.
+    The dense F is also 0 where X, Y or X Y underflows."""
+    th1, th2 = big_thetas(math.pi / 4, math.pi / 4)
+    u = (np.arange(nodes) + 0.5) / nodes
+    mass = 0.0
+    for p1, p2, th in ((pa, pb, th1), (pb, pa, th2)):
+        t1 = p1.inverse_cdf(u)
+        t2 = p2.inverse_cdf(u)
+        rows = (th1 * pa.density(t1) > 0.0) & (th2 * pb.density(t1) > 0.0)
+        cols = (pb.density(t2) > 0.0) & (pa.density(t2) > 0.0)
+        cells = int(np.count_nonzero(np.outer(rows, cols)))
+        mass += th * p1.total_mass * p2.total_mass / nodes**2 * cells
+    return mass

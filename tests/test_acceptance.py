@@ -230,6 +230,11 @@ nodes = 800
 profile_a = A
 profile_b = B
 grid = 3
+[fidelity-hist]
+profile_a = A
+profile_b = B
+bins = 20
+nodes = 300
 [grow]
 pool = A:24,B:24
 target_ghz_size = 8
@@ -241,15 +246,16 @@ join_nodes = 2
             assert cli_main(["grow", "--config", str(cfg), "--out", str(out)]) == 0
             assert cli_main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
             assert cli_main(["efsq-surface", "--config", str(cfg), "--out", str(out)]) == 0
+            assert cli_main(["fidelity-hist", "--config", str(cfg), "--out", str(out)]) == 0
             assert cli_main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
             outs.append(out)
         same = all((outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
                    for f in ("grow_rounds.csv", "grow_summary.csv", "compare.csv",
-                             "efsq_surface.csv", "verify.csv"))
+                             "efsq_surface.csv", "fidelity_hist.csv", "verify.csv"))
         # evaluation-order independence stands in for parallel execution
         prof = {f"c{i:02d}": CriticallyDamped(10.0 + 0.2 * i) for i in range(12)}
         scfg = StrategyConfig(profiles=prof, seed=4242, target_ghz_size=4)
         order_free = run_phase1(scfg)[0] == run_phase1(scfg, scan_reverse=True)[0]
         ok = same and order_free
-        report(9, ok, "grow, compare, efsq-surface and verify byte-identical across runs; phase-1 "
-                      "results independent of pair evaluation order")
+        report(9, ok, "grow, compare, efsq-surface, fidelity-hist and verify byte-identical "
+                      "across runs; phase-1 results independent of pair evaluation order")

@@ -284,6 +284,12 @@ class TestMainExitCodes:
     def test_bad_pool_entries_are_config_errors(self, tmp_path, capsys, new):
         assert_config_error(tmp_path, capsys, "grow", GOOD.replace("pool = A:24,B:24", new), new)
 
+    @pytest.mark.parametrize("new", ["modes = 3f2, 3f2", "modes = exact,3f2,exact"],
+                             ids=["same-mode-twice", "repeat-after-another"])
+    def test_repeated_compare_modes_are_config_errors(self, tmp_path, capsys, new):
+        # each mode evaluates the whole grid; a repeat would only write a duplicate row
+        assert_config_error(tmp_path, capsys, "compare", GOOD.replace("modes = 3f2", new), new)
+
     def test_idempotent_outputs(self, cfg_path, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

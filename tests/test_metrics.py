@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from tglab.errors import QuadratureError
 from tglab.heralding import DhContext, big_thetas, sample_clicks_array, success_probability
 from tglab.leakage import CriticallyDamped, tabulate_profile
 from tglab.metrics import (
+    MODES,
     compare_strategies,
     efsq_first_order,
     efsq_series,
@@ -261,6 +264,103 @@ class TestCompareStrategies:
         outs = [r.p_outside_only for r in reps]
         assert all(a <= b + 1e-12 for a, b in zip(posts, posts[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(outs, outs[1:]))
+
+
+# The README pair, its 2049-point tabulated twin (P_B is 0 on (1.6, 2.0]),
+# a near-identical pair, and two far-apart pairs whose densities underflow.
+GRID_PAIRS = {
+    "readme": (PA, PB),
+    "csv-2049": (tabulate_profile(PA, 2049), tabulate_profile(PB, 2049)),
+    "g-3-3.1": (CriticallyDamped(3.0), CriticallyDamped(3.1)),
+    "g-0.5-40": (CriticallyDamped(0.5), CriticallyDamped(40.0)),
+    "g-0.05-80": (CriticallyDamped(0.05), CriticallyDamped(80.0)),
+}
+FAR_APART = ("g-0.5-40", "g-0.05-80")
+GRID_NODES = 500          # four row blocks per component, the last one short
+
+
+def assert_close(got, want, rel=1e-14):
+    assert abs(got - want) <= rel * abs(want), (got, want)
+
+
+class TestAgainstDenseGrid:
+    """The blocked per-axis grid against the dense outer-product grid."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("pair, epsilon", [
+        (pair, eps) for pair in GRID_PAIRS for eps in (1e-4, 0.5, 0.7)
+        if not (pair in FAR_APART and eps == 0.5)])
+    def test_compare_matches(self, pair, epsilon, mode):
+        from reference_quadrature import dense_compare_strategies
+        pa, pb = GRID_PAIRS[pair]
+        rep = compare_strategies(pa, pb, epsilon, mode, nodes=GRID_NODES)
+        post, out_window, total, out_only = dense_compare_strategies(pa, pb, epsilon, mode,
+                                                                     GRID_NODES)
+        assert rep.p_postselect == post
+        assert_close(rep.p_outside_window, out_window)
+        assert_close(rep.p_total, total)
+        assert_close(rep.p_outside_only, out_only)
+
+    @pytest.mark.parametrize("pair", FAR_APART)
+    def test_window_above_zero_keeps_cells_the_dense_grid_underflows(self, pair):
+        # At epsilon = 1/2 the window is F > 0.  Far apart, the dense grid's
+        # X, Y or X Y underflows to 0 in some cells whose densities are all
+        # positive; the blocked grid keeps them (F ~ 1e-160 there).
+        from reference_quadrature import dense_compare_strategies, positive_cell_mass
+        pa, pb = GRID_PAIRS[pair]
+        for mode in MODES:
+            rep = compare_strategies(pa, pb, 0.5, mode, nodes=GRID_NODES)
+            dense = dense_compare_strategies(pa, pb, 0.5, mode, GRID_NODES)
+            assert rep.p_postselect == positive_cell_mass(pa, pb, GRID_NODES)
+            assert dense[0] <= rep.p_postselect
+            assert rep.p_outside_only == dense[3] == 0.0
+
+    @pytest.mark.parametrize("thetas", [(QUARTER_PI, QUARTER_PI), (0.6, 1.0), (0.0, 1.0)])
+    @pytest.mark.parametrize("pair", GRID_PAIRS)
+    def test_histogram_matches(self, pair, thetas):
+        from reference_quadrature import dense_fidelity_histogram
+        pa, pb = GRID_PAIRS[pair]
+        hist = fidelity_histogram(*thetas, pa, pb, bins=200, nodes=GRID_NODES)
+        assert np.array_equal(hist.masses,
+                              dense_fidelity_histogram(*thetas, pa, pb, 200, GRID_NODES))
+
+    @pytest.mark.parametrize("pair", ["readme", "csv-2049"])
+    def test_command_defaults_match(self, pair):
+        # the node counts `compare` and `fidelity-hist` run with
+        from reference_quadrature import dense_compare_strategies, dense_fidelity_histogram
+        pa, pb = GRID_PAIRS[pair]
+        for mode in MODES:
+            rep = compare_strategies(pa, pb, 1e-4, mode, nodes=2000)
+            post, out_window, total, out_only = dense_compare_strategies(pa, pb, 1e-4, mode, 2000)
+            assert rep.p_postselect == post
+            assert_close(rep.p_outside_window, out_window)
+            assert_close(rep.p_total, total)
+            assert_close(rep.p_outside_only, out_only)
+        hist = fidelity_histogram(QUARTER_PI, QUARTER_PI, pa, pb, bins=200, nodes=1500)
+        assert np.array_equal(hist.masses,
+                              dense_fidelity_histogram(QUARTER_PI, QUARTER_PI, pa, pb, 200, 1500))
+
+
+def test_grid_peak_allocation_stays_small():
+    # a dense 2000 x 2000 grid takes 238 MB, a 1500 x 1500 one 107 MB
+    pa, pb = CriticallyDamped(10.0), CriticallyDamped(12.5)
+    tracemalloc.start()
+    try:
+        compare_strategies(pa, pb, 1e-4, "exact", nodes=2000)
+        compare_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        fidelity_histogram(QUARTER_PI, QUARTER_PI, pa, pb, nodes=1500)
+        hist_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert compare_peak < 16 * 2**20
+    assert hist_peak < 16 * 2**20
 
 
 class TestResourceRatio:
