@@ -209,12 +209,10 @@ def _cmd_efsq_surface(cfg: ExperimentConfig, section: dict, out_dir: Path, seed:
     pb = _profile_ref(cfg, section, "profile_b", "efsq-surface")
     grid = _take(section, "grid", int, default=21, at_least=2)
     svals = np.linspace(0.02, 0.98, grid)
+    sa, sb = np.meshgrid(svals, svals, indexing="ij")
+    efsq = expected_f_sq(np.arcsin(np.sqrt(sa)), np.arcsin(np.sqrt(sb)), pa, pb).value
     rows = [("sin2_theta_a", "sin2_theta_b", "efsq")]
-    for sa in svals:
-        ta = math.asin(math.sqrt(sa))
-        for sb in svals:
-            tb = math.asin(math.sqrt(sb))
-            rows.append((sa, sb, expected_f_sq(ta, tb, pa, pb).value))
+    rows += zip(sa.ravel(), sb.ravel(), efsq.ravel())
     return [emit_csv(rows, out_dir / "efsq_surface.csv")]
 
 
@@ -245,11 +243,10 @@ def _cmd_compare(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int)
             raise ConfigError(f"mode {mode!r} appears twice in modes", section["modes"][1])
     rows = [("mode", "epsilon", "p_postselect", "p_outside_window", "p_total",
              "p_outside_only")]
-    for mode in modes:
-        rep = compare_strategies(pa, pb, epsilon, mode, nodes=nodes)
-        rows.append((mode, rep.epsilon, rep.p_postselect, rep.p_outside_window,
+    for rep in compare_strategies(pa, pb, epsilon, modes, nodes=nodes):
+        rows.append((rep.mode, rep.epsilon, rep.p_postselect, rep.p_outside_window,
                      rep.p_total, rep.p_outside_only))
-        print(f"{mode:>6s}: P(post-select) = {rep.p_postselect:.4f}   "
+        print(f"{rep.mode:>6s}: P(post-select) = {rep.p_postselect:.4f}   "
               f"P(out-window) = {rep.p_outside_window:.4f}   "
               f"P(total) = {rep.p_total:.4f}")
     return [emit_csv(rows, out_dir / "compare.csv")]

@@ -230,44 +230,64 @@ def save_profile_csv(profile: LeakageProfile, path, points: int = 4097) -> Path:
 # ---------------------------------------------------------------------------
 
 # Every library integral runs to this relative tolerance, starting from this
-# many Simpson panels.
+# many Simpson panels.  At most BLOCK_CELLS integrand values (batch elements
+# times nodes) are evaluated at once, here and in the metrics grids.
 RELATIVE_TOLERANCE = 1e-9
 START_PANELS = 64
+BLOCK_CELLS = 1 << 16
 
 
-def _simpson_weights(n: int) -> np.ndarray:
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w
+def _node_sum(f, first: int, n: int, step: float, shape: tuple, chunk: int) -> np.ndarray:
+    """Sum over the last axis of f at the nodes k step, k = first, first + 2, ... < n,
+    built and evaluated chunk nodes at a time."""
+    total = np.zeros(shape)
+    for lo in range(first, n, 2 * chunk):
+        t = np.arange(lo, min(n, lo + 2 * chunk), 2) * step
+        vals = np.asarray(f(t), dtype=float)
+        if vals.shape != shape + t.shape:
+            raise QuadratureError("integrand must return an array of shape (..., len(t)), "
+                                  "the same batch shape on every call")
+        total += vals.sum(axis=-1)
+    return total
 
 
-def _simpson_value(f, t_max: float, n: int) -> float:
-    t = np.linspace(0.0, t_max, n + 1)
-    w = _simpson_weights(n) * (t_max / n / 3.0)
-    vals = np.asarray(f(t), dtype=float)
-    if vals.shape != t.shape:
-        raise QuadratureError("integrand must return an array matching its input grid")
-    return float(np.dot(w, vals))
-
-
-def integrate(f, t_max: float) -> float:
+def integrate(f, t_max: float):
     """Deterministic integral of f over [0, t_max] to RELATIVE_TOLERANCE (1e-9).
 
-    f must be vectorised: it maps an array of times to densities.  Panels
-    double from START_PANELS until successive Simpson grids agree;
-    disagreement still at 2^21 panels raises QuadratureError.
+    f must be vectorised: it maps a 1-d array t of times to values of shape
+    (..., len(t)), the last axis being time, so one call integrates a whole
+    batch of integrands; a scalar integrand is the batch of shape ().  The
+    result has the batch shape: a float for a scalar integrand, else an ndarray.
+
+    Composite Simpson, nested: panels double from START_PANELS, each level
+    evaluating f only at its new (odd) nodes and keeping running sums of the
+    end, odd and even nodes, at most BLOCK_CELLS values per call of f.  The
+    doubling stops when every element of two successive levels agrees,
+    |cur - prev| <= 1e-9 max(|cur|, |prev|); disagreement still at 2^21
+    panels raises QuadratureError.
     """
     if not (np.isfinite(t_max) and t_max > 0):
         raise QuadratureError(f"t_max must be positive and finite, got {t_max}")
+    ends = np.asarray(f(np.array([0.0, t_max])), dtype=float)
+    if ends.shape[-1:] != (2,):
+        raise QuadratureError("integrand must return an array of shape (..., len(t))")
+    shape = ends.shape[:-1]
+    chunk = max(1, BLOCK_CELLS // max(1, math.prod(shape)))
+    ends = ends.sum(axis=-1)
     n = START_PANELS
-    prev = _simpson_value(f, t_max, n)
+    step = t_max / n
+    even = _node_sum(f, 2, n, step, shape, chunk)
+    odd = _node_sum(f, 1, n, step, shape, chunk)
+    prev = (ends + 4.0 * odd + 2.0 * even) * (step / 3.0)
     while n <= 1 << 20:
         n *= 2
-        cur = _simpson_value(f, t_max, n)
-        scale = max(abs(cur), abs(prev), 1e-300)
-        if abs(cur - prev) <= RELATIVE_TOLERANCE * scale:
-            return cur
+        step = t_max / n
+        even += odd
+        odd = _node_sum(f, 1, n, step, shape, chunk)
+        cur = (ends + 4.0 * odd + 2.0 * even) * (step / 3.0)
+        scale = np.maximum(np.maximum(abs(cur), abs(prev)), 1e-300)
+        if np.all(abs(cur - prev) <= RELATIVE_TOLERANCE * scale):
+            return float(cur) if cur.ndim == 0 else cur
         prev = cur
     raise QuadratureError(f"quadrature did not reach rtol={RELATIVE_TOLERANCE} within {n} panels")
 

@@ -22,14 +22,18 @@ and S = log(U/V): E(F^2) = Theta_2 E_V[sigma(S + log Theta_1/Theta_2)],
 I_n = E_V[sigma(S) sigma(-S)^n] and J_n (U for V in I_n's numerator) =
 E_V[sigma(S)^(n+1)].  For critically damped profiles S = 2 (g_B - g_A)
 (t1 - t2), so each is a 1-d integral over the difference of two Gamma(3)
-click times; E(F^2) and its series take no other profile pair.
+click times; E(F^2) and its series take no other profile pair.  Each is one
+batched `leakage.integrate` call per sign of t1 - t2, over every tilt pair of
+an `expected_f_sq` call or every order of a `series_moments` call: nested
+Simpson levels, new nodes only, at most BLOCK_CELLS integrand values at once.
 
 Distribution-level quantities (the fidelity histogram and the post-selection
 comparison) integrate over the exact product-measure mixture decomposition
 of Q12 in profile-CDF coordinates, where every midpoint cell carries equal
 mass; a few thousand nodes per axis resolve the 1e-4 fidelity window.  F on
-the grid comes from per-axis density ratios, in row blocks of at most 2^16
-cells; rows and columns where a density vanishes hold F = 0, counted, not built.
+the grid comes from per-axis density ratios, in row blocks of at most
+BLOCK_CELLS = 2^16 cells; rows and columns where a density vanishes hold F = 0,
+counted, not built.  One grid pass serves every first-attempt success mode.
 """
 
 from __future__ import annotations
@@ -41,13 +45,12 @@ import numpy as np
 
 from .errors import QuadratureError
 from .heralding import DhContext, big_thetas, joint_terms
-from .leakage import (RELATIVE_TOLERANCE, CriticallyDamped, LeakageProfile,
+from .leakage import (BLOCK_CELLS, RELATIVE_TOLERANCE, CriticallyDamped, LeakageProfile,
                       critically_damped_difference_density, integrate, overlap_integral)
 from .tilted_graph import QUARTER_PI
 
 MAX_F = 0.5
 MODES = ("3f2", "exact")       # first-attempt success models
-BLOCK_CELLS = 1 << 16          # grid cells evaluated at once, as oracle gathers
 
 
 @dataclass(frozen=True)
@@ -106,13 +109,17 @@ def expected_f(theta_a: float, theta_b: float, pa: LeakageProfile,
 
 
 def _sigmoid(z):
-    """The logistic function 1 / (1 + e^-z), free of overflow."""
-    return np.exp(-np.logaddexp(0.0, -z))
+    """The logistic function 1 / (1 + e^-z), free of overflow, in one buffer."""
+    out = np.negative(z)
+    np.logaddexp(0.0, out, out=out)
+    np.negative(out, out=out)
+    return np.exp(out, out=out)
 
 
-def _expectation_v(kernel, pa, pb, what: str) -> float:
+def _expectation_v(kernel, pa, pb, what: str):
     """E_V[kernel(S)] for two critically damped profiles: S = 2 (g_B - g_A) D
     with D = t1 - t2, one integral over |D| per sign of D, so each is smooth.
+    kernel maps a 1-d array s to shape (..., len(s)), a batch integrated at once.
     """
     if not (isinstance(pa, CriticallyDamped) and isinstance(pb, CriticallyDamped)):
         raise QuadratureError(f"{what} needs two critically damped profiles, got {pa!r}, {pb!r}")
@@ -124,28 +131,47 @@ def _expectation_v(kernel, pa, pb, what: str) -> float:
     return above + below
 
 
-def expected_f_sq(theta_a: float, theta_b: float, pa: LeakageProfile,
+def _thetas(theta_a, theta_b):
+    """(Theta_1, Theta_2) as arrays broadcast over finite tilts, from big_thetas."""
+    if not (np.all(np.isfinite(theta_a)) and np.all(np.isfinite(theta_b))):
+        raise QuadratureError("tilts must be finite")
+    return np.vectorize(big_thetas, otypes=[float, float])(theta_a, theta_b)
+
+
+def expected_f_sq(theta_a, theta_b, pa: LeakageProfile,
                   pb: LeakageProfile) -> ExpectationResult:
-    """E(F^2) = Theta_2 E_V[sigma(S + log Theta_1/Theta_2)] (critically damped pair)."""
-    th1, th2 = big_thetas(theta_a, theta_b)
-    if th1 == 0.0 or th2 == 0.0:
-        return ExpectationResult(0.0, "quadrature", 0.0)
-    shift = math.log(th1 / th2)
-    value = th2 * _expectation_v(lambda s: _sigmoid(s + shift), pa, pb, "E(F^2)")
+    """E(F^2) = Theta_2 E_V[sigma(S + log Theta_1/Theta_2)] (critically damped pair).
+
+    Tilts may be arrays, broadcast together; one batched integral covers every
+    entry.  The value is a float for scalar tilts and an ndarray otherwise;
+    entries with Theta_1 = 0 or Theta_2 = 0 are 0.
+    """
+    th1, th2 = _thetas(theta_a, theta_b)
+    live = (th1 > 0.0) & (th2 > 0.0)
+    value = np.zeros(th1.shape)
+    if live.any():
+        shift = np.log(th1[live] / th2[live])[:, None]
+        value[live] = th2[live] * _expectation_v(lambda s: _sigmoid(s + shift), pa, pb, "E(F^2)")
+    value = float(value) if value.ndim == 0 else value
     return ExpectationResult(value, "quadrature", 2.0 * RELATIVE_TOLERANCE * value)
 
 
 def series_moments(pa: LeakageProfile, pb: LeakageProfile, max_order: int,
                    numerator: str = "V") -> np.ndarray:
-    """I_n (numerator "V") or J_n (numerator "U") moments up to max_order."""
+    """I_n (numerator "V") or J_n (numerator "U") moments up to max_order, all
+    orders in one batched integral."""
+    if numerator not in ("U", "V"):
+        raise QuadratureError(f"series numerator must be 'V' or 'U', got {numerator!r}")
+    if max_order < 0:
+        raise QuadratureError(f"series order must be at least 0, got {max_order}")
     sign = -1.0 if numerator == "V" else 1.0
-    return np.array([_expectation_v(lambda s: _sigmoid(s) * _sigmoid(sign * s) ** n,
-                                    pa, pb, "series moments")
-                     for n in range(max_order + 1)])
+    orders = np.arange(max_order + 1)[:, None]
+    return _expectation_v(lambda s: _sigmoid(s) * _sigmoid(sign * s) ** orders,
+                          pa, pb, "series moments")
 
 
 def _series_region(theta_a: float, theta_b: float) -> tuple[str, float, float]:
-    th1, th2 = big_thetas(theta_a, theta_b)
+    th1, th2 = map(float, _thetas(theta_a, theta_b))
     if th1 == 0.0 or th2 == 0.0:
         raise QuadratureError("degenerate tilts lie outside both series regions")
     k_i = th1 / th2 - 1.0
@@ -177,7 +203,7 @@ def efsq_first_order(theta_a: float, theta_b: float, pa: LeakageProfile,
     Up to the constant I_0 this is independent of the leakage profiles
     (I_1 = I_0/2 needs no extra integration).
     """
-    th1, th2 = big_thetas(theta_a, theta_b)
+    th1, th2 = map(float, _thetas(theta_a, theta_b))
     th_l, th_s = max(th1, th2), min(th1, th2)
     if th_s == 0.0:
         return ExpectationResult(0.0, "series1", 0.0)
@@ -260,25 +286,30 @@ def first_attempt_success(f, mode: str):
 
 
 def compare_strategies(pa: LeakageProfile, pb: LeakageProfile, epsilon: float,
-                       mode: str = "3f2", nodes: int = 2000) -> ComparisonReport:
-    """Post-selection versus adaptive growth on the first merge/bridge attempt.
+                       modes=MODES, nodes: int = 2000) -> list[ComparisonReport]:
+    """Post-selection versus adaptive growth on the first merge/bridge attempt,
+    one report per first-attempt success mode, in the order of modes.
 
     Both qubits enter untilted (theta = pi/4), as in the paper's Section IV.
     p_postselect is the window mass; p_outside_window adds the out-of-window
     first-attempt successes to it; p_total is their sum.  F comes from per-axis
-    density ratios in blocks; its zero-density cells take the same window test.
+    density ratios in blocks, one grid pass for all modes; its zero-density
+    cells take the same window test.
     """
     if not 0.0 < epsilon < math.inf:
         raise QuadratureError(f"window width must be positive and finite, got {epsilon}")
+    if isinstance(modes, str):
+        raise QuadratureError(f"modes is a sequence of mode names, got the string {modes!r}")
     threshold = MAX_F - epsilon
 
-    def window_sums(f):         # [cells in the window, first-attempt successes outside it]
+    def window_sums(f):         # [cells in the window, each mode's successes outside it]
         win = f > threshold
-        return np.array([np.count_nonzero(win), first_attempt_success(f[~win], mode).sum()])
-    p_post, p_out = map(float, _grid_sum(QUARTER_PI, QUARTER_PI, pa, pb, nodes, window_sums))
-    p_outside_window = p_post + p_out
-    return ComparisonReport(p_post, p_outside_window, p_post + p_outside_window,
-                            p_out, epsilon, mode)
+        out = f[~win]
+        return np.array([np.count_nonzero(win)]
+                        + [first_attempt_success(out, mode).sum() for mode in modes])
+    p_post, *p_outs = map(float, _grid_sum(QUARTER_PI, QUARTER_PI, pa, pb, nodes, window_sums))
+    return [ComparisonReport(p_post, p_post + p_out, p_post + (p_post + p_out), p_out,
+                             epsilon, mode) for mode, p_out in zip(modes, p_outs)]
 
 
 def resource_ratio(p_gate: float, n: float) -> float:

@@ -1,5 +1,12 @@
-"""Test-side references: composite-Simpson quadrature on the square [0, t_max]^2,
-and the dense midpoint grid of the distribution-level metrics.
+"""Test-side references: the per-point doubling Simpson rule and the per-point
+E(F^2) it gave, composite-Simpson quadrature on the square [0, t_max]^2, and
+the dense midpoint grid of the distribution-level metrics.
+
+`tglab.leakage.integrate` integrates a batch of integrands at once on nested
+levels, evaluating only the new nodes of each level.  simpson_doubling is the
+rule it replaced: one integrand, every node of each level evaluated again, a
+fresh weighted sum per level.  per_point_expected_f_sq is `expected_f_sq` as it
+was before the batch: one pair of such integrals per tilt pair.
 
 The library reduces E(F^2) and its series to 1-d integrals over t1 - t2
 (tglab.metrics); this independent tensor-product Simpson rule checks them
@@ -20,17 +27,62 @@ import numpy as np
 
 from tglab.errors import QuadratureError
 from tglab.heralding import big_thetas
+from tglab.leakage import critically_damped_difference_density
 from tglab.metrics import MAX_F
 
 _MAX_PANELS = 1 << 12
 
 
-def _simpson_2d(f, t_max: float, n: int) -> float:
+def _simpson_nodes(t_max: float, n: int):
+    """Nodes and weights of the composite Simpson rule with n panels on [0, t_max]."""
     t = np.linspace(0.0, t_max, n + 1)
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     w *= t_max / n / 3.0
+    return t, w
+
+
+def _simpson_value(f, t_max: float, n: int) -> float:
+    t, w = _simpson_nodes(t_max, n)
+    return float(np.dot(w, np.asarray(f(t), dtype=float)))
+
+
+def simpson_doubling(f, t_max: float, rtol: float = 1e-9) -> float:
+    """Integral of a scalar integrand f over [0, t_max]: Simpson panels double
+    from 64 until two levels agree to rtol, up to 2^21 panels."""
+    n = 64
+    prev = _simpson_value(f, t_max, n)
+    while n <= 1 << 20:
+        n *= 2
+        cur = _simpson_value(f, t_max, n)
+        if abs(cur - prev) <= rtol * max(abs(cur), abs(prev), 1e-300):
+            return cur
+        prev = cur
+    raise QuadratureError(f"Simpson doubling did not reach rtol={rtol} within {n} panels")
+
+
+def per_point_expected_f_sq(theta_a, theta_b, pa, pb) -> float:
+    """E(F^2) = Theta_2 E_V[sigma(S + log Theta_1/Theta_2)] for one tilt pair of
+    a critically damped pair, by two simpson_doubling integrals over |t1 - t2|."""
+    th1, th2 = big_thetas(theta_a, theta_b)
+    if th1 == 0.0 or th2 == 0.0:
+        return 0.0
+    shift = math.log(th1 / th2)
+    slope = 2.0 * (pb.g - pa.g)
+
+    def sigmoid(z):
+        return np.exp(-np.logaddexp(0.0, -z))
+
+    above = simpson_doubling(lambda r: critically_damped_difference_density(pb.g, pa.g, r)
+                             * sigmoid(slope * r + shift), pb.t_max)
+    below = simpson_doubling(lambda r: critically_damped_difference_density(pa.g, pb.g, r)
+                             * sigmoid(-slope * r + shift), pa.t_max)
+    return th2 * (above + below)
+
+
+def _simpson_2d(f, t_max: float, n: int) -> float:
+    t, w = _simpson_nodes(t_max, n)
     # the integrand must broadcast: t1 is a column, t2 a row
     vals = np.asarray(f(t[:, None], t[None, :]), dtype=float)
     vals = np.broadcast_to(vals, (t.size, t.size))

@@ -43,8 +43,7 @@ def report(criterion, ok, detail):
 class TestAcceptance:
     def test_criterion_1_section_iv_reproduction(self):
         t0 = time.time()
-        approx = compare_strategies(PA, PB, 1e-4, "3f2")
-        exact = compare_strategies(PA, PB, 1e-4, "exact")
+        approx, exact = compare_strategies(PA, PB, 1e-4, ("3f2", "exact"))
         elapsed = time.time() - t0
         ok = (abs(approx.p_postselect - 0.033) <= 0.003
               and abs(approx.p_outside_window - 0.357) <= 0.005

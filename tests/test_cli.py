@@ -128,6 +128,15 @@ class TestCommands:
         (art,) = run_command("efsq-surface", cfg, tmp_path / "out")
         lines = art.read_text().splitlines()
         assert len(lines) == 4 * 4 + 1
+        # rows run over sin^2 theta_b within sin^2 theta_a, each its own E(F^2)
+        from reference_quadrature import per_point_expected_f_sq
+        svals = np.linspace(0.02, 0.98, 4)
+        rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+        assert [r[:2] for r in rows] == [(sa, sb) for sa in svals for sb in svals]
+        for sa, sb, efsq in rows:
+            want = per_point_expected_f_sq(np.arcsin(np.sqrt(sa)), np.arcsin(np.sqrt(sb)),
+                                           cfg.profiles["A"], cfg.profiles["B"])
+            assert efsq == pytest.approx(want, rel=1e-9)
 
     def test_fidelity_hist_masses(self, cfg_path, tmp_path):
         cfg = parse_config(cfg_path)

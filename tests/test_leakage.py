@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,51 @@ class TestIntegrate:
     def test_window_validation(self, t_max):
         with pytest.raises(QuadratureError):
             integrate(lambda t: np.ones_like(t), t_max)
+
+    def test_integrand_shape_enforced(self):
+        with pytest.raises(QuadratureError):
+            integrate(lambda t: 1.0, 1.0)
+        with pytest.raises(QuadratureError):       # the batch shape changes between calls
+            integrate(lambda t: np.ones((t.size % 3 + 1, t.size)), 1.0)
+
+    def test_batch_matches_per_integrand_doubling(self):
+        # the nested batched rule against the per-integrand doubling it replaced
+        from reference_quadrature import simpson_doubling
+        rates = np.array([0.5, 3.0, 10.0, 40.0])
+        powers = np.arange(3)
+
+        def f(t):
+            return t ** powers[:, None, None] * np.exp(-rates[:, None] * t)
+
+        got = integrate(f, 1.0)
+        assert isinstance(got, np.ndarray) and got.shape == (3, 4)
+        for k in powers:
+            for j, rate in enumerate(rates):
+                want = simpson_doubling(lambda t: t**k * np.exp(-rate * t), 1.0)
+                assert abs(got[k, j] - want) <= 1e-9 * abs(want)
+        assert type(integrate(lambda t: np.exp(-t), 1.0)) is float
+
+    def test_every_element_meets_the_stopping_rule(self):
+        # a huge constant agrees at once; a small fast oscillation needs far
+        # more panels, and the batch must double until it agrees as well
+        from reference_quadrature import simpson_doubling
+        k = 300.0
+        big, slow = integrate(lambda t: np.stack([np.full_like(t, 1e9), np.cos(k * t)]), 1.0)
+        assert big == pytest.approx(1e9, rel=1e-15)
+        assert slow == pytest.approx(math.sin(k) / k, rel=1e-9)
+        assert slow == pytest.approx(simpson_doubling(lambda t: np.cos(k * t), 1.0), rel=1e-9)
+
+    def test_nonconvergent_batch_stays_in_small_memory(self):
+        # at 2^21 panels the new nodes of a batch of 4 take 32 MB in one piece
+        freqs = 2.0e9 * np.arange(1, 5)[:, None]
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuadratureError, match="did not reach"):
+                integrate(lambda t: np.sin(freqs * t) * t, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestOverlapIntegral:

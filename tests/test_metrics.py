@@ -131,10 +131,61 @@ class TestExpectedFSq:
         with pytest.raises(QuadratureError, match="critically damped"):
             expected_f_sq(0.7, 0.8, pa, pb)
         with pytest.raises(QuadratureError, match="critically damped"):
+            expected_f_sq(np.array([0.7, 0.3]), np.array([[0.8], [1.1]]), pa, pb)
+        with pytest.raises(QuadratureError, match="critically damped"):
             series_moments(pa, pb, 3)
 
 
+    def test_surface_matches_per_point_doubling(self):
+        # the 21 x 21 `efsq-surface` grid in one batched call against the
+        # per-point doubling Simpson, one pair of integrals per tilt pair
+        from reference_quadrature import per_point_expected_f_sq
+        theta = np.arcsin(np.sqrt(np.linspace(0.02, 0.98, 21)))
+        got = expected_f_sq(theta[:, None], theta[None, :], PA, PB).value
+        want = np.array([[per_point_expected_f_sq(ta, tb, PA, PB) for tb in theta]
+                         for ta in theta])
+        assert got.shape == (21, 21)
+        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+
+    def test_array_tilts_broadcast(self):
+        res = expected_f_sq(np.array([0.0, 0.7, 1.2]), np.array([[0.0], [0.8]]), PA, PB)
+        assert isinstance(res.value, np.ndarray) and res.value.shape == (2, 3)
+        assert np.all(res.value[0] == 0.0) and np.all(res.value[:, 0] == 0.0)
+        for j, ta in ((1, 0.7), (2, 1.2)):
+            scalar = expected_f_sq(ta, 0.8, PA, PB)
+            assert type(scalar.value) is float
+            assert res.value[1, j] == pytest.approx(scalar.value, rel=1e-9)
+            assert res.estimated_error[1, j] == pytest.approx(scalar.estimated_error, rel=1e-9)
+
+    @pytest.mark.parametrize("thetas", [(math.nan, 0.3), (0.3, math.inf), (-math.inf, 0.3),
+                                        (np.array([0.7, math.nan]), 0.3)], ids=str)
+    def test_non_finite_tilts_rejected_before_integrating(self, thetas, monkeypatch):
+        def integrate(f, t_max):
+            raise AssertionError("integrated non-finite tilts")
+
+        monkeypatch.setattr("tglab.metrics.integrate", integrate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match="finite"):
+                expected_f_sq(*thetas, PA, PB)
+            if np.ndim(thetas[0]) == 0:
+                with pytest.raises(QuadratureError, match="finite"):
+                    efsq_series(*thetas, PA, PB, 4)
+                with pytest.raises(QuadratureError, match="finite"):
+                    efsq_first_order(*thetas, PA, PB)
+
+
 class TestSeries:
+    def test_unknown_numerator_rejected(self):
+        with pytest.raises(QuadratureError, match="numerator"):
+            series_moments(PA, PB, 3, numerator="X")
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(QuadratureError, match="order"):
+            efsq_series(0.7, 0.8, PA, PB, -1)
+        with pytest.raises(QuadratureError, match="order"):
+            series_moments(PA, PB, -1)
+
     def test_i1_is_half_i0(self):
         mom = series_moments(PA, PB, 1)
         assert mom[1] / mom[0] == pytest.approx(0.5, abs=1e-9)
@@ -210,7 +261,7 @@ class TestFidelityHistogram:
         assert hist.masses[:-1].sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_window_mass_reproduces_postselect_number(self):
-        mass = compare_strategies(PA, PB, 1e-4, nodes=2000).p_postselect
+        mass = compare_strategies(PA, PB, 1e-4, nodes=2000)[0].p_postselect
         assert mass == pytest.approx(0.033, abs=0.003)
 
     def test_bin_count_enforced(self):
@@ -232,18 +283,30 @@ class TestFidelityHistogram:
 
 class TestCompareStrategies:
     def test_3f2_mode_reproduces_reported_numbers(self):
-        rep = compare_strategies(PA, PB, 1e-4, "3f2")
+        (rep,) = compare_strategies(PA, PB, 1e-4, ("3f2",))
         assert rep.p_postselect == pytest.approx(0.033, abs=0.003)
         assert rep.p_outside_window == pytest.approx(0.357, abs=0.005)
         assert rep.p_total == pytest.approx(0.390, abs=0.006)
         assert rep.p_total == pytest.approx(rep.p_postselect + rep.p_outside_window, abs=1e-12)
 
     def test_exact_mode_reported_alongside(self):
-        rep = compare_strategies(PA, PB, 1e-4, "exact")
+        approx, rep = compare_strategies(PA, PB, 1e-4, ("3f2", "exact"))
         assert rep.mode == "exact"
         assert 0.0 < rep.p_outside_only < rep.p_outside_window
-        approx = compare_strategies(PA, PB, 1e-4, "3f2")
         assert rep.p_outside_only < approx.p_outside_only   # 2F^2 + ... < 3F^2 below 1/2
+
+    @pytest.mark.parametrize("pair", ["readme", "csv-2049"])
+    def test_all_modes_in_one_pass_equal_per_mode_runs(self, pair):
+        pa, pb = GRID_PAIRS[pair]
+        apart = [compare_strategies(pa, pb, 1e-4, (mode,), nodes=GRID_NODES)[0]
+                 for mode in MODES]
+        assert compare_strategies(pa, pb, 1e-4, MODES, nodes=GRID_NODES) == apart
+        assert compare_strategies(pa, pb, 1e-4, MODES[::-1], nodes=GRID_NODES) == apart[::-1]
+
+    @pytest.mark.parametrize("modes", ["3f2", ("3f2", "exct")])
+    def test_modes_validated(self, modes):
+        with pytest.raises(QuadratureError, match="mode"):
+            compare_strategies(PA, PB, 1e-4, modes, nodes=10)
 
     def test_first_attempt_forms(self):
         assert first_attempt_success(0.5, "3f2") == pytest.approx(0.75)
@@ -253,12 +316,12 @@ class TestCompareStrategies:
             2 * f**2 + 2 * f**4 / (1 - 2 * f**2))
 
     def test_wide_window_limit(self):
-        rep = compare_strategies(PA, PB, 0.5, "3f2", nodes=600)
+        (rep,) = compare_strategies(PA, PB, 0.5, ("3f2",), nodes=600)
         assert rep.p_postselect == pytest.approx(0.5, abs=1e-9)
         assert rep.p_outside_only == pytest.approx(0.0, abs=1e-12)
 
     def test_monotone_in_window_width(self):
-        reps = [compare_strategies(PA, PB, eps, "3f2", nodes=600)
+        reps = [compare_strategies(PA, PB, eps, ("3f2",), nodes=600)[0]
                 for eps in (1e-4, 1e-3, 1e-2, 0.1, 0.5)]
         posts = [r.p_postselect for r in reps]
         outs = [r.p_outside_only for r in reps]
@@ -299,7 +362,7 @@ class TestAgainstDenseGrid:
     def test_compare_matches(self, pair, epsilon, mode):
         from reference_quadrature import dense_compare_strategies
         pa, pb = GRID_PAIRS[pair]
-        rep = compare_strategies(pa, pb, epsilon, mode, nodes=GRID_NODES)
+        (rep,) = compare_strategies(pa, pb, epsilon, (mode,), nodes=GRID_NODES)
         post, out_window, total, out_only = dense_compare_strategies(pa, pb, epsilon, mode,
                                                                      GRID_NODES)
         assert rep.p_postselect == post
@@ -314,8 +377,7 @@ class TestAgainstDenseGrid:
         # positive; the blocked grid keeps them (F ~ 1e-160 there).
         from reference_quadrature import dense_compare_strategies, positive_cell_mass
         pa, pb = GRID_PAIRS[pair]
-        for mode in MODES:
-            rep = compare_strategies(pa, pb, 0.5, mode, nodes=GRID_NODES)
+        for mode, rep in zip(MODES, compare_strategies(pa, pb, 0.5, MODES, nodes=GRID_NODES)):
             dense = dense_compare_strategies(pa, pb, 0.5, mode, GRID_NODES)
             assert rep.p_postselect == positive_cell_mass(pa, pb, GRID_NODES)
             assert dense[0] <= rep.p_postselect
@@ -335,8 +397,7 @@ class TestAgainstDenseGrid:
         # the node counts `compare` and `fidelity-hist` run with
         from reference_quadrature import dense_compare_strategies, dense_fidelity_histogram
         pa, pb = GRID_PAIRS[pair]
-        for mode in MODES:
-            rep = compare_strategies(pa, pb, 1e-4, mode, nodes=2000)
+        for mode, rep in zip(MODES, compare_strategies(pa, pb, 1e-4, MODES, nodes=2000)):
             post, out_window, total, out_only = dense_compare_strategies(pa, pb, 1e-4, mode, 2000)
             assert rep.p_postselect == post
             assert_close(rep.p_outside_window, out_window)
@@ -352,7 +413,7 @@ def test_grid_peak_allocation_stays_small():
     pa, pb = CriticallyDamped(10.0), CriticallyDamped(12.5)
     tracemalloc.start()
     try:
-        compare_strategies(pa, pb, 1e-4, "exact", nodes=2000)
+        compare_strategies(pa, pb, 1e-4, MODES, nodes=2000)
         compare_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         fidelity_histogram(QUARTER_PI, QUARTER_PI, pa, pb, nodes=1500)
