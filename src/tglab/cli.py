@@ -151,7 +151,7 @@ def parse_config(path) -> ExperimentConfig:
     if "seed" not in run:
         raise ConfigError("a [run] section with an explicit seed is mandatory "
                           "(determinism contract)")
-    seed = _take(run, "seed", int, required=True, section_name="run")
+    seed = _take(run, "seed", int, required=True, section_name="run", at_least=0)
     efficiency = _take(run, "efficiency", float, default=1.0, within=(0.0, 1.0))
     return ExperimentConfig(profiles, sections, seed, efficiency)
 
@@ -354,6 +354,8 @@ def run_command(command: str, cfg: ExperimentConfig, out_dir, seed: int | None =
     """Dispatch one subcommand; returns the artifact paths."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; pick one of {', '.join(COMMANDS)}")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be at least 0, got {seed}")
     handler = SECTIONS[command][0]
     return handler(cfg, cfg.sections.get(command, {}), Path(out_dir),
                    cfg.seed if seed is None else seed)

@@ -12,8 +12,8 @@ a complete description of a GHZ resource); the join phase materialises the
 inventory as a TiltedGraph and drives the heralding and procedure rewrites
 directly, so small campaigns can be replayed on the state-vector oracle.
 
-Every random decision draws from an independent generator derived from the
-campaign seed and the decision's coordinates (round, piece, attempt, ...).
+Every random decision draws from a generator derived from the campaign seed,
+its kind's stream tag and its coordinates (see seeding, also for aliasing).
 Phase 1 derives one generator per round and draws one block of uniforms
 from it, five per pair, and pair k reads row k.  So results do not depend
 on evaluation order: serial and parallel schedules, or a reversed scan,
@@ -30,12 +30,8 @@ import numpy as np
 from .errors import GraphConfigError, TglabError
 from .heralding import DhContext, apply_dh_to_graph, sample_dh
 from .procedures import bridge, choose_method, merge, p_success, r_function, realign
-from .seeding import derive_rng
+from .seeding import JOIN, JOIN_REALIGN, PAIRING, PHASE1, REALIGN, derive_rng
 from .tilted_graph import QUARTER_PI, TiltedGraph, canonical_angle, ghz_graph, swap_tilt
-
-# One stream tag per kind of random decision, so no two decisions share a key
-# path at any round, pair, piece or attempt count (verify draws under 7 and 8).
-_PHASE1, _REALIGN, _JOIN, _PAIRING, _JOIN_REALIGN = 1, 2, 3, 4, 5
 
 PAIRINGS = ("sorted", "random")
 JOIN_METHODS = ("auto", "force-i", "force-ii")
@@ -80,6 +76,8 @@ class StrategyConfig:
     def __post_init__(self):
         if not self.profiles:
             raise GraphConfigError("the cavity pool is empty")
+        if self.seed < 0:
+            raise GraphConfigError(f"seed must be at least 0, got {self.seed}")
         if self.target_ghz_size < 2:
             raise GraphConfigError("target GHZ size must be at least 2")
         if not (0.5 < self.fidelity_acceptance <= 1.0):
@@ -205,7 +203,7 @@ def run_phase1(cfg: StrategyConfig, stats: RunStats | None = None,
             stats.close(pieces)
             return pieces, stats
         if cfg.pairing == "random":
-            perm = derive_rng(cfg.seed, _PAIRING, round_idx).permutation(len(active))
+            perm = derive_rng(cfg.seed, PAIRING, round_idx).permutation(len(active))
             order = [active[k] for k in perm]
             pairs = [(order[k], order[k + 1]) for k in range(0, len(order) - 1, 2)]
         else:
@@ -217,7 +215,7 @@ def run_phase1(cfg: StrategyConfig, stats: RunStats | None = None,
             return pieces, stats
 
         results = [None] * len(pairs)
-        draws = derive_rng(cfg.seed, _PHASE1, round_idx).random((len(pairs), 5)).tolist()
+        draws = derive_rng(cfg.seed, PHASE1, round_idx).random((len(pairs), 5)).tolist()
         scan = range(len(pairs) - 1, -1, -1) if scan_reverse else range(len(pairs))
         for k in scan:
             ia, ib = pairs[k]
@@ -255,7 +253,7 @@ def run_phase1(cfg: StrategyConfig, stats: RunStats | None = None,
 # ---------------------------------------------------------------------------
 
 def realign_piece(piece: GhzPiece, acceptance: float, seed: int, piece_idx: int,
-                  stats: RunStats, tag: int = _REALIGN) -> GhzPiece | None:
+                  stats: RunStats, tag: int = REALIGN) -> GhzPiece | None:
     """Run the realignment loop on one piece (streams under `tag`); None when used up."""
     attempt = 0
     while piece.fidelity < acceptance - 1e-12 and piece.size >= 2:
@@ -336,7 +334,7 @@ def _join_once(g: TiltedGraph, anchor: int, other: int, cfg: StrategyConfig,
     """
     proc = merge if cfg.join_kind == "merge" else bridge
     for attempt in range(MAX_ROUNDS):
-        rng = derive_rng(cfg.seed, _JOIN, join_idx, attempt)
+        rng = derive_rng(cfg.seed, JOIN, join_idx, attempt)
         qa = _free_leaf(g, anchor)
         qb = _free_leaf(g, other)
         if qa is None or qb is None:
@@ -406,7 +404,7 @@ def run_join(pieces, cfg: StrategyConfig, stats: RunStats | None = None,
     usable = []
     for idx, piece in enumerate(pieces):
         if piece.fidelity < 1.0 - 1e-12:
-            piece = realign_piece(piece, 1.0, cfg.seed, idx, stats, _JOIN_REALIGN)
+            piece = realign_piece(piece, 1.0, cfg.seed, idx, stats, JOIN_REALIGN)
         if piece is not None and piece.size >= 3:
             usable.append(piece)
     if len(usable) < n_nodes:

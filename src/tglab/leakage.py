@@ -230,8 +230,8 @@ def save_profile_csv(profile: LeakageProfile, path, points: int = 4097) -> Path:
 # ---------------------------------------------------------------------------
 
 # Every library integral runs to this relative tolerance, starting from this
-# many Simpson panels.  At most BLOCK_CELLS integrand values (batch elements
-# times nodes) are evaluated at once, here and in the metrics grids.
+# many Simpson panels.  At most BLOCK_CELLS values are built at once: integrand
+# values (batch elements times nodes), metrics grid cells and oracle gathers.
 RELATIVE_TOLERANCE = 1e-9
 START_PANELS = 64
 BLOCK_CELLS = 1 << 16

@@ -17,15 +17,15 @@ convergent where |K| < 1 (the R_I region tan^2 theta_b < 2 tan^2 theta_a
 carries prefactor Theta_1, R_J the mirror image); I_1 = I_0 / 2 makes the
 first-order form Theta_L (1 - K/2) I_0 integration-free up to I_0.
 
-Under the density V (t1 ~ P_B, t2 ~ P_A), with sigma the logistic function
-and S = log(U/V): E(F^2) = Theta_2 E_V[sigma(S + log Theta_1/Theta_2)],
-I_n = E_V[sigma(S) sigma(-S)^n] and J_n (U for V in I_n's numerator) =
-E_V[sigma(S)^(n+1)].  For critically damped profiles S = 2 (g_B - g_A)
-(t1 - t2), so each is a 1-d integral over the difference of two Gamma(3)
-click times; E(F^2) and its series take no other profile pair.  Each is one
-batched `leakage.integrate` call per sign of t1 - t2, over every tilt pair of
-an `expected_f_sq` call or every order of a `series_moments` call: nested
-Simpson levels, new nodes only, at most BLOCK_CELLS integrand values at once.
+Divided by V, each integrand is a function of w = V/U alone, under the density
+V (t1 ~ P_B, t2 ~ P_A): Theta_1 Theta_2 / (Theta_1 + Theta_2 w) for E(F^2),
+(1/(1 + w)) (1/(1 + 1/w))^n for I_n and (1/(1 + w))^(n+1) for J_n (U for V in
+I_n's numerator).  For critically damped profiles w = e^(-S), S = 2 (g_B - g_A)
+(t1 - t2), so each is a 1-d integral over the difference of two Gamma(3) click
+times; E(F^2) and its series take no other profile pair.  Each is one batched
+`leakage.integrate` call per sign of t1 - t2, over every tilt pair of an
+`expected_f_sq` call or every order of a `series_moments` call: nested Simpson
+levels, new nodes only, at most BLOCK_CELLS integrand values at once.
 
 Distribution-level quantities (the fidelity histogram and the post-selection
 comparison) integrate over the exact product-measure mixture decomposition
@@ -108,26 +108,20 @@ def expected_f(theta_a: float, theta_b: float, pa: LeakageProfile,
     return ExpectationResult(value, "closed-form", 2.0 * RELATIVE_TOLERANCE * value)
 
 
-def _sigmoid(z):
-    """The logistic function 1 / (1 + e^-z), free of overflow, in one buffer."""
-    out = np.negative(z)
-    np.logaddexp(0.0, out, out=out)
-    np.negative(out, out=out)
-    return np.exp(out, out=out)
-
-
 def _expectation_v(kernel, pa, pb, what: str):
-    """E_V[kernel(S)] for two critically damped profiles: S = 2 (g_B - g_A) D
-    with D = t1 - t2, one integral over |D| per sign of D, so each is smooth.
-    kernel maps a 1-d array s to shape (..., len(s)), a batch integrated at once.
+    """E_V[kernel(w)] for two critically damped profiles: w = V/U = e^(-S) with
+    S = 2 (g_B - g_A) D and D = t1 - t2, one integral over |D| per sign of D, so
+    each is smooth.  kernel maps a 1-d array w to shape (..., len(w)), a batch
+    integrated at once; it must take its limits at w = inf and w = 0.
     """
     if not (isinstance(pa, CriticallyDamped) and isinstance(pb, CriticallyDamped)):
         raise QuadratureError(f"{what} needs two critically damped profiles, got {pa!r}, {pb!r}")
     slope = 2.0 * (pb.g - pa.g)
-    above = integrate(lambda r: critically_damped_difference_density(pb.g, pa.g, r)
-                      * kernel(slope * r), pb.t_max)
-    below = integrate(lambda r: critically_damped_difference_density(pa.g, pb.g, r)
-                      * kernel(-slope * r), pa.t_max)
+    with np.errstate(over="ignore", divide="ignore"):   # e^(-S) overflows, 1/w for w = 0
+        above = integrate(lambda r: critically_damped_difference_density(pb.g, pa.g, r)
+                          * kernel(np.exp(-slope * r)), pb.t_max)
+        below = integrate(lambda r: critically_damped_difference_density(pa.g, pb.g, r)
+                          * kernel(np.exp(slope * r)), pa.t_max)
     return above + below
 
 
@@ -140,7 +134,7 @@ def _thetas(theta_a, theta_b):
 
 def expected_f_sq(theta_a, theta_b, pa: LeakageProfile,
                   pb: LeakageProfile) -> ExpectationResult:
-    """E(F^2) = Theta_2 E_V[sigma(S + log Theta_1/Theta_2)] (critically damped pair).
+    """E(F^2) = E_V[Theta_1 Theta_2 / (Theta_1 + Theta_2 w)] (critically damped pair).
 
     Tilts may be arrays, broadcast together; one batched integral covers every
     entry.  The value is a float for scalar tilts and an ndarray otherwise;
@@ -150,8 +144,8 @@ def expected_f_sq(theta_a, theta_b, pa: LeakageProfile,
     live = (th1 > 0.0) & (th2 > 0.0)
     value = np.zeros(th1.shape)
     if live.any():
-        shift = np.log(th1[live] / th2[live])[:, None]
-        value[live] = th2[live] * _expectation_v(lambda s: _sigmoid(s + shift), pa, pb, "E(F^2)")
+        a, b = th1[live][:, None], th2[live][:, None]
+        value[live] = _expectation_v(lambda w: a * b / (a + b * w), pa, pb, "E(F^2)")
     value = float(value) if value.ndim == 0 else value
     return ExpectationResult(value, "quadrature", 2.0 * RELATIVE_TOLERANCE * value)
 
@@ -164,10 +158,12 @@ def series_moments(pa: LeakageProfile, pb: LeakageProfile, max_order: int,
         raise QuadratureError(f"series numerator must be 'V' or 'U', got {numerator!r}")
     if max_order < 0:
         raise QuadratureError(f"series order must be at least 0, got {max_order}")
-    sign = -1.0 if numerator == "V" else 1.0
     orders = np.arange(max_order + 1)[:, None]
-    return _expectation_v(lambda s: _sigmoid(s) * _sigmoid(sign * s) ** orders,
-                          pa, pb, "series moments")
+
+    def kernel(w):              # U/(U + V) times (V or U)/(U + V) to the n
+        up = 1.0 / (1.0 + w)
+        return up * (1.0 / (1.0 + 1.0 / w) if numerator == "V" else up) ** orders
+    return _expectation_v(kernel, pa, pb, "series moments")
 
 
 def _series_region(theta_a: float, theta_b: float) -> tuple[str, float, float]:

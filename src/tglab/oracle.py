@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .errors import GraphConfigError, ImpossibleStateError, TrajectoryError
-from .leakage import CavityParams
+from .leakage import BLOCK_CELLS, CavityParams
 from .tilted_graph import EdgeKind, TiltedGraph
 
 QUBIT_CAP = 14
@@ -123,7 +123,7 @@ def build_state(g: TiltedGraph) -> StateVector:
     bits, table = _bit_table(n), np.array(rows, dtype=complex).ravel()
     offsets = np.arange(0, table.size, 4)
     amps = np.ones(1 << n, dtype=complex)
-    block = max(1, 2**16 >> n)  # factors per gather: at most 2^16 cells gathered at once
+    block = max(1, BLOCK_CELLS >> n)  # factors per gather: at most BLOCK_CELLS cells at once
     for cut in (slice(lo, lo + block) for lo in range(0, len(rows), block)):
         amps *= table[2 * bits[:, first[cut]] + bits[:, second[cut]] + offsets[cut]].prod(axis=1)
     if has_fusion:

@@ -50,7 +50,6 @@ from .tilted_graph import (
     canonicalize,
     combine_partial_fusions,
     combine_weighted_edges,
-    is_ghz_star,
     star_center_id,
     swap_tilt,
     with_star,
@@ -241,12 +240,13 @@ def realign(g: TiltedGraph, cherry: int, rng=None, outcome: int | None = None
     if g.edge(cherry, holder).kind is not EdgeKind.PURE:
         raise GraphConfigError("the cherry must hang on a pure edge")
     comp = g.component_of(cherry)
-    star = is_ghz_star(g, comp)
-    if star:
+    try:
         center = star_center_id(g, comp)
+    except GraphConfigError:        # central-vertex flavour: a Hadamard cherry on a tilt holder
+        center = None
+    if center is not None:
         tilt, flagged = g.vertex(center).tilt, comp
     else:
-        # central-vertex flavour: a Hadamard cherry on a tilt holder
         hv = g.vertex(holder)
         if not v.hadamard:
             raise GraphConfigError(
@@ -264,7 +264,7 @@ def realign(g: TiltedGraph, cherry: int, rng=None, outcome: int | None = None
     # are global, so the surviving structure is +pi/4 tilted
     t_cherry_basis = QUARTER_PI if bit else -r_function(theta_rot)
     tilt_after = swap_tilt(t_cherry_basis) if v.x_flip else t_cherry_basis
-    if star:
+    if center is not None:
         remaining = sorted(comp - {cherry})
         new_center = center if center in remaining else remaining[0]
         leaves = [Vertex(vid, QUARTER_PI, hadamard=True, x_flip=g.vertex(vid).x_flip)

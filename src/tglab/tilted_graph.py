@@ -442,14 +442,6 @@ def star_center_id(g: TiltedGraph, comp: frozenset) -> int:
     return c
 
 
-def is_ghz_star(g: TiltedGraph, comp: frozenset) -> bool:
-    try:
-        star_center_id(g, comp)
-        return True
-    except GraphConfigError:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # Canonicalization
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .heralding import ClickPair, DhContext, tilt_after_dh
 from .leakage import CavityParams, CriticallyDamped, critically_damped_density
 from .oracle import build_state, overlap, project, trajectory_dh_grid
 from .procedures import bridge, merge, realign
-from .seeding import derive_rng
+from .seeding import VERIFY_CANONICALIZATION, VERIFY_PROCEDURES, derive_rng
 from .tilted_graph import (
     QUARTER_PI,
     EdgeAnnotation,
@@ -64,7 +64,7 @@ def procedures_vs_oracle(seed: int, cases: int) -> float:
     """Max discrepancy of randomized realign/merge/bridge cases (<= 10 qubits)."""
     worst = 0.0
     for case in range(cases):
-        rng = derive_rng(seed, 7, case)
+        rng = derive_rng(seed, VERIFY_PROCEDURES, case)
         which = case % 4
         if which == 0:
             n = int(rng.integers(2, 8))
@@ -113,7 +113,7 @@ def canonicalization_preserves_states(seed: int, cases: int) -> float:
     """Max 1 - overlap between decorated graphs and their canonical forms."""
     worst = 0.0
     for case in range(cases):
-        rng = derive_rng(seed, 8, case)
+        rng = derive_rng(seed, VERIFY_CANONICALIZATION, case)
         na, nb = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         ga = ghz_graph(range(na), float(rng.uniform(-1.5, 1.5)))
         gb = ghz_graph(range(10, 10 + nb), float(rng.uniform(-1.5, 1.5)))

@@ -245,8 +245,11 @@ class TestMainExitCodes:
         ("verify", "cases = 12", "cases = 0"),
         ("grow", "join_nodes = 2", "join_nodes = -1"),
         ("grow", "target_ghz_size = 8", "target_ghz_size = 1"),
+        ("grow", "seed = 77", "seed = -1"),
+        ("verify", "seed = 77", "seed = -1"),
     ], ids=["compare-nodes-0", "compare-nodes-negative", "hist-nodes-0", "hist-bins-5",
-            "verify-cases-0", "grow-join-nodes-negative", "grow-target-1"])
+            "verify-cases-0", "grow-join-nodes-negative", "grow-target-1", "grow-seed-negative",
+            "verify-seed-negative"])
     def test_out_of_range_counts_are_config_errors(self, tmp_path, capsys, command, old, new):
         assert_config_error(tmp_path, capsys, command, GOOD.replace(old, new), new)
 
@@ -305,6 +308,15 @@ class TestMainExitCodes:
             assert main(["grow", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert (a / "grow_rounds.csv").read_bytes() == (b / "grow_rounds.csv").read_bytes()
         assert (a / "grow_summary.csv").read_bytes() == (b / "grow_summary.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["grow", "verify"])
+    def test_negative_seed_override_is_config_error(self, cfg_path, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out), "--seed", "-5"]) == 1
+        captured = capsys.readouterr()
+        assert "config error: seed must be at least 0, got -5" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_seed_override_changes_output(self, cfg_path, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

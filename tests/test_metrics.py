@@ -147,6 +147,25 @@ class TestExpectedFSq:
         assert got.shape == (21, 21)
         assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
 
+    @pytest.mark.parametrize("ga, gb", [(1.0, 200.0), (200.0, 1.0)])
+    def test_overflowing_ratio_takes_its_limits(self, ga, gb):
+        # S = 2 (g_B - g_A) (t1 - t2) spans +-7960 here, so w = e^(-S) overflows
+        # to inf on one side of t1 = t2 and underflows to 0 on the other
+        from reference_quadrature import per_point_expected_f_sq
+        pa, pb = CriticallyDamped(ga), CriticallyDamped(gb)
+        thetas = [(0.7, 0.8), (0.3, 1.2), (QUARTER_PI, QUARTER_PI)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [expected_f_sq(ta, tb, pa, pb).value for ta, tb in thetas]
+            i, j = series_moments(pa, pb, 4), series_moments(pa, pb, 4, numerator="U")
+        want = [per_point_expected_f_sq(ta, tb, pa, pb) for ta, tb in thetas]
+        assert np.all(np.isfinite(i)) and np.all(np.isfinite(j))
+        assert got == pytest.approx(want, rel=1e-9)
+        # on the diagonal K = 0, so E(F^2) = Theta I_0; and J_n = I_n by symmetry
+        assert big_thetas(QUARTER_PI, QUARTER_PI)[0] * i[0] == pytest.approx(want[2], rel=1e-9)
+        assert i[1] == pytest.approx(i[0] / 2, rel=1e-9)
+        assert j == pytest.approx(i, rel=1e-9)
+
     def test_array_tilts_broadcast(self):
         res = expected_f_sq(np.array([0.0, 0.7, 1.2]), np.array([[0.0], [0.8]]), PA, PB)
         assert isinstance(res.value, np.ndarray) and res.value.shape == (2, 3)
