@@ -21,19 +21,25 @@ Divided by V, each integrand is a function of w = V/U alone, under the density
 V (t1 ~ P_B, t2 ~ P_A): Theta_1 Theta_2 / (Theta_1 + Theta_2 w) for E(F^2),
 (1/(1 + w)) (1/(1 + 1/w))^n for I_n and (1/(1 + w))^(n+1) for J_n (U for V in
 I_n's numerator).  For critically damped profiles w = e^(-S), S = 2 (g_B - g_A)
-(t1 - t2), so each is a 1-d integral over the difference of two Gamma(3) click
-times; E(F^2) and its series take no other profile pair.  Each is one batched
-`leakage.integrate` call per sign of t1 - t2, over every tilt pair of an
-`expected_f_sq` call or every order of a `series_moments` call: nested Simpson
-levels, new nodes only, at most BLOCK_CELLS integrand values at once.
+D with D = t1 - t2, a difference of two Gamma(3) click times; E(F^2) and its
+series take no other profile pair.  One private law object per pair holds the
+slope, a closed-form CDF of D and `expect`, one batched `leakage.integrate`
+call per sign of D, over every tilt pair of an `expected_f_sq` call or every
+order of a `series_moments` call: nested Simpson levels, new nodes only, at
+most BLOCK_CELLS integrand values at once.
 
 Distribution-level quantities (the fidelity histogram and the post-selection
-comparison) integrate over the exact product-measure mixture decomposition
-of Q12 in profile-CDF coordinates, where every midpoint cell carries equal
-mass; a few thousand nodes per axis resolve the 1e-4 fidelity window.  F on
-the grid comes from per-axis density ratios, in row blocks of at most
-BLOCK_CELLS = 2^16 cells; rows and columns where a density vanishes hold F = 0,
-counted, not built.  One grid pass serves every first-attempt success mode.
+comparison) take the mixture Theta_1 (A x B) + Theta_2 (B x A) of Q12, under
+which F = 1/(2 cosh((S + x)/2)), x = log(Theta_1/Theta_2).  For a critically
+damped pair they are exact up to rounding: each bin, and the window, is a set
+of D-intervals whose mass is a difference of the CDF, and the out-of-window
+successes of every mode are one `expect` over |D| past the window edge.  Other
+pairs integrate over the product measure in profile-CDF coordinates, where
+every midpoint cell carries equal mass; a few thousand nodes per axis resolve
+the 1e-4 fidelity window to about 1e-5.  F on the grid comes from per-axis
+density ratios, in row blocks of at most BLOCK_CELLS = 2^16 cells; rows and
+columns where a density vanishes hold F = 0, counted, not built.  One grid pass
+serves every first-attempt success mode.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from .tilted_graph import QUARTER_PI
 
 MAX_F = 0.5
 MODES = ("3f2", "exact")       # first-attempt success models
+_S_CUT = 80.0                  # |S| past which out-of-window successes are negligible
 
 
 @dataclass(frozen=True)
@@ -103,26 +110,73 @@ class ComparisonReport:
 def expected_f(theta_a: float, theta_b: float, pa: LeakageProfile,
                pb: LeakageProfile) -> ExpectationResult:
     """Closed form for E(F): the tilt factor times the profile overlap squared."""
-    th1, th2 = big_thetas(theta_a, theta_b)
+    th1, th2 = map(float, _thetas(theta_a, theta_b))
     value = math.sqrt(th1 * th2) * overlap_integral(pa, pb) ** 2
     return ExpectationResult(value, "closed-form", 2.0 * RELATIVE_TOLERANCE * value)
 
 
-def _expectation_v(kernel, pa, pb, what: str):
-    """E_V[kernel(w)] for two critically damped profiles: w = V/U = e^(-S) with
-    S = 2 (g_B - g_A) D and D = t1 - t2, one integral over |D| per sign of D, so
-    each is smooth.  kernel maps a 1-d array w to shape (..., len(w)), a batch
-    integrated at once; it must take its limits at w = inf and w = 0.
+@dataclass(frozen=True)
+class _DifferenceLaw:
+    """Law of D = t1 - t2 for t1 ~ P_A, t2 ~ P_B, two critically damped profiles.
+
+    Their click times are Gamma(3) with rates 2 g_A and 2 g_B, and the fidelity
+    depends on them only through S = slope D, slope = 2 (g_B - g_A).  The B x A
+    mixture component (t1 ~ P_B, t2 ~ P_A) has the mirror image -D.
     """
-    if not (isinstance(pa, CriticallyDamped) and isinstance(pb, CriticallyDamped)):
+
+    pa: CriticallyDamped
+    pb: CriticallyDamped
+
+    @property
+    def slope(self) -> float:
+        return 2.0 * (self.pb.g - self.pa.g)
+
+    def cdf(self, d):
+        """(P(D <= d), P(D > d)) at an array of d, +-inf included, each side from the
+        Gamma(3) tail polynomial of its own sign of d, so the smaller keeps its digits.
+
+        For d >= 0, with a = 2 g_A, b = 2 g_B, sigma = a/(a + b), rho = 1 - sigma and
+        u = a d, P(D > d) = rho^3 e^(-u) (1 + u + u^2/2 + 3 sigma (1 + u) + 6 sigma^2);
+        swapping the profiles gives P(D < -d).  u is capped where e^(-u) is 0.
+        """
+        def tail(r1, r2, d):
+            c = r1 + r2
+            sigma, u = r1 / c, np.minimum(r1 * np.maximum(d, 0.0), 1000.0)
+            return (r2 / c) ** 3 * np.exp(-u) * (1.0 + u + 0.5 * u * u
+                                                 + 3.0 * sigma * (1.0 + u) + 6.0 * sigma**2)
+        d = np.asarray(d, dtype=float)
+        a, b = 2.0 * self.pa.g, 2.0 * self.pb.g
+        above, below = tail(a, b, d), tail(b, a, -d)
+        right = d >= 0.0
+        return np.where(right, 1.0 - above, below), np.where(right, above, 1.0 - below)
+
+    def expect(self, kernel, lo: float = 0.0, hi: float = math.inf):
+        """E_V[kernel(w)] over lo <= |D| <= hi: t1 ~ P_B and t2 ~ P_A, the mirror image
+        of this law, and w = V/U = e^(-S).  One integral over |D| per sign of D, so
+        each is smooth; each stops at its profile's t_max, and a side whose support
+        ends below lo adds 0.  kernel maps a 1-d array w to shape (..., len(w)), a
+        batch integrated at once; it must take its limits at w = inf and w = 0.
+        """
+        slope = self.slope
+        total = 0.0 * kernel(np.ones(1))[..., 0]          # a zero of the batch shape
+        with np.errstate(over="ignore", divide="ignore"):   # e^(-S) overflows, 1/w for w = 0
+            for p1, p2, sign in ((self.pb, self.pa, -1.0), (self.pa, self.pb, 1.0)):
+                end = min(hi, p1.t_max)
+                if lo < end:
+                    total = total + integrate(
+                        lambda r: critically_damped_difference_density(p1.g, p2.g, lo + r)
+                        * kernel(np.exp(sign * slope * (lo + r))), end - lo)
+        return total
+
+
+def _closed_form(pa, pb) -> bool:
+    return isinstance(pa, CriticallyDamped) and isinstance(pb, CriticallyDamped)
+
+
+def _law(pa, pb, what: str) -> _DifferenceLaw:
+    if not _closed_form(pa, pb):
         raise QuadratureError(f"{what} needs two critically damped profiles, got {pa!r}, {pb!r}")
-    slope = 2.0 * (pb.g - pa.g)
-    with np.errstate(over="ignore", divide="ignore"):   # e^(-S) overflows, 1/w for w = 0
-        above = integrate(lambda r: critically_damped_difference_density(pb.g, pa.g, r)
-                          * kernel(np.exp(-slope * r)), pb.t_max)
-        below = integrate(lambda r: critically_damped_difference_density(pa.g, pb.g, r)
-                          * kernel(np.exp(slope * r)), pa.t_max)
-    return above + below
+    return _DifferenceLaw(pa, pb)
 
 
 def _thetas(theta_a, theta_b):
@@ -145,7 +199,7 @@ def expected_f_sq(theta_a, theta_b, pa: LeakageProfile,
     value = np.zeros(th1.shape)
     if live.any():
         a, b = th1[live][:, None], th2[live][:, None]
-        value[live] = _expectation_v(lambda w: a * b / (a + b * w), pa, pb, "E(F^2)")
+        value[live] = _law(pa, pb, "E(F^2)").expect(lambda w: a * b / (a + b * w))
     value = float(value) if value.ndim == 0 else value
     return ExpectationResult(value, "quadrature", 2.0 * RELATIVE_TOLERANCE * value)
 
@@ -163,7 +217,7 @@ def series_moments(pa: LeakageProfile, pb: LeakageProfile, max_order: int,
     def kernel(w):              # U/(U + V) times (V or U)/(U + V) to the n
         up = 1.0 / (1.0 + w)
         return up * (1.0 / (1.0 + 1.0 / w) if numerator == "V" else up) ** orders
-    return _expectation_v(kernel, pa, pb, "series moments")
+    return _law(pa, pb, "series moments").expect(kernel)
 
 
 def _series_region(theta_a: float, theta_b: float) -> tuple[str, float, float]:
@@ -213,6 +267,11 @@ def efsq_first_order(theta_a: float, theta_b: float, pa: LeakageProfile,
 # Distribution-level quantities
 # ---------------------------------------------------------------------------
 
+def _check_nodes(nodes: int) -> None:
+    if nodes < 1:
+        raise QuadratureError(f"need at least 1 node per axis, got {nodes}")
+
+
 def _grid_sum(theta_a, theta_b, pa, pb, nodes, per_block):
     """Sum of per_block(F), additive over cells, on both product-measure components,
     each weighted once by its cell mass.  F = 1/(w + 1/w) with w = sqrt(X/Y), a row
@@ -220,8 +279,6 @@ def _grid_sum(theta_a, theta_b, pa, pb, nodes, per_block):
     in row blocks of at most BLOCK_CELLS cells that reuse two buffers.  Rows and
     columns where a density vanishes hold F = 0: their cells are counted, not built.
     """
-    if nodes < 1:
-        raise QuadratureError(f"need at least 1 node per axis, got {nodes}")
     th1, th2 = big_thetas(theta_a, theta_b)
     u = (np.arange(nodes) + 0.5) / nodes
     total = 0.0 * per_block(np.zeros(1))                 # a zero of per_block's shape
@@ -247,13 +304,47 @@ def _grid_sum(theta_a, theta_b, pa, pb, nodes, per_block):
     return total
 
 
+def _law_histogram(th1: float, th2: float, law: _DifferenceLaw, edges) -> np.ndarray:
+    """Bin masses as differences of the law's CDF at the S-edges of each F-bin.
+
+    F = 1/(2 cosh(z/2)) with z = S + x, x = log(Theta_1/Theta_2), so the bin
+    [f_i, f_i+1) is |z| in (z_i+1, z_i], z_i = 2 arccosh(1/(2 f_i)): one interval
+    on each side of z = 0, that is of S = -x.  Each side's masses are differences
+    of a cumulative sequence made monotone, so no bin is negative.
+    """
+    if law.slope == 0.0 or th1 == 0.0 or th2 == 0.0:  # F takes one value: an atom
+        f = math.sqrt(th1 * th2) / (th1 + th2) if th1 + th2 > 0.0 else 0.0
+        return np.histogram([f], bins=edges)[0] * (th1 + th2)
+    with np.errstate(divide="ignore"):
+        z = 2.0 * np.arccosh(0.5 / edges)             # inf at F = 0, 0 at F = 1/2
+    x, scale = math.log(th1 / th2), abs(law.slope)
+    # th_d weighs the component with S = |slope| D (A x B for a positive slope)
+    th_d, th_mirror = (th1, th2) if law.slope > 0.0 else (th2, th1)
+
+    def split(v):                                     # (mass(z <= v), mass(z > v))
+        below, above = law.cdf((v - x) / scale)
+        mirror_below, mirror_above = law.cdf((x - v) / scale)
+        return th_d * below + th_mirror * mirror_above, th_d * above + th_mirror * mirror_below
+
+    rising = (split(z)[1], split(-z)[0])              # mass(z > z_i), mass(z <= -z_i)
+    return sum(np.diff(np.maximum.accumulate(c)) for c in rising)
+
+
 def fidelity_histogram(theta_a: float, theta_b: float, pa: LeakageProfile, pb: LeakageProfile,
                        bins: int = 200, nodes: int = 1500) -> FidelityHistogram:
-    """Mass of each F-bin under the joint click density (sub-normalised).  F comes
-    from per-axis density ratios in blocks; its zero-density cells fall in bin 0."""
+    """Mass of each F-bin under the joint click density (sub-normalised).
+
+    Exact for two critically damped profiles: differences of the closed-form law
+    of t1 - t2.  Other pairs take the grid of `nodes` per axis, F from per-axis
+    density ratios in blocks; its zero-density cells fall in bin 0.
+    """
     if bins < 10:
         raise QuadratureError(f"need at least 10 fidelity bins, got {bins}")
+    _check_nodes(nodes)
+    th1, th2 = map(float, _thetas(theta_a, theta_b))
     edges = np.linspace(0.0, MAX_F, bins + 1)
+    if _closed_form(pa, pb):
+        return FidelityHistogram(edges, _law_histogram(th1, th2, _DifferenceLaw(pa, pb), edges))
     masses = _grid_sum(theta_a, theta_b, pa, pb, nodes,
                        lambda f: np.histogram(np.clip(f, 0.0, MAX_F, out=f), bins=edges)[0])
     return FidelityHistogram(edges, masses)
@@ -281,6 +372,39 @@ def first_attempt_success(f, mode: str):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _law_window_sums(law: _DifferenceLaw, threshold: float):
+    """(window mass, out-of-window successes of each of MODES), untilted.
+
+    Untilted, F = 1/(2 cosh(S/2)) > threshold is |D| < edge, and F is even in S,
+    so both mixture components give the same sums over |D|.
+    """
+    total = sum(big_thetas(QUARTER_PI, QUARTER_PI))
+    if threshold <= 0.0 or law.slope == 0.0:      # every F > threshold (F = 1/2 if slope = 0)
+        return total, np.zeros(len(MODES))
+    scale = abs(law.slope)
+    edge = 2.0 * math.acosh(0.5 / threshold) / scale
+    below, _ = law.cdf(np.array([-edge, edge]))
+
+    def successes(w):
+        f = 1.0 / (np.sqrt(w) + 1.0 / np.sqrt(w))
+        return np.array([first_attempt_success(f, mode) for mode in MODES])
+    # Beyond |S| = _S_CUT the successes are below 3 e^(-_S_CUT) ~ 5e-35; stopping
+    # there keeps a steep pair's decay, over 1/slope, resolved by the Simpson levels.
+    return (float(total * (below[1] - below[0])),
+            total * law.expect(successes, edge, max(edge, _S_CUT / scale)))
+
+
+def _grid_window_sums(pa, pb, threshold: float, nodes: int):
+    """(window mass, out-of-window successes of each of MODES) on the grid, one pass."""
+    def window_sums(f):         # [cells in the window, each mode's successes outside it]
+        win = f > threshold
+        out = f[~win]
+        return np.array([np.count_nonzero(win)]
+                        + [first_attempt_success(out, mode).sum() for mode in MODES])
+    p_post, *p_outs = map(float, _grid_sum(QUARTER_PI, QUARTER_PI, pa, pb, nodes, window_sums))
+    return p_post, p_outs
+
+
 def compare_strategies(pa: LeakageProfile, pb: LeakageProfile, epsilon: float,
                        modes=MODES, nodes: int = 2000) -> list[ComparisonReport]:
     """Post-selection versus adaptive growth on the first merge/bridge attempt,
@@ -288,24 +412,30 @@ def compare_strategies(pa: LeakageProfile, pb: LeakageProfile, epsilon: float,
 
     Both qubits enter untilted (theta = pi/4), as in the paper's Section IV.
     p_postselect is the window mass; p_outside_window adds the out-of-window
-    first-attempt successes to it; p_total is their sum.  F comes from per-axis
-    density ratios in blocks, one grid pass for all modes; its zero-density
-    cells take the same window test.
+    first-attempt successes to it; p_total is their sum.  Exact for two
+    critically damped profiles: the closed-form law of t1 - t2 gives the window
+    mass, and one integral over |t1 - t2| outside the window gives every mode's
+    successes.  Other pairs take the grid of `nodes` per axis, F from per-axis
+    density ratios in blocks, one pass for all modes; its zero-density cells
+    take the same window test.  Either way every mode of MODES is evaluated, so
+    a report does not depend on which other modes were asked for.
     """
     if not 0.0 < epsilon < math.inf:
         raise QuadratureError(f"window width must be positive and finite, got {epsilon}")
     if isinstance(modes, str):
         raise QuadratureError(f"modes is a sequence of mode names, got the string {modes!r}")
+    for mode in modes:
+        if mode not in MODES:
+            raise QuadratureError(f"unknown comparison mode {mode!r}")
+    _check_nodes(nodes)
     threshold = MAX_F - epsilon
-
-    def window_sums(f):         # [cells in the window, each mode's successes outside it]
-        win = f > threshold
-        out = f[~win]
-        return np.array([np.count_nonzero(win)]
-                        + [first_attempt_success(out, mode).sum() for mode in modes])
-    p_post, *p_outs = map(float, _grid_sum(QUARTER_PI, QUARTER_PI, pa, pb, nodes, window_sums))
-    return [ComparisonReport(p_post, p_post + p_out, p_post + (p_post + p_out), p_out,
-                             epsilon, mode) for mode, p_out in zip(modes, p_outs)]
+    if _closed_form(pa, pb):
+        p_post, p_outs = _law_window_sums(_DifferenceLaw(pa, pb), threshold)
+    else:
+        p_post, p_outs = _grid_window_sums(pa, pb, threshold, nodes)
+    out = {mode: float(p) for mode, p in zip(MODES, p_outs)}
+    return [ComparisonReport(p_post, p_post + out[mode], p_post + (p_post + out[mode]),
+                             out[mode], epsilon, mode) for mode in modes]
 
 
 def resource_ratio(p_gate: float, n: float) -> float:

@@ -13,12 +13,17 @@ The library reduces E(F^2) and its series to 1-d integrals over t1 - t2
 against their 2-d definitions, and checks the closed forms.  It doubles the panels per axis from 64 until two grids
 agree to the relative tolerance rtol, up to 2^13 panels.
 
-The library evaluates the fidelity grid of `compare_strategies` and
-`fidelity_histogram` from per-axis density ratios, in row blocks.  The dense
-path below builds the full nodes x nodes X, Y and F arrays from outer products
-of the densities and adds up the same window and bin counts: the blocked grid
-must reproduce its counts exactly, save where the dense X Y underflows (see
-positive_cell_mass), and its sums to rounding.
+For two critically damped profiles the library reads `compare_strategies`
+and `fidelity_histogram` off the closed-form law of D = t1 - t2.  The
+Gauss-Legendre references below integrate the density of D instead, on panels
+that halve towards both ends of each interval, split at D = 0 and at the
+window edges, with F = 1/(2 cosh((S + x)/2)) written out afresh.
+
+For other pairs the library evaluates the fidelity grid from per-axis density
+ratios, in row blocks.  The dense path below builds the full nodes x nodes X, Y
+and F arrays from outer products of the densities and adds up the same window
+and bin counts: the blocked grid must reproduce its counts exactly and its
+sums to rounding.
 """
 
 import math
@@ -145,18 +150,78 @@ def dense_compare_strategies(pa, pb, epsilon, mode, nodes):
     return p_post, p_outside_window, p_post + p_outside_window, p_out
 
 
-def positive_cell_mass(pa, pb, nodes):
-    """The mass of the untilted grid cells where Theta_1 P_A(t1), Theta_2 P_B(t1),
-    P_B(t2) and P_A(t2) are all positive: the window F > 0 in exact arithmetic.
-    The dense F is also 0 where X, Y or X Y underflows."""
-    th1, th2 = big_thetas(math.pi / 4, math.pi / 4)
-    u = (np.arange(nodes) + 0.5) / nodes
-    mass = 0.0
-    for p1, p2, th in ((pa, pb, th1), (pb, pa, th2)):
-        t1 = p1.inverse_cdf(u)
-        t2 = p2.inverse_cdf(u)
-        rows = (th1 * pa.density(t1) > 0.0) & (th2 * pb.density(t1) > 0.0)
-        cols = (pb.density(t2) > 0.0) & (pa.density(t2) > 0.0)
-        cells = int(np.count_nonzero(np.outer(rows, cols)))
-        mass += th * p1.total_mass * p2.total_mass / nodes**2 * cells
-    return mass
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
+_HALVINGS = 2.0 ** -np.arange(30, 0, -1)
+_CUTS = np.concatenate([[0.0], _HALVINGS, 1.0 - _HALVINGS[-2::-1], [1.0]])
+
+
+def _gl_interval_sums(f, lo, hi):
+    """Integral of a vectorised f over each [lo_k, hi_k]: 32-node Gauss-Legendre on
+    panels that halve towards both ends, down to 2^-30 of the interval."""
+    a = lo[:, None] + (hi - lo)[:, None] * _CUTS[:-1]
+    b = lo[:, None] + (hi - lo)[:, None] * _CUTS[1:]
+    half = (0.5 * (b - a))[..., None]
+    t = (0.5 * (a + b))[..., None] + half * _GL_X
+    return (half * _GL_W * f(t)).sum(axis=(-1, -2))
+
+
+def difference_integrals(pa, pb, lo, hi, f=None):
+    """int over [lo_k, hi_k] of the density of D = T_A - T_B (times f(D) if given)
+    for two critically damped profiles, split at D = 0 and clipped to the support."""
+    lo, hi = np.atleast_1d(np.asarray(lo, float)), np.atleast_1d(np.asarray(hi, float))
+    total = np.zeros(lo.shape)
+    for g1, g2, sign, t_max in ((pa.g, pb.g, 1.0, pa.t_max), (pb.g, pa.g, -1.0, pb.t_max)):
+        # the side of sign D, as r = sign D in [0, t_max]
+        r_lo = np.clip(np.minimum(sign * lo, sign * hi), 0.0, t_max)
+        r_hi = np.clip(np.maximum(sign * lo, sign * hi), 0.0, t_max)
+
+        def integrand(r, g1=g1, g2=g2, sign=sign):
+            dens = critically_damped_difference_density(g1, g2, r)
+            return dens if f is None else dens * f(sign * r)
+        for k in range(0, lo.size, 64):
+            part = slice(k, k + 64)
+            total[part] += _gl_interval_sums(integrand, r_lo[part], r_hi[part])
+    return total
+
+
+def gl_compare_strategies(pa, pb, epsilon, mode):
+    """(p_postselect, p_outside_window, p_total, p_outside_only) of a critically
+    damped pair, from Gauss-Legendre integrals over D split at the window edges."""
+    total = sum(big_thetas(math.pi / 4, math.pi / 4))
+    slope = 2.0 * (pb.g - pa.g)
+    threshold = MAX_F - epsilon
+    if threshold <= 0.0:
+        return total, total, 2.0 * total, 0.0
+    edge = 2.0 * math.acosh(1.0 / (2.0 * threshold)) / abs(slope)
+
+    def success(d):
+        with np.errstate(over="ignore"):                 # cosh overflows: F = 0
+            f2 = (1.0 / (2.0 * np.cosh(0.5 * slope * d))) ** 2
+        return 3.0 * f2 if mode == "3f2" else 2.0 * f2 + 2.0 * f2**2 / (1.0 - 2.0 * f2)
+
+    p_post = total * float(difference_integrals(pa, pb, -edge, edge)[0])
+    p_out = total * float(difference_integrals(pa, pb, [-math.inf, edge], [-edge, math.inf],
+                                               success).sum())
+    return p_post, p_post + p_out, 2.0 * p_post + p_out, p_out
+
+
+def gl_fidelity_histogram(theta_a, theta_b, pa, pb, bins):
+    """The bin masses of `fidelity_histogram` for a critically damped pair of
+    distinct couplings: each bin's two z-intervals, z = S + log(Theta_1/Theta_2),
+    mapped to D in each mixture component and integrated by Gauss-Legendre."""
+    th1, th2 = big_thetas(theta_a, theta_b)
+    edges = np.linspace(0.0, MAX_F, bins + 1)
+    masses = np.zeros(bins)
+    if th1 == 0.0 or th2 == 0.0:                     # X or Y vanishes: F = 0
+        masses[0] = th1 + th2
+        return masses
+    with np.errstate(divide="ignore"):
+        z = 2.0 * np.arccosh(1.0 / (2.0 * edges))
+    x = math.log(th1 / th2)
+    slope = 2.0 * (pb.g - pa.g)
+    # A x B has S = slope D, B x A (D mirrored) S = -slope D
+    for th, s in ((th1, slope), (th2, -slope)):
+        for z_lo, z_hi in ((z[1:], z[:-1]), (-z[:-1], -z[1:])):
+            d1, d2 = (z_lo - x) / s, (z_hi - x) / s
+            masses += th * difference_integrals(pa, pb, np.minimum(d1, d2), np.maximum(d1, d2))
+    return masses

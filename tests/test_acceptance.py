@@ -94,17 +94,17 @@ class TestAcceptance:
 
     def test_criterion_5_closed_form_ef(self):
         from reference_quadrature import simpson_2d
+
+        # the tilts enter int int sqrt(X Y) only as the constant sqrt(Theta_1 Theta_2)
+        def integrand(t1, t2):
+            return np.sqrt(PA.density(t1) * PB.density(t2) * PB.density(t1) * PA.density(t2))
+
+        untilted = simpson_2d(integrand, max(PA.t_max, PB.t_max), rtol=1e-7)
         worst = 0.0
         for theta_a in np.linspace(0.25, 1.3, 5):
             for theta_b in np.linspace(0.3, 1.35, 5):
                 th1, th2 = big_thetas(theta_a, theta_b)
-
-                def integrand(t1, t2, th1=th1, th2=th2):
-                    x = th1 * PA.density(t1) * PB.density(t2)
-                    y = th2 * PB.density(t1) * PA.density(t2)
-                    return np.sqrt(x * y)
-
-                quad = simpson_2d(integrand, max(PA.t_max, PB.t_max), rtol=1e-7)
+                quad = math.sqrt(th1 * th2) * untilted
                 worst = max(worst, abs(quad - expected_f(theta_a, theta_b, PA, PB).value))
         ref = expected_f(QUARTER_PI, QUARTER_PI, PA, PB).value
         value_dev = abs(ref - 0.240855)

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ from tglab.errors import QuadratureError
 from tglab.heralding import DhContext, big_thetas, sample_clicks_array, success_probability
 from tglab.leakage import CriticallyDamped, tabulate_profile
 from tglab.metrics import (
+    MAX_F,
     MODES,
     compare_strategies,
     efsq_first_order,
@@ -28,6 +30,16 @@ PB = CriticallyDamped(12.5)
 OVERLAP_CLOSED = 8.0 * (10.0 * 12.5) ** 1.5 / 22.5**3
 
 
+@functools.cache
+def untilted_sqrt_xy_integral():
+    """int int sqrt(X Y) / sqrt(Theta_1 Theta_2): the tilts enter only as that factor."""
+    from reference_quadrature import simpson_2d
+
+    def integrand(t1, t2):
+        return np.sqrt(PA.density(t1) * PB.density(t2) * PB.density(t1) * PA.density(t2))
+    return simpson_2d(integrand, max(PA.t_max, PB.t_max), rtol=1e-7)
+
+
 class TestExpectedF:
     @pytest.mark.parametrize("g", [10.0, 0.5])
     def test_identical_profiles_quarter(self, g):
@@ -45,15 +57,8 @@ class TestExpectedF:
     @pytest.mark.parametrize("theta_b", np.linspace(0.3, 1.35, 5))
     def test_quadrature_cross_check(self, theta_a, theta_b):
         # int int sqrt(X Y) against the closed form, criterion-5 style
-        from reference_quadrature import simpson_2d
         th1, th2 = big_thetas(theta_a, theta_b)
-
-        def integrand(t1, t2):
-            x = th1 * PA.density(t1) * PB.density(t2)
-            y = th2 * PB.density(t1) * PA.density(t2)
-            return np.sqrt(x * y)
-
-        val = simpson_2d(integrand, max(PA.t_max, PB.t_max), rtol=1e-7)
+        val = math.sqrt(th1 * th2) * untilted_sqrt_xy_integral()
         assert val == pytest.approx(expected_f(theta_a, theta_b, PA, PB).value, abs=1e-6)
 
     def test_x_flip_invariance(self):
@@ -192,6 +197,10 @@ class TestExpectedFSq:
                     efsq_series(*thetas, PA, PB, 4)
                 with pytest.raises(QuadratureError, match="finite"):
                     efsq_first_order(*thetas, PA, PB)
+                with pytest.raises(QuadratureError, match="finite"):
+                    expected_f(*thetas, PA, PB)
+                with pytest.raises(QuadratureError, match="finite"):
+                    fidelity_histogram(*thetas, PA, PB)
 
 
 class TestSeries:
@@ -279,6 +288,16 @@ class TestFidelityHistogram:
         assert hist.masses[-1] == pytest.approx(0.5, abs=1e-9)
         assert hist.masses[:-1].sum() == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("thetas", [(QUARTER_PI, QUARTER_PI), (0.6, 1.0), (0.0, 1.0)])
+    def test_identical_profiles_put_one_atom_in_its_bin(self, thetas):
+        # equal couplings make S = 0 exactly: all mass at F = sqrt(Th1 Th2)/(Th1 + Th2)
+        th1, th2 = big_thetas(*thetas)
+        hist = fidelity_histogram(*thetas, PA, CriticallyDamped(PA.g), bins=50)
+        f = math.sqrt(th1 * th2) / (th1 + th2)
+        k = min(int(f / MAX_F * 50), 49)
+        assert hist.masses[k] == th1 + th2
+        assert np.count_nonzero(hist.masses) == 1
+
     def test_window_mass_reproduces_postselect_number(self):
         mass = compare_strategies(PA, PB, 1e-4, nodes=2000)[0].p_postselect
         assert mass == pytest.approx(0.033, abs=0.003)
@@ -350,6 +369,8 @@ class TestCompareStrategies:
 
 # The README pair, its 2049-point tabulated twin (P_B is 0 on (1.6, 2.0]),
 # a near-identical pair, and two far-apart pairs whose densities underflow.
+# Only the twin takes the grid; the others are critically damped, so the
+# library reads them off the closed-form law of t1 - t2.
 GRID_PAIRS = {
     "readme": (PA, PB),
     "csv-2049": (tabulate_profile(PA, 2049), tabulate_profile(PB, 2049)),
@@ -365,8 +386,27 @@ def assert_close(got, want, rel=1e-14):
     assert abs(got - want) <= rel * abs(want), (got, want)
 
 
+def assert_law_compare(rep, pa, pb, epsilon, mode):
+    # exact up to rounding: 1e-9 relative, or 1e-15 absolute on a far-apart
+    # pair's tiny window mass (a difference of CDF values near 1)
+    from reference_quadrature import gl_compare_strategies
+    want = gl_compare_strategies(pa, pb, epsilon, mode)
+    got = (rep.p_postselect, rep.p_outside_window, rep.p_total, rep.p_outside_only)
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+
+def assert_law_histogram(hist, thetas, pa, pb):
+    from reference_quadrature import gl_fidelity_histogram
+    assert np.all(hist.masses >= 0.0)
+    assert abs(hist.total_mass - sum(big_thetas(*thetas))) <= 1e-12
+    want = gl_fidelity_histogram(*thetas, pa, pb, hist.masses.size)
+    assert np.abs(hist.masses - want).max() <= 1e-14
+
+
 class TestAgainstDenseGrid:
-    """The blocked per-axis grid against the dense outer-product grid."""
+    """The tabulated twin's blocked per-axis grid against the dense outer-product
+    grid, exactly.  The critically damped pairs no longer take a grid: their
+    closed-form law against Gauss-Legendre integrals over t1 - t2."""
 
     @pytest.fixture(autouse=True)
     def warnings_are_errors(self):
@@ -382,6 +422,9 @@ class TestAgainstDenseGrid:
         from reference_quadrature import dense_compare_strategies
         pa, pb = GRID_PAIRS[pair]
         (rep,) = compare_strategies(pa, pb, epsilon, (mode,), nodes=GRID_NODES)
+        if pair != "csv-2049":
+            assert_law_compare(rep, pa, pb, epsilon, mode)
+            return
         post, out_window, total, out_only = dense_compare_strategies(pa, pb, epsilon, mode,
                                                                      GRID_NODES)
         assert rep.p_postselect == post
@@ -391,15 +434,15 @@ class TestAgainstDenseGrid:
 
     @pytest.mark.parametrize("pair", FAR_APART)
     def test_window_above_zero_keeps_cells_the_dense_grid_underflows(self, pair):
-        # At epsilon = 1/2 the window is F > 0.  Far apart, the dense grid's
-        # X, Y or X Y underflows to 0 in some cells whose densities are all
-        # positive; the blocked grid keeps them (F ~ 1e-160 there).
-        from reference_quadrature import dense_compare_strategies, positive_cell_mass
+        # At epsilon = 1/2 the window is F > 0, which holds for every click pair.
+        # Far apart, the dense grid's X, Y or X Y underflows to 0 in some cells
+        # whose densities are all positive; the law keeps all the mass.
+        from reference_quadrature import dense_compare_strategies
         pa, pb = GRID_PAIRS[pair]
         for mode, rep in zip(MODES, compare_strategies(pa, pb, 0.5, MODES, nodes=GRID_NODES)):
             dense = dense_compare_strategies(pa, pb, 0.5, mode, GRID_NODES)
-            assert rep.p_postselect == positive_cell_mass(pa, pb, GRID_NODES)
-            assert dense[0] <= rep.p_postselect
+            assert rep.p_postselect == sum(big_thetas(QUARTER_PI, QUARTER_PI))
+            assert dense[0] < rep.p_postselect
             assert rep.p_outside_only == dense[3] == 0.0
 
     @pytest.mark.parametrize("thetas", [(QUARTER_PI, QUARTER_PI), (0.6, 1.0), (0.0, 1.0)])
@@ -408,28 +451,44 @@ class TestAgainstDenseGrid:
         from reference_quadrature import dense_fidelity_histogram
         pa, pb = GRID_PAIRS[pair]
         hist = fidelity_histogram(*thetas, pa, pb, bins=200, nodes=GRID_NODES)
+        if pair != "csv-2049":
+            assert_law_histogram(hist, thetas, pa, pb)
+            return
         assert np.array_equal(hist.masses,
                               dense_fidelity_histogram(*thetas, pa, pb, 200, GRID_NODES))
 
     @pytest.mark.parametrize("pair", ["readme", "csv-2049"])
     def test_command_defaults_match(self, pair):
-        # the node counts `compare` and `fidelity-hist` run with
+        # the node counts `compare` and `fidelity-hist` run with; the README
+        # pair also against the blocked grid at 4000 nodes (its error ~1e-5)
         from reference_quadrature import dense_compare_strategies, dense_fidelity_histogram
         pa, pb = GRID_PAIRS[pair]
-        for mode, rep in zip(MODES, compare_strategies(pa, pb, 1e-4, MODES, nodes=2000)):
+        reps = compare_strategies(pa, pb, 1e-4, MODES, nodes=2000)
+        hist = fidelity_histogram(QUARTER_PI, QUARTER_PI, pa, pb, bins=200, nodes=1500)
+        if pair == "readme":
+            from tglab.metrics import _grid_window_sums
+            grid_post, grid_outs = _grid_window_sums(pa, pb, MAX_F - 1e-4, 4000)
+            for rep, grid_out in zip(reps, grid_outs):
+                assert_law_compare(rep, pa, pb, 1e-4, rep.mode)
+                assert_close(rep.p_postselect, grid_post, rel=2e-5)
+                assert_close(rep.p_outside_window, grid_post + grid_out, rel=2e-5)
+                assert_close(rep.p_outside_only, grid_out, rel=2e-5)
+            assert_law_histogram(hist, (QUARTER_PI, QUARTER_PI), pa, pb)
+            return
+        for mode, rep in zip(MODES, reps):
             post, out_window, total, out_only = dense_compare_strategies(pa, pb, 1e-4, mode, 2000)
             assert rep.p_postselect == post
             assert_close(rep.p_outside_window, out_window)
             assert_close(rep.p_total, total)
             assert_close(rep.p_outside_only, out_only)
-        hist = fidelity_histogram(QUARTER_PI, QUARTER_PI, pa, pb, bins=200, nodes=1500)
         assert np.array_equal(hist.masses,
                               dense_fidelity_histogram(QUARTER_PI, QUARTER_PI, pa, pb, 200, 1500))
 
 
 def test_grid_peak_allocation_stays_small():
-    # a dense 2000 x 2000 grid takes 238 MB, a 1500 x 1500 one 107 MB
-    pa, pb = CriticallyDamped(10.0), CriticallyDamped(12.5)
+    # on the tabulated twin, which takes the grid: a dense 2000 x 2000 grid
+    # takes 238 MB, a 1500 x 1500 one 107 MB
+    pa, pb = GRID_PAIRS["csv-2049"]
     tracemalloc.start()
     try:
         compare_strategies(pa, pb, 1e-4, MODES, nodes=2000)
