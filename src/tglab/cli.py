@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, TglabError, VerificationError
 from .growth import JOIN_KINDS, JOIN_METHODS, PAIRINGS, StrategyConfig, run_pipeline
-from .leakage import CriticallyDamped, LeakageProfile, load_profile_csv, save_profile_csv
+from .leakage import CriticallyDamped, LeakageProfile, load_profile_csv
 from .metrics import MODES, compare_strategies, expected_f_sq, fidelity_histogram
 from .tilted_graph import QUARTER_PI
 
@@ -199,8 +199,11 @@ def _cmd_calibrate(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: in
     points = _take(section, "points", int, default=2049, at_least=2)
     if not cfg.profiles:
         raise ConfigError("no [profile ...] sections to calibrate")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return [save_profile_csv(cfg.profiles[name], out_dir / f"calibrate_{name}.csv", points)
+
+    def rows(profile):
+        t = np.linspace(0.0, profile.t_max, points)
+        return [("time", "density"), *zip(t, profile.density(t))]
+    return [emit_csv(rows(cfg.profiles[name]), out_dir / f"calibrate_{name}.csv")
             for name in sorted(cfg.profiles)]
 
 

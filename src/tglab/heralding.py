@@ -12,10 +12,11 @@ densities P_A, P_B:
     joint density         Q12(t1, t2) = X + Y,   Q2 = Q12 / Q1
     resulting tilt        cos(theta_beta) = sqrt(Y / (X + Y))
 
-The graph rewrites cover the three supported configurations of each side:
-a fresh qubit, a member of a GHZ star, and a "Hadamard-removed" cherry (a
-plain degree-one vertex hanging off a star centre).  Detector parity is a
-known Z error and is corrected immediately.
+The graph rewrites cover the two supported configurations of each side: a
+member of a GHZ star (a fresh qubit is a one-qubit star) and a
+"Hadamard-removed" cherry (a plain degree-one vertex hanging off a star
+centre).  Both are read from the side's neighbourhood alone.  Detector parity
+is a known Z error and is corrected immediately.
 """
 
 from __future__ import annotations
@@ -189,7 +190,6 @@ def sample_dh(ctx: DhContext, u) -> DhOutcome:
 # Graph rewrites
 # ---------------------------------------------------------------------------
 
-FRESH = "fresh"
 GHZ = "ghz"
 CHERRY = "cherry"
 
@@ -200,8 +200,8 @@ class SideInfo:
 
     config: str
     qubit: int
-    component: frozenset
-    center: int            # star centre (ghz) / remnant centre (cherry) / the qubit itself
+    members: frozenset     # the whole star (ghz) / the qubit alone (cherry)
+    center: int            # star centre (ghz) / remnant centre (cherry)
     theta_eff: float       # effective tilt fed to the click statistics
 
 
@@ -212,14 +212,8 @@ def _effective_tilt(tilt: float, flip: bool, z_flips: int) -> float:
 
 
 def classify_dh_side(g: TiltedGraph, q: int) -> SideInfo:
-    """Match one side against the three supported configurations."""
+    """Match one side against the two supported configurations, from q's neighbourhood."""
     v = g.vertex(q)
-    comp = g.component_of(q)
-    if len(comp) == 1:
-        if v.hadamard:
-            raise GraphConfigError(f"fresh qubit {q} may not carry a Hadamard flag")
-        theta = _effective_tilt(v.tilt, v.x_flip, z_pi_count(g, [q]))
-        return SideInfo(FRESH, q, comp, q, theta)
     # a plain degree-one vertex hanging off its node by a pure edge: the
     # "Hadamard-removed" cherry case (the node behind it may be any graph;
     # with no Hadamard flag on either end, the pair is never a GHZ star)
@@ -227,22 +221,24 @@ def classify_dh_side(g: TiltedGraph, q: int) -> SideInfo:
         (nb,) = g.neighbors(q)
         if not g.vertex(nb).hadamard and g.edge(q, nb).kind is EdgeKind.PURE:
             theta = _effective_tilt(v.tilt, False, z_pi_count(g, [q]))
-            return SideInfo(CHERRY, q, comp, nb, theta)
-    # a member (centre or Hadamard leaf) of a GHZ star
-    center = star_center_id(g, comp)
-    theta = _effective_tilt(g.vertex(center).tilt, v.x_flip, z_pi_count(g, comp))
-    return SideInfo(GHZ, q, comp, center, theta)
+            return SideInfo(CHERRY, q, frozenset([q]), nb, theta)
+    # a member (centre or Hadamard leaf) of a GHZ star; a fresh qubit is a one-qubit star
+    center = star_center_id(g, q)
+    if center is None:
+        raise GraphConfigError(f"qubit {q} is neither a cherry nor in a GHZ star")
+    if center == q and v.hadamard:
+        raise GraphConfigError(f"fresh qubit {q} may not carry a Hadamard flag")
+    members = frozenset((center, *g.neighbors(center)))
+    theta = _effective_tilt(g.vertex(center).tilt, v.x_flip, z_pi_count(g, members))
+    return SideInfo(GHZ, q, members, center, theta)
 
 
 def _check_pairing(a: SideInfo, b: SideInfo) -> None:
-    """Two cherry-configured sides may already be linked by prior annotations
-    (recycled entanglement, which is diagonal and commutes with the click
-    analysis); every other configuration needs disjoint components."""
+    """Distinct nodes are disjoint pieces (a cherry's component holds two plain
+    vertices, so is no star) unless both sides are cherries, which prior annotations
+    may link (recycled entanglement, which commutes with the click analysis)."""
     if a.qubit == b.qubit or a.center == b.center:
         raise GraphConfigError(f"qubits {a.qubit}, {b.qubit} do not head distinct nodes")
-    if a.component == b.component and {a.config, b.config} != {CHERRY}:
-        raise GraphConfigError(
-            f"qubits {a.qubit}, {b.qubit} share a component; DH needs distinct pieces")
 
 
 def _rewrite_ghz_success(g: TiltedGraph, a: SideInfo, b: SideInfo,
@@ -256,12 +252,12 @@ def _rewrite_ghz_success(g: TiltedGraph, a: SideInfo, b: SideInfo,
     """
     fa = g.vertex(a.qubit).x_flip
     fb = g.vertex(b.qubit).x_flip
-    members = a.component | b.component
+    members = a.members | b.members
     leaves = []
     for vid in sorted(members - {a.qubit}):
         if vid == b.qubit:
             flip = True
-        elif vid in a.component:
+        elif vid in a.members:
             flip = (not fa) ^ g.vertex(vid).x_flip
         else:
             flip = fb ^ g.vertex(vid).x_flip
@@ -300,14 +296,9 @@ def apply_dh_to_graph(g: TiltedGraph, qa: int, qb: int, outcome: DhOutcome) -> T
     _check_pairing(a, b)
 
     if not outcome.success:
-        removed = set()
-        for side in (a, b):
-            removed |= {side.qubit} if side.config == CHERRY else set(side.component)
-        return g.without_vertices(removed)
-
-    configs = {a.config, b.config}
-    if configs <= {FRESH, GHZ}:
+        return g.without_vertices(a.members | b.members)
+    if a.config == b.config == GHZ:
         return _rewrite_ghz_success(g, a, b, outcome.theta_beta)
-    if configs == {CHERRY}:
+    if a.config == b.config == CHERRY:
         return _rewrite_cherry_success(g, a, b, outcome.theta_beta)
     raise GraphConfigError(f"unsupported DH configuration pair: {a.config} with {b.config}")

@@ -17,7 +17,6 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -211,18 +210,6 @@ def load_profile_csv(path) -> Tabulated:
             except (ValueError, IndexError):
                 raise ProfileError(f"{path}: malformed row {row!r}") from None
     return Tabulated(times, densities)
-
-
-def save_profile_csv(profile: LeakageProfile, path, points: int = 4097) -> Path:
-    """Write a profile as a `time,density` CSV with 17-significant-digit floats."""
-    path = Path(path)
-    t = np.linspace(0.0, profile.t_max, points)
-    p = profile.density(t)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("time,density\n")
-        for ti, pi in zip(t, p):
-            fh.write(f"{ti:.17g},{pi:.17g}\n")
-    return path
 
 
 # ---------------------------------------------------------------------------

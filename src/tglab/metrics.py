@@ -150,6 +150,22 @@ class _DifferenceLaw:
         right = d >= 0.0
         return np.where(right, 1.0 - above, below), np.where(right, above, 1.0 - below)
 
+    def window(self, d: float) -> float:
+        """P(|D| < d), d >= 0, from positive terms, so a small mass keeps its digits:
+        P(0 < D <= d) = rho^3 (P_3 + 3 sigma P_2 + 6 sigma^2 P_1)(u), sigma, rho and u as
+        in cdf, with P_k(u) = P(N >= k), N ~ Poisson(u), summed over N >= k for u <= 3,
+        else (P(N <= 2) < 1/2) as a complement.  Swapped profiles give P(-d <= D < 0)."""
+        def side(r1, r2):
+            sigma, u = r1 / (r1 + r2), r1 * d
+            if u > 3.0:
+                p1, p2, p3 = 1.0 - np.exp(-u) * np.cumsum([1.0, u, 0.5 * u * u])
+            else:
+                terms = np.cumprod(np.append(1.0, u / np.arange(1.0, 40.0)))   # u^j / j!
+                p1, p2, p3 = (math.exp(-u) * math.fsum(terms[k:]) for k in (1, 2, 3))
+            return (1.0 - sigma) ** 3 * (p3 + 3.0 * sigma * p2 + 6.0 * sigma**2 * p1)
+        a, b = 2.0 * self.pa.g, 2.0 * self.pb.g
+        return side(a, b) + side(b, a)
+
     def expect(self, kernel, lo: float = 0.0, hi: float = math.inf):
         """E_V[kernel(w)] over lo <= |D| <= hi: t1 ~ P_B and t2 ~ P_A, the mirror image
         of this law, and w = V/U = e^(-S).  One integral over |D| per sign of D, so
@@ -383,14 +399,13 @@ def _law_window_sums(law: _DifferenceLaw, threshold: float):
         return total, np.zeros(len(MODES))
     scale = abs(law.slope)
     edge = 2.0 * math.acosh(0.5 / threshold) / scale
-    below, _ = law.cdf(np.array([-edge, edge]))
 
     def successes(w):
         f = 1.0 / (np.sqrt(w) + 1.0 / np.sqrt(w))
         return np.array([first_attempt_success(f, mode) for mode in MODES])
     # Beyond |S| = _S_CUT the successes are below 3 e^(-_S_CUT) ~ 5e-35; stopping
     # there keeps a steep pair's decay, over 1/slope, resolved by the Simpson levels.
-    return (float(total * (below[1] - below[0])),
+    return (float(total * law.window(edge)),
             total * law.expect(successes, edge, max(edge, _S_CUT / scale)))
 
 

@@ -47,7 +47,7 @@ from .tilted_graph import (
     Vertex,
     branch_amplitudes,
     canonical_angle,
-    canonicalize,
+    canonical_edge,
     combine_partial_fusions,
     combine_weighted_edges,
     star_center_id,
@@ -239,14 +239,11 @@ def realign(g: TiltedGraph, cherry: int, rng=None, outcome: int | None = None
     (holder,) = g.neighbors(cherry)
     if g.edge(cherry, holder).kind is not EdgeKind.PURE:
         raise GraphConfigError("the cherry must hang on a pure edge")
-    comp = g.component_of(cherry)
-    try:
-        center = star_center_id(g, comp)
-    except GraphConfigError:        # central-vertex flavour: a Hadamard cherry on a tilt holder
-        center = None
+    center = star_center_id(g, cherry)
     if center is not None:
-        tilt, flagged = g.vertex(center).tilt, comp
-    else:
+        flagged = comp = frozenset((center, *g.neighbors(center)))
+        tilt = g.vertex(center).tilt
+    else:                           # central-vertex flavour: a Hadamard cherry on a tilt holder
         hv = g.vertex(holder)
         if not v.hadamard:
             raise GraphConfigError(
@@ -308,7 +305,7 @@ def _join_site(g: TiltedGraph, central: int, expected: EdgeKind):
         probe = probe.without_edge(x, y)
     for w in (x, y):
         wv = g.vertex(w)
-        if wv.hadamard or wv.x_flip or abs(abs(wv.tilt) - QUARTER_PI) > 1e-9:
+        if wv.hadamard or wv.x_flip or not wv.untilted:
             raise GraphConfigError(f"join endpoint {w} must be a plain untilted vertex")
     if probe.component_of(x) == probe.component_of(y):
         raise GraphConfigError("join endpoints are entangled beyond the recorded annotation")
@@ -317,22 +314,20 @@ def _join_site(g: TiltedGraph, central: int, expected: EdgeKind):
 
 def merge(g: TiltedGraph, central: int, sign: int | None = None, rng=None,
           outcome: int | None = None) -> tuple[ProcedureOutcome, TiltedGraph]:
-    """Fuse the central vertex's neighbours by a targeted parity projection."""
+    """Fuse the central vertex's neighbours by a targeted parity projection.
+    Rewrites only the annotation it makes; the rest of g stays as given."""
     x, y, gamma1 = _join_site(g, central, EdgeKind.PARTIAL)
     theta_b = g.vertex(central).tilt
     s = merge_auto_sign(gamma1) if sign is None else int(sign)
     p = merge_success_probability(theta_b, gamma1, s)
     bit = _draw(outcome, rng, p)
-    base = g.without_vertices([central])
     if bit:
         annot = EdgeAnnotation.partial_fusion(s * QUARTER_PI)
     else:
         phi3, _ = combine_partial_fusions(gamma1, -s * r_function(theta_b))
         annot = EdgeAnnotation.partial_fusion(phi3)
-    out = base.with_edge(x, y, annot)
-    if annot.maximal:
-        # an untilted central vertex makes even failure a (other-parity) success
-        out = canonicalize(out)
+    # maximal: an untilted central vertex makes even failure an other-parity success
+    out = canonical_edge(g.without_vertices([central]).with_edge(x, y, annot), x, y)
     record = ProcedureOutcome("merge", bool(bit), p, central,
                               RotationDescriptor("M", s * theta_b), bit,
                               annotation_after=annot)
@@ -341,23 +336,21 @@ def merge(g: TiltedGraph, central: int, sign: int | None = None, rng=None,
 
 def bridge(g: TiltedGraph, central: int, sign: int | None = None, rng=None,
            outcome: int | None = None) -> tuple[ProcedureOutcome, TiltedGraph]:
-    """Connect the central vertex's neighbours by a targeted weighted edge."""
+    """Connect the central vertex's neighbours by a targeted weighted edge.
+    Rewrites only the annotation it makes; the rest of g stays as given."""
     x, y, gamma1 = _join_site(g, central, EdgeKind.WEIGHTED)
     theta_b = g.vertex(central).tilt
     s = bridge_auto_sign(gamma1, theta_b) if sign is None else int(sign)
     beta = bridge_beta(gamma1, theta_b, s)
     p = bridge_success_probability(theta_b, gamma1, s)
     bit = _draw(outcome, rng, p)
-    base = g.without_vertices([central])
     if bit:
         annot = EdgeAnnotation.weighted(s * QUARTER_PI)
     else:
         total = combine_weighted_edges(gamma1, bridge_failure_angle(gamma1, theta_b, s))
         annot = EdgeAnnotation.weighted(total)
-    out = base.with_edge(x, y, annot)
-    if annot.maximal:
-        # the equally desirable alternative target also reduces to pure form
-        out = canonicalize(out)
+    # maximal: the equally desirable alternative target also reduces to pure form
+    out = canonical_edge(g.without_vertices([central]).with_edge(x, y, annot), x, y)
     record = ProcedureOutcome("bridge", bool(bit), p, central,
                               RotationDescriptor("MS", beta), bit,
                               annotation_after=annot)

@@ -422,24 +422,25 @@ def ghz_graph(ids, tilt: float = QUARTER_PI, center: int | None = None) -> Tilte
     return with_star(TiltedGraph(), (), Vertex(center, tilt), leaves)
 
 
-def star_center_id(g: TiltedGraph, comp: frozenset) -> int:
-    """The centre of a GHZ-star component (raises if the shape is not a star)."""
-    comp = frozenset(comp)
-    if len(comp) == 1:
-        return next(iter(comp))
-    centers = [vid for vid in comp if not g.vertex(vid).hadamard]
-    if len(centers) != 1:
-        raise GraphConfigError(f"component {sorted(comp)} is not a GHZ star (centres: {centers})")
-    c = centers[0]
-    for vid in comp:
-        if vid == c:
-            continue
-        v = g.vertex(vid)
-        if g.neighbors(vid) != (c,) or not v.hadamard or not v.untilted:
-            raise GraphConfigError(f"component {sorted(comp)} is not a GHZ star at vertex {vid}")
-        if g.edge(c, vid).kind is not EdgeKind.PURE:
-            raise GraphConfigError(f"component {sorted(comp)} has a non-pure star edge")
-    return c
+def star_center_id(g: TiltedGraph, vid: int) -> int | None:
+    """The centre of the GHZ star holding vid, or None, from vid's neighbourhood.
+
+    A lone vertex is its own star.  Otherwise the centre is vid (if plain) or a
+    Hadamard vid's only neighbour, and it must be plain with every neighbour an
+    untilted Hadamard leaf of degree 1 on a pure edge.
+    """
+    v, row = g.vertex(vid), g._adj[vid]
+    if not row:
+        return vid
+    center = next(iter(row)) if v.hadamard and len(row) == 1 else vid
+    if g.vertex(center).hadamard:
+        return None
+    for nb, annot in g._adj[center].items():
+        leaf = g.vertex(nb)
+        if (annot.kind is not EdgeKind.PURE or len(g._adj[nb]) != 1 or not leaf.hadamard
+                or not leaf.untilted):
+            return None
+    return center
 
 
 # ---------------------------------------------------------------------------
@@ -481,29 +482,39 @@ def _fusion_rewrite(g: TiltedGraph, a: int, b: int, sign: int) -> TiltedGraph:
     return out
 
 
-def canonicalize(g: TiltedGraph) -> TiltedGraph:
-    """Return the canonical form of a graph (same physical state up to phase).
-
-    Tilts are mapped into [0, pi/2] (negative tilts absorb a Z(pi), or an X
-    below a Hadamard flag); maximal weighted edges become pure edges with
-    S-phase corrections; maximal partial fusions become pure fused structure.
-    Idempotent.
-    """
-    out = g
-    for vid in g.vertex_ids:
-        v = out.vertex(vid)
+def _absorb_negative_tilts(g: TiltedGraph, vids) -> TiltedGraph:
+    """Negative tilts among vids absorb a Z(pi) (an X below a Hadamard flag)."""
+    for vid in vids:
+        v = g.vertex(vid)
         if v.tilt < 0:
-            out = out.with_vertex(replace(v, tilt=-v.tilt).absorb_inner_z(math.pi))
-    for a, b, annot in list(out.edges()):
-        if annot.kind is EdgeKind.WEIGHTED and annot.maximal:
-            sgn = 1 if annot.phi > 0 else -1
-            va, vb = out.vertex(a), out.vertex(b)
-            if va.hadamard or vb.hadamard:
-                continue        # S corrections cannot pass a Hadamard flag
-            out = out.with_edge(a, b, EdgeAnnotation.pure())
-            out = out.map_vertex(a, lambda v: v.absorb_inner_z(-sgn * HALF_PI))
-            out = out.map_vertex(b, lambda v: v.absorb_inner_z(-sgn * HALF_PI))
-        elif annot.kind is EdgeKind.PARTIAL and annot.maximal:
-            sgn = 1 if annot.phi > 0 else -1
-            out = _fusion_rewrite(out, a, b, sgn)
+            g = g.with_vertex(replace(v, tilt=-v.tilt).absorb_inner_z(math.pi))
+    return g
+
+
+def canonical_edge(g: TiltedGraph, a: int, b: int) -> TiltedGraph:
+    """Rewrite the edge (a, b) to pure form if its current annotation is maximal,
+    after its endpoints' negative tilts absorb a Z(pi); any other edge leaves g as
+    it is.  A maximal weighted edge becomes pure with S-phase corrections (unless
+    an endpoint carries a Hadamard flag), a maximal partial fusion pure fused
+    structure."""
+    annot = g.edge(a, b)
+    if annot is None or not annot.maximal:
+        return g
+    out = _absorb_negative_tilts(g, (a, b))
+    sgn = 1 if annot.phi > 0 else -1
+    if annot.kind is EdgeKind.PARTIAL:
+        return _fusion_rewrite(out, a, b, sgn)
+    if out.vertex(a).hadamard or out.vertex(b).hadamard:
+        return out          # S corrections cannot pass a Hadamard flag
+    out = out.with_edge(a, b, EdgeAnnotation.pure())
+    out = out.map_vertex(a, lambda v: v.absorb_inner_z(-sgn * HALF_PI))
+    return out.map_vertex(b, lambda v: v.absorb_inner_z(-sgn * HALF_PI))
+
+
+def canonicalize(g: TiltedGraph) -> TiltedGraph:
+    """Return the canonical form of a graph (same physical state up to phase):
+    tilts mapped into [0, pi/2], then canonical_edge on every edge.  Idempotent."""
+    out = _absorb_negative_tilts(g, g.vertex_ids)
+    for a, b, _ in list(out.edges()):
+        out = canonical_edge(out, a, b)
     return out

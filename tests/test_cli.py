@@ -5,7 +5,7 @@ import pytest
 from tglab import cli
 from tglab.cli import emit_csv, main, parse_config, run_command
 from tglab.errors import ConfigError, TglabError
-from tglab.leakage import CriticallyDamped, load_profile_csv, save_profile_csv
+from tglab.leakage import CriticallyDamped, load_profile_csv
 
 GOOD = """
 [profile A]
@@ -209,7 +209,9 @@ class TestMainExitCodes:
         # E(F^2) takes two critically damped profiles; a tabulated pair fails at once
         text = GOOD
         for name, g in (("A", "10.0"), ("B", "12.5")):
-            save_profile_csv(CriticallyDamped(float(g)), tmp_path / f"{name}.csv", points=65)
+            profile = CriticallyDamped(float(g))
+            t = np.linspace(0.0, profile.t_max, 65)
+            emit_csv([("time", "density"), *zip(t, profile.density(t))], tmp_path / f"{name}.csv")
             text = text.replace(f"kind = critically_damped\ng = {g}",
                                 f"kind = csv\npath = {name}.csv")
         p = tmp_path / "exp.cfg"

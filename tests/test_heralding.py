@@ -6,7 +6,6 @@ import pytest
 from tglab.errors import GraphConfigError, ImpossibleStateError
 from tglab.heralding import (
     CHERRY,
-    FRESH,
     GHZ,
     ClickPair,
     DhContext,
@@ -233,7 +232,7 @@ class TestTiltAfterDh:
 class TestClassification:
     def test_fresh_ghz_cherry(self):
         g = TiltedGraph([Vertex(0, 0.4)])
-        assert classify_dh_side(g, 0).config == FRESH
+        assert classify_dh_side(g, 0).config == GHZ        # a one-qubit star
         g2 = ghz_graph([1, 2, 3], 0.7)
         assert classify_dh_side(g2, 2).config == GHZ
         assert classify_dh_side(g2, 2).theta_eff == pytest.approx(0.7)
@@ -278,7 +277,7 @@ def branch_sign(g, info):
     """Relative sign of one side's two branches under its Z(pi) flags."""
     v = g.vertex(info.qubit)
     if info.config == GHZ:
-        tilt, flagged = g.vertex(info.center).tilt, info.component
+        tilt, flagged = g.vertex(info.center).tilt, info.members
     else:
         tilt, flagged = v.tilt, [info.qubit]
     alpha, beta = branch_amplitudes(tilt, v.x_flip, z_pi_count(g, flagged))

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tglab.cli import emit_csv
 from tglab.errors import ProfileError, QuadratureError
 from tglab.leakage import (
     CavityParams,
@@ -13,7 +14,6 @@ from tglab.leakage import (
     integrate,
     load_profile_csv,
     overlap_integral,
-    save_profile_csv,
     tabulate_profile,
 )
 
@@ -196,9 +196,10 @@ class TestTabulated:
     def test_csv_round_trip_bit_exact(self, tmp_path):
         p = tabulate_profile(CriticallyDamped(12.5), 257)
         path = tmp_path / "prof.csv"
-        save_profile_csv(p, path, points=257)
+        t = np.linspace(0.0, p.t_max, 257)
+        emit_csv([("time", "density"), *zip(t, p.density(t))], path)
         q = load_profile_csv(path)
-        assert np.array_equal(q.densities, p.density(np.linspace(0, p.t_max, 257)))
+        assert np.array_equal(q.densities, p.density(t))
 
     def test_csv_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"

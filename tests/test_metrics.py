@@ -432,6 +432,19 @@ class TestAgainstDenseGrid:
         assert_close(rep.p_total, total)
         assert_close(rep.p_outside_only, out_only)
 
+    @pytest.mark.parametrize("ga, gb, epsilon", [
+        (0.05, 80.0, 1e-4), (0.5, 40.0, 1e-4), (10.0, 12.5, 1e-4), (1.0, 3.0, 0.3),
+        (3.0, 3.1, 0.45)])
+    def test_window_mass_keeps_its_digits(self, ga, gb, epsilon):
+        # a sum of positive terms: both orders of the pair give the same mass, and it
+        # matches Gauss-Legendre to 1e-12 relative, also where it is 6e-11
+        from reference_quadrature import gl_compare_strategies
+        want = gl_compare_strategies(CriticallyDamped(ga), CriticallyDamped(gb), epsilon, "3f2")
+        got = [compare_strategies(CriticallyDamped(a), CriticallyDamped(b), epsilon)[0]
+               for a, b in ((ga, gb), (gb, ga))]
+        assert got[0].p_postselect == got[1].p_postselect
+        assert_close(got[0].p_postselect, want[0], rel=1e-12)
+
     @pytest.mark.parametrize("pair", FAR_APART)
     def test_window_above_zero_keeps_cells_the_dense_grid_underflows(self, pair):
         # At epsilon = 1/2 the window is F > 0, which holds for every click pair.
