@@ -8,7 +8,8 @@ realignment; phases 2 and 3 join the purified pieces into a large GHZ
 annotation left by failed attempts.
 
 Pieces are tracked abstractly in phase 1 ((size, tilt, member cavities) is
-a complete description of a GHZ resource); the join phase materialises the
+a complete description of a GHZ resource, kept in parallel lists until
+the phase ends); the join phase materialises the
 inventory as a TiltedGraph and drives the heralding and procedure rewrites
 directly, so small campaigns can be replayed on the state-vector oracle.
 
@@ -54,7 +55,12 @@ class GhzPiece:
     @property
     def fidelity(self) -> float:
         """f = (1 + |sin 2 theta|)/2; the tilt sign is a correctable Z error."""
-        return 0.5 * (1.0 + abs(math.sin(2.0 * self.tilt)))
+        return _fidelity(self.tilt)
+
+
+def _fidelity(tilt: float) -> float:
+    """GhzPiece.fidelity of a piece with this tilt."""
+    return 0.5 * (1.0 + abs(math.sin(2.0 * tilt)))
 
 
 @dataclass(frozen=True)
@@ -144,13 +150,13 @@ def maybe_flip(theta_a: float, theta_b: float) -> bool:
     return abs(math.sin(theta_a) ** 2 - math.sin(theta_b) ** 2) > 0.5
 
 
-def pair_inventory(pieces) -> tuple[list, int | None]:
+def pair_inventory(tilts) -> tuple[list, int | None]:
     """Sort by descending tilt and pair adjacent items.
 
-    Returns ([(i, j), ...], leftover_index) of indices into `pieces`;
+    Returns ([(i, j), ...], leftover_index) of indices into `tilts`;
     an odd piece waits for the next round.
     """
-    order = sorted(range(len(pieces)), key=lambda i: (-pieces[i].tilt, i))
+    order = sorted(range(len(tilts)), key=lambda i: (-tilts[i], i))
     pairs = [(order[k], order[k + 1]) for k in range(0, len(order) - 1, 2)]
     leftover = order[-1] if len(order) % 2 else None
     return pairs, leftover
@@ -163,22 +169,6 @@ def effective_pair_tilts(theta_a: float, theta_b: float, flip_rule: bool) -> tup
     return theta_a, theta_b
 
 
-def _phase1_attempt(piece_a: GhzPiece, piece_b: GhzPiece, cfg: StrategyConfig,
-                    u, round_idx: int):
-    """One DH attempt between two pieces on the five uniforms `u`; returns
-    the merged piece or None."""
-    ta, tb = effective_pair_tilts(piece_a.tilt, piece_b.tilt, cfg.flip_rule)
-    cav_a = piece_a.cavities[round_idx % piece_a.size]
-    cav_b = piece_b.cavities[round_idx % piece_b.size]
-    ctx = DhContext(ta, tb, cfg.profiles[cav_a], cfg.profiles[cav_b],
-                    cfg.detection_efficiency)
-    out = sample_dh(ctx, u)
-    if not out.success:
-        return None
-    return GhzPiece(piece_a.size + piece_b.size, out.theta_beta,
-                    piece_a.cavities + piece_b.cavities)
-
-
 def run_phase1(cfg: StrategyConfig, stats: RunStats | None = None,
                scan_reverse: bool = False) -> tuple[list, RunStats]:
     """Grow GHZ pieces to the target size by pairwise double heralding.
@@ -188,64 +178,81 @@ def run_phase1(cfg: StrategyConfig, stats: RunStats | None = None,
     one (pairs x 5) block of uniforms from its own stream and pair k reads
     row k, so scan_reverse only exercises the evaluation-order independence
     (results are identical).
+
+    The inventory is kept as parallel lists (size, tilt, fidelity and member
+    cavities of each piece); the GhzPieces are built once, at the end.  A
+    round makes two passes: the DH attempts, in scan order, then the
+    bookkeeping, in pair order.
     """
     cavities = sorted(cfg.profiles)
     if len(cavities) < cfg.target_ghz_size:
         raise InventoryExhausted(
             f"{len(cavities)} cavities cannot host a {cfg.target_ghz_size}-qubit GHZ")
     stats = stats or RunStats()
-    pieces = [GhzPiece(1, QUARTER_PI, (c,)) for c in cavities]
-    stats.qubits_drawn += len(pieces)
+    profiles, flip_rule, efficiency = cfg.profiles, cfg.flip_rule, cfg.detection_efficiency
+    atom_fidelity, n = _fidelity(QUARTER_PI), len(cavities)
+    sizes, tilts, fidelities = [1] * n, [QUARTER_PI] * n, [atom_fidelity] * n
+    members = [(c,) for c in cavities]
+    stats.qubits_drawn += n
 
     for round_idx in range(MAX_ROUNDS):
-        active = [i for i, p in enumerate(pieces) if p.size < cfg.target_ghz_size]
+        active = [i for i, size in enumerate(sizes) if size < cfg.target_ghz_size]
         if not active:
-            stats.close(pieces)
-            return pieces, stats
+            break
         if cfg.pairing == "random":
             perm = derive_rng(cfg.seed, PAIRING, round_idx).permutation(len(active))
             order = [active[k] for k in perm]
             pairs = [(order[k], order[k + 1]) for k in range(0, len(order) - 1, 2)]
         else:
-            sub = [pieces[i] for i in active]
-            sub_pairs, _ = pair_inventory(sub)
+            sub_pairs, _ = pair_inventory([tilts[i] for i in active])
             pairs = [(active[i], active[j]) for i, j in sub_pairs]
         if not pairs:
-            stats.close(pieces)
-            return pieces, stats
+            break
 
-        results = [None] * len(pairs)
+        merged = [None] * len(pairs)    # the new tilt of each successful pair
         draws = derive_rng(cfg.seed, PHASE1, round_idx).random((len(pairs), 5)).tolist()
         scan = range(len(pairs) - 1, -1, -1) if scan_reverse else range(len(pairs))
         for k in scan:
             ia, ib = pairs[k]
-            results[k] = _phase1_attempt(pieces[ia], pieces[ib], cfg, draws[k], round_idx)
+            ta, tb = effective_pair_tilts(tilts[ia], tilts[ib], flip_rule)
+            ctx = DhContext(ta, tb, profiles[members[ia][round_idx % sizes[ia]]],
+                            profiles[members[ib][round_idx % sizes[ib]]], efficiency)
+            out = sample_dh(ctx, draws[k])
+            if out.success:
+                merged[k] = out.theta_beta
 
         # survivors keep their index order; re-prepared atoms go to the end
-        consumed = 0
-        survivors, fresh = list(pieces), []
-        for k, (ia, ib) in enumerate(pairs):
-            stats.dh_attempts += 1
-            merged = results[k]
-            survivors[ib] = None
-            if merged is not None:
-                stats.dh_successes += 1
-                survivors[ia] = merged
+        consumed, fresh = 0, []
+        for (ia, ib), theta in zip(pairs, merged):
+            if theta is not None:
+                sizes[ia] += sizes[ib]
+                tilts[ia], fidelities[ia] = theta, _fidelity(theta)
+                members[ia] += members[ib]
             else:
-                lost = pieces[ia].size + pieces[ib].size
-                consumed += lost
-                stats.qubits_consumed += lost
-                stats.qubits_drawn += lost
-                survivors[ia] = GhzPiece(1, QUARTER_PI, (pieces[ia].cavities[0],))
-                fresh += [GhzPiece(1, QUARTER_PI, (c,))
-                          for c in pieces[ia].cavities[1:] + pieces[ib].cavities]
-        pieces = [p for p in survivors if p is not None] + fresh
+                consumed += sizes[ia] + sizes[ib]
+                fresh += members[ia][1:] + members[ib]
+                sizes[ia], tilts[ia], fidelities[ia] = 1, QUARTER_PI, atom_fidelity
+                members[ia] = members[ia][:1]
+            sizes[ib] = 0
+        kept = [i for i, size in enumerate(sizes) if size]
+        sizes = [sizes[i] for i in kept] + [1] * len(fresh)
+        tilts = [tilts[i] for i in kept] + [QUARTER_PI] * len(fresh)
+        fidelities = [fidelities[i] for i in kept] + [atom_fidelity] * len(fresh)
+        members = [members[i] for i in kept] + [(c,) for c in fresh]
+        successes = len(pairs) - merged.count(None)
+        stats.dh_attempts += len(pairs)
+        stats.dh_successes += successes
+        stats.qubits_consumed += consumed
+        stats.qubits_drawn += consumed
         stats.rounds.append(RoundRow(
-            round_idx, len(pairs), sum(r is not None for r in results), consumed,
-            float(np.mean([p.tilt for p in pieces])),
-            float(np.mean([p.fidelity for p in pieces]))))
-    raise InventoryExhausted(f"no piece reached size {cfg.target_ghz_size} "
-                             f"within {MAX_ROUNDS} rounds")
+            round_idx, len(pairs), successes, consumed, float(np.mean(tilts)),
+            float(np.mean(fidelities))))
+    else:
+        raise InventoryExhausted(f"no piece reached size {cfg.target_ghz_size} "
+                                 f"within {MAX_ROUNDS} rounds")
+    pieces = [GhzPiece(*piece) for piece in zip(sizes, tilts, members)]
+    stats.close(pieces)
+    return pieces, stats
 
 
 # ---------------------------------------------------------------------------

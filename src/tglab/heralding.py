@@ -22,7 +22,7 @@ is a known Z error and is corrected immediately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,13 +48,18 @@ from .tilted_graph import (
 
 @dataclass(frozen=True)
 class DhContext:
-    """Tilts, profiles and detection efficiency of one DH application."""
+    """Tilts, profiles and detection efficiency of one DH application.
+
+    `thetas` holds (Theta_1, Theta_2) of the tilts, computed once here for
+    every statistic of the application.
+    """
 
     theta_a: float
     theta_b: float
     pa: LeakageProfile
     pb: LeakageProfile
     detection_efficiency: float = 1.0
+    thetas: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "theta_a", canonical_angle(self.theta_a))
@@ -62,6 +67,7 @@ class DhContext:
         if not (0.0 < self.detection_efficiency <= 1.0):
             raise GraphConfigError(
                 f"detection efficiency must lie in (0, 1], got {self.detection_efficiency}")
+        object.__setattr__(self, "thetas", big_thetas(self.theta_a, self.theta_b))
 
 
 @dataclass(frozen=True)
@@ -84,13 +90,16 @@ def big_thetas(theta_a: float, theta_b: float) -> tuple[float, float]:
 
 def success_probability(theta_a: float, theta_b: float, detection_efficiency: float = 1.0) -> float:
     """Upper-bound DH success probability, scaled by efficiency^2 (two clicks)."""
-    t1, t2 = big_thetas(theta_a, theta_b)
-    return (t1 + t2) * detection_efficiency**2
+    return _scaled_success(big_thetas(theta_a, theta_b), detection_efficiency)
+
+
+def _scaled_success(thetas: tuple, detection_efficiency: float) -> float:
+    return (thetas[0] + thetas[1]) * detection_efficiency**2
 
 
 def joint_terms(t1, t2, ctx: DhContext):
     """(X, Y) of the joint click density; t1, t2 may be arrays (broadcast)."""
-    th1, th2 = big_thetas(ctx.theta_a, ctx.theta_b)
+    th1, th2 = ctx.thetas
     x = th1 * ctx.pa.density(t1) * ctx.pb.density(t2)
     y = th2 * ctx.pb.density(t1) * ctx.pa.density(t2)
     return x, y
@@ -101,7 +110,7 @@ def click_density_first(t1, ctx: DhContext):
 
     Accepts scalar or array t1.
     """
-    th1, th2 = big_thetas(ctx.theta_a, ctx.theta_b)
+    th1, th2 = ctx.thetas
     return th1 * ctx.pa.density(t1) + th2 * ctx.pb.density(t1)
 
 
@@ -128,7 +137,7 @@ def sample_clicks(ctx: DhContext, u) -> ClickPair:
     u[2] are the quantiles of the first and second click under the branch's
     renormalised profiles.
     """
-    th1, th2 = big_thetas(ctx.theta_a, ctx.theta_b)
+    th1, th2 = ctx.thetas
     if th1 + th2 <= 0.0:
         raise ImpossibleStateError("degenerate tilts: success probability is zero")
     first, second = (ctx.pa, ctx.pb) if u[0] < th1 / (th1 + th2) else (ctx.pb, ctx.pa)
@@ -137,7 +146,7 @@ def sample_clicks(ctx: DhContext, u) -> ClickPair:
 
 def sample_clicks_array(ctx: DhContext, rng: np.random.Generator, n: int):
     """Vectorised sample_clicks: two arrays (t1s, t2s) of n success-conditioned draws."""
-    th1, th2 = big_thetas(ctx.theta_a, ctx.theta_b)
+    th1, th2 = ctx.thetas
     if th1 + th2 <= 0.0:
         raise ImpossibleStateError("degenerate tilts: success probability is zero")
     from_a = rng.random(n) < th1 / (th1 + th2)
@@ -176,10 +185,10 @@ def sample_dh(ctx: DhContext, u) -> DhOutcome:
     u[0] is the success test (success when u[0] < p), u[1:4] go to
     sample_clicks (branch, first and second click quantile) and u[4] draws
     the detector parity.  Phase 1 passes each pair its own row of the
-    round's uniform block; the join phase passes rng.random(5).
+    round's uniform block; the join phase passes rng.random(5).  Theta_1 and
+    Theta_2 come from the context, computed once per application.
     """
-    p = success_probability(ctx.theta_a, ctx.theta_b, ctx.detection_efficiency)
-    if u[0] >= p:
+    if u[0] >= _scaled_success(ctx.thetas, ctx.detection_efficiency):
         return DhOutcome.failure()
     clicks = sample_clicks(ctx, u[1:4])
     parity = 1 if u[4] < 0.5 else -1

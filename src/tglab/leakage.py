@@ -9,12 +9,18 @@ The critically damped cavity (kappa = 4g) has the closed-form density
 C(t, g) = 4 g^3 t^2 exp(-2 g t) for t > 0, which is the Gamma(3, 2g)
 shape.  Arbitrary calibrated profiles are supported through tabulation
 (linear interpolation inside the grid, zero outside).
+
+Sampling inverts a tabulated CDF.  A single float quantile takes a scalar
+bisection path that equals np.interp bit for bit, and the critically damped
+profiles of one coupling share one table while any of them is alive.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import weakref
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,6 +29,8 @@ import numpy as np
 from .errors import ProfileError, QuadratureError
 
 _CDF_TABLE_SIZE = 8193
+# coupling g -> the inverse-CDF table of CriticallyDamped(g), while a profile holds it
+_CRITICALLY_DAMPED_TABLES = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -92,13 +100,8 @@ class LeakageProfile:
         raise NotImplementedError
 
     @cached_property
-    def _inverse_cdf_table(self):
-        t = np.linspace(0.0, self.t_max, _CDF_TABLE_SIZE)
-        p = self.density(t)
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(t))])
-        if cdf[-1] <= 0.0:
-            raise ProfileError("cannot sample from a zero-mass profile")
-        return t, cdf / cdf[-1]
+    def _inverse_cdf_table(self) -> "_CdfTable":
+        return _CdfTable(self)
 
     def sample(self, rng: np.random.Generator, size=None):
         """Draw times from the renormalised density via the tabulated inverse CDF."""
@@ -106,13 +109,60 @@ class LeakageProfile:
 
     def cdf(self, t):
         """Renormalised cumulative distribution, linear between table nodes."""
-        grid, cdf = self._inverse_cdf_table
-        return np.interp(t, grid, cdf)
+        table = self._inverse_cdf_table
+        return np.interp(t, table.grid, table.cdf)
 
     def inverse_cdf(self, u):
-        """Quantile function of the renormalised density (tabulated)."""
-        grid, cdf = self._inverse_cdf_table
-        return np.interp(u, cdf, grid)
+        """Quantile function of the renormalised density (tabulated).
+
+        A Python or NumPy float u takes a scalar path that returns a float
+        equal to np.interp's value bit for bit.
+        """
+        table = self._inverse_cdf_table
+        if isinstance(u, float):
+            return _interp_scalar(float(u), table.cdf_items, table.grid_items)
+        return np.interp(u, table.cdf, table.grid)
+
+
+class _CdfTable:
+    """A profile's renormalised trapezoid CDF on _CDF_TABLE_SIZE uniform nodes
+    of [0, t_max]: read-only arrays for np.interp, and memoryviews of the same
+    bytes (whose items are Python floats) for the scalar path."""
+
+    __slots__ = ("grid", "cdf", "grid_items", "cdf_items", "__weakref__")
+
+    def __init__(self, profile: LeakageProfile):
+        t = np.linspace(0.0, profile.t_max, _CDF_TABLE_SIZE)
+        p = profile.density(t)
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(t))])
+        if cdf[-1] <= 0.0:
+            raise ProfileError("cannot sample from a zero-mass profile")
+        cdf = cdf / cdf[-1]
+        t.setflags(write=False)
+        cdf.setflags(write=False)
+        self.grid, self.cdf = t, cdf
+        self.grid_items, self.cdf_items = memoryview(t), memoryview(cdf)
+
+
+def _interp_scalar(x: float, xp, fp) -> float:
+    """np.interp(x, xp, fp) for one float, bit for bit: a NaN stays NaN, x is
+    clamped to [xp[0], xp[-1]], j is the last knot with xp[j] <= x (the last of
+    equal knots), a knot returns its value, and a NaN interpolant is retried
+    from the right knot."""
+    if x != x:
+        return x
+    j = bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j == len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    out = slope * (x - xp[j]) + fp[j]
+    if out != out:
+        out = slope * (x - xp[j + 1]) + fp[j + 1]
+        if out != out and fp[j] == fp[j + 1]:
+            out = fp[j]
+    return out
 
 
 class CriticallyDamped(LeakageProfile):
@@ -125,6 +175,15 @@ class CriticallyDamped(LeakageProfile):
 
     def density(self, t):
         return critically_damped_density(self.g, t)
+
+    @cached_property
+    def _inverse_cdf_table(self) -> _CdfTable:
+        # one table per coupling, shared by every live CriticallyDamped(g): a
+        # pool of cavities on one coupling builds one table, not one per cavity
+        table = _CRITICALLY_DAMPED_TABLES.get(self.g)
+        if table is None:
+            table = _CRITICALLY_DAMPED_TABLES[self.g] = _CdfTable(self)
+        return table
 
     @property
     def total_mass(self) -> float:

@@ -21,6 +21,8 @@ cap.  They exist to arbitrate every analytic formula in the package.  The
 RK4 step is applied as powers of its one-step propagator, and a state is
 built as one diagonal (the preparations and the edge operators, all
 diagonal in the Z basis) followed by one local gate per decorated axis.
+States are built in batches (build_states): graphs of equal qubit count
+share each gather of diagonal factors and each stacked axis gate.
 """
 
 from __future__ import annotations
@@ -97,49 +99,109 @@ def _edge_diagonal(annot) -> tuple:
 
 
 def build_state(g: TiltedGraph) -> StateVector:
-    """Constructive state of a tilted graph (see tilted_graph's contract).
+    """Constructive state of a tilted graph (see tilted_graph's contract)."""
+    return build_states([g])[0]
+
+
+def build_states(graphs) -> list:
+    """Constructive states of tilted graphs, in order (see tilted_graph's contract).
 
     Preparations, then control-Z edges, then U/P annotations (P followed by
     renormalisation), then the per-vertex corrections H, X, Z(phase).  All
     but the corrections are diagonal, each over the bits of at most two
-    qubits, so their factors are gathered through the bit table and
-    multiplied; the corrections of a vertex are one 2x2 gate on its axis.
+    qubits.  The graphs are built in groups of equal qubit count: each graph's
+    factors (padded with unit factors to the group's longest list) are
+    gathered through the bit table and multiplied, at most _GATHER_CELLS
+    cells per gather, and the corrections on each axis are one stacked 2x2
+    gate.
+    Every qubit count is checked against QUBIT_CAP before anything is built.
     """
-    verts = list(g.vertices())
-    ids = tuple(v.id for v in verts)
-    n = len(ids)
-    if not 0 < n <= QUBIT_CAP:
-        raise GraphConfigError(f"cannot build the state of {n} qubits (cap {QUBIT_CAP})")
-    axis = {vid: k for k, vid in enumerate(ids)}
-    # a preparation is a factor over its vertex's bit taken twice: index 0 or 3
-    rows = [(math.cos(v.tilt), 0.0, 0.0, math.sin(v.tilt)) for v in verts]
-    first, second = list(range(n)), list(range(n))
-    has_fusion = False
-    for a, b, annot in g.edges():
-        first.append(axis[a])
-        second.append(axis[b])
-        rows.append(_edge_diagonal(annot))
-        has_fusion |= annot.kind is EdgeKind.PARTIAL
-    bits, table = _bit_table(n), np.array(rows, dtype=complex).ravel()
-    offsets = np.arange(0, table.size, 4)
-    amps = np.ones(1 << n, dtype=complex)
-    block = max(1, BLOCK_CELLS >> n)  # factors per gather: at most BLOCK_CELLS cells at once
-    for cut in (slice(lo, lo + block) for lo in range(0, len(rows), block)):
-        amps *= table[2 * bits[:, first[cut]] + bits[:, second[cut]] + offsets[cut]].prod(axis=1)
-    if has_fusion:
-        norm = float(np.linalg.norm(amps))
+    graphs = list(graphs)
+    groups = {}
+    for k, g in enumerate(graphs):
+        n = g.vertex_count
+        if not 0 < n <= QUBIT_CAP:
+            raise GraphConfigError(f"cannot build the state of {n} qubits (cap {QUBIT_CAP})")
+        groups.setdefault(n, []).append(k)
+    states = [None] * len(graphs)
+    for n, members in groups.items():
+        for k, state in zip(members, _build_group([graphs[k] for k in members], n)):
+            states[k] = state
+    return states
+
+
+_UNIT_FACTOR = (1.0, 1.0, 1.0, 1.0)
+# Gathers of more cells than this build the cross-check's states no faster and
+# raise the process's peak memory: each cell holds a 16-byte factor and an
+# 8-byte index.
+_GATHER_CELLS = BLOCK_CELLS >> 3
+
+
+def _build_group(graphs: list, n: int) -> list:
+    """build_states for graphs of n qubits each."""
+    verts = [list(g.vertices()) for g in graphs]
+    rows, first, second, fused = [], [], [], []
+    for g, vs in zip(graphs, verts):
+        axis = {v.id: k for k, v in enumerate(vs)}
+        # a preparation is a factor over its vertex's bit taken twice: index 0 or 3
+        rows.append([(math.cos(v.tilt), 0.0, 0.0, math.sin(v.tilt)) for v in vs])
+        first.append(list(range(n)))
+        second.append(list(range(n)))
+        has_fusion = False
+        for a, b, annot in g.edges():
+            first[-1].append(axis[a])
+            second[-1].append(axis[b])
+            rows[-1].append(_edge_diagonal(annot))
+            has_fusion |= annot.kind is EdgeKind.PARTIAL
+        fused.append(has_fusion)
+    width = max(map(len, rows))
+    for r, f, s in zip(rows, first, second):
+        pad = width - len(r)
+        r.extend([_UNIT_FACTOR] * pad)
+        f.extend([0] * pad)
+        s.extend([0] * pad)
+    m, cells = len(graphs), 1 << n
+    table = np.array(rows, dtype=complex).ravel()
+    first, second = np.array(first), np.array(second)
+    offsets = np.arange(0, table.size, 4).reshape(m, width)
+    bits = _bit_table(n)
+    # each gather takes `factors` factors of `batch` graphs: at most _GATHER_CELLS cells
+    factors = max(1, _GATHER_CELLS >> n)
+    batch = max(1, _GATHER_CELLS // (cells * min(factors, width)))
+    amps = np.ones((m, cells), dtype=complex)
+    for lo in range(0, m, batch):
+        rows_ = slice(lo, lo + batch)
+        for cut in ((rows_, slice(f, f + factors)) for f in range(0, width, factors)):
+            index = 2 * bits[:, first[cut]] + bits[:, second[cut]] + offsets[cut]
+            amps[rows_] *= table[index.transpose(1, 0, 2)].prod(axis=-1)
+    for k in np.flatnonzero(fused):
+        norm = float(np.linalg.norm(amps[k]))
         if norm < 1e-12:
             raise ImpossibleStateError("partial fusions annihilated the state")
-        amps /= norm
-    for k, v in enumerate(verts):
-        if v.hadamard or v.x_flip or v.z_phase:
-            gate = H_GATE if v.hadamard else np.eye(2)
-            if v.x_flip:
-                gate = gate[::-1]  # X @ gate swaps the rows
-            if v.z_phase:
-                gate = gate * np.array([[1.0], [np.exp(1j * v.z_phase)]])
-            amps = gate @ _slab(amps, k)
-    return StateVector(ids, amps)
+        amps[k] /= norm
+    for ax in range(n):
+        gates = None
+        for k, vs in enumerate(verts):
+            v = vs[ax]
+            if v.hadamard or v.x_flip or v.z_phase:
+                if gates is None:
+                    gates = np.empty((m, 2, 2), dtype=complex)
+                    gates[:] = np.eye(2)
+                gates[k] = _correction_gate(v.hadamard, v.x_flip, v.z_phase)
+        if gates is not None:
+            amps = (gates[:, None] @ amps.reshape(m, 1 << ax, 2, -1)).reshape(m, cells)
+    return [StateVector([v.id for v in vs], row) for vs, row in zip(verts, amps)]
+
+
+@functools.lru_cache(maxsize=256)
+def _correction_gate(hadamard: bool, x_flip: bool, z_phase: float) -> np.ndarray:
+    """The 2x2 gate Z(z_phase) X^x_flip H^hadamard of a vertex's corrections."""
+    gate = H_GATE if hadamard else np.eye(2)
+    if x_flip:
+        gate = gate[::-1]  # X @ gate swaps the rows
+    if z_phase:
+        gate = gate * np.array([[1.0], [np.exp(1j * z_phase)]])
+    return gate
 
 
 def overlap(a: StateVector, b: StateVector) -> float:

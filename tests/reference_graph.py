@@ -3,13 +3,14 @@
 The library answers "is this a GHZ star" from one vertex's neighbourhood and
 rewrites only the edge a merge or bridge makes.  These are the earlier
 versions that read the whole component or graph; tests check the local
-versions against them.
+versions against them.  `without_vertices_by_comprehension` is the earlier
+`TiltedGraph.without_vertices`, which rebuilt both maps key by key.
 """
 
 import math
 from dataclasses import replace
 
-from tglab.tilted_graph import HALF_PI, EdgeAnnotation, EdgeKind, _fusion_rewrite
+from tglab.tilted_graph import HALF_PI, EdgeAnnotation, EdgeKind, TiltedGraph, _fusion_rewrite
 
 
 def component_star_center(g, comp):
@@ -57,3 +58,16 @@ def whole_graph_join(g, central, record):
     x, y = g.neighbors(central)
     out = g.without_vertices([central]).with_edge(x, y, record.annotation_after)
     return whole_graph_canonicalize(out) if record.annotation_after.maximal else out
+
+
+def without_vertices_by_comprehension(g, vids):
+    """g without vids and their edges, every map rebuilt by a comprehension."""
+    vids = set(vids)
+    for vid in vids:
+        g.vertex(vid)
+    out = TiltedGraph.__new__(TiltedGraph)
+    out._vertices = {k: v for k, v in g._vertices.items() if k not in vids}
+    out._adj = {k: row for k, row in g._adj.items() if k not in vids}
+    for nb in {nb for vid in vids for nb in g._adj[vid]} - vids:
+        out._adj[nb] = {k: a for k, a in out._adj[nb].items() if k not in vids}
+    return out

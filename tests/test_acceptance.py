@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from tglab.cli import main as cli_main
-from tglab.growth import StrategyConfig, effective_pair_tilts, pair_inventory, GhzPiece, run_phase1
+from tglab.growth import StrategyConfig, effective_pair_tilts, pair_inventory, run_phase1
 from tglab.heralding import DhContext, big_thetas, sample_clicks_array, success_probability
 from tglab.leakage import CavityParams, CriticallyDamped
 from tglab.metrics import (
@@ -187,8 +187,7 @@ class TestAcceptance:
         for _ in range(50):
             tilts = rng.uniform(0.05, math.pi / 2 - 0.05, 8)
             memo = {}
-            pieces = [GhzPiece(1, t, ("x",)) for t in tilts]
-            pairs, _ = pair_inventory(pieces)
+            pairs, _ = pair_inventory(tilts.tolist())
             s_sorted = summed(tilts, pairs, memo)
             rand_sums = []
             for _ in range(200):

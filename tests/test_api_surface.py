@@ -22,9 +22,13 @@ DECLARED_API = {
     "fidelity_value",
     "click_density_joint",
     "click_density_second",
+    "success_probability",      # sample_dh reads Theta_1, Theta_2 from its context instead
     "sample_clicks_array",
     "single_system_click_density",
     "tabulate_profile",
+    # the oracle's one-graph entry point; the package builds its states in
+    # batches through build_states
+    "build_state",
 }
 
 

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from reference_growth import run_phase1_reference
 from tglab import seeding
 from tglab.errors import GraphConfigError
 from tglab.growth import (
@@ -68,20 +69,19 @@ class TestMaybeFlip:
 
 class TestPairInventory:
     def test_spec_example(self):
-        pieces = [GhzPiece(1, t, ("x",)) for t in (0.2, 0.9, 0.3, 0.8)]
-        pairs, leftover = pair_inventory(pieces)
-        got = {frozenset((pieces[i].tilt, pieces[j].tilt)) for i, j in pairs}
+        tilts = [0.2, 0.9, 0.3, 0.8]
+        pairs, leftover = pair_inventory(tilts)
+        got = {frozenset((tilts[i], tilts[j])) for i, j in pairs}
         assert got == {frozenset((0.9, 0.8)), frozenset((0.3, 0.2))}
         assert leftover is None
 
     def test_odd_leftover(self):
-        pieces = [GhzPiece(1, t, ("x",)) for t in (0.5, 0.1, 0.9)]
-        pairs, leftover = pair_inventory(pieces)
-        assert len(pairs) == 1 and pieces[leftover].tilt == 0.1
+        tilts = [0.5, 0.1, 0.9]
+        pairs, leftover = pair_inventory(tilts)
+        assert len(pairs) == 1 and tilts[leftover] == 0.1
 
     def test_all_equal_tilts(self):
-        pieces = [GhzPiece(1, 0.6, ("x",)) for _ in range(6)]
-        pairs, leftover = pair_inventory(pieces)
+        pairs, leftover = pair_inventory([0.6] * 6)
         assert len(pairs) == 3 and leftover is None
 
 
@@ -196,6 +196,27 @@ class TestRealignment:
         piece = GhzPiece(4, 0.74, tuple(range(4)))
         out, stats = run_realignment([piece], piece.fidelity - 1e-6, seed=2)
         assert out == [piece]
+
+
+class TestPhase1MatchesPieceByPieceReference:
+    @pytest.mark.parametrize("pairing, flip_rule, efficiency", [
+        ("sorted", True, 1.0), ("sorted", False, 1.0), ("random", True, 1.0),
+        ("random", False, 1.0), ("sorted", True, 0.7), ("random", True, 0.7)])
+    @pytest.mark.parametrize("scan_reverse", [False, True], ids=["forward", "reverse"])
+    def test_equal_pieces_and_stats(self, pairing, flip_rule, efficiency, scan_reverse):
+        cfg = StrategyConfig(profiles=pool(40), seed=5, target_ghz_size=8, pairing=pairing,
+                             flip_rule=flip_rule, detection_efficiency=efficiency)
+        pieces, stats = run_phase1(cfg, scan_reverse=scan_reverse)
+        ref_pieces, ref_stats = run_phase1_reference(cfg, scan_reverse=scan_reverse)
+        assert len(stats.rounds) > 1
+        assert pieces == ref_pieces
+        assert stats == ref_stats
+
+    def test_shared_profiles_and_a_leftover(self):
+        # an odd pool leaves a piece unpaired every round
+        profiles = {f"a{i:02d}": PA for i in range(31)} | {f"b{i:02d}": PB for i in range(30)}
+        cfg = StrategyConfig(profiles=profiles, seed=9, target_ghz_size=6)
+        assert run_phase1(cfg) == run_phase1_reference(cfg)
 
 
 def synthetic_inventory(n_pieces, size, tilt=QUARTER_PI):

@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from tglab.leakage import (
     CavityParams,
     CriticallyDamped,
     Tabulated,
+    _interp_scalar,
     critically_damped_density,
     integrate,
     load_profile_csv,
@@ -238,3 +241,68 @@ class TestSampling:
     def test_zero_mass_profile_rejected(self):
         with pytest.raises(ProfileError):
             Tabulated([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+
+
+def _csv_twin(tmp_path, g):
+    """A critically damped profile as a 2049-point calibrated CSV file, loaded back."""
+    t = np.linspace(0.0, 20.0 / g, 2049)
+    path = tmp_path / f"twin_{g}.csv"
+    emit_csv([("time", "density"), *zip(t, critically_damped_density(g, t))], path)
+    return load_profile_csv(path)
+
+
+class TestScalarInverseCdf:
+    @pytest.mark.parametrize("kind", ["critically_damped", "csv"])
+    @pytest.mark.parametrize("g", [10.0, 12.5])
+    def test_bit_identical_to_np_interp(self, kind, g, tmp_path):
+        profile = CriticallyDamped(g) if kind == "critically_damped" else _csv_twin(tmp_path, g)
+        knots = profile.cdf(np.linspace(0.0, profile.t_max, 8193)).tolist()
+        if kind == "critically_damped":
+            assert len(knots) - len(set(knots)) > 200      # the equal-knot rule is exercised
+        u = (knots + [math.nextafter(k, -math.inf) for k in knots]
+             + [math.nextafter(k, math.inf) for k in knots]
+             + [0.0, 1.0 - 2.0**-53] + np.random.default_rng(11).random(100_000).tolist())
+        want = profile.inverse_cdf(np.array(u))             # the array branch is np.interp
+        got = np.array([profile.inverse_cdf(x) for x in u])
+        assert got.tobytes() == want.tobytes()
+        assert all(type(profile.inverse_cdf(x)) is float for x in (0.3, np.float64(0.3)))
+
+    def test_degenerate_tables_follow_np_interp(self):
+        # infinite slopes (a subnormal knot gap), infinite values (a NaN slope
+        # between two), equal knots
+        xp = [0.0, 5e-324, 1e-300, 0.4, 0.5, 0.5, 0.5, 1.0, 2.0]
+        fp = [0.0, 1.0, 1e308, math.inf, math.inf, math.inf, -1.0, 3.0, 3.0]
+        xs = sorted({y for x in xp + [-1.0, 0.25, 0.75, 1.5, 3.0]
+                     for y in (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf))})
+        want = np.interp(xs, xp, fp)
+        got = np.array([_interp_scalar(x, xp, fp) for x in xs])
+        assert got.tobytes() == want.tobytes()
+
+    def test_nan_and_clamping(self):
+        p = CriticallyDamped(10.0)
+        assert math.isnan(p.inverse_cdf(math.nan))
+        assert p.inverse_cdf(-0.5) == 0.0
+        assert p.inverse_cdf(1.5) == p.t_max
+
+
+class TestSharedTables:
+    def test_equal_couplings_share_one_table(self):
+        a, b = CriticallyDamped(10.0), CriticallyDamped(10.0)
+        assert a._inverse_cdf_table is b._inverse_cdf_table
+        assert CriticallyDamped(12.5)._inverse_cdf_table is not a._inverse_cdf_table
+        # a shared table cannot be changed through one of its profiles
+        for array in (a._inverse_cdf_table.grid, a._inverse_cdf_table.cdf):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_a_table_lives_only_while_a_profile_holds_it(self):
+        a = CriticallyDamped(33.0)
+        table = weakref.ref(a._inverse_cdf_table)
+        del a
+        gc.collect()
+        assert table() is None
+
+    def test_tabulated_profiles_keep_their_own(self):
+        a = tabulate_profile(CriticallyDamped(10.0), 257)
+        b = tabulate_profile(CriticallyDamped(10.0), 257)
+        assert a._inverse_cdf_table is not b._inverse_cdf_table

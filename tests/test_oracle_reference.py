@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from reference_oracle import build_state_reference, evolve_reference
 from tglab.errors import GraphConfigError, ImpossibleStateError, TrajectoryError
 from tglab.leakage import CavityParams
-from tglab.oracle import _evolve, _single_hamiltonian, build_state, rk4_step_size
+from tglab.oracle import _evolve, _single_hamiltonian, build_state, build_states, rk4_step_size
 from tglab.tilted_graph import EdgeAnnotation, TiltedGraph, Vertex
 
 QUARTER_PI = math.pi / 4
@@ -50,14 +50,9 @@ class TestBuildStateMatchesReference:
         assert np.abs(got.amps - ref.amps).max() < 1e-12
 
     def test_annihilating_fusions_raise(self):
-        # P(pi/4) keeps equal bits, P(-pi/4) unequal ones: no basis state survives
-        g = TiltedGraph([Vertex(0), Vertex(1), Vertex(2)],
-                        [(0, 1, EdgeAnnotation.partial_fusion(QUARTER_PI)),
-                         (1, 2, EdgeAnnotation.partial_fusion(-QUARTER_PI)),
-                         (0, 2, EdgeAnnotation.partial_fusion(QUARTER_PI))])
         for builder in (build_state_reference, build_state):
             with pytest.raises(ImpossibleStateError):
-                builder(g)
+                builder(_annihilating())
 
     def test_cap_sized_dense_graph(self):
         # 14 preparations and 91 edges: the factors are gathered over several blocks
@@ -81,6 +76,55 @@ class TestBuildStateMatchesReference:
         finally:
             tracemalloc.stop()
         assert peak < 2**15 * 16  # less than one 15-qubit amplitude vector
+
+
+def _annihilating():
+    # P(pi/4) keeps equal bits, P(-pi/4) unequal ones: no basis state survives
+    return TiltedGraph([Vertex(0), Vertex(1), Vertex(2)],
+                       [(0, 1, EdgeAnnotation.partial_fusion(QUARTER_PI)),
+                        (1, 2, EdgeAnnotation.partial_fusion(-QUARTER_PI)),
+                        (0, 2, EdgeAnnotation.partial_fusion(QUARTER_PI))])
+
+
+class TestBuildStatesMatchesReference:
+    @given(st.lists(decorated_graphs(), min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_mixed_batches(self, graphs):
+        refs = []
+        for g in graphs:
+            try:
+                refs.append(build_state_reference(g))
+            except ImpossibleStateError:
+                with pytest.raises(ImpossibleStateError):
+                    build_states(graphs)
+                return
+        for got, ref in zip(build_states(graphs), refs):
+            assert got.qubit_ids == ref.qubit_ids
+            assert np.abs(got.amps - ref.amps).max() < 1e-12
+
+    def test_many_graphs_of_one_size_over_several_gathers(self):
+        # 60 six-qubit graphs of 6 to 11 factors each: several graphs per gather,
+        # and several gathers
+        rng = np.random.default_rng(4)
+        graphs = []
+        for k in range(60):
+            vertices = [Vertex(v, float(rng.uniform(-1.5, 1.5)), hadamard=bool(rng.random() < 0.5),
+                               z_phase=float(rng.choice([0.0, 0.3, math.pi])),
+                               x_flip=bool(rng.random() < 0.3)) for v in range(6)]
+            edges = [(a, a + 1, (EdgeAnnotation.pure(), EdgeAnnotation.weighted(0.2 * a),
+                                 EdgeAnnotation.partial_fusion(0.1 * a))[(a + k) % 3])
+                     for a in range(min(k % 8, 5))]
+            graphs.append(TiltedGraph(vertices, edges))
+        for got, g in zip(build_states(graphs), graphs):
+            assert np.abs(got.amps - build_state_reference(g).amps).max() < 1e-12
+
+    def test_annihilating_fusion_in_a_batch_raises(self):
+        with pytest.raises(ImpossibleStateError):
+            build_states([TiltedGraph([Vertex(0)]), _annihilating(), TiltedGraph([Vertex(5)])])
+
+    def test_cap_checked_for_the_whole_batch_first(self):
+        with pytest.raises(GraphConfigError):
+            build_states([_annihilating(), TiltedGraph([Vertex(k) for k in range(15)])])
 
 
 A, B = CavityParams(10.0, 40.0), CavityParams(12.5, 50.0)

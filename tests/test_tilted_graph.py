@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference_graph import without_vertices_by_comprehension
 from tglab.errors import GraphConfigError, ImpossibleStateError
 from tglab.oracle import build_state, overlap
 from tglab.tilted_graph import (
@@ -261,6 +262,38 @@ class TestAdjacencyInvariants:
             assert source.to_text() == before
             _assert_matches_model(source, *model)
             _assert_matches_model(g, vertices, edges)
+
+
+def _key_orders(g):
+    return (list(g._vertices), list(g._adj), {vid: list(row) for vid, row in g._adj.items()})
+
+
+class TestWithoutVertices:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_matches_the_comprehension_in_key_order(self, data):
+        # insertion order matters: star_center_id reads a Hadamard leaf's
+        # centre as the first key of its row
+        ids = data.draw(st.lists(st.integers(0, 30), min_size=1, max_size=15, unique=True))
+        ids = data.draw(st.permutations(ids))
+        pairs = [(a, b) for k, a in enumerate(ids) for b in ids[k + 1:]]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=25)) \
+            if pairs else []
+        g = TiltedGraph([Vertex(vid, QUARTER_PI, hadamard=data.draw(st.booleans()))
+                         for vid in ids],
+                        [(a, b, data.draw(st.sampled_from(ANNOTATIONS))) for a, b in chosen])
+        # earlier edits leave rows whose key order is not the construction order
+        for a, b in data.draw(st.lists(st.sampled_from(chosen), max_size=3)) if chosen else []:
+            if g.edge(a, b) is not None:
+                g = g.without_edge(a, b).with_edge(b, a, EdgeAnnotation.pure())
+        gone = data.draw(st.lists(st.sampled_from(ids), max_size=len(ids)))
+        got, want = g.without_vertices(gone), without_vertices_by_comprehension(g, gone)
+        assert got == want
+        assert _key_orders(got) == _key_orders(want)
+
+    def test_unknown_vertex_rejected(self):
+        with pytest.raises(GraphConfigError):
+            ghz_graph(range(3)).without_vertices([0, 7])
 
 
 class TestGhzStar:
