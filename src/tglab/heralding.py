@@ -175,7 +175,11 @@ class DhOutcome:
 
     @staticmethod
     def failure() -> "DhOutcome":
-        return DhOutcome(False)
+        """The failure outcome: one shared instance, since outcomes are immutable."""
+        return _FAILURE
+
+
+_FAILURE = DhOutcome(False)
 
 
 def sample_dh(ctx: DhContext, u) -> DhOutcome:
