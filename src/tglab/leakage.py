@@ -11,15 +11,13 @@ shape.  Arbitrary calibrated profiles are supported through tabulation
 (linear interpolation inside the grid, zero outside).
 
 Sampling inverts a tabulated CDF.  A single float quantile takes a scalar
-bisection path that equals np.interp bit for bit, and the critically damped
-profiles of one coupling share one table while any of them is alive.
+bisection path that equals np.interp bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,8 +27,6 @@ import numpy as np
 from .errors import ProfileError, QuadratureError
 
 _CDF_TABLE_SIZE = 8193
-# coupling g -> the inverse-CDF table of CriticallyDamped(g), while a profile holds it
-_CRITICALLY_DAMPED_TABLES = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -129,7 +125,7 @@ class _CdfTable:
     of [0, t_max]: read-only arrays for np.interp, and memoryviews of the same
     bytes (whose items are Python floats) for the scalar path."""
 
-    __slots__ = ("grid", "cdf", "grid_items", "cdf_items", "__weakref__")
+    __slots__ = ("grid", "cdf", "grid_items", "cdf_items")
 
     def __init__(self, profile: LeakageProfile):
         t = np.linspace(0.0, profile.t_max, _CDF_TABLE_SIZE)
@@ -175,15 +171,6 @@ class CriticallyDamped(LeakageProfile):
 
     def density(self, t):
         return critically_damped_density(self.g, t)
-
-    @cached_property
-    def _inverse_cdf_table(self) -> _CdfTable:
-        # one table per coupling, shared by every live CriticallyDamped(g): a
-        # pool of cavities on one coupling builds one table, not one per cavity
-        table = _CRITICALLY_DAMPED_TABLES.get(self.g)
-        if table is None:
-            table = _CRITICALLY_DAMPED_TABLES[self.g] = _CdfTable(self)
-        return table
 
     @property
     def total_mass(self) -> float:

@@ -111,8 +111,8 @@ def build_states(graphs) -> list:
     but the corrections are diagonal, each over the bits of at most two
     qubits.  The graphs are built in groups of equal qubit count: each graph's
     factors (padded with unit factors to the group's longest list) are
-    gathered through the bit table and multiplied, at most _GATHER_CELLS
-    cells per gather, and the corrections on each axis are one stacked 2x2
+    gathered through the bit table and multiplied, at most
+    max(_GATHER_CELLS, 2^n) cells per gather, and the corrections on each axis are one stacked 2x2
     gate.
     Every qubit count is checked against QUBIT_CAP before anything is built.
     """
@@ -165,7 +165,8 @@ def _build_group(graphs: list, n: int) -> list:
     first, second = np.array(first), np.array(second)
     offsets = np.arange(0, table.size, 4).reshape(m, width)
     bits = _bit_table(n)
-    # each gather takes `factors` factors of `batch` graphs: at most _GATHER_CELLS cells
+    # each gather takes `factors` factors of `batch` graphs: at most
+    # max(_GATHER_CELLS, 2^n) cells, since one factor of one graph is 2^n
     factors = max(1, _GATHER_CELLS >> n)
     batch = max(1, _GATHER_CELLS // (cells * min(factors, width)))
     amps = np.ones((m, cells), dtype=complex)
@@ -193,7 +194,6 @@ def _build_group(graphs: list, n: int) -> list:
     return [StateVector([v.id for v in vs], row) for vs, row in zip(verts, amps)]
 
 
-@functools.lru_cache(maxsize=256)
 def _correction_gate(hadamard: bool, x_flip: bool, z_phase: float) -> np.ndarray:
     """The 2x2 gate Z(z_phase) X^x_flip H^hadamard of a vertex's corrections."""
     gate = H_GATE if hadamard else np.eye(2)

@@ -36,7 +36,8 @@ PB = CriticallyDamped(12.5)
 def pool(n, spread=True):
     if spread:
         return {f"c{i:02d}": CriticallyDamped(10.0 + 0.2 * i) for i in range(n)}
-    return {f"c{i:02d}": CriticallyDamped(10.0) for i in range(n)}
+    profile = CriticallyDamped(10.0)  # one profile object, as a CLI [profile] section gives
+    return {f"c{i:02d}": profile for i in range(n)}
 
 
 class TestMaybeFlip:

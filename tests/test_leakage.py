@@ -1,7 +1,5 @@
-import gc
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -284,25 +282,3 @@ class TestScalarInverseCdf:
         assert p.inverse_cdf(-0.5) == 0.0
         assert p.inverse_cdf(1.5) == p.t_max
 
-
-class TestSharedTables:
-    def test_equal_couplings_share_one_table(self):
-        a, b = CriticallyDamped(10.0), CriticallyDamped(10.0)
-        assert a._inverse_cdf_table is b._inverse_cdf_table
-        assert CriticallyDamped(12.5)._inverse_cdf_table is not a._inverse_cdf_table
-        # a shared table cannot be changed through one of its profiles
-        for array in (a._inverse_cdf_table.grid, a._inverse_cdf_table.cdf):
-            with pytest.raises(ValueError):
-                array[0] = 1.0
-
-    def test_a_table_lives_only_while_a_profile_holds_it(self):
-        a = CriticallyDamped(33.0)
-        table = weakref.ref(a._inverse_cdf_table)
-        del a
-        gc.collect()
-        assert table() is None
-
-    def test_tabulated_profiles_keep_their_own(self):
-        a = tabulate_profile(CriticallyDamped(10.0), 257)
-        b = tabulate_profile(CriticallyDamped(10.0), 257)
-        assert a._inverse_cdf_table is not b._inverse_cdf_table
