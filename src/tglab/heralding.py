@@ -22,7 +22,7 @@ is a known Z error and is corrected immediately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,28 +46,25 @@ from .tilted_graph import (
 # Click statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class DhContext:
     """Tilts, profiles and detection efficiency of one DH application.
 
     `thetas` holds (Theta_1, Theta_2) of the tilts, computed once here for
-    every statistic of the application.
+    every statistic of the application.  Phase 1 builds one per DH attempt, so
+    this is a slotted class with a plain constructor; treat it as read-only.
     """
 
-    theta_a: float
-    theta_b: float
-    pa: LeakageProfile
-    pb: LeakageProfile
-    detection_efficiency: float = 1.0
-    thetas: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("theta_a", "theta_b", "pa", "pb", "detection_efficiency", "thetas")
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta_a", canonical_angle(self.theta_a))
-        object.__setattr__(self, "theta_b", canonical_angle(self.theta_b))
-        if not (0.0 < self.detection_efficiency <= 1.0):
+    def __init__(self, theta_a: float, theta_b: float, pa: LeakageProfile, pb: LeakageProfile,
+                 detection_efficiency: float = 1.0):
+        self.theta_a = theta_a = canonical_angle(theta_a)
+        self.theta_b = theta_b = canonical_angle(theta_b)
+        if not (0.0 < detection_efficiency <= 1.0):
             raise GraphConfigError(
-                f"detection efficiency must lie in (0, 1], got {self.detection_efficiency}")
-        object.__setattr__(self, "thetas", big_thetas(self.theta_a, self.theta_b))
+                f"detection efficiency must lie in (0, 1], got {detection_efficiency}")
+        self.pa, self.pb, self.detection_efficiency = pa, pb, detection_efficiency
+        self.thetas = big_thetas(theta_a, theta_b)
 
 
 @dataclass(frozen=True)

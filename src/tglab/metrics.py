@@ -39,7 +39,8 @@ every midpoint cell carries equal mass; a few thousand nodes per axis resolve
 the 1e-4 fidelity window to about 1e-5.  F on the grid comes from per-axis
 density ratios, in row blocks of at most BLOCK_CELLS = 2^16 cells; rows and
 columns where a density vanishes hold F = 0, counted, not built.  One grid pass
-serves every first-attempt success mode.
+serves every first-attempt success mode, and equal tilts build only the A x B
+component, whose mirror image is B x A.
 """
 
 from __future__ import annotations
@@ -290,15 +291,22 @@ def _check_nodes(nodes: int) -> None:
 
 def _grid_sum(theta_a, theta_b, pa, pb, nodes, per_block):
     """Sum of per_block(F), additive over cells, on both product-measure components,
-    each weighted once by its cell mass.  F = 1/(w + 1/w) with w = sqrt(X/Y), a row
+    each weighted by its cell mass.  F = 1/(w + 1/w) with w = sqrt(X/Y), a row
     factor sqrt(Theta_1 P_A / Theta_2 P_B)(t1) times a column factor sqrt(P_B / P_A)(t2),
     in row blocks of at most BLOCK_CELLS cells that reuse two buffers.  Rows and
     columns where a density vanishes hold F = 0: their cells are counted, not built.
+
+    For Theta_1 = Theta_2 the B x A component is the mirror of A x B: its w is 1/w
+    of the transposed cell, F(w) = F(1/w), and its cell mass and zero-cell count are
+    A x B's.  So A x B alone is built, weighted by Theta_1 + Theta_2.  (Where Theta P
+    underflows to 0 while P > 0, a B x A row held F = 0; the A x B column that
+    mirrors it has no Theta factor and computes a tiny F > 0 in its place.)
     """
     th1, th2 = big_thetas(theta_a, theta_b)
     u = (np.arange(nodes) + 0.5) / nodes
     total = 0.0 * per_block(np.zeros(1))                 # a zero of per_block's shape
-    for p1, p2, th in ((pa, pb, th1), (pb, pa, th2)):
+    parts = ((pa, pb, th1 + th2),) if th1 == th2 else ((pa, pb, th1), (pb, pa, th2))
+    for p1, p2, th in parts:
         if th == 0.0:
             continue
         t1 = p1.inverse_cdf(u)
@@ -352,7 +360,9 @@ def fidelity_histogram(theta_a: float, theta_b: float, pa: LeakageProfile, pb: L
 
     Exact for two critically damped profiles: differences of the closed-form law
     of t1 - t2.  Other pairs take the grid of `nodes` per axis, F from per-axis
-    density ratios in blocks; its zero-density cells fall in bin 0.
+    density ratios in blocks; its zero-density cells fall in bin 0.  Equal tilts
+    (Theta_1 = Theta_2, the default) build one mixture component of the grid and
+    count it twice: the other is its mirror image.
     """
     if bins < 10:
         raise QuadratureError(f"need at least 10 fidelity bins, got {bins}")
@@ -412,9 +422,8 @@ def _law_window_sums(law: _DifferenceLaw, threshold: float):
 def _grid_window_sums(pa, pb, threshold: float, nodes: int):
     """(window mass, out-of-window successes of each of MODES) on the grid, one pass."""
     def window_sums(f):         # [cells in the window, each mode's successes outside it]
-        win = f > threshold
-        out = f[~win]
-        return np.array([np.count_nonzero(win)]
+        out = f[f <= threshold]     # F is never NaN: every column built has c > 0
+        return np.array([f.size - out.size]
                         + [first_attempt_success(out, mode).sum() for mode in MODES])
     p_post, *p_outs = map(float, _grid_sum(QUARTER_PI, QUARTER_PI, pa, pb, nodes, window_sums))
     return p_post, p_outs
@@ -432,8 +441,10 @@ def compare_strategies(pa: LeakageProfile, pb: LeakageProfile, epsilon: float,
     mass, and one integral over |t1 - t2| outside the window gives every mode's
     successes.  Other pairs take the grid of `nodes` per axis, F from per-axis
     density ratios in blocks, one pass for all modes; its zero-density cells
-    take the same window test.  Either way every mode of MODES is evaluated, so
-    a report does not depend on which other modes were asked for.
+    take the same window test.  Untilted, Theta_1 = Theta_2, so the grid builds
+    the A x B component only and counts it twice for its mirror B x A.  Either
+    way every mode of MODES is evaluated, so a report does not depend on which
+    other modes were asked for.
     """
     if not 0.0 < epsilon < math.inf:
         raise QuadratureError(f"window width must be positive and finite, got {epsilon}")

@@ -8,7 +8,7 @@ import pytest
 
 from tglab.errors import QuadratureError
 from tglab.heralding import DhContext, big_thetas, sample_clicks_array, success_probability
-from tglab.leakage import CriticallyDamped, tabulate_profile
+from tglab.leakage import CriticallyDamped, Tabulated, tabulate_profile
 from tglab.metrics import (
     MAX_F,
     MODES,
@@ -367,19 +367,33 @@ class TestCompareStrategies:
         assert all(a >= b - 1e-12 for a, b in zip(outs, outs[1:]))
 
 
-# The README pair, its 2049-point tabulated twin (P_B is 0 on (1.6, 2.0]),
-# a near-identical pair, and two far-apart pairs whose densities underflow.
-# Only the twin takes the grid; the others are critically damped, so the
-# library reads them off the closed-form law of t1 - t2.
+# The README pair, its 2049-point tabulated twin (P_B is 0 on (1.6, 2.0]), a
+# mixed pair of P_A and the twin's P_B, a near-identical pair, and two far-apart
+# pairs whose densities underflow.  The twin and the mixed pair take the grid;
+# the others are critically damped, so the library reads them off the
+# closed-form law of t1 - t2.
 GRID_PAIRS = {
     "readme": (PA, PB),
     "csv-2049": (tabulate_profile(PA, 2049), tabulate_profile(PB, 2049)),
+    "mixed-2049": (PA, tabulate_profile(PB, 2049)),
     "g-3-3.1": (CriticallyDamped(3.0), CriticallyDamped(3.1)),
     "g-0.5-40": (CriticallyDamped(0.5), CriticallyDamped(40.0)),
     "g-0.05-80": (CriticallyDamped(0.05), CriticallyDamped(80.0)),
 }
 FAR_APART = ("g-0.5-40", "g-0.05-80")
 GRID_NODES = 500          # four row blocks per component, the last one short
+
+
+def takes_grid(pa, pb):
+    return not (isinstance(pa, CriticallyDamped) and isinstance(pb, CriticallyDamped))
+
+
+# P_A is 5e-324, the least subnormal, on (1, 2], where P_B holds its mass, and P_B
+# is 1e-150 on [0, 1], where P_A holds its.  The knots are exact in binary, so the
+# two masses round alike and both components' cells weigh the same.
+_KNOTS = [0.0, 1.0, 1.0 + 2.0**-30, 2.0 + 2.0**-30]
+TINY_PAIR = (Tabulated(_KNOTS, [0.99, 0.99, 5e-324, 5e-324]),
+             Tabulated(_KNOTS, [1e-150, 1e-150, 0.99, 0.99]))
 
 
 def assert_close(got, want, rel=1e-14):
@@ -404,9 +418,9 @@ def assert_law_histogram(hist, thetas, pa, pb):
 
 
 class TestAgainstDenseGrid:
-    """The tabulated twin's blocked per-axis grid against the dense outer-product
-    grid, exactly.  The critically damped pairs no longer take a grid: their
-    closed-form law against Gauss-Legendre integrals over t1 - t2."""
+    """The blocked per-axis grid of the pairs that take it against the dense
+    outer-product grid, exactly.  The critically damped pairs take no grid:
+    their closed-form law against Gauss-Legendre integrals over t1 - t2."""
 
     @pytest.fixture(autouse=True)
     def warnings_are_errors(self):
@@ -422,7 +436,7 @@ class TestAgainstDenseGrid:
         from reference_quadrature import dense_compare_strategies
         pa, pb = GRID_PAIRS[pair]
         (rep,) = compare_strategies(pa, pb, epsilon, (mode,), nodes=GRID_NODES)
-        if pair != "csv-2049":
+        if not takes_grid(pa, pb):
             assert_law_compare(rep, pa, pb, epsilon, mode)
             return
         post, out_window, total, out_only = dense_compare_strategies(pa, pb, epsilon, mode,
@@ -458,13 +472,66 @@ class TestAgainstDenseGrid:
             assert dense[0] < rep.p_postselect
             assert rep.p_outside_only == dense[3] == 0.0
 
-    @pytest.mark.parametrize("thetas", [(QUARTER_PI, QUARTER_PI), (0.6, 1.0), (0.0, 1.0)])
+    def test_mirror_component_has_the_same_counts(self):
+        # Theta_1 == Theta_2: the B x A component is the transpose of A x B with
+        # w -> 1/w, and F(w) = F(1/w), so the grid builds A x B alone, weighted twice
+        from reference_quadrature import dense_mixture_cells
+        pa, pb = GRID_PAIRS["csv-2049"]
+        (f_ab, cell_ab), (f_ba, cell_ba) = dense_mixture_cells(QUARTER_PI, QUARTER_PI, pa, pb,
+                                                               GRID_NODES)
+        assert cell_ab == cell_ba
+        square = (GRID_NODES, GRID_NODES)
+        np.testing.assert_allclose(f_ba.reshape(square).T, f_ab.reshape(square), rtol=1e-14)
+        for epsilon in (1e-4, 0.5, 0.7):
+            assert (np.count_nonzero(f_ab > MAX_F - epsilon)
+                    == np.count_nonzero(f_ba > MAX_F - epsilon))
+        edges = np.linspace(0.0, MAX_F, 201)
+        assert np.array_equal(np.histogram(np.clip(f_ab, 0.0, MAX_F), bins=edges)[0],
+                              np.histogram(np.clip(f_ba, 0.0, MAX_F), bins=edges)[0])
+
+    @staticmethod
+    def tiny_pair(swap, thetas):
+        # At P_B's nodes Theta P_A underflows to 0 while P_A > 0: those B x A rows
+        # hold F = 0, where the A x B columns that mirror them compute F ~ 1e-162
+        pa, pb = TINY_PAIR
+        theta = big_thetas(*thetas)[0]
+        p = pa.density(pb.inverse_cdf((np.arange(GRID_NODES) + 0.5) / GRID_NODES))
+        assert np.any((theta * p == 0.0) & (p > 0.0))
+        assert pa.total_mass == pb.total_mass
+        return (pb, pa) if swap else (pa, pb)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("thetas", [(QUARTER_PI, QUARTER_PI), (0.6, 0.6)])
+    def test_underflowing_theta_p_keeps_the_histogram(self, swap, thetas):
+        # F = 0 and F ~ 1e-162 share bin 0
+        from reference_quadrature import dense_fidelity_histogram
+        pa, pb = self.tiny_pair(swap, thetas)
+        hist = fidelity_histogram(*thetas, pa, pb, bins=200, nodes=GRID_NODES)
+        assert np.array_equal(hist.masses,
+                              dense_fidelity_histogram(*thetas, pa, pb, 200, GRID_NODES))
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("epsilon", [1e-4, 0.7])
+    def test_underflowing_theta_p_keeps_the_window(self, swap, epsilon):
+        # F = 0 and F ~ 1e-162 fall on the same side of a window edge away from 0
+        # (at epsilon = 1/2 the window is F > 0, which tells them apart), and their
+        # successes are below 1e-300
+        from reference_quadrature import dense_compare_strategies
+        pa, pb = self.tiny_pair(swap, (QUARTER_PI, QUARTER_PI))
+        for mode, rep in zip(MODES, compare_strategies(pa, pb, epsilon, MODES, nodes=GRID_NODES)):
+            post, *sums = dense_compare_strategies(pa, pb, epsilon, mode, GRID_NODES)
+            assert rep.p_postselect == post
+            got = (rep.p_outside_window, rep.p_total, rep.p_outside_only)
+            assert got == pytest.approx(sums, rel=0.0, abs=1e-300)
+
+    @pytest.mark.parametrize("thetas", [(QUARTER_PI, QUARTER_PI), (0.6, 0.6), (0.6, 1.0),
+                                        (0.0, 1.0)])
     @pytest.mark.parametrize("pair", GRID_PAIRS)
     def test_histogram_matches(self, pair, thetas):
         from reference_quadrature import dense_fidelity_histogram
         pa, pb = GRID_PAIRS[pair]
         hist = fidelity_histogram(*thetas, pa, pb, bins=200, nodes=GRID_NODES)
-        if pair != "csv-2049":
+        if not takes_grid(pa, pb):
             assert_law_histogram(hist, thetas, pa, pb)
             return
         assert np.array_equal(hist.masses,
