@@ -348,8 +348,7 @@ def _join_once(g: TiltedGraph, anchor: int, other: int, cfg: StrategyConfig,
             raise InventoryExhausted(
                 f"join {join_idx}: no sacrificial qubits left after {attempt} attempts")
         # removing the Hadamard label turns the leaves into cherry-config qubits
-        g = g.map_vertex(qa, lambda v: replace(v, hadamard=False))
-        g = g.map_vertex(qb, lambda v: replace(v, hadamard=False))
+        g = g.edited(vertices=[replace(g.vertex(q), hadamard=False) for q in (qa, qb)])
         ctx = DhContext(g.vertex(qa).tilt, g.vertex(qb).tilt,
                         cfg.profiles[cavity_of[qa]], cfg.profiles[cavity_of[qb]],
                         cfg.detection_efficiency)

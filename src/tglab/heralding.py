@@ -285,10 +285,10 @@ def _rewrite_cherry_success(g: TiltedGraph, a: SideInfo, b: SideInfo,
     """
     central = Vertex(a.qubit, theta_beta)
     cherry = Vertex(b.qubit, QUARTER_PI, hadamard=True).append_x()
-    out = with_star(g, [a.qubit, b.qubit], central, [cherry])
-    for node in (a.center, b.center):
-        out = out.with_edge(a.qubit, node, EdgeAnnotation.pure())
-    return out.map_vertex(a.center, lambda v: v.append_z(math.pi))
+    pure = EdgeAnnotation.pure()
+    return g.edited(drop=(a.qubit, b.qubit),
+                    vertices=(central, cherry, g.vertex(a.center).append_z(math.pi)),
+                    edges=[(a.qubit, vid, pure) for vid in (b.qubit, a.center, b.center)])
 
 
 def apply_dh_to_graph(g: TiltedGraph, qa: int, qb: int, outcome: DhOutcome) -> TiltedGraph:

@@ -292,28 +292,30 @@ def _check_nodes(nodes: int) -> None:
 def _grid_sum(theta_a, theta_b, pa, pb, nodes, per_block):
     """Sum of per_block(F), additive over cells, on both product-measure components,
     each weighted by its cell mass.  F = 1/(w + 1/w) with w = sqrt(X/Y), a row
-    factor sqrt(Theta_1 P_A / Theta_2 P_B)(t1) times a column factor sqrt(P_B / P_A)(t2),
-    in row blocks of at most BLOCK_CELLS cells that reuse two buffers.  Rows and
-    columns where a density vanishes hold F = 0: their cells are counted, not built.
+    factor sqrt(P_A / P_B)(t1) sqrt(Theta_1 / Theta_2) times a column factor
+    sqrt(P_B / P_A)(t2), in row blocks of at most BLOCK_CELLS cells that reuse two
+    buffers.  Rows and columns where a density vanishes, and every cell when a Theta
+    does, hold F = 0: their cells are counted, not built.  The rows are chosen on the
+    densities alone, so a Theta P that underflows while P > 0 still builds its row.
 
     For Theta_1 = Theta_2 the B x A component is the mirror of A x B: its w is 1/w
     of the transposed cell, F(w) = F(1/w), and its cell mass and zero-cell count are
-    A x B's.  So A x B alone is built, weighted by Theta_1 + Theta_2.  (Where Theta P
-    underflows to 0 while P > 0, a B x A row held F = 0; the A x B column that
-    mirrors it has no Theta factor and computes a tiny F > 0 in its place.)
+    A x B's.  So A x B alone is built, weighted by Theta_1 + Theta_2.
     """
     th1, th2 = big_thetas(theta_a, theta_b)
     u = (np.arange(nodes) + 0.5) / nodes
     total = 0.0 * per_block(np.zeros(1))                 # a zero of per_block's shape
     parts = ((pa, pb, th1 + th2),) if th1 == th2 else ((pa, pb, th1), (pb, pa, th2))
+    ratio = math.sqrt(th1 / th2) if th1 > 0.0 and th2 > 0.0 else 0.0    # 0: F = 0 everywhere
     for p1, p2, th in parts:
         if th == 0.0:
             continue
         t1 = p1.inverse_cdf(u)
         t2 = p2.inverse_cdf(u)
-        a, b, c, d = th1 * pa.density(t1), th2 * pb.density(t1), pb.density(t2), pa.density(t2)
-        rows, cols = (a > 0.0) & (b > 0.0), (c > 0.0) & (d > 0.0)
-        rows, cols = np.sqrt(a[rows]) / np.sqrt(b[rows]), np.sqrt(c[cols]) / np.sqrt(d[cols])
+        a, b, c, d = pa.density(t1), pb.density(t1), pb.density(t2), pa.density(t2)
+        rows, cols = (a > 0.0) & (b > 0.0) & (ratio > 0.0), (c > 0.0) & (d > 0.0)
+        rows = np.sqrt(a[rows]) / np.sqrt(b[rows]) * ratio
+        cols = np.sqrt(c[cols]) / np.sqrt(d[cols])
         acc = per_block(np.zeros(1)) * (nodes**2 - rows.size * cols.size)   # F = 0 cells
         step = max(1, BLOCK_CELLS // max(1, cols.size))
         w, tmp = np.empty((2, min(step, rows.size), cols.size))

@@ -269,7 +269,7 @@ def realign(g: TiltedGraph, cherry: int, rng=None, outcome: int | None = None
         out = with_star(g, comp, Vertex(new_center, tilt_after,
                                         x_flip=g.vertex(new_center).x_flip), leaves)
     else:
-        out = g.without_vertices([cherry]).with_vertex(Vertex(holder, tilt_after))
+        out = g.edited(drop=(cherry,), vertices=(Vertex(holder, tilt_after),))
     record = ProcedureOutcome("realign", bool(bit), p, cherry,
                               RotationDescriptor("M", theta_rot), bit, tilt_after=tilt_after)
     return record, out
@@ -300,9 +300,7 @@ def _join_site(g: TiltedGraph, central: int, expected: EdgeKind):
     # the exact probability formulas need <Z_x Z_y> = 0 over the segments:
     # untilted plain endpoints in disjoint segments guarantee it (their
     # computational marginals stay uniform under CZ and diagonal annotations)
-    probe = g.without_vertices([central])
-    if annot is not None:
-        probe = probe.without_edge(x, y)
+    probe = g.edited(drop=(central,), edges=((x, y, None),) if annot is not None else ())
     for w in (x, y):
         wv = g.vertex(w)
         if wv.hadamard or wv.x_flip or not wv.untilted:
@@ -327,7 +325,7 @@ def merge(g: TiltedGraph, central: int, sign: int | None = None, rng=None,
         phi3, _ = combine_partial_fusions(gamma1, -s * r_function(theta_b))
         annot = EdgeAnnotation.partial_fusion(phi3)
     # maximal: an untilted central vertex makes even failure an other-parity success
-    out = canonical_edge(g.without_vertices([central]).with_edge(x, y, annot), x, y)
+    out = canonical_edge(g.edited(drop=(central,), edges=((x, y, annot),)), x, y)
     record = ProcedureOutcome("merge", bool(bit), p, central,
                               RotationDescriptor("M", s * theta_b), bit,
                               annotation_after=annot)
@@ -350,7 +348,7 @@ def bridge(g: TiltedGraph, central: int, sign: int | None = None, rng=None,
         total = combine_weighted_edges(gamma1, bridge_failure_angle(gamma1, theta_b, s))
         annot = EdgeAnnotation.weighted(total)
     # maximal: the equally desirable alternative target also reduces to pure form
-    out = canonical_edge(g.without_vertices([central]).with_edge(x, y, annot), x, y)
+    out = canonical_edge(g.edited(drop=(central,), edges=((x, y, annot),)), x, y)
     record = ProcedureOutcome("bridge", bool(bit), p, central,
                               RotationDescriptor("MS", beta), bit,
                               annotation_after=annot)

@@ -219,8 +219,9 @@ def _pair(a: int, b: int) -> tuple[int, int]:
 class TiltedGraph:
     """Immutable-by-convention tilted graph; every edit returns a new graph.
 
-    Edges live in one adjacency map {vid: {neighbour: annotation}}; edits copy
-    only the rows they change and never mutate a published row.
+    Edges live in one adjacency map {vid: {neighbour: annotation}}.  Only `edited`
+    copies the maps, once per rewrite and only the rows it changes, so a published
+    row is never mutated.
     """
 
     __slots__ = ("_vertices", "_adj")
@@ -302,54 +303,59 @@ class TiltedGraph:
 
     # -- copy-on-write edits --------------------------------------------------
 
-    def _clone(self) -> "TiltedGraph":
+    def edited(self, drop=(), vertices=(), edges=()) -> "TiltedGraph":
+        """A new graph: the vertices `drop` removed with their edges, then each
+        vertex of `vertices` added or replaced, then each (a, b, annotation) of
+        `edges` set, or deleted where the annotation is None.  The only edit that
+        copies: both top-level maps once, and only the rows it changes."""
+        vmap, adj = dict(self._vertices), dict(self._adj)
+        own, drop = set(), set(drop)    # own: rows made or copied here, the only ones mutated
+        for vid in drop:
+            self.vertex(vid)
+        for vid in drop:
+            del vmap[vid]
+            for nb in adj.pop(vid).keys() - drop:
+                if nb not in own:
+                    own.add(nb)
+                    adj[nb] = dict(adj[nb])
+                del adj[nb][vid]
+        for v in vertices:
+            vmap[v.id] = v
+            if v.id not in adj:
+                own.add(v.id)
+                adj[v.id] = {}
+        for a, b, annot in edges:
+            key = _pair(a, b)
+            if annot is None and b not in adj.get(a, ()):
+                raise GraphConfigError(f"no edge {key}")
+            for u in (a, b):
+                if u not in own:
+                    if u not in vmap:
+                        raise GraphConfigError(f"no vertex {u}")
+                    own.add(u)
+                    adj[u] = dict(adj[u])
+            if annot is None:
+                del adj[a][b], adj[b][a]
+            else:
+                adj[a][b] = adj[b][a] = annot
         g = TiltedGraph.__new__(TiltedGraph)
-        g._vertices = dict(self._vertices)
-        g._adj = dict(self._adj)
+        g._vertices, g._adj = vmap, adj
         return g
 
     def with_vertex(self, v: Vertex) -> "TiltedGraph":
-        g = self._clone()
-        g._vertices[v.id] = v
-        g._adj.setdefault(v.id, {})
-        return g
+        return self.edited(vertices=(v,))
 
     def map_vertex(self, vid: int, fn) -> "TiltedGraph":
-        return self.with_vertex(fn(self.vertex(vid)))
+        return self.edited(vertices=(fn(self.vertex(vid)),))
 
     def without_vertices(self, vids) -> "TiltedGraph":
-        """Drop vids and their edges.  The maps are copied whole (at C speed) and
-        the removed keys deleted, so every surviving key keeps its order."""
-        vids = set(vids)
-        for vid in vids:
-            self.vertex(vid)
-        g = self._clone()
-        touched = set()
-        for vid in vids:
-            del g._vertices[vid]
-            touched.update(g._adj.pop(vid))
-        for nb in touched - vids:
-            row = g._adj[nb] = dict(g._adj[nb])
-            for vid in vids & row.keys():
-                del row[vid]
-        return g
+        return self.edited(drop=vids)
 
     def with_edge(self, a: int, b: int, annot: EdgeAnnotation) -> "TiltedGraph":
-        _pair(a, b)
-        self.vertex(a), self.vertex(b)
-        g = self._clone()
-        g._adj[a] = {**self._adj[a], b: annot}
-        g._adj[b] = {**self._adj[b], a: annot}
-        return g
+        return self.edited(edges=((a, b, annot),))
 
     def without_edge(self, a: int, b: int) -> "TiltedGraph":
-        key = _pair(a, b)
-        if self.edge(a, b) is None:
-            raise GraphConfigError(f"no edge {key}")
-        g = self._clone()
-        g._adj[a] = {k: x for k, x in self._adj[a].items() if k != b}
-        g._adj[b] = {k: x for k, x in self._adj[b].items() if k != a}
-        return g
+        return self.edited(edges=((a, b, None),))
 
     def __eq__(self, other):
         if not isinstance(other, TiltedGraph):
@@ -398,17 +404,13 @@ class TiltedGraph:
 
 def with_star(g: TiltedGraph, removed, center: Vertex, leaves) -> TiltedGraph:
     """Drop the vertices `removed`, then join `center` to each leaf by a pure edge."""
-    out = g.without_vertices(removed)     # fresh maps: safe to extend here
-    leaves = tuple(leaves)
+    removed, leaves, seen = set(removed), tuple(leaves), set()
     for v in (center, *leaves):
-        if v.id in out._vertices:
+        if v.id in seen or (v.id in g._vertices and v.id not in removed):
             raise GraphConfigError(f"duplicate vertex id {v.id}")
-        out._vertices[v.id] = v
+        seen.add(v.id)
     pure = EdgeAnnotation.pure()
-    out._adj[center.id] = {leaf.id: pure for leaf in leaves}
-    for leaf in leaves:
-        out._adj[leaf.id] = {center.id: pure}
-    return out
+    return g.edited(removed, (center, *leaves), [(center.id, leaf.id, pure) for leaf in leaves])
 
 
 def ghz_graph(ids, tilt: float = QUARTER_PI, center: int | None = None) -> TiltedGraph:
@@ -453,8 +455,10 @@ def star_center_id(g: TiltedGraph, vid: int) -> int | None:
 # Canonicalization
 # ---------------------------------------------------------------------------
 
-def _fusion_rewrite(g: TiltedGraph, a: int, b: int, sign: int) -> TiltedGraph:
-    """Rewrite a maximal partial fusion P(+-pi/4) between a and b to pure form.
+def _fusion_rewrite(g: TiltedGraph, va: Vertex, vb: Vertex, sign: int) -> TiltedGraph:
+    """Rewrite a maximal partial fusion P(+-pi/4) between va and vb to pure form.
+    va and vb replace g's vertices of their ids (canonical_edge passes them with
+    their negative tilts absorbed).
 
     The inheritor keeps all connections of both endpoints; the other endpoint
     becomes its Hadamard cherry (type-II-fusion redundant encoding).  Odd
@@ -462,39 +466,33 @@ def _fusion_rewrite(g: TiltedGraph, a: int, b: int, sign: int) -> TiltedGraph:
     Requires untilted, Hadamard-free, flip-free endpoints with pure incident
     edges (the configuration the merge procedure produces).
     """
-    x, y = (a, b) if a < b else (b, a)   # deterministic inheritor
-    vx, vy = g.vertex(x), g.vertex(y)
+    vx, vy = (va, vb) if va.id < vb.id else (vb, va)    # deterministic inheritor
+    x, y = vx.id, vy.id
     for v in (vx, vy):
         if v.hadamard or v.x_flip or not v.untilted or v.tilt < 0:
             raise GraphConfigError(
                 f"fusion rewrite needs plain untilted endpoints, vertex {v.id} is not")
     nx = set(g.neighbors(x)) - {y}
     ny = set(g.neighbors(y)) - {x}
-    out = g.without_edge(x, y)
     for end, others in ((x, nx), (y, ny)):
         for n in others:
             if g.edge(end, n).kind is not EdgeKind.PURE:
                 raise GraphConfigError(f"fusion rewrite needs pure edges at {end}")
-            out = out.without_edge(end, n)
-    for n in nx ^ ny:                       # shared neighbours cancel (CZ^2 = 1)
-        out = out.with_edge(x, n, EdgeAnnotation.pure())
-    out = out.with_edge(x, y, EdgeAnnotation.pure())
-    out = out.map_vertex(y, lambda v: v.absorb_inner_h())
+    pure = EdgeAnnotation.pure()
+    vy = vy.absorb_inner_h()
+    vertices = [vx, vy.append_x() if sign < 0 else vy]
     if sign < 0:
-        out = out.map_vertex(y, lambda v: v.append_x())
-        for n in ny:
-            # the parity correction arises below n's recorded corrections
-            out = out.map_vertex(n, lambda v: v.absorb_inner_z(math.pi))
-    return out
+        # the parity correction arises below n's recorded corrections
+        vertices += [g.vertex(n).absorb_inner_z(math.pi) for n in ny]
+    # y keeps x alone; x gains y's other neighbours, and shared ones cancel (CZ^2 = 1)
+    edges = ([(y, n, None) for n in ny] + [(x, n, None) for n in nx & ny]
+             + [(x, n, pure) for n in ny - nx] + [(x, y, pure)])
+    return g.edited(vertices=vertices, edges=edges)
 
 
-def _absorb_negative_tilts(g: TiltedGraph, vids) -> TiltedGraph:
-    """Negative tilts among vids absorb a Z(pi) (an X below a Hadamard flag)."""
-    for vid in vids:
-        v = g.vertex(vid)
-        if v.tilt < 0:
-            g = g.with_vertex(replace(v, tilt=-v.tilt).absorb_inner_z(math.pi))
-    return g
+def _nonnegative_tilt(v: Vertex) -> Vertex:
+    """v, or with a negative tilt absorbed as a Z(pi) (an X below a Hadamard flag)."""
+    return replace(v, tilt=-v.tilt).absorb_inner_z(math.pi) if v.tilt < 0 else v
 
 
 def canonical_edge(g: TiltedGraph, a: int, b: int) -> TiltedGraph:
@@ -506,21 +504,20 @@ def canonical_edge(g: TiltedGraph, a: int, b: int) -> TiltedGraph:
     annot = g.edge(a, b)
     if annot is None or not annot.maximal:
         return g
-    out = _absorb_negative_tilts(g, (a, b))
+    va, vb = _nonnegative_tilt(g.vertex(a)), _nonnegative_tilt(g.vertex(b))
     sgn = 1 if annot.phi > 0 else -1
     if annot.kind is EdgeKind.PARTIAL:
-        return _fusion_rewrite(out, a, b, sgn)
-    if out.vertex(a).hadamard or out.vertex(b).hadamard:
-        return out          # S corrections cannot pass a Hadamard flag
-    out = out.with_edge(a, b, EdgeAnnotation.pure())
-    out = out.map_vertex(a, lambda v: v.absorb_inner_z(-sgn * HALF_PI))
-    return out.map_vertex(b, lambda v: v.absorb_inner_z(-sgn * HALF_PI))
+        return _fusion_rewrite(g, va, vb, sgn)
+    if va.hadamard or vb.hadamard:
+        return g.edited(vertices=(va, vb))      # S corrections cannot pass a Hadamard flag
+    return g.edited(vertices=[v.absorb_inner_z(-sgn * HALF_PI) for v in (va, vb)],
+                    edges=((a, b, EdgeAnnotation.pure()),))
 
 
 def canonicalize(g: TiltedGraph) -> TiltedGraph:
     """Return the canonical form of a graph (same physical state up to phase):
     tilts mapped into [0, pi/2], then canonical_edge on every edge.  Idempotent."""
-    out = _absorb_negative_tilts(g, g.vertex_ids)
+    out = g.edited(vertices=map(_nonnegative_tilt, g.vertices()))
     for a, b, _ in list(out.edges()):
         out = canonical_edge(out, a, b)
     return out

@@ -491,8 +491,8 @@ class TestAgainstDenseGrid:
 
     @staticmethod
     def tiny_pair(swap, thetas):
-        # At P_B's nodes Theta P_A underflows to 0 while P_A > 0: those B x A rows
-        # hold F = 0, where the A x B columns that mirror them compute F ~ 1e-162
+        # At P_B's nodes Theta P_A underflows to 0 while P_A > 0: the dense grid's
+        # B x A cells hold F = 0 there, where the blocked grid computes F ~ 1e-162
         pa, pb = TINY_PAIR
         theta = big_thetas(*thetas)[0]
         p = pa.density(pb.inverse_cdf((np.arange(GRID_NODES) + 0.5) / GRID_NODES))
@@ -523,6 +523,16 @@ class TestAgainstDenseGrid:
             assert rep.p_postselect == post
             got = (rep.p_outside_window, rep.p_total, rep.p_outside_only)
             assert got == pytest.approx(sums, rel=0.0, abs=1e-300)
+
+    def test_underflowing_theta_p_reads_the_same_in_either_order(self):
+        # At epsilon = 1/2 the window is F > 0.  Rows are chosen on the densities,
+        # not on Theta P, so the cells where Theta P_A underflows keep their F > 0
+        # whichever profile comes first.
+        pa, pb = TINY_PAIR
+        reports = [compare_strategies(p, q, 0.5, MODES, nodes=GRID_NODES)
+                   for p, q in ((pa, pb), (pb, pa))]
+        assert reports[0] == reports[1]
+        assert reports[0][0].p_postselect > 0.49
 
     @pytest.mark.parametrize("thetas", [(QUARTER_PI, QUARTER_PI), (0.6, 0.6), (0.6, 1.0),
                                         (0.0, 1.0)])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from tglab.tilted_graph import (
     is_untilted,
     star_center_id,
     swap_tilt,
+    with_star,
 )
 
 HALF_PI = math.pi / 2
@@ -262,6 +264,65 @@ class TestAdjacencyInvariants:
             assert source.to_text() == before
             _assert_matches_model(source, *model)
             _assert_matches_model(g, vertices, edges)
+
+
+class TestEdited:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_one_edit_copies_only_the_rows_it_changes(self, data):
+        ids = sorted(data.draw(st.lists(st.integers(0, 9), min_size=2, max_size=8, unique=True)))
+        pairs = [(a, b) for k, a in enumerate(ids) for b in ids[k + 1:]]
+        edges = {key: data.draw(st.sampled_from(ANNOTATIONS))
+                 for key in data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))}
+        g = TiltedGraph([Vertex(vid) for vid in ids], [(*key, x) for key, x in edges.items()])
+        saved = TiltedGraph.from_text(g.to_text())
+        drop = set(data.draw(st.lists(st.sampled_from(ids), max_size=3)))
+        kept = [vid for vid in ids if vid not in drop]
+        replaced = data.draw(st.lists(st.sampled_from(kept), unique=True)) if kept else []
+        vertices = [Vertex(10), Vertex(11)] + [g.vertex(vid).append_x() for vid in replaced]
+        alive = kept + [10, 11]
+        model = {key: x for key, x in edges.items() if not set(key) & drop}
+        alive_pairs = [(a, b) for k, a in enumerate(alive) for b in alive[k + 1:]]
+        sets = data.draw(st.lists(st.sampled_from(alive_pairs), unique=True, max_size=4))
+        deletes = data.draw(st.lists(st.sampled_from(sorted(model)), unique=True, max_size=3)) \
+            if model else []
+        sets = [key for key in sets if key not in deletes]
+        changes = [(*key, data.draw(st.sampled_from(ANNOTATIONS))) for key in sets]
+        changes += [(b, a, None) for a, b in deletes]          # either orientation deletes
+        out = g.edited(drop, vertices, data.draw(st.permutations(changes)))
+
+        assert g == saved and g.to_text() == saved.to_text()
+        for a, b, x in changes:
+            if x is None:
+                del model[min(a, b), max(a, b)]
+                assert out.edge(a, b) is None
+                assert a not in out.neighbors(b) and b not in out.neighbors(a)
+            else:
+                model[min(a, b), max(a, b)] = x
+        _assert_matches_model(out, set(alive), model)
+        assert all(out.vertex(v.id) is v for v in vertices)
+        touched = {nb for vid in drop for nb in g.neighbors(vid)}
+        touched |= {u for a, b, _ in changes for u in (a, b)}
+        for vid in set(kept) - touched:
+            assert out._adj[vid] is g._adj[vid]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda g: g.edited(drop=[7]), "no vertex 7"),
+        (lambda g: g.edited(edges=[(0, 9, EdgeAnnotation.pure())]), "no vertex 9"),
+        (lambda g: g.with_edge(9, 0, EdgeAnnotation.pure()), "no vertex 9"),
+        (lambda g: g.edited(drop=[1], edges=[(0, 1, EdgeAnnotation.pure())]), "no vertex 1"),
+        (lambda g: g.without_edge(1, 2), "no edge (1, 2)"),
+        (lambda g: g.edited(edges=[(0, 1, None), (1, 0, None)]), "no edge (0, 1)"),
+        (lambda g: g.with_edge(2, 2, EdgeAnnotation.pure()), "self-edge on vertex 2"),
+        (lambda g: with_star(g, [], Vertex(5), [Vertex(1, hadamard=True)]),
+         "duplicate vertex id 1"),
+        (lambda g: with_star(g, [0], Vertex(5), [Vertex(6), Vertex(5)]), "duplicate vertex id 5"),
+    ])
+    def test_rejected_edits_keep_their_messages(self, edit, message):
+        g = ghz_graph(range(3))
+        with pytest.raises(GraphConfigError, match=f"^{re.escape(message)}$"):
+            edit(g)
+        assert g == ghz_graph(range(3))
 
 
 def _key_orders(g):
