@@ -16,9 +16,9 @@ directly, so small campaigns can be replayed on the state-vector oracle.
 Every random decision draws from a generator derived from the campaign seed,
 its kind's stream tag and its coordinates (see seeding, also for aliasing).
 Phase 1 derives one generator per round and draws one block of uniforms
-from it, five per pair, and pair k reads row k.  So results do not depend
-on evaluation order: serial and parallel schedules, or a reversed scan,
-produce identical statistics.
+from it, five per pair, and pair k reads row k.  A round's pairs are
+disjoint, so results do not depend on evaluation order by construction:
+any schedule of a round's attempts produces identical statistics.
 """
 
 from __future__ import annotations
@@ -94,6 +94,9 @@ class StrategyConfig:
             raise GraphConfigError(f"unknown join method {self.join_method!r}")
         if self.join_kind not in JOIN_KINDS:
             raise GraphConfigError(f"unknown join kind {self.join_kind!r}")
+        if not (0.0 < self.detection_efficiency <= 1.0):
+            raise GraphConfigError("detection efficiency must lie in (0, 1], "
+                                   f"got {self.detection_efficiency}")
         if self.join_nodes < 0:
             raise GraphConfigError(f"join node count must be non-negative, got {self.join_nodes}")
 
@@ -169,20 +172,18 @@ def effective_pair_tilts(theta_a: float, theta_b: float, flip_rule: bool) -> tup
     return theta_a, theta_b
 
 
-def run_phase1(cfg: StrategyConfig, stats: RunStats | None = None,
-               scan_reverse: bool = False) -> tuple[list, RunStats]:
+def run_phase1(cfg: StrategyConfig, stats: RunStats | None = None) -> tuple[list, RunStats]:
     """Grow GHZ pieces to the target size by pairwise double heralding.
 
     Failed applications project both pieces into separable states; their
     atoms are re-prepared as fresh single-qubit pieces.  Each round draws
     one (pairs x 5) block of uniforms from its own stream and pair k reads
-    row k, so scan_reverse only exercises the evaluation-order independence
-    (results are identical).
+    row k.  The pairs are disjoint and attempt k reads and writes only its
+    own two pieces, so the results do not depend on the order in which a
+    round's attempts run.
 
     The inventory is kept as parallel lists (size, tilt, fidelity and member
-    cavities of each piece); the GhzPieces are built once, at the end.  A
-    round makes two passes: the DH attempts, in scan order, then the
-    bookkeeping, in pair order.
+    cavities of each piece); the GhzPieces are built once, at the end.
     """
     cavities = sorted(cfg.profiles)
     if len(cavities) < cfg.target_ghz_size:
@@ -209,24 +210,17 @@ def run_phase1(cfg: StrategyConfig, stats: RunStats | None = None,
         if not pairs:
             break
 
-        merged = [None] * len(pairs)    # the new tilt of each successful pair
+        successes, consumed, fresh = 0, 0, []
         draws = derive_rng(cfg.seed, PHASE1, round_idx).random((len(pairs), 5)).tolist()
-        scan = range(len(pairs) - 1, -1, -1) if scan_reverse else range(len(pairs))
-        for k in scan:
-            ia, ib = pairs[k]
+        for (ia, ib), row in zip(pairs, draws):
             ta, tb = effective_pair_tilts(tilts[ia], tilts[ib], flip_rule)
             ctx = DhContext(ta, tb, profiles[members[ia][round_idx % sizes[ia]]],
                             profiles[members[ib][round_idx % sizes[ib]]], efficiency)
-            out = sample_dh(ctx, draws[k])
+            out = sample_dh(ctx, row)
             if out.success:
-                merged[k] = out.theta_beta
-
-        # survivors keep their index order; re-prepared atoms go to the end
-        consumed, fresh = 0, []
-        for (ia, ib), theta in zip(pairs, merged):
-            if theta is not None:
+                successes += 1
                 sizes[ia] += sizes[ib]
-                tilts[ia], fidelities[ia] = theta, _fidelity(theta)
+                tilts[ia], fidelities[ia] = out.theta_beta, _fidelity(out.theta_beta)
                 members[ia] += members[ib]
             else:
                 consumed += sizes[ia] + sizes[ib]
@@ -234,12 +228,12 @@ def run_phase1(cfg: StrategyConfig, stats: RunStats | None = None,
                 sizes[ia], tilts[ia], fidelities[ia] = 1, QUARTER_PI, atom_fidelity
                 members[ia] = members[ia][:1]
             sizes[ib] = 0
+        # survivors keep their index order; re-prepared atoms go to the end
         kept = [i for i, size in enumerate(sizes) if size]
         sizes = [sizes[i] for i in kept] + [1] * len(fresh)
         tilts = [tilts[i] for i in kept] + [QUARTER_PI] * len(fresh)
         fidelities = [fidelities[i] for i in kept] + [atom_fidelity] * len(fresh)
         members = [members[i] for i in kept] + [(c,) for c in fresh]
-        successes = len(pairs) - merged.count(None)
         stats.dh_attempts += len(pairs)
         stats.dh_successes += successes
         stats.qubits_consumed += consumed
@@ -434,5 +428,4 @@ def run_pipeline(cfg: StrategyConfig) -> tuple[list, RunStats, TiltedGraph | Non
     graph = None
     if cfg.join_nodes:
         graph, _, stats = run_join(pieces, cfg, stats)
-    stats.close(pieces)
     return pieces, stats, graph

@@ -305,7 +305,7 @@ def _join_site(g: TiltedGraph, central: int, expected: EdgeKind):
         wv = g.vertex(w)
         if wv.hadamard or wv.x_flip or not wv.untilted:
             raise GraphConfigError(f"join endpoint {w} must be a plain untilted vertex")
-    if probe.component_of(x) == probe.component_of(y):
+    if y in probe.component_of(x):
         raise GraphConfigError("join endpoints are entangled beyond the recorded annotation")
     return x, y, gamma1
 

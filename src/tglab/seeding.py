@@ -6,9 +6,9 @@ path (stream tag, round index, piece or attempt index, ...) through numpy's
 SeedSequence, so the stream consumed by one Monte Carlo event does not
 depend on how many draws other events made, nor on the order in which
 events are evaluated.  Phase-1 growth derives one stream per round and
-draws one block of uniforms from it, a row of five per pair, so each pair
-reads its own row whatever the scan order.  That makes serial and
-(hypothetically reordered / parallel) execution agree bit-for-bit.
+draws one block of uniforms from it, a row of five per pair; each pair reads
+its own row and the round's pairs are disjoint, so serial and (hypothetically
+reordered / parallel) execution agree bit-for-bit by construction.
 
 The first key of a path is the stream tag of its kind of decision: PHASE1,
 REALIGN, JOIN, PAIRING and JOIN_REALIGN in growth, VERIFY_PROCEDURES and

@@ -165,7 +165,7 @@ class EdgeAnnotation:
 
     @staticmethod
     def pure() -> "EdgeAnnotation":
-        return EdgeAnnotation(EdgeKind.PURE)
+        return _PURE
 
     @staticmethod
     def weighted(phi: float) -> "EdgeAnnotation":
@@ -179,6 +179,9 @@ class EdgeAnnotation:
     def maximal(self) -> bool:
         """True when phi = +-pi/4 (rewritable to a pure structure)."""
         return self.kind is not EdgeKind.PURE and abs(abs(self.phi) - QUARTER_PI) < ANGLE_TOL
+
+
+_PURE = EdgeAnnotation(EdgeKind.PURE)     # frozen, so one instance serves every pure edge
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ class TestPhase1:
         cfg = StrategyConfig(profiles=pool(12), seed=11, target_ghz_size=4)
         a = run_phase1(cfg)
         b = run_phase1(cfg)
-        c = run_phase1(cfg, scan_reverse=True)
+        c = run_phase1_reference(cfg, scan_reverse=True)
         assert a[0] == b[0] == c[0]
         assert [r.__dict__ for r in a[1].rounds] == [r.__dict__ for r in b[1].rounds]
         assert [r.__dict__ for r in a[1].rounds] == [r.__dict__ for r in c[1].rounds]
@@ -132,6 +132,11 @@ class TestPhase1:
     def test_negative_seed_rejected(self):
         with pytest.raises(GraphConfigError, match="seed"):
             StrategyConfig(profiles=pool(12), seed=-1)
+
+    @pytest.mark.parametrize("efficiency", [0.0, -0.5, 1.5, math.nan])
+    def test_detection_efficiency_outside_unit_interval_rejected(self, efficiency):
+        with pytest.raises(GraphConfigError, match=r"detection efficiency must lie in \(0, 1\]"):
+            StrategyConfig(profiles=pool(12), seed=1, detection_efficiency=efficiency)
 
     def test_bounded_deterioration_and_sorted_beats_random(self):
         # the identical-tilt limit is exact (tested at formula level); with a
@@ -207,7 +212,7 @@ class TestPhase1MatchesPieceByPieceReference:
     def test_equal_pieces_and_stats(self, pairing, flip_rule, efficiency, scan_reverse):
         cfg = StrategyConfig(profiles=pool(40), seed=5, target_ghz_size=8, pairing=pairing,
                              flip_rule=flip_rule, detection_efficiency=efficiency)
-        pieces, stats = run_phase1(cfg, scan_reverse=scan_reverse)
+        pieces, stats = run_phase1(cfg)
         ref_pieces, ref_stats = run_phase1_reference(cfg, scan_reverse=scan_reverse)
         assert len(stats.rounds) > 1
         assert pieces == ref_pieces

@@ -372,6 +372,20 @@ class TestBridge:
         replay(g, record, after)
 
 
+@pytest.mark.parametrize("proc, annot", [
+    (merge, EdgeAnnotation.partial_fusion(0.4)), (bridge, EdgeAnnotation.weighted(0.3))],
+    ids=["merge", "bridge"])
+class TestJoinSiteSecondPath:
+    def test_only_a_second_path_is_rejected(self, proc, annot):
+        for recorded in (None, annot):
+            g = eq29(0.7, recorded)
+            proc(g, 0, outcome=1)       # the recorded x-y annotation is no second path
+            # a pure edge between a leaf of each star links the endpoints
+            # apart from the central vertex and the recorded annotation
+            with pytest.raises(GraphConfigError, match="entangled beyond"):
+                proc(g.with_edge(2, 4, EdgeAnnotation.pure()), 0, outcome=1)
+
+
 class TestMethodTreeOnOracle:
     def test_pii_matches_oracle_outcome_tree(self):
         # replay both branches of method (ii) on the oracle and accumulate

@@ -171,6 +171,12 @@ class TestGraphStructure:
         with pytest.raises(GraphConfigError):
             TiltedGraph([Vertex(0)], [(0, 1, EdgeAnnotation.pure())])
 
+    def test_pure_annotation_is_one_shared_instance(self):
+        pure = EdgeAnnotation.pure()
+        assert pure is EdgeAnnotation.pure()
+        assert pure == EdgeAnnotation(EdgeKind.PURE)
+        assert pure.phi == 0.0 and not pure.maximal
+
     def test_components_and_queries(self):
         g = ghz_graph([0, 1, 2], 0.3)
         g = g.with_vertex(Vertex(7, 0.5))
