@@ -218,6 +218,31 @@ class TestPhase1MatchesPieceByPieceReference:
         assert pieces == ref_pieces
         assert stats == ref_stats
 
+    @pytest.mark.parametrize("pairing", ["sorted", "random"])
+    def test_far_apart_pool_fires_the_flip_rule(self, pairing, monkeypatch):
+        # pool(40) never meets |sin^2 theta_a - sin^2 theta_b| > 1/2; couplings 1 and 40
+        # tilt the pieces far enough apart that the rule fires
+        import tglab.growth as growth
+        real, fired = growth.maybe_flip, []
+
+        def counting(theta_a, theta_b):
+            fired.append(real(theta_a, theta_b))
+            return fired[-1]
+        monkeypatch.setattr(growth, "maybe_flip", counting)
+        slow, fast = CriticallyDamped(1.0), CriticallyDamped(40.0)
+        profiles = {f"c{i:03d}": fast if i % 2 else slow for i in range(200)}
+        runs = {}
+        for flip_rule in (True, False):
+            cfg = StrategyConfig(profiles=profiles, seed=5, target_ghz_size=8, pairing=pairing,
+                                 flip_rule=flip_rule)
+            fired.clear()
+            runs[flip_rule] = run_phase1(cfg)
+            flips = sum(fired)
+            for scan_reverse in (False, True):
+                assert run_phase1_reference(cfg, scan_reverse=scan_reverse) == runs[flip_rule]
+            assert (flips > 0) == flip_rule
+        assert runs[True] != runs[False]
+
     def test_shared_profiles_and_a_leftover(self):
         # an odd pool leaves a piece unpaired every round
         profiles = {f"a{i:02d}": PA for i in range(31)} | {f"b{i:02d}": PB for i in range(30)}

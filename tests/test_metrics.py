@@ -6,12 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
+from tglab import metrics
 from tglab.errors import QuadratureError
 from tglab.heralding import DhContext, big_thetas, sample_clicks_array, success_probability
 from tglab.leakage import CriticallyDamped, Tabulated, tabulate_profile
 from tglab.metrics import (
     MAX_F,
     MODES,
+    ComparisonReport,
     compare_strategies,
     efsq_first_order,
     efsq_series,
@@ -369,9 +371,9 @@ class TestCompareStrategies:
 
 # The README pair, its 2049-point tabulated twin (P_B is 0 on (1.6, 2.0]), a
 # mixed pair of P_A and the twin's P_B, a near-identical pair, and two far-apart
-# pairs whose densities underflow.  The twin and the mixed pair take the grid;
-# the others are critically damped, so the library reads them off the
-# closed-form law of t1 - t2.
+# pairs whose densities underflow.  The mixed pair takes the grid; the twin takes
+# the binned law of S, and its grid is run directly; the others are critically
+# damped, so the library reads them off the closed-form law of t1 - t2.
 GRID_PAIRS = {
     "readme": (PA, PB),
     "csv-2049": (tabulate_profile(PA, 2049), tabulate_profile(PB, 2049)),
@@ -384,8 +386,28 @@ FAR_APART = ("g-0.5-40", "g-0.05-80")
 GRID_NODES = 500          # four row blocks per component, the last one short
 
 
-def takes_grid(pa, pb):
-    return not (isinstance(pa, CriticallyDamped) and isinstance(pb, CriticallyDamped))
+def closed_form(pa, pb):
+    return isinstance(pa, CriticallyDamped) and isinstance(pb, CriticallyDamped)
+
+
+def tabulated(pa, pb):
+    return isinstance(pa, Tabulated) and isinstance(pb, Tabulated)
+
+
+def grid_compare(pa, pb, epsilon, mode, nodes):
+    """compare_strategies' report from the grid, which a mixed pair takes and two
+    tabulated profiles no longer do."""
+    post, outs = metrics._grid_window_sums(pa, pb, MAX_F - epsilon, nodes)
+    out = outs[MODES.index(mode)]
+    return ComparisonReport(post, post + out, post + (post + out), out, epsilon, mode)
+
+
+def grid_histogram(theta_a, theta_b, pa, pb, bins, nodes):
+    """fidelity_histogram's bin masses from the grid."""
+    edges = np.linspace(0.0, MAX_F, bins + 1)
+    def counts(f):
+        return np.histogram(np.clip(f, 0.0, MAX_F, out=f), bins=edges)[0]
+    return metrics._grid_sum(theta_a, theta_b, pa, pb, nodes, counts)
 
 
 # P_A is 5e-324, the least subnormal, on (1, 2], where P_B holds its mass, and P_B
@@ -418,9 +440,10 @@ def assert_law_histogram(hist, thetas, pa, pb):
 
 
 class TestAgainstDenseGrid:
-    """The blocked per-axis grid of the pairs that take it against the dense
-    outer-product grid, exactly.  The critically damped pairs take no grid:
-    their closed-form law against Gauss-Legendre integrals over t1 - t2."""
+    """The blocked per-axis grid against the dense outer-product grid, exactly: on
+    the mixed pair through the public functions, on two tabulated profiles (which
+    take the binned law) called directly.  The critically damped pairs take no
+    grid: their closed-form law against Gauss-Legendre integrals over t1 - t2."""
 
     @pytest.fixture(autouse=True)
     def warnings_are_errors(self):
@@ -435,10 +458,12 @@ class TestAgainstDenseGrid:
     def test_compare_matches(self, pair, epsilon, mode):
         from reference_quadrature import dense_compare_strategies
         pa, pb = GRID_PAIRS[pair]
-        (rep,) = compare_strategies(pa, pb, epsilon, (mode,), nodes=GRID_NODES)
-        if not takes_grid(pa, pb):
+        if closed_form(pa, pb):
+            (rep,) = compare_strategies(pa, pb, epsilon, (mode,), nodes=GRID_NODES)
             assert_law_compare(rep, pa, pb, epsilon, mode)
             return
+        rep = (grid_compare(pa, pb, epsilon, mode, GRID_NODES) if tabulated(pa, pb) else
+               compare_strategies(pa, pb, epsilon, (mode,), nodes=GRID_NODES)[0])
         post, out_window, total, out_only = dense_compare_strategies(pa, pb, epsilon, mode,
                                                                      GRID_NODES)
         assert rep.p_postselect == post
@@ -506,8 +531,7 @@ class TestAgainstDenseGrid:
         # F = 0 and F ~ 1e-162 share bin 0
         from reference_quadrature import dense_fidelity_histogram
         pa, pb = self.tiny_pair(swap, thetas)
-        hist = fidelity_histogram(*thetas, pa, pb, bins=200, nodes=GRID_NODES)
-        assert np.array_equal(hist.masses,
+        assert np.array_equal(grid_histogram(*thetas, pa, pb, 200, GRID_NODES),
                               dense_fidelity_histogram(*thetas, pa, pb, 200, GRID_NODES))
 
     @pytest.mark.parametrize("swap", [False, True])
@@ -518,7 +542,8 @@ class TestAgainstDenseGrid:
         # successes are below 1e-300
         from reference_quadrature import dense_compare_strategies
         pa, pb = self.tiny_pair(swap, (QUARTER_PI, QUARTER_PI))
-        for mode, rep in zip(MODES, compare_strategies(pa, pb, epsilon, MODES, nodes=GRID_NODES)):
+        for mode in MODES:
+            rep = grid_compare(pa, pb, epsilon, mode, GRID_NODES)
             post, *sums = dense_compare_strategies(pa, pb, epsilon, mode, GRID_NODES)
             assert rep.p_postselect == post
             got = (rep.p_outside_window, rep.p_total, rep.p_outside_only)
@@ -529,7 +554,7 @@ class TestAgainstDenseGrid:
         # not on Theta P, so the cells where Theta P_A underflows keep their F > 0
         # whichever profile comes first.
         pa, pb = TINY_PAIR
-        reports = [compare_strategies(p, q, 0.5, MODES, nodes=GRID_NODES)
+        reports = [[grid_compare(p, q, 0.5, mode, GRID_NODES) for mode in MODES]
                    for p, q in ((pa, pb), (pb, pa))]
         assert reports[0] == reports[1]
         assert reports[0][0].p_postselect > 0.49
@@ -540,12 +565,13 @@ class TestAgainstDenseGrid:
     def test_histogram_matches(self, pair, thetas):
         from reference_quadrature import dense_fidelity_histogram
         pa, pb = GRID_PAIRS[pair]
-        hist = fidelity_histogram(*thetas, pa, pb, bins=200, nodes=GRID_NODES)
-        if not takes_grid(pa, pb):
+        if closed_form(pa, pb):
+            hist = fidelity_histogram(*thetas, pa, pb, bins=200, nodes=GRID_NODES)
             assert_law_histogram(hist, thetas, pa, pb)
             return
-        assert np.array_equal(hist.masses,
-                              dense_fidelity_histogram(*thetas, pa, pb, 200, GRID_NODES))
+        masses = (grid_histogram(*thetas, pa, pb, 200, GRID_NODES) if tabulated(pa, pb) else
+                  fidelity_histogram(*thetas, pa, pb, bins=200, nodes=GRID_NODES).masses)
+        assert np.array_equal(masses, dense_fidelity_histogram(*thetas, pa, pb, 200, GRID_NODES))
 
     @pytest.mark.parametrize("pair", ["readme", "csv-2049"])
     def test_command_defaults_match(self, pair):
@@ -553,11 +579,10 @@ class TestAgainstDenseGrid:
         # pair also against the blocked grid at 4000 nodes (its error ~1e-5)
         from reference_quadrature import dense_compare_strategies, dense_fidelity_histogram
         pa, pb = GRID_PAIRS[pair]
-        reps = compare_strategies(pa, pb, 1e-4, MODES, nodes=2000)
-        hist = fidelity_histogram(QUARTER_PI, QUARTER_PI, pa, pb, bins=200, nodes=1500)
         if pair == "readme":
-            from tglab.metrics import _grid_window_sums
-            grid_post, grid_outs = _grid_window_sums(pa, pb, MAX_F - 1e-4, 4000)
+            reps = compare_strategies(pa, pb, 1e-4, MODES, nodes=2000)
+            hist = fidelity_histogram(QUARTER_PI, QUARTER_PI, pa, pb, bins=200, nodes=1500)
+            grid_post, grid_outs = metrics._grid_window_sums(pa, pb, MAX_F - 1e-4, 4000)
             for rep, grid_out in zip(reps, grid_outs):
                 assert_law_compare(rep, pa, pb, 1e-4, rep.mode)
                 assert_close(rep.p_postselect, grid_post, rel=2e-5)
@@ -565,20 +590,19 @@ class TestAgainstDenseGrid:
                 assert_close(rep.p_outside_only, grid_out, rel=2e-5)
             assert_law_histogram(hist, (QUARTER_PI, QUARTER_PI), pa, pb)
             return
-        for mode, rep in zip(MODES, reps):
+        for mode in MODES:
+            rep = grid_compare(pa, pb, 1e-4, mode, 2000)
             post, out_window, total, out_only = dense_compare_strategies(pa, pb, 1e-4, mode, 2000)
             assert rep.p_postselect == post
             assert_close(rep.p_outside_window, out_window)
             assert_close(rep.p_total, total)
             assert_close(rep.p_outside_only, out_only)
-        assert np.array_equal(hist.masses,
+        assert np.array_equal(grid_histogram(QUARTER_PI, QUARTER_PI, pa, pb, 200, 1500),
                               dense_fidelity_histogram(QUARTER_PI, QUARTER_PI, pa, pb, 200, 1500))
 
 
-def test_grid_peak_allocation_stays_small():
-    # on the tabulated twin, which takes the grid: a dense 2000 x 2000 grid
-    # takes 238 MB, a 1500 x 1500 one 107 MB
-    pa, pb = GRID_PAIRS["csv-2049"]
+def traced_peaks(pa, pb):
+    """tracemalloc peaks of the commands' compare and fidelity-hist calls on a pair."""
     tracemalloc.start()
     try:
         compare_strategies(pa, pb, 1e-4, MODES, nodes=2000)
@@ -588,8 +612,129 @@ def test_grid_peak_allocation_stays_small():
         hist_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert compare_peak < 16 * 2**20
-    assert hist_peak < 16 * 2**20
+    return compare_peak, hist_peak
+
+
+def test_grid_peak_allocation_stays_small():
+    # on the mixed pair, which takes the grid: a dense 2000 x 2000 grid takes
+    # 238 MB, a 1500 x 1500 one 107 MB
+    assert max(traced_peaks(*GRID_PAIRS["mixed-2049"])) < 16 * 2**20
+
+
+def test_law_peak_allocation_stays_small():
+    # on the tabulated twin, which takes the binned law: its pieces and cells go in
+    # blocks, so no array outgrows the 2 x _LAW_BINS cells of S
+    assert max(traced_peaks(*GRID_PAIRS["csv-2049"])) < 4 * 2**20
+
+
+def identical_pair():
+    p = GRID_PAIRS["csv-2049"][0]
+    return p, Tabulated(p.times, p.densities)
+
+
+LAW_PAIRS = {"csv-2049": GRID_PAIRS["csv-2049"], "tiny": TINY_PAIR,
+             "tiny-swapped": TINY_PAIR[::-1], "identical": identical_pair()}
+HIST_THETAS = [(QUARTER_PI, QUARTER_PI), (0.6, 1.0), (0.0, 1.0)]
+
+
+class TestTabulatedLaw:
+    """compare and fidelity-hist for two tabulated profiles, read off the binned
+    law of S = L(t1) - L(t2)."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @staticmethod
+    def values(pa, pb, epsilon=1e-4):
+        return np.array([[r.p_postselect, r.p_outside_window, r.p_total, r.p_outside_only]
+                         for r in compare_strategies(pa, pb, epsilon)])
+
+    def test_never_takes_the_grid(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("the grid was built for two tabulated profiles")
+        monkeypatch.setattr(metrics, "_grid_sum", no_grid)
+        pa, pb = GRID_PAIRS["csv-2049"]
+        compare_strategies(pa, pb, 1e-4, MODES, nodes=2000)
+        fidelity_histogram(0.6, 1.0, pa, pb, nodes=1500)
+        with pytest.raises(AssertionError, match="grid was built"):
+            compare_strategies(*GRID_PAIRS["mixed-2049"], 1e-4)
+
+    def test_agrees_with_a_four_times_finer_law(self, monkeypatch):
+        pa, pb = GRID_PAIRS["csv-2049"]
+        thetas = [(QUARTER_PI, QUARTER_PI), (0.6, 1.0)]
+        coarse = self.values(pa, pb)
+        coarse_hists = [fidelity_histogram(*th, pa, pb).masses for th in thetas]
+        monkeypatch.setattr(metrics, "_LAW_BINS", 4 * metrics._LAW_BINS)
+        np.testing.assert_allclose(coarse, self.values(pa, pb), rtol=1e-6, atol=0.0)
+        for hist, th in zip(coarse_hists, thetas):
+            assert np.abs(hist - fidelity_histogram(*th, pa, pb).masses).max() <= 1e-9
+
+    @pytest.mark.parametrize("ga, gb", [(10.0, 12.5), (3.0, 3.1), (1.0, 3.0)])
+    def test_agrees_with_the_closed_form_law_on_fine_tabulations(self, ga, gb):
+        # a 65537-point tabulation is within ~1e-8 of its profile, which bounds the gap
+        pc, pd = CriticallyDamped(ga), CriticallyDamped(gb)
+        pa, pb = tabulate_profile(pc, 65537), tabulate_profile(pd, 65537)
+        np.testing.assert_allclose(self.values(pa, pb), self.values(pc, pd), rtol=1e-6, atol=0.0)
+        for th in HIST_THETAS[:2]:
+            got, want = (fidelity_histogram(*th, p, q).masses for p, q in ((pa, pb), (pc, pd)))
+            assert np.abs(got - want).max() <= 1e-8
+
+    def test_dense_grid_approaches_the_law(self):
+        # the window is a count of cells, so its error does not fall steadily; the
+        # out-of-window successes converge from above
+        pa, pb = GRID_PAIRS["csv-2049"]
+        law = self.values(pa, pb)
+        errors = []
+        for nodes in (500, 1000, 2000, 4000):
+            post, outs = metrics._grid_window_sums(pa, pb, MAX_F - 1e-4, nodes)
+            errors.append(np.array([post, *outs]) / law[[0, 0, 1], [0, 3, 3]] - 1.0)
+        errors = np.array(errors)
+        assert np.all(np.abs(errors[:, 0]) < 1e-3) and np.all(np.abs(errors[2:, 0]) < 5e-5)
+        assert np.all(errors[:, 1:] > 0.0) and np.all(np.diff(errors[:, 1:], axis=0) < 0.0)
+        assert np.all(errors[-1, 1:] < 2e-5)
+
+    def test_log_ratio_unbounded_at_both_ends(self):
+        # P_A vanishes at t = 0 and P_B at t = 1, so L runs from -inf to +inf and the
+        # bins stop short of both ends; against the grid at 4000 nodes (error ~1e-4)
+        t = np.linspace(0.0, 1.0, 257)
+        pa, pb = Tabulated(t, 2.0 * t), Tabulated(t, 2.0 * (1.0 - t))
+        for epsilon in (1e-4, 0.1):
+            law = self.values(pa, pb, epsilon)[0]
+            post, (out, _) = metrics._grid_window_sums(pa, pb, MAX_F - epsilon, 4000)
+            assert law[0] == pytest.approx(post, rel=5e-4)
+            assert law[3] == pytest.approx(out, rel=5e-4)
+
+    @pytest.mark.parametrize("epsilon", [1e-4, 0.1, 0.5, 0.7])
+    def test_identical_profiles_are_all_in_the_window(self, epsilon):
+        pa, pb = LAW_PAIRS["identical"]
+        total = sum(big_thetas(QUARTER_PI, QUARTER_PI)) * pa.total_mass * pb.total_mass
+        for rep in compare_strategies(pa, pb, epsilon):
+            assert rep.p_postselect == pytest.approx(total, rel=1e-14)
+            assert rep.p_outside_only == 0.0
+        hist = fidelity_histogram(QUARTER_PI, QUARTER_PI, pa, pb)
+        assert hist.masses[-1] == pytest.approx(total, rel=1e-14)
+        assert np.count_nonzero(hist.masses) == 1
+
+    @pytest.mark.parametrize("epsilon", [1e-4, 0.5, 0.7])
+    def test_tiny_pair_reads_the_same_in_either_order(self, epsilon):
+        # S depends on the densities alone and Theta enters only as the shift x, so
+        # Theta P_A underflowing where P_A = 5e-324 changes nothing (the grid's trap)
+        same = [self.values(p, q, epsilon) for p, q in (TINY_PAIR, TINY_PAIR[::-1])]
+        np.testing.assert_allclose(same[0], same[1], rtol=1e-12, atol=1e-300)
+        if epsilon == 0.5:
+            assert same[0][0, 0] > 0.49
+
+    @pytest.mark.parametrize("thetas", HIST_THETAS)
+    @pytest.mark.parametrize("pair", LAW_PAIRS)
+    def test_histogram_holds_the_whole_mass(self, pair, thetas):
+        pa, pb = LAW_PAIRS[pair]
+        hist = fidelity_histogram(*thetas, pa, pb)
+        assert np.all(hist.masses >= 0.0)
+        want = sum(big_thetas(*thetas)) * pa.total_mass * pb.total_mass
+        assert hist.total_mass == pytest.approx(want, rel=1e-12)
 
 
 class TestResourceRatio:
