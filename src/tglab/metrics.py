@@ -225,7 +225,6 @@ class _TabulatedLaw:
     slope = 1.0
 
     def __init__(self, pa: Tabulated, pb: Tabulated):
-        self.pa, self.pb = pa, pb
         pieces, inf_a, inf_b = self._split(pa, pb)
         self._bin_pieces(*pieces)
         self._convolve()
@@ -277,7 +276,7 @@ class _TabulatedLaw:
             with np.errstate(divide="ignore"):         # a density that underflows to 0
                 return (np.log(a0[seg] * (1.0 - f) + a1[seg] * f)
                         - np.log(b0[seg] * (1.0 - f) + b1[seg] * f))
-        every = np.arange(wid.size)
+        every = slice(None)
         ends = np.concatenate([np.where(np.isfinite(l0), l0, ell_at(every, _SINGULAR_CUT)),
                                np.where(np.isfinite(l1), l1,
                                         ell_at(every, 1.0 - _SINGULAR_CUT))])
