@@ -223,10 +223,9 @@ def _cmd_fidelity_hist(cfg: ExperimentConfig, section: dict, out_dir: Path, seed
     pa = _profile_ref(cfg, section, "profile_a", "fidelity-hist")
     pb = _profile_ref(cfg, section, "profile_b", "fidelity-hist")
     bins = _take(section, "bins", int, default=200, at_least=10)
-    nodes = _take(section, "nodes", int, default=1500, at_least=1)
     theta_a = _take(section, "theta_a", float, default=QUARTER_PI)
     theta_b = _take(section, "theta_b", float, default=QUARTER_PI)
-    hist = fidelity_histogram(theta_a, theta_b, pa, pb, bins=bins, nodes=nodes)
+    hist = fidelity_histogram(theta_a, theta_b, pa, pb, bins=bins)
     rows = [("F_bin_lo", "F_bin_hi", "mass")]
     rows += [(lo, hi, m) for lo, hi, m in zip(hist.edges[:-1], hist.edges[1:], hist.masses)]
     return [emit_csv(rows, out_dir / "fidelity_hist.csv")]
@@ -236,7 +235,6 @@ def _cmd_compare(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int)
     pa = _profile_ref(cfg, section, "profile_a", "compare")
     pb = _profile_ref(cfg, section, "profile_b", "compare")
     epsilon = _take(section, "epsilon", float, default=1e-4, positive=True)
-    nodes = _take(section, "nodes", int, default=2000, at_least=1)
     modes = [m.strip() for m in _take(section, "modes", str, default="3f2,exact").split(",")]
     for k, mode in enumerate(modes):
         if mode not in MODES:
@@ -246,7 +244,7 @@ def _cmd_compare(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int)
             raise ConfigError(f"mode {mode!r} appears twice in modes", section["modes"][1])
     rows = [("mode", "epsilon", "p_postselect", "p_outside_window", "p_total",
              "p_outside_only")]
-    for rep in compare_strategies(pa, pb, epsilon, modes, nodes=nodes):
+    for rep in compare_strategies(pa, pb, epsilon, modes):
         rows.append((rep.mode, rep.epsilon, rep.p_postselect, rep.p_outside_window,
                      rep.p_total, rep.p_outside_only))
         print(f"{rep.mode:>6s}: P(post-select) = {rep.p_postselect:.4f}   "
@@ -337,7 +335,8 @@ def _cmd_verify(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int) 
 
 # Every section a config may hold: the command that reads it (None for the
 # sections parse_config reads) and its keys.  "profile NAME" stands for each
-# [profile NAME] section.
+# [profile NAME] section.  "nodes", the grid resolution of a retired mixed-pair
+# path, is accepted and read by no command, so configs that still name it run.
 SECTIONS = {
     "run": (None, ("seed", "efficiency")),
     "profile NAME": (None, ("kind", "g", "path")),

@@ -87,10 +87,6 @@ class LeakageProfile:
         raise NotImplementedError
 
     @property
-    def total_mass(self) -> float:
-        raise NotImplementedError
-
-    @property
     def t_max(self) -> float:
         """Truncation point: integrated tail mass beyond it is < 1e-12."""
         raise NotImplementedError
@@ -173,10 +169,6 @@ class CriticallyDamped(LeakageProfile):
         return critically_damped_density(self.g, t)
 
     @property
-    def total_mass(self) -> float:
-        return 1.0
-
-    @property
     def t_max(self) -> float:
         # Gamma(3, 2g) survival at t = 20/g is ~4e-15.
         return 20.0 / self.g
@@ -217,10 +209,6 @@ class Tabulated(LeakageProfile):
         t = np.asarray(t, dtype=float)
         out = np.interp(t, self.times, self.densities, left=0.0, right=0.0)
         return float(out) if out.ndim == 0 else out
-
-    @property
-    def total_mass(self) -> float:
-        return self._mass
 
     @property
     def t_max(self) -> float:
@@ -264,7 +252,7 @@ def load_profile_csv(path) -> Tabulated:
 
 # Every library integral runs to this relative tolerance, starting from this
 # many Simpson panels.  At most BLOCK_CELLS values are built at once: integrand
-# values (batch elements times nodes), metrics grid cells and oracle gathers.
+# values (batch elements times nodes) and oracle gathers.
 RELATIVE_TOLERANCE = 1e-9
 START_PANELS = 64
 BLOCK_CELLS = 1 << 16

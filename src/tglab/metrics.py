@@ -25,28 +25,23 @@ D with D = t1 - t2, a difference of two Gamma(3) click times; E(F^2) and its
 series take no other profile pair.  One private law object per pair holds the
 slope, a closed-form CDF of D and `expect`, one batched `leakage.integrate`
 call per sign of D, over every tilt pair of an `expected_f_sq` call or every
-order of a `series_moments` call: nested Simpson levels, new nodes only, at
-most BLOCK_CELLS integrand values at once.
+order of a `series_moments` call: nested Simpson levels, each evaluating only
+its new points, at most leakage.BLOCK_CELLS integrand values at once.
 
 Distribution-level quantities (the fidelity histogram and the post-selection
 comparison) take the mixture Theta_1 (A x B) + Theta_2 (B x A) of Q12, under
 which F = 1/(2 cosh((S + x)/2)), x = log(Theta_1/Theta_2), S = L(t1) - L(t2)
-with L = log(P_A/P_B); B x A has the mirror image of A x B's law of S.  Two
-kinds of pair have a law of S: each bin, and the window, is a set of
+with L = log(P_A/P_B); B x A has the mirror image of A x B's law of S.  Every
+pair is read off its law of S: each bin, and the window, is a set of
 S-intervals whose mass is a difference of its CDF, and the out-of-window
 successes of every mode are one `expect` over |S| past the window edge.  For a
 critically damped pair S is a multiple of D = t1 - t2, whose CDF is closed
-form, so these are exact up to rounding.  For two tabulated profiles the law
-is binned: L#P_A and L#P_B in _LAW_BINS uniform L-bins, exact per bin, with
-a first-moment tilt, and convolved by FFT (see _TabulatedLaw); it reads the
-README pair's 2049-point tabulation to about 1e-8 relative.  A mixed pair
-integrates over the product measure in profile-CDF coordinates, where every
-midpoint cell carries equal mass; a few thousand nodes per axis resolve the
-1e-4 fidelity window to about 1e-5.  F on the grid comes from per-axis density
-ratios, in row blocks of at most BLOCK_CELLS = 2^16 cells; rows and columns
-where a density vanishes hold F = 0, counted, not built.  One grid pass serves
-every first-attempt success mode, and equal tilts build only the A x B
-component, whose mirror image is B x A.
+form, so these are exact up to rounding.  Any other pair takes the binned law
+of two tabulated profiles, a side that is not tabulated first tabulated at
+_TABULATION_POINTS: L#P_A and L#P_B in _LAW_BINS uniform L-bins, exact per bin,
+with a first-moment tilt, and convolved by FFT (see _TabulatedLaw).  It reads
+the README pair's 2049-point tabulation to about 1e-8 relative, and a mixed
+pair (P_A against that tabulation's P_B) to about 1e-7.
 """
 
 from __future__ import annotations
@@ -58,15 +53,16 @@ import numpy as np
 
 from .errors import QuadratureError
 from .heralding import DhContext, big_thetas, joint_terms
-from .leakage import (BLOCK_CELLS, RELATIVE_TOLERANCE, CriticallyDamped, LeakageProfile,
-                      Tabulated, critically_damped_difference_density, integrate,
-                      overlap_integral)
+from .leakage import (RELATIVE_TOLERANCE, CriticallyDamped, LeakageProfile, Tabulated,
+                      critically_damped_difference_density, integrate, overlap_integral,
+                      tabulate_profile)
 from .tilted_graph import QUARTER_PI
 
 MAX_F = 0.5
 MODES = ("3f2", "exact")       # first-attempt success models
 _S_CUT = 80.0                  # |S| past which out-of-window successes are negligible
 _LAW_BINS = 2**14              # uniform L-bins of a tabulated pair's law of S
+_TABULATION_POINTS = 2**16 + 1  # points where a binned-law pair tabulates an untabulated side
 _SINGULAR_CUT = 2.0**-32       # where a piece's unbounded L range stops (a fraction of it)
 _PIECE_BLOCK = 2048            # law pieces and cells handled at once
 _GL2_NODES = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])  # on [0, 1]
@@ -89,10 +85,6 @@ class SeriesTerms:
 class FidelityHistogram:
     edges: np.ndarray
     masses: np.ndarray
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
 
 
 @dataclass(frozen=True)
@@ -429,7 +421,7 @@ def _cell_integral(kernel, x0: float, h: float, lo: float, hi: float, d0, d1, e0
                 i = slice(start, min(start + _PIECE_BLOCK, last))
                 left = x0 + h * np.arange(i.start, i.stop)
                 a, b = np.maximum(left, cut_lo), np.minimum(left + h, cut_hi)
-                s = a + np.multiply.outer(_GL2_NODES, b - a)       # both nodes of each cell
+                s = a + np.multiply.outer(_GL2_NODES, b - a)       # both points of each cell
                 u = (s - left) / h
                 dens = d0[i] + (d1[i] - d0[i]) * u
                 if e0 is not None:
@@ -444,13 +436,12 @@ def _closed_form(pa, pb) -> bool:
 
 
 def _distribution_law(pa, pb):
-    """The law of S of a pair that has one (two critically damped or two tabulated
-    profiles), else None: a mixed pair takes the grid."""
+    """The law of S of a pair: closed form for two critically damped profiles, else
+    binned, each side that is not tabulated first tabulated at _TABULATION_POINTS."""
     if _closed_form(pa, pb):
         return _DifferenceLaw(pa, pb)
-    if isinstance(pa, Tabulated) and isinstance(pb, Tabulated):
-        return _TabulatedLaw(pa, pb)
-    return None
+    return _TabulatedLaw(*(p if isinstance(p, Tabulated) else
+                           tabulate_profile(p, _TABULATION_POINTS) for p in (pa, pb)))
 
 
 def _law(pa, pb, what: str) -> _DifferenceLaw:
@@ -547,53 +538,6 @@ def efsq_first_order(theta_a: float, theta_b: float, pa: LeakageProfile,
 # Distribution-level quantities
 # ---------------------------------------------------------------------------
 
-def _check_nodes(nodes: int) -> None:
-    if nodes < 1:
-        raise QuadratureError(f"need at least 1 node per axis, got {nodes}")
-
-
-def _grid_sum(theta_a, theta_b, pa, pb, nodes, per_block):
-    """Sum of per_block(F), additive over cells, on both product-measure components
-    of a pair with no law of S (one critically damped and one tabulated profile),
-    each weighted by its cell mass.  F = 1/(w + 1/w) with w = sqrt(X/Y), a row
-    factor sqrt(P_A / P_B)(t1) sqrt(Theta_1 / Theta_2) times a column factor
-    sqrt(P_B / P_A)(t2), in row blocks of at most BLOCK_CELLS cells that reuse two
-    buffers.  Rows and columns where a density vanishes, and every cell when a Theta
-    does, hold F = 0: their cells are counted, not built.  The rows are chosen on the
-    densities alone, so a Theta P that underflows while P > 0 still builds its row.
-
-    For Theta_1 = Theta_2 the B x A component is the mirror of A x B: its w is 1/w
-    of the transposed cell, F(w) = F(1/w), and its cell mass and zero-cell count are
-    A x B's.  So A x B alone is built, weighted by Theta_1 + Theta_2.
-    """
-    th1, th2 = big_thetas(theta_a, theta_b)
-    u = (np.arange(nodes) + 0.5) / nodes
-    total = 0.0 * per_block(np.zeros(1))                 # a zero of per_block's shape
-    parts = ((pa, pb, th1 + th2),) if th1 == th2 else ((pa, pb, th1), (pb, pa, th2))
-    ratio = math.sqrt(th1 / th2) if th1 > 0.0 and th2 > 0.0 else 0.0    # 0: F = 0 everywhere
-    for p1, p2, th in parts:
-        if th == 0.0:
-            continue
-        t1 = p1.inverse_cdf(u)
-        t2 = p2.inverse_cdf(u)
-        a, b, c, d = pa.density(t1), pb.density(t1), pb.density(t2), pa.density(t2)
-        rows, cols = (a > 0.0) & (b > 0.0) & (ratio > 0.0), (c > 0.0) & (d > 0.0)
-        rows = np.sqrt(a[rows]) / np.sqrt(b[rows]) * ratio
-        cols = np.sqrt(c[cols]) / np.sqrt(d[cols])
-        acc = per_block(np.zeros(1)) * (nodes**2 - rows.size * cols.size)   # F = 0 cells
-        step = max(1, BLOCK_CELLS // max(1, cols.size))
-        w, tmp = np.empty((2, min(step, rows.size), cols.size))
-        for lo in range(0, rows.size, step):
-            r = rows[lo:lo + step]
-            with np.errstate(over="ignore"):             # w = inf only where F < 1e-300
-                e = np.multiply.outer(r, cols, out=w[:r.size])
-            np.divide(1.0, e, out=e, where=e > 1.0)      # e = min(w, 1/w)
-            e /= np.add(1.0, np.square(e, out=tmp[:r.size]), out=tmp[:r.size])
-            acc = acc + per_block(e.ravel())
-        total = total + acc * (th * p1.total_mass * p2.total_mass / nodes**2)
-    return total
-
-
 def _law_histogram(th1: float, th2: float, law: _DifferenceLaw | _TabulatedLaw,
                    edges) -> np.ndarray:
     """Bin masses as differences of the law's CDF at the S-edges of each F-bin.
@@ -622,29 +566,17 @@ def _law_histogram(th1: float, th2: float, law: _DifferenceLaw | _TabulatedLaw,
 
 
 def fidelity_histogram(theta_a: float, theta_b: float, pa: LeakageProfile, pb: LeakageProfile,
-                       bins: int = 200, nodes: int = 1500) -> FidelityHistogram:
-    """Mass of each F-bin under the joint click density (sub-normalised).
-
-    Two critically damped or two tabulated profiles read the bins off their law
-    of S as CDF differences: exact for the closed-form law of t1 - t2, about 1e-9
-    per bin for the binned law of a 2049-point tabulation; F = 0 where a density
-    vanishes falls in bin 0.  A mixed pair takes the grid of `nodes` per axis
-    (the only pairs that read `nodes`), F from per-axis density ratios in blocks;
-    its zero-density cells fall in bin 0.  Equal tilts (Theta_1 = Theta_2, the
-    default) build one mixture component of the grid and count it twice: the
-    other is its mirror image.
+                       bins: int = 200) -> FidelityHistogram:
+    """Mass of each F-bin under the joint click density (sub-normalised), read off
+    the pair's law of S as CDF differences: exact for the closed-form law of
+    t1 - t2, about 1e-8 per bin for the binned law.  F = 0 where a density
+    vanishes falls in bin 0.
     """
     if bins < 10:
         raise QuadratureError(f"need at least 10 fidelity bins, got {bins}")
-    _check_nodes(nodes)
     th1, th2 = map(float, _thetas(theta_a, theta_b))
     edges = np.linspace(0.0, MAX_F, bins + 1)
-    law = _distribution_law(pa, pb)
-    if law is not None:
-        return FidelityHistogram(edges, _law_histogram(th1, th2, law, edges))
-    masses = _grid_sum(theta_a, theta_b, pa, pb, nodes,
-                       lambda f: np.histogram(np.clip(f, 0.0, MAX_F, out=f), bins=edges)[0])
-    return FidelityHistogram(edges, masses)
+    return FidelityHistogram(edges, _law_histogram(th1, th2, _distribution_law(pa, pb), edges))
 
 
 def first_attempt_success(f, mode: str):
@@ -690,34 +622,19 @@ def _law_window_sums(law: _DifferenceLaw | _TabulatedLaw, threshold: float):
             total * law.expect(successes, edge, max(edge, _S_CUT / scale)))
 
 
-def _grid_window_sums(pa, pb, threshold: float, nodes: int):
-    """(window mass, out-of-window successes of each of MODES) on the grid, one pass."""
-    def window_sums(f):         # [cells in the window, each mode's successes outside it]
-        out = f[f <= threshold]     # F is never NaN: every column built has c > 0
-        return np.array([f.size - out.size]
-                        + [first_attempt_success(out, mode).sum() for mode in MODES])
-    p_post, *p_outs = map(float, _grid_sum(QUARTER_PI, QUARTER_PI, pa, pb, nodes, window_sums))
-    return p_post, p_outs
-
-
 def compare_strategies(pa: LeakageProfile, pb: LeakageProfile, epsilon: float,
-                       modes=MODES, nodes: int = 2000) -> list[ComparisonReport]:
+                       modes=MODES) -> list[ComparisonReport]:
     """Post-selection versus adaptive growth on the first merge/bridge attempt,
     one report per first-attempt success mode, in the order of modes.
 
     Both qubits enter untilted (theta = pi/4), as in the paper's Section IV.
     p_postselect is the window mass; p_outside_window adds the out-of-window
-    first-attempt successes to it; p_total is their sum.  Two critically damped
-    or two tabulated profiles read the window mass off their law of S, and one
-    integral over |S| outside the window gives every mode's successes: exact for
-    the closed-form law of t1 - t2, about 1e-8 relative for the binned law of a
-    2049-point tabulation, where F = 0 (a vanishing density) is never in the
-    window.  A mixed pair takes the grid of `nodes` per axis (the only pairs that
-    read `nodes`), F from per-axis density ratios in blocks, one pass for all
-    modes; its zero-density cells take the same window test.  Untilted,
-    Theta_1 = Theta_2, so the grid builds the A x B component only and counts it
-    twice for its mirror B x A.  Either way every mode of MODES is evaluated, so a
-    report does not depend on which other modes were asked for.
+    first-attempt successes to it; p_total is their sum.  The window mass is read
+    off the pair's law of S, and one integral over |S| outside the window gives
+    every mode's successes: exact for the closed-form law of t1 - t2, about 1e-7
+    relative for the binned law, where F = 0 (a vanishing density) is never in
+    the window.  Every mode of MODES is evaluated, so a report does not depend on
+    which other modes were asked for.
     """
     if not 0.0 < epsilon < math.inf:
         raise QuadratureError(f"window width must be positive and finite, got {epsilon}")
@@ -726,13 +643,7 @@ def compare_strategies(pa: LeakageProfile, pb: LeakageProfile, epsilon: float,
     for mode in modes:
         if mode not in MODES:
             raise QuadratureError(f"unknown comparison mode {mode!r}")
-    _check_nodes(nodes)
-    threshold = MAX_F - epsilon
-    law = _distribution_law(pa, pb)
-    if law is not None:
-        p_post, p_outs = _law_window_sums(law, threshold)
-    else:
-        p_post, p_outs = _grid_window_sums(pa, pb, threshold, nodes)
+    p_post, p_outs = _law_window_sums(_distribution_law(pa, pb), MAX_F - epsilon)
     out = {mode: float(p) for mode, p in zip(MODES, p_outs)}
     return [ComparisonReport(p_post, p_post + out[mode], p_post + (p_post + out[mode]),
                              out[mode], epsilon, mode) for mode in modes]

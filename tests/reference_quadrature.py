@@ -19,11 +19,12 @@ Gauss-Legendre references below integrate the density of D instead, on panels
 that halve towards both ends of each interval, split at D = 0 and at the
 window edges, with F = 1/(2 cosh((S + x)/2)) written out afresh.
 
-For other pairs the library evaluates the fidelity grid from per-axis density
-ratios, in row blocks.  The dense path below builds the full nodes x nodes X, Y
-and F arrays from outer products of the densities and adds up the same window
-and bin counts: the blocked grid must reproduce its counts exactly and its
-sums to rounding.
+Every other pair the library reads off a binned law of S.  The midpoint grid
+below is the path that law replaced: the product measure in profile-CDF
+coordinates, where every cell carries equal mass, F from per-axis density
+ratios in row blocks (grid_sum, with grid_window_sums for `compare`).  The
+dense path builds the full nodes x nodes X, Y and F arrays from outer products
+of the densities instead.
 """
 
 import math
@@ -32,8 +33,9 @@ import numpy as np
 
 from tglab.errors import QuadratureError
 from tglab.heralding import big_thetas
-from tglab.leakage import critically_damped_difference_density
-from tglab.metrics import MAX_F
+from tglab.leakage import BLOCK_CELLS, Tabulated, critically_damped_difference_density
+from tglab.metrics import MAX_F, MODES, first_attempt_success
+from tglab.tilted_graph import QUARTER_PI
 
 _MAX_PANELS = 1 << 12
 
@@ -107,6 +109,63 @@ def simpson_2d(f, t_max: float, rtol: float = 1e-9) -> float:
     raise QuadratureError(f"2-d Simpson did not reach rtol={rtol} within {n} panels")
 
 
+def profile_mass(p) -> float:
+    """A profile's mass from its densities: 1 for a critically damped one, the
+    trapezoid sum of its table for a tabulated one."""
+    return float(np.trapezoid(p.densities, p.times)) if isinstance(p, Tabulated) else 1.0
+
+
+def grid_sum(theta_a, theta_b, pa, pb, nodes, per_block):
+    """Sum of per_block(F), additive over cells, on both product-measure components
+    of a pair, each weighted by its cell mass.  F = 1/(w + 1/w) with w = sqrt(X/Y), a
+    row factor sqrt(P_A / P_B)(t1) sqrt(Theta_1 / Theta_2) times a column factor
+    sqrt(P_B / P_A)(t2), in row blocks of at most BLOCK_CELLS cells that reuse two
+    buffers.  Rows and columns where a density vanishes, and every cell when a Theta
+    does, hold F = 0: their cells are counted, not built.  The rows are chosen on the
+    densities alone, so a Theta P that underflows while P > 0 still builds its row.
+
+    For Theta_1 = Theta_2 the B x A component is the mirror of A x B: its w is 1/w
+    of the transposed cell, F(w) = F(1/w), and its cell mass and zero-cell count are
+    A x B's.  So A x B alone is built, weighted by Theta_1 + Theta_2.
+    """
+    th1, th2 = big_thetas(theta_a, theta_b)
+    u = (np.arange(nodes) + 0.5) / nodes
+    total = 0.0 * per_block(np.zeros(1))                 # a zero of per_block's shape
+    parts = ((pa, pb, th1 + th2),) if th1 == th2 else ((pa, pb, th1), (pb, pa, th2))
+    ratio = math.sqrt(th1 / th2) if th1 > 0.0 and th2 > 0.0 else 0.0    # 0: F = 0 everywhere
+    for p1, p2, th in parts:
+        if th == 0.0:
+            continue
+        t1 = p1.inverse_cdf(u)
+        t2 = p2.inverse_cdf(u)
+        a, b, c, d = pa.density(t1), pb.density(t1), pb.density(t2), pa.density(t2)
+        rows, cols = (a > 0.0) & (b > 0.0) & (ratio > 0.0), (c > 0.0) & (d > 0.0)
+        rows = np.sqrt(a[rows]) / np.sqrt(b[rows]) * ratio
+        cols = np.sqrt(c[cols]) / np.sqrt(d[cols])
+        acc = per_block(np.zeros(1)) * (nodes**2 - rows.size * cols.size)   # F = 0 cells
+        step = max(1, BLOCK_CELLS // max(1, cols.size))
+        w, tmp = np.empty((2, min(step, rows.size), cols.size))
+        for lo in range(0, rows.size, step):
+            r = rows[lo:lo + step]
+            with np.errstate(over="ignore"):             # w = inf only where F < 1e-300
+                e = np.multiply.outer(r, cols, out=w[:r.size])
+            np.divide(1.0, e, out=e, where=e > 1.0)      # e = min(w, 1/w)
+            e /= np.add(1.0, np.square(e, out=tmp[:r.size]), out=tmp[:r.size])
+            acc = acc + per_block(e.ravel())
+        total = total + acc * (th * profile_mass(p1) * profile_mass(p2) / nodes**2)
+    return total
+
+
+def grid_window_sums(pa, pb, threshold: float, nodes: int):
+    """(window mass, out-of-window successes of each of MODES) on the grid, one pass."""
+    def window_sums(f):         # [cells in the window, each mode's successes outside it]
+        out = f[f <= threshold]     # F is never NaN: every column built has c > 0
+        return np.array([f.size - out.size]
+                        + [first_attempt_success(out, mode).sum() for mode in MODES])
+    p_post, *p_outs = map(float, grid_sum(QUARTER_PI, QUARTER_PI, pa, pb, nodes, window_sums))
+    return p_post, p_outs
+
+
 def dense_mixture_cells(theta_a, theta_b, pa, pb, nodes):
     """Yield (F values, per-cell mass) for both product-measure components,
     F = sqrt(X Y) / (X + Y) from dense outer products of the densities."""
@@ -122,7 +181,7 @@ def dense_mixture_cells(theta_a, theta_b, pa, pb, nodes):
         s = x + y
         with np.errstate(invalid="ignore", divide="ignore"):
             f = np.where(s > 0.0, np.sqrt(x * y) / np.where(s > 0.0, s, 1.0), 0.0)
-        yield f.ravel(), th * p1.total_mass * p2.total_mass / nodes**2
+        yield f.ravel(), th * profile_mass(p1) * profile_mass(p2) / nodes**2
 
 
 def dense_fidelity_histogram(theta_a, theta_b, pa, pb, bins, nodes):

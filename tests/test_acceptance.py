@@ -224,7 +224,6 @@ seed = 4242
 profile_a = A
 profile_b = B
 epsilon = 1e-4
-nodes = 800
 [efsq-surface]
 profile_a = A
 profile_b = B
@@ -233,7 +232,6 @@ grid = 3
 profile_a = A
 profile_b = B
 bins = 20
-nodes = 300
 [grow]
 pool = A:24,B:24
 target_ghz_size = 8

@@ -30,7 +30,6 @@ DECLARED_API = {
     "success_probability",      # sample_dh reads Theta_1, Theta_2 from its context instead
     "sample_clicks_array",
     "single_system_click_density",
-    "tabulate_profile",
     # the oracle's one-graph entry point; the package builds its states in
     # batches through build_states
     "build_state",

@@ -24,7 +24,6 @@ profile_a = A
 profile_b = B
 epsilon = 1e-4
 modes = 3f2
-nodes = 600
 
 [efsq-surface]
 profile_a = A
@@ -35,7 +34,6 @@ grid = 4
 profile_a = A
 profile_b = B
 bins = 20
-nodes = 300
 
 [grow]
 pool = A:24,B:24
@@ -240,16 +238,13 @@ class TestMainExitCodes:
         assert_config_error(tmp_path, capsys, command, GOOD.replace(old, new), new)
 
     @pytest.mark.parametrize("command, old, new", [
-        ("compare", "nodes = 600", "nodes = 0"),
-        ("compare", "nodes = 600", "nodes = -3"),
-        ("fidelity-hist", "nodes = 300", "nodes = 0"),
         ("fidelity-hist", "bins = 20", "bins = 5"),
         ("verify", "cases = 12", "cases = 0"),
         ("grow", "join_nodes = 2", "join_nodes = -1"),
         ("grow", "target_ghz_size = 8", "target_ghz_size = 1"),
         ("grow", "seed = 77", "seed = -1"),
         ("verify", "seed = 77", "seed = -1"),
-    ], ids=["compare-nodes-0", "compare-nodes-negative", "hist-nodes-0", "hist-bins-5",
+    ], ids=["hist-bins-5",
             "verify-cases-0", "grow-join-nodes-negative", "grow-target-1", "grow-seed-negative",
             "verify-seed-negative"])
     def test_out_of_range_counts_are_config_errors(self, tmp_path, capsys, command, old, new):
@@ -261,7 +256,7 @@ class TestMainExitCodes:
         ("verify", "cases = 12", "cases = 12\ntolerance = 0"),
         ("compare", "epsilon = 1e-4", "epsilon = nan"),
         ("compare", "epsilon = 1e-4", "epsilon = inf"),
-        ("fidelity-hist", "nodes = 300", "nodes = 300\ntheta_a = nan"),
+        ("fidelity-hist", "bins = 20", "bins = 20\ntheta_a = nan"),
         ("grow", "join_nodes = 2", "join_nodes = 2\nacceptance = nan"),
         ("compare", "g = 10.0", "g = inf"),
     ], ids=["verify-tolerance-nan", "verify-tolerance-negative", "verify-tolerance-0",
@@ -303,6 +298,26 @@ class TestMainExitCodes:
     def test_repeated_compare_modes_are_config_errors(self, tmp_path, capsys, new):
         # each mode evaluates the whole grid; a repeat would only write a duplicate row
         assert_config_error(tmp_path, capsys, "compare", GOOD.replace("modes = 3f2", new), new)
+
+    def test_nodes_key_is_accepted_and_ignored(self, tmp_path, capsys):
+        # `nodes` was the grid per axis of a mixed profile pair, which now takes the
+        # law of S; profile B is a CSV file here, so the pair is mixed
+        profile = CriticallyDamped(12.5)
+        t = np.linspace(0.0, profile.t_max, 65)
+        emit_csv([("time", "density"), *zip(t, profile.density(t))], tmp_path / "B.csv")
+        mixed = GOOD.replace("kind = critically_damped\ng = 12.5", "kind = csv\npath = B.csv")
+        texts = [mixed.replace("modes = 3f2", f"modes = 3f2\nnodes = {n}")
+                      .replace("bins = 20", f"bins = 20\nnodes = {n}") for n in (0, 2000)]
+        assert texts[0].count("\nnodes = 0\n") == 2 and "\nnodes =" not in mixed
+        outputs = []
+        for k, text in enumerate(texts + [mixed]):
+            p, out = tmp_path / f"{k}.cfg", tmp_path / f"out{k}"
+            p.write_text(text)
+            for command in ("compare", "fidelity-hist"):
+                assert main([command, "--config", str(p), "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("compare.csv", "fidelity_hist.csv")])
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_idempotent_outputs(self, cfg_path, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

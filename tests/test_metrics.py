@@ -13,7 +13,6 @@ from tglab.leakage import CriticallyDamped, Tabulated, tabulate_profile
 from tglab.metrics import (
     MAX_F,
     MODES,
-    ComparisonReport,
     compare_strategies,
     efsq_first_order,
     efsq_series,
@@ -281,12 +280,12 @@ class TestFirstOrder:
 class TestFidelityHistogram:
     def test_total_mass_is_success_probability(self):
         for ta, tb in [(QUARTER_PI, QUARTER_PI), (0.6, 1.0)]:
-            hist = fidelity_histogram(ta, tb, PA, PB, bins=40, nodes=400)
-            assert hist.total_mass == pytest.approx(success_probability(ta, tb), abs=1e-6)
+            hist = fidelity_histogram(ta, tb, PA, PB, bins=40)
+            assert hist.masses.sum() == pytest.approx(success_probability(ta, tb), abs=1e-6)
 
     def test_identical_profiles_all_mass_at_half(self):
         p = CriticallyDamped(10.0)
-        hist = fidelity_histogram(QUARTER_PI, QUARTER_PI, p, p, bins=50, nodes=300)
+        hist = fidelity_histogram(QUARTER_PI, QUARTER_PI, p, p, bins=50)
         assert hist.masses[-1] == pytest.approx(0.5, abs=1e-9)
         assert hist.masses[:-1].sum() == pytest.approx(0.0, abs=1e-12)
 
@@ -301,24 +300,17 @@ class TestFidelityHistogram:
         assert np.count_nonzero(hist.masses) == 1
 
     def test_window_mass_reproduces_postselect_number(self):
-        mass = compare_strategies(PA, PB, 1e-4, nodes=2000)[0].p_postselect
+        mass = compare_strategies(PA, PB, 1e-4)[0].p_postselect
         assert mass == pytest.approx(0.033, abs=0.003)
 
     def test_bin_count_enforced(self):
         with pytest.raises(QuadratureError):
             fidelity_histogram(QUARTER_PI, QUARTER_PI, PA, PB, bins=5)
 
-    @pytest.mark.parametrize("nodes", [0, -3])
-    def test_node_count_enforced(self, nodes):
-        with pytest.raises(QuadratureError):
-            fidelity_histogram(QUARTER_PI, QUARTER_PI, PA, PB, nodes=nodes)
-        with pytest.raises(QuadratureError):
-            compare_strategies(PA, PB, 1e-4, nodes=nodes)
-
     @pytest.mark.parametrize("epsilon", [0.0, -1e-4, math.nan, math.inf])
     def test_window_width_enforced(self, epsilon):
         with pytest.raises(QuadratureError):
-            compare_strategies(PA, PB, epsilon, nodes=10)
+            compare_strategies(PA, PB, epsilon)
 
 
 class TestCompareStrategies:
@@ -335,18 +327,17 @@ class TestCompareStrategies:
         assert 0.0 < rep.p_outside_only < rep.p_outside_window
         assert rep.p_outside_only < approx.p_outside_only   # 2F^2 + ... < 3F^2 below 1/2
 
-    @pytest.mark.parametrize("pair", ["readme", "csv-2049"])
+    @pytest.mark.parametrize("pair", ["readme", "csv-2049", "mixed-2049"])
     def test_all_modes_in_one_pass_equal_per_mode_runs(self, pair):
         pa, pb = GRID_PAIRS[pair]
-        apart = [compare_strategies(pa, pb, 1e-4, (mode,), nodes=GRID_NODES)[0]
-                 for mode in MODES]
-        assert compare_strategies(pa, pb, 1e-4, MODES, nodes=GRID_NODES) == apart
-        assert compare_strategies(pa, pb, 1e-4, MODES[::-1], nodes=GRID_NODES) == apart[::-1]
+        apart = [compare_strategies(pa, pb, 1e-4, (mode,))[0] for mode in MODES]
+        assert compare_strategies(pa, pb, 1e-4, MODES) == apart
+        assert compare_strategies(pa, pb, 1e-4, MODES[::-1]) == apart[::-1]
 
     @pytest.mark.parametrize("modes", ["3f2", ("3f2", "exct")])
     def test_modes_validated(self, modes):
         with pytest.raises(QuadratureError, match="mode"):
-            compare_strategies(PA, PB, 1e-4, modes, nodes=10)
+            compare_strategies(PA, PB, 1e-4, modes)
 
     def test_first_attempt_forms(self):
         assert first_attempt_success(0.5, "3f2") == pytest.approx(0.75)
@@ -356,12 +347,12 @@ class TestCompareStrategies:
             2 * f**2 + 2 * f**4 / (1 - 2 * f**2))
 
     def test_wide_window_limit(self):
-        (rep,) = compare_strategies(PA, PB, 0.5, ("3f2",), nodes=600)
+        (rep,) = compare_strategies(PA, PB, 0.5, ("3f2",))
         assert rep.p_postselect == pytest.approx(0.5, abs=1e-9)
         assert rep.p_outside_only == pytest.approx(0.0, abs=1e-12)
 
     def test_monotone_in_window_width(self):
-        reps = [compare_strategies(PA, PB, eps, ("3f2",), nodes=600)[0]
+        reps = [compare_strategies(PA, PB, eps, ("3f2",))[0]
                 for eps in (1e-4, 1e-3, 1e-2, 0.1, 0.5)]
         posts = [r.p_postselect for r in reps]
         outs = [r.p_outside_only for r in reps]
@@ -371,9 +362,9 @@ class TestCompareStrategies:
 
 # The README pair, its 2049-point tabulated twin (P_B is 0 on (1.6, 2.0]), a
 # mixed pair of P_A and the twin's P_B, a near-identical pair, and two far-apart
-# pairs whose densities underflow.  The mixed pair takes the grid; the twin takes
-# the binned law of S, and its grid is run directly; the others are critically
-# damped, so the library reads them off the closed-form law of t1 - t2.
+# pairs whose densities underflow.  The twin and the mixed pair take the binned
+# law of S; the others are critically damped, so the library reads them off the
+# closed-form law of t1 - t2.
 GRID_PAIRS = {
     "readme": (PA, PB),
     "csv-2049": (tabulate_profile(PA, 2049), tabulate_profile(PB, 2049)),
@@ -383,36 +374,14 @@ GRID_PAIRS = {
     "g-0.05-80": (CriticallyDamped(0.05), CriticallyDamped(80.0)),
 }
 FAR_APART = ("g-0.5-40", "g-0.05-80")
+CLOSED_FORM = [pair for pair, (pa, pb) in GRID_PAIRS.items()
+               if isinstance(pa, CriticallyDamped) and isinstance(pb, CriticallyDamped)]
 GRID_NODES = 500          # four row blocks per component, the last one short
-
-
-def closed_form(pa, pb):
-    return isinstance(pa, CriticallyDamped) and isinstance(pb, CriticallyDamped)
-
-
-def tabulated(pa, pb):
-    return isinstance(pa, Tabulated) and isinstance(pb, Tabulated)
-
-
-def grid_compare(pa, pb, epsilon, mode, nodes):
-    """compare_strategies' report from the grid, which a mixed pair takes and two
-    tabulated profiles no longer do."""
-    post, outs = metrics._grid_window_sums(pa, pb, MAX_F - epsilon, nodes)
-    out = outs[MODES.index(mode)]
-    return ComparisonReport(post, post + out, post + (post + out), out, epsilon, mode)
-
-
-def grid_histogram(theta_a, theta_b, pa, pb, bins, nodes):
-    """fidelity_histogram's bin masses from the grid."""
-    edges = np.linspace(0.0, MAX_F, bins + 1)
-    def counts(f):
-        return np.histogram(np.clip(f, 0.0, MAX_F, out=f), bins=edges)[0]
-    return metrics._grid_sum(theta_a, theta_b, pa, pb, nodes, counts)
 
 
 # P_A is 5e-324, the least subnormal, on (1, 2], where P_B holds its mass, and P_B
 # is 1e-150 on [0, 1], where P_A holds its.  The knots are exact in binary, so the
-# two masses round alike and both components' cells weigh the same.
+# two masses round alike.
 _KNOTS = [0.0, 1.0, 1.0 + 2.0**-30, 2.0 + 2.0**-30]
 TINY_PAIR = (Tabulated(_KNOTS, [0.99, 0.99, 5e-324, 5e-324]),
              Tabulated(_KNOTS, [1e-150, 1e-150, 0.99, 0.99]))
@@ -434,16 +403,15 @@ def assert_law_compare(rep, pa, pb, epsilon, mode):
 def assert_law_histogram(hist, thetas, pa, pb):
     from reference_quadrature import gl_fidelity_histogram
     assert np.all(hist.masses >= 0.0)
-    assert abs(hist.total_mass - sum(big_thetas(*thetas))) <= 1e-12
+    assert abs(hist.masses.sum() - sum(big_thetas(*thetas))) <= 1e-12
     want = gl_fidelity_histogram(*thetas, pa, pb, hist.masses.size)
     assert np.abs(hist.masses - want).max() <= 1e-14
 
 
 class TestAgainstDenseGrid:
-    """The blocked per-axis grid against the dense outer-product grid, exactly: on
-    the mixed pair through the public functions, on two tabulated profiles (which
-    take the binned law) called directly.  The critically damped pairs take no
-    grid: their closed-form law against Gauss-Legendre integrals over t1 - t2."""
+    """The closed-form law of the critically damped pairs against Gauss-Legendre
+    integrals over t1 - t2, and against the dense outer-product grid where that
+    grid loses mass."""
 
     @pytest.fixture(autouse=True)
     def warnings_are_errors(self):
@@ -453,23 +421,12 @@ class TestAgainstDenseGrid:
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("pair, epsilon", [
-        (pair, eps) for pair in GRID_PAIRS for eps in (1e-4, 0.5, 0.7)
+        (pair, eps) for pair in CLOSED_FORM for eps in (1e-4, 0.5, 0.7)
         if not (pair in FAR_APART and eps == 0.5)])
     def test_compare_matches(self, pair, epsilon, mode):
-        from reference_quadrature import dense_compare_strategies
         pa, pb = GRID_PAIRS[pair]
-        if closed_form(pa, pb):
-            (rep,) = compare_strategies(pa, pb, epsilon, (mode,), nodes=GRID_NODES)
-            assert_law_compare(rep, pa, pb, epsilon, mode)
-            return
-        rep = (grid_compare(pa, pb, epsilon, mode, GRID_NODES) if tabulated(pa, pb) else
-               compare_strategies(pa, pb, epsilon, (mode,), nodes=GRID_NODES)[0])
-        post, out_window, total, out_only = dense_compare_strategies(pa, pb, epsilon, mode,
-                                                                     GRID_NODES)
-        assert rep.p_postselect == post
-        assert_close(rep.p_outside_window, out_window)
-        assert_close(rep.p_total, total)
-        assert_close(rep.p_outside_only, out_only)
+        (rep,) = compare_strategies(pa, pb, epsilon, (mode,))
+        assert_law_compare(rep, pa, pb, epsilon, mode)
 
     @pytest.mark.parametrize("ga, gb, epsilon", [
         (0.05, 80.0, 1e-4), (0.5, 40.0, 1e-4), (10.0, 12.5, 1e-4), (1.0, 3.0, 0.3),
@@ -491,7 +448,7 @@ class TestAgainstDenseGrid:
         # whose densities are all positive; the law keeps all the mass.
         from reference_quadrature import dense_compare_strategies
         pa, pb = GRID_PAIRS[pair]
-        for mode, rep in zip(MODES, compare_strategies(pa, pb, 0.5, MODES, nodes=GRID_NODES)):
+        for mode, rep in zip(MODES, compare_strategies(pa, pb, 0.5, MODES)):
             dense = dense_compare_strategies(pa, pb, 0.5, mode, GRID_NODES)
             assert rep.p_postselect == sum(big_thetas(QUARTER_PI, QUARTER_PI))
             assert dense[0] < rep.p_postselect
@@ -514,117 +471,50 @@ class TestAgainstDenseGrid:
         assert np.array_equal(np.histogram(np.clip(f_ab, 0.0, MAX_F), bins=edges)[0],
                               np.histogram(np.clip(f_ba, 0.0, MAX_F), bins=edges)[0])
 
-    @staticmethod
-    def tiny_pair(swap, thetas):
-        # At P_B's nodes Theta P_A underflows to 0 while P_A > 0: the dense grid's
-        # B x A cells hold F = 0 there, where the blocked grid computes F ~ 1e-162
-        pa, pb = TINY_PAIR
-        theta = big_thetas(*thetas)[0]
-        p = pa.density(pb.inverse_cdf((np.arange(GRID_NODES) + 0.5) / GRID_NODES))
-        assert np.any((theta * p == 0.0) & (p > 0.0))
-        assert pa.total_mass == pb.total_mass
-        return (pb, pa) if swap else (pa, pb)
-
-    @pytest.mark.parametrize("swap", [False, True])
-    @pytest.mark.parametrize("thetas", [(QUARTER_PI, QUARTER_PI), (0.6, 0.6)])
-    def test_underflowing_theta_p_keeps_the_histogram(self, swap, thetas):
-        # F = 0 and F ~ 1e-162 share bin 0
-        from reference_quadrature import dense_fidelity_histogram
-        pa, pb = self.tiny_pair(swap, thetas)
-        assert np.array_equal(grid_histogram(*thetas, pa, pb, 200, GRID_NODES),
-                              dense_fidelity_histogram(*thetas, pa, pb, 200, GRID_NODES))
-
-    @pytest.mark.parametrize("swap", [False, True])
-    @pytest.mark.parametrize("epsilon", [1e-4, 0.7])
-    def test_underflowing_theta_p_keeps_the_window(self, swap, epsilon):
-        # F = 0 and F ~ 1e-162 fall on the same side of a window edge away from 0
-        # (at epsilon = 1/2 the window is F > 0, which tells them apart), and their
-        # successes are below 1e-300
-        from reference_quadrature import dense_compare_strategies
-        pa, pb = self.tiny_pair(swap, (QUARTER_PI, QUARTER_PI))
-        for mode in MODES:
-            rep = grid_compare(pa, pb, epsilon, mode, GRID_NODES)
-            post, *sums = dense_compare_strategies(pa, pb, epsilon, mode, GRID_NODES)
-            assert rep.p_postselect == post
-            got = (rep.p_outside_window, rep.p_total, rep.p_outside_only)
-            assert got == pytest.approx(sums, rel=0.0, abs=1e-300)
-
-    def test_underflowing_theta_p_reads_the_same_in_either_order(self):
-        # At epsilon = 1/2 the window is F > 0.  Rows are chosen on the densities,
-        # not on Theta P, so the cells where Theta P_A underflows keep their F > 0
-        # whichever profile comes first.
-        pa, pb = TINY_PAIR
-        reports = [[grid_compare(p, q, 0.5, mode, GRID_NODES) for mode in MODES]
-                   for p, q in ((pa, pb), (pb, pa))]
-        assert reports[0] == reports[1]
-        assert reports[0][0].p_postselect > 0.49
-
     @pytest.mark.parametrize("thetas", [(QUARTER_PI, QUARTER_PI), (0.6, 0.6), (0.6, 1.0),
                                         (0.0, 1.0)])
-    @pytest.mark.parametrize("pair", GRID_PAIRS)
+    @pytest.mark.parametrize("pair", CLOSED_FORM)
     def test_histogram_matches(self, pair, thetas):
-        from reference_quadrature import dense_fidelity_histogram
         pa, pb = GRID_PAIRS[pair]
-        if closed_form(pa, pb):
-            hist = fidelity_histogram(*thetas, pa, pb, bins=200, nodes=GRID_NODES)
-            assert_law_histogram(hist, thetas, pa, pb)
-            return
-        masses = (grid_histogram(*thetas, pa, pb, 200, GRID_NODES) if tabulated(pa, pb) else
-                  fidelity_histogram(*thetas, pa, pb, bins=200, nodes=GRID_NODES).masses)
-        assert np.array_equal(masses, dense_fidelity_histogram(*thetas, pa, pb, 200, GRID_NODES))
+        hist = fidelity_histogram(*thetas, pa, pb, bins=200)
+        assert_law_histogram(hist, thetas, pa, pb)
 
-    @pytest.mark.parametrize("pair", ["readme", "csv-2049"])
-    def test_command_defaults_match(self, pair):
-        # the node counts `compare` and `fidelity-hist` run with; the README
-        # pair also against the blocked grid at 4000 nodes (its error ~1e-5)
-        from reference_quadrature import dense_compare_strategies, dense_fidelity_histogram
-        pa, pb = GRID_PAIRS[pair]
-        if pair == "readme":
-            reps = compare_strategies(pa, pb, 1e-4, MODES, nodes=2000)
-            hist = fidelity_histogram(QUARTER_PI, QUARTER_PI, pa, pb, bins=200, nodes=1500)
-            grid_post, grid_outs = metrics._grid_window_sums(pa, pb, MAX_F - 1e-4, 4000)
-            for rep, grid_out in zip(reps, grid_outs):
-                assert_law_compare(rep, pa, pb, 1e-4, rep.mode)
-                assert_close(rep.p_postselect, grid_post, rel=2e-5)
-                assert_close(rep.p_outside_window, grid_post + grid_out, rel=2e-5)
-                assert_close(rep.p_outside_only, grid_out, rel=2e-5)
-            assert_law_histogram(hist, (QUARTER_PI, QUARTER_PI), pa, pb)
-            return
-        for mode in MODES:
-            rep = grid_compare(pa, pb, 1e-4, mode, 2000)
-            post, out_window, total, out_only = dense_compare_strategies(pa, pb, 1e-4, mode, 2000)
-            assert rep.p_postselect == post
-            assert_close(rep.p_outside_window, out_window)
-            assert_close(rep.p_total, total)
-            assert_close(rep.p_outside_only, out_only)
-        assert np.array_equal(grid_histogram(QUARTER_PI, QUARTER_PI, pa, pb, 200, 1500),
-                              dense_fidelity_histogram(QUARTER_PI, QUARTER_PI, pa, pb, 200, 1500))
+    def test_readme_pair_matches_a_fine_grid(self):
+        # the README pair as `compare` and `fidelity-hist` run it, also against the
+        # test-side grid at 4000 nodes (its error ~1e-5)
+        from reference_quadrature import grid_window_sums
+        pa, pb = GRID_PAIRS["readme"]
+        reps = compare_strategies(pa, pb, 1e-4, MODES)
+        hist = fidelity_histogram(QUARTER_PI, QUARTER_PI, pa, pb, bins=200)
+        grid_post, grid_outs = grid_window_sums(pa, pb, MAX_F - 1e-4, 4000)
+        for rep, grid_out in zip(reps, grid_outs):
+            assert_law_compare(rep, pa, pb, 1e-4, rep.mode)
+            assert_close(rep.p_postselect, grid_post, rel=2e-5)
+            assert_close(rep.p_outside_window, grid_post + grid_out, rel=2e-5)
+            assert_close(rep.p_outside_only, grid_out, rel=2e-5)
+        assert_law_histogram(hist, (QUARTER_PI, QUARTER_PI), pa, pb)
 
 
 def traced_peaks(pa, pb):
     """tracemalloc peaks of the commands' compare and fidelity-hist calls on a pair."""
     tracemalloc.start()
     try:
-        compare_strategies(pa, pb, 1e-4, MODES, nodes=2000)
+        compare_strategies(pa, pb, 1e-4, MODES)
         compare_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        fidelity_histogram(QUARTER_PI, QUARTER_PI, pa, pb, nodes=1500)
+        fidelity_histogram(QUARTER_PI, QUARTER_PI, pa, pb)
         hist_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return compare_peak, hist_peak
 
 
-def test_grid_peak_allocation_stays_small():
-    # on the mixed pair, which takes the grid: a dense 2000 x 2000 grid takes
-    # 238 MB, a 1500 x 1500 one 107 MB
-    assert max(traced_peaks(*GRID_PAIRS["mixed-2049"])) < 16 * 2**20
-
-
-def test_law_peak_allocation_stays_small():
-    # on the tabulated twin, which takes the binned law: its pieces and cells go in
-    # blocks, so no array outgrows the 2 x _LAW_BINS cells of S
-    assert max(traced_peaks(*GRID_PAIRS["csv-2049"])) < 4 * 2**20
+@pytest.mark.parametrize("pair, limit_mb", [("csv-2049", 4), ("mixed-2049", 16)])
+def test_law_peak_allocation_stays_small(pair, limit_mb):
+    # the binned law's pieces and cells go in blocks, so the twin's arrays stay
+    # within the 2 x _LAW_BINS cells of S; the mixed pair's 65537-point
+    # tabulation of P_A brings about 67k knot segments, which set its peak
+    assert max(traced_peaks(*GRID_PAIRS[pair])) < limit_mb * 2**20
 
 
 def identical_pair():
@@ -638,8 +528,8 @@ HIST_THETAS = [(QUARTER_PI, QUARTER_PI), (0.6, 1.0), (0.0, 1.0)]
 
 
 class TestTabulatedLaw:
-    """compare and fidelity-hist for two tabulated profiles, read off the binned
-    law of S = L(t1) - L(t2)."""
+    """compare and fidelity-hist for two tabulated profiles, or a mixed pair, read
+    off the binned law of S = L(t1) - L(t2)."""
 
     @pytest.fixture(autouse=True)
     def warnings_are_errors(self):
@@ -652,16 +542,6 @@ class TestTabulatedLaw:
         return np.array([[r.p_postselect, r.p_outside_window, r.p_total, r.p_outside_only]
                          for r in compare_strategies(pa, pb, epsilon)])
 
-    def test_never_takes_the_grid(self, monkeypatch):
-        def no_grid(*args):
-            raise AssertionError("the grid was built for two tabulated profiles")
-        monkeypatch.setattr(metrics, "_grid_sum", no_grid)
-        pa, pb = GRID_PAIRS["csv-2049"]
-        compare_strategies(pa, pb, 1e-4, MODES, nodes=2000)
-        fidelity_histogram(0.6, 1.0, pa, pb, nodes=1500)
-        with pytest.raises(AssertionError, match="grid was built"):
-            compare_strategies(*GRID_PAIRS["mixed-2049"], 1e-4)
-
     def test_agrees_with_a_four_times_finer_law(self, monkeypatch):
         pa, pb = GRID_PAIRS["csv-2049"]
         thetas = [(QUARTER_PI, QUARTER_PI), (0.6, 1.0)]
@@ -672,24 +552,56 @@ class TestTabulatedLaw:
         for hist, th in zip(coarse_hists, thetas):
             assert np.abs(hist - fidelity_histogram(*th, pa, pb).masses).max() <= 1e-9
 
+    @pytest.mark.parametrize("pair", ["tabulated", "mixed", "mixed-swapped"])
     @pytest.mark.parametrize("ga, gb", [(10.0, 12.5), (3.0, 3.1), (1.0, 3.0)])
-    def test_agrees_with_the_closed_form_law_on_fine_tabulations(self, ga, gb):
-        # a 65537-point tabulation is within ~1e-8 of its profile, which bounds the gap
+    def test_agrees_with_the_closed_form_law_on_fine_tabulations(self, ga, gb, pair):
+        # a 65537-point tabulation is within ~1e-8 of its profile, which bounds the
+        # gap; a mixed pair's critically damped side is tabulated at that resolution
         pc, pd = CriticallyDamped(ga), CriticallyDamped(gb)
-        pa, pb = tabulate_profile(pc, 65537), tabulate_profile(pd, 65537)
+        pa = tabulate_profile(pc, 65537) if pair == "tabulated" else pc
+        pb = tabulate_profile(pd, 65537)
+        if pair == "mixed-swapped":
+            pa, pb, pc, pd = pb, pa, pd, pc
         np.testing.assert_allclose(self.values(pa, pb), self.values(pc, pd), rtol=1e-6, atol=0.0)
         for th in HIST_THETAS[:2]:
             got, want = (fidelity_histogram(*th, p, q).masses for p, q in ((pa, pb), (pc, pd)))
             assert np.abs(got - want).max() <= 1e-8
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_far_apart_mixed_pair_keeps_its_window(self, swap):
+        # the window mass is 4.5e-7: a 2000-node grid read 0 here and 8000 nodes
+        # read it 33% low; the law is within 6.3e-5 of the closed form
+        pc, pd = CriticallyDamped(0.5), CriticallyDamped(40.0)
+        pairs = [(pc, tabulate_profile(pd, 65537)), (pc, pd)]
+        if swap:
+            pairs = [pair[::-1] for pair in pairs]
+        got, want = (self.values(*pair) for pair in pairs)
+        assert np.all(want > 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-3, atol=0.0)
+
+    def test_grid_approaches_the_law_on_the_mixed_pair(self):
+        # the test-side grid, the path the law replaced for mixed pairs: each
+        # doubling of its nodes brings every sum closer to the law
+        from reference_quadrature import grid_window_sums
+        pa, pb = GRID_PAIRS["mixed-2049"]
+        law = self.values(pa, pb)
+        errors = []
+        for nodes in (1000, 2000, 4000, 8000):
+            post, outs = grid_window_sums(pa, pb, MAX_F - 1e-4, nodes)
+            errors.append(np.array([post, *outs]) / law[[0, 0, 1], [0, 3, 3]] - 1.0)
+        errors = np.abs(errors)
+        assert np.all(np.diff(errors, axis=0) < 0.0)
+        assert np.all(errors[0] < 1e-3) and np.all(errors[-1] < 1e-5)
+
     def test_dense_grid_approaches_the_law(self):
         # the window is a count of cells, so its error does not fall steadily; the
         # out-of-window successes converge from above
+        from reference_quadrature import grid_window_sums
         pa, pb = GRID_PAIRS["csv-2049"]
         law = self.values(pa, pb)
         errors = []
         for nodes in (500, 1000, 2000, 4000):
-            post, outs = metrics._grid_window_sums(pa, pb, MAX_F - 1e-4, nodes)
+            post, outs = grid_window_sums(pa, pb, MAX_F - 1e-4, nodes)
             errors.append(np.array([post, *outs]) / law[[0, 0, 1], [0, 3, 3]] - 1.0)
         errors = np.array(errors)
         assert np.all(np.abs(errors[:, 0]) < 1e-3) and np.all(np.abs(errors[2:, 0]) < 5e-5)
@@ -699,18 +611,20 @@ class TestTabulatedLaw:
     def test_log_ratio_unbounded_at_both_ends(self):
         # P_A vanishes at t = 0 and P_B at t = 1, so L runs from -inf to +inf and the
         # bins stop short of both ends; against the grid at 4000 nodes (error ~1e-4)
+        from reference_quadrature import grid_window_sums
         t = np.linspace(0.0, 1.0, 257)
         pa, pb = Tabulated(t, 2.0 * t), Tabulated(t, 2.0 * (1.0 - t))
         for epsilon in (1e-4, 0.1):
             law = self.values(pa, pb, epsilon)[0]
-            post, (out, _) = metrics._grid_window_sums(pa, pb, MAX_F - epsilon, 4000)
+            post, (out, _) = grid_window_sums(pa, pb, MAX_F - epsilon, 4000)
             assert law[0] == pytest.approx(post, rel=5e-4)
             assert law[3] == pytest.approx(out, rel=5e-4)
 
     @pytest.mark.parametrize("epsilon", [1e-4, 0.1, 0.5, 0.7])
     def test_identical_profiles_are_all_in_the_window(self, epsilon):
+        from reference_quadrature import profile_mass
         pa, pb = LAW_PAIRS["identical"]
-        total = sum(big_thetas(QUARTER_PI, QUARTER_PI)) * pa.total_mass * pb.total_mass
+        total = sum(big_thetas(QUARTER_PI, QUARTER_PI)) * profile_mass(pa) * profile_mass(pb)
         for rep in compare_strategies(pa, pb, epsilon):
             assert rep.p_postselect == pytest.approx(total, rel=1e-14)
             assert rep.p_outside_only == 0.0
@@ -730,11 +644,12 @@ class TestTabulatedLaw:
     @pytest.mark.parametrize("thetas", HIST_THETAS)
     @pytest.mark.parametrize("pair", LAW_PAIRS)
     def test_histogram_holds_the_whole_mass(self, pair, thetas):
+        from reference_quadrature import profile_mass
         pa, pb = LAW_PAIRS[pair]
         hist = fidelity_histogram(*thetas, pa, pb)
         assert np.all(hist.masses >= 0.0)
-        want = sum(big_thetas(*thetas)) * pa.total_mass * pb.total_mass
-        assert hist.total_mass == pytest.approx(want, rel=1e-12)
+        want = sum(big_thetas(*thetas)) * profile_mass(pa) * profile_mass(pb)
+        assert hist.masses.sum() == pytest.approx(want, rel=1e-12)
 
 
 class TestResourceRatio:
@@ -767,14 +682,13 @@ class TestMonteCarloConsistency:
         n = 100_000
         t1, t2 = sample_clicks_array(ctx, rng, n)
         f = fidelity_value(theta_a, theta_b, PA, PB, t1, t2)
-        hist = fidelity_histogram(theta_a, theta_b, PA, PB, bins=10, nodes=2500)
+        hist = fidelity_histogram(theta_a, theta_b, PA, PB, bins=10)
         p = success_probability(theta_a, theta_b)
         counts, _ = np.histogram(f, bins=hist.edges)
         for k in range(10):
             frac = hist.masses[k] / p          # conditional bin probability
             se = math.sqrt(max(frac * (1 - frac), 1e-12) / n)
-            # 3 sigma statistical plus the histogram's own bin-boundary
-            # resolution at 2500 nodes per axis
+            # 3 sigma statistical plus a 3e-4 margin
             assert abs(counts[k] / n - frac) < 3 * se + 3e-4
 
     def test_sampled_moments_match_quadrature(self):
