@@ -408,10 +408,40 @@ def assert_law_histogram(hist, thetas, pa, pb):
     assert np.abs(hist.masses - want).max() <= 1e-14
 
 
+def assert_grid_compare(rep, pa, pb, epsilon, mode):
+    # the binned law against the dense grid at GRID_NODES: the grid's window is a
+    # count of cells, measured within 1.8e-4 relative of the law at epsilon = 1e-4;
+    # a window that holds every cell with F > 0 leaves only rounding
+    from reference_quadrature import dense_compare_strategies
+    want = dense_compare_strategies(pa, pb, epsilon, mode, GRID_NODES)
+    got = (rep.p_postselect, rep.p_outside_window, rep.p_total, rep.p_outside_only)
+    assert got == pytest.approx(want, rel=1e-3 if epsilon < 0.5 else 1e-10, abs=0.0)
+
+
+def assert_grid_histogram(hist, thetas, pa, pb):
+    # the binned law against the dense grid at GRID_NODES: each bin within the
+    # grid's error (measured <= 3.8e-5), the whole mass to rounding
+    from reference_quadrature import dense_fidelity_histogram
+    want = dense_fidelity_histogram(*thetas, pa, pb, hist.masses.size, GRID_NODES)
+    assert np.all(hist.masses >= 0.0)
+    assert abs(hist.masses.sum() - want.sum()) <= 1e-13
+    assert np.abs(hist.masses - want).max() <= 1e-4
+
+
+def grid_histogram(theta_a, theta_b, pa, pb, bins, nodes):
+    """fidelity_histogram's bin masses from the test-side blocked grid."""
+    from reference_quadrature import grid_sum
+    edges = np.linspace(0.0, MAX_F, bins + 1)
+    def counts(f):
+        return np.histogram(np.clip(f, 0.0, MAX_F, out=f), bins=edges)[0]
+    return grid_sum(theta_a, theta_b, pa, pb, nodes, counts)
+
+
 class TestAgainstDenseGrid:
     """The closed-form law of the critically damped pairs against Gauss-Legendre
     integrals over t1 - t2, and against the dense outer-product grid where that
-    grid loses mass."""
+    grid loses mass; the binned law of the twin, the mixed pair and TINY_PAIR
+    against the dense grid, within its discretisation error."""
 
     @pytest.fixture(autouse=True)
     def warnings_are_errors(self):
@@ -421,12 +451,15 @@ class TestAgainstDenseGrid:
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("pair, epsilon", [
-        (pair, eps) for pair in CLOSED_FORM for eps in (1e-4, 0.5, 0.7)
+        (pair, eps) for pair in GRID_PAIRS for eps in (1e-4, 0.5, 0.7)
         if not (pair in FAR_APART and eps == 0.5)])
     def test_compare_matches(self, pair, epsilon, mode):
         pa, pb = GRID_PAIRS[pair]
         (rep,) = compare_strategies(pa, pb, epsilon, (mode,))
-        assert_law_compare(rep, pa, pb, epsilon, mode)
+        if pair in CLOSED_FORM:
+            assert_law_compare(rep, pa, pb, epsilon, mode)
+        else:
+            assert_grid_compare(rep, pa, pb, epsilon, mode)
 
     @pytest.mark.parametrize("ga, gb, epsilon", [
         (0.05, 80.0, 1e-4), (0.5, 40.0, 1e-4), (10.0, 12.5, 1e-4), (1.0, 3.0, 0.3),
@@ -471,28 +504,90 @@ class TestAgainstDenseGrid:
         assert np.array_equal(np.histogram(np.clip(f_ab, 0.0, MAX_F), bins=edges)[0],
                               np.histogram(np.clip(f_ba, 0.0, MAX_F), bins=edges)[0])
 
+    @staticmethod
+    def tiny_pair(swap, thetas):
+        # At P_B's nodes Theta P_A underflows to 0 while P_A > 0: the dense grid's
+        # B x A cells hold F = 0 there
+        pa, pb = TINY_PAIR
+        theta = big_thetas(*thetas)[0]
+        p = pa.density(pb.inverse_cdf((np.arange(GRID_NODES) + 0.5) / GRID_NODES))
+        assert np.any((theta * p == 0.0) & (p > 0.0))
+        return (pb, pa) if swap else (pa, pb)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("thetas", [(QUARTER_PI, QUARTER_PI), (0.6, 0.6)])
+    def test_underflowing_theta_p_keeps_the_histogram(self, swap, thetas):
+        # the law's F ~ 1e-162 and the dense grid's F = 0 share bin 0, which holds
+        # all of the mass in either order
+        from reference_quadrature import dense_fidelity_histogram
+        pa, pb = self.tiny_pair(swap, thetas)
+        hist = fidelity_histogram(*thetas, pa, pb, bins=200)
+        want = dense_fidelity_histogram(*thetas, pa, pb, 200, GRID_NODES)
+        assert np.count_nonzero(want) == 1
+        np.testing.assert_allclose(hist.masses, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("epsilon", [1e-4, 0.7])
+    def test_underflowing_theta_p_keeps_the_window(self, swap, epsilon):
+        # F = 0 and F ~ 1e-162 fall on the same side of a window edge away from 0
+        # (at epsilon = 1/2 the window is F > 0, which tells them apart).  The law
+        # also reads the 2^-30-wide ramp between the pieces, where no node of the
+        # grid lands; it adds under 1e-19 to each sum
+        from reference_quadrature import dense_compare_strategies
+        pa, pb = self.tiny_pair(swap, (QUARTER_PI, QUARTER_PI))
+        for mode, rep in zip(MODES, compare_strategies(pa, pb, epsilon, MODES)):
+            want = dense_compare_strategies(pa, pb, epsilon, mode, GRID_NODES)
+            got = (rep.p_postselect, rep.p_outside_window, rep.p_total, rep.p_outside_only)
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-19)
+
+    def test_underflowing_theta_p_reads_the_same_in_either_order(self):
+        # At epsilon = 1/2 the window is F > 0.  The dense grid's X Y underflows in
+        # every cell and reads an empty window; the law keeps each cell's F > 0
+        # whichever profile comes first, so the window holds the whole mass
+        from reference_quadrature import dense_compare_strategies, profile_mass
+        pa, pb = TINY_PAIR
+        reports = [compare_strategies(p, q, 0.5, MODES) for p, q in ((pa, pb), (pb, pa))]
+        assert reports[0] == reports[1]
+        whole = sum(big_thetas(QUARTER_PI, QUARTER_PI)) * profile_mass(pa) * profile_mass(pb)
+        for mode, rep in zip(MODES, reports[0]):
+            assert rep.p_postselect == pytest.approx(whole, rel=1e-14)
+            assert rep.p_outside_only == 0.0
+            assert dense_compare_strategies(pa, pb, 0.5, mode, GRID_NODES)[0] < whole
+
     @pytest.mark.parametrize("thetas", [(QUARTER_PI, QUARTER_PI), (0.6, 0.6), (0.6, 1.0),
                                         (0.0, 1.0)])
-    @pytest.mark.parametrize("pair", CLOSED_FORM)
+    @pytest.mark.parametrize("pair", GRID_PAIRS)
     def test_histogram_matches(self, pair, thetas):
         pa, pb = GRID_PAIRS[pair]
         hist = fidelity_histogram(*thetas, pa, pb, bins=200)
-        assert_law_histogram(hist, thetas, pa, pb)
+        if pair in CLOSED_FORM:
+            assert_law_histogram(hist, thetas, pa, pb)
+        else:
+            assert_grid_histogram(hist, thetas, pa, pb)
 
-    def test_readme_pair_matches_a_fine_grid(self):
-        # the README pair as `compare` and `fidelity-hist` run it, also against the
-        # test-side grid at 4000 nodes (its error ~1e-5)
+    @pytest.mark.parametrize("pair", ["readme", "csv-2049"])
+    def test_command_defaults_match(self, pair):
+        # the pair as `compare` and `fidelity-hist` run it, against the test-side
+        # grid at 4000 nodes (measured within 1.8e-5 of the law on both pairs) and,
+        # for the twin's bins, at 1500 nodes (within 8.6e-6); the README pair also
+        # against Gauss-Legendre
         from reference_quadrature import grid_window_sums
-        pa, pb = GRID_PAIRS["readme"]
+        pa, pb = GRID_PAIRS[pair]
+        rel = 2e-5 if pair == "readme" else 5e-5
         reps = compare_strategies(pa, pb, 1e-4, MODES)
         hist = fidelity_histogram(QUARTER_PI, QUARTER_PI, pa, pb, bins=200)
         grid_post, grid_outs = grid_window_sums(pa, pb, MAX_F - 1e-4, 4000)
         for rep, grid_out in zip(reps, grid_outs):
-            assert_law_compare(rep, pa, pb, 1e-4, rep.mode)
-            assert_close(rep.p_postselect, grid_post, rel=2e-5)
-            assert_close(rep.p_outside_window, grid_post + grid_out, rel=2e-5)
-            assert_close(rep.p_outside_only, grid_out, rel=2e-5)
-        assert_law_histogram(hist, (QUARTER_PI, QUARTER_PI), pa, pb)
+            if pair == "readme":
+                assert_law_compare(rep, pa, pb, 1e-4, rep.mode)
+            assert_close(rep.p_postselect, grid_post, rel=rel)
+            assert_close(rep.p_outside_window, grid_post + grid_out, rel=rel)
+            assert_close(rep.p_outside_only, grid_out, rel=rel)
+        if pair == "readme":
+            assert_law_histogram(hist, (QUARTER_PI, QUARTER_PI), pa, pb)
+        else:
+            grid = grid_histogram(QUARTER_PI, QUARTER_PI, pa, pb, 200, 1500)
+            assert np.abs(hist.masses - grid).max() <= 2e-5
 
 
 def traced_peaks(pa, pb):
@@ -509,12 +604,16 @@ def traced_peaks(pa, pb):
     return compare_peak, hist_peak
 
 
-@pytest.mark.parametrize("pair, limit_mb", [("csv-2049", 4), ("mixed-2049", 16)])
-def test_law_peak_allocation_stays_small(pair, limit_mb):
-    # the binned law's pieces and cells go in blocks, so the twin's arrays stay
-    # within the 2 x _LAW_BINS cells of S; the mixed pair's 65537-point
-    # tabulation of P_A brings about 67k knot segments, which set its peak
-    assert max(traced_peaks(*GRID_PAIRS[pair])) < limit_mb * 2**20
+def test_law_peak_allocation_stays_small():
+    # on the tabulated twin: the binned law's pieces and cells go in blocks, so no
+    # array outgrows the 2 x _LAW_BINS cells of S
+    assert max(traced_peaks(*GRID_PAIRS["csv-2049"])) < 4 * 2**20
+
+
+def test_mixed_pair_peak_allocation_stays_small():
+    # the mixed pair's 65537-point tabulation of P_A brings about 67k knot
+    # segments, which set its peak; it keeps the bound it had on the grid
+    assert max(traced_peaks(*GRID_PAIRS["mixed-2049"])) < 16 * 2**20
 
 
 def identical_pair():
@@ -525,6 +624,7 @@ def identical_pair():
 LAW_PAIRS = {"csv-2049": GRID_PAIRS["csv-2049"], "tiny": TINY_PAIR,
              "tiny-swapped": TINY_PAIR[::-1], "identical": identical_pair()}
 HIST_THETAS = [(QUARTER_PI, QUARTER_PI), (0.6, 1.0), (0.0, 1.0)]
+FINE_PAIRS = [(10.0, 12.5), (3.0, 3.1), (1.0, 3.0)]
 
 
 class TestTabulatedLaw:
@@ -552,20 +652,28 @@ class TestTabulatedLaw:
         for hist, th in zip(coarse_hists, thetas):
             assert np.abs(hist - fidelity_histogram(*th, pa, pb).masses).max() <= 1e-9
 
-    @pytest.mark.parametrize("pair", ["tabulated", "mixed", "mixed-swapped"])
-    @pytest.mark.parametrize("ga, gb", [(10.0, 12.5), (3.0, 3.1), (1.0, 3.0)])
-    def test_agrees_with_the_closed_form_law_on_fine_tabulations(self, ga, gb, pair):
-        # a 65537-point tabulation is within ~1e-8 of its profile, which bounds the
-        # gap; a mixed pair's critically damped side is tabulated at that resolution
-        pc, pd = CriticallyDamped(ga), CriticallyDamped(gb)
-        pa = tabulate_profile(pc, 65537) if pair == "tabulated" else pc
-        pb = tabulate_profile(pd, 65537)
-        if pair == "mixed-swapped":
-            pa, pb, pc, pd = pb, pa, pd, pc
+    def assert_agrees_with_the_closed_form_law(self, pa, pb, pc, pd):
         np.testing.assert_allclose(self.values(pa, pb), self.values(pc, pd), rtol=1e-6, atol=0.0)
         for th in HIST_THETAS[:2]:
             got, want = (fidelity_histogram(*th, p, q).masses for p, q in ((pa, pb), (pc, pd)))
             assert np.abs(got - want).max() <= 1e-8
+
+    @pytest.mark.parametrize("ga, gb", FINE_PAIRS)
+    def test_agrees_with_the_closed_form_law_on_fine_tabulations(self, ga, gb):
+        # a 65537-point tabulation is within ~1e-8 of its profile, which bounds the gap
+        pc, pd = CriticallyDamped(ga), CriticallyDamped(gb)
+        self.assert_agrees_with_the_closed_form_law(tabulate_profile(pc, 65537),
+                                                    tabulate_profile(pd, 65537), pc, pd)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("ga, gb", FINE_PAIRS)
+    def test_mixed_pair_agrees_with_the_closed_form_law(self, ga, gb, swap):
+        # the library tabulates the critically damped side at the same resolution
+        pc, pd = CriticallyDamped(ga), CriticallyDamped(gb)
+        pa, pb = pc, tabulate_profile(pd, 65537)
+        if swap:
+            pa, pb, pc, pd = pb, pa, pd, pc
+        self.assert_agrees_with_the_closed_form_law(pa, pb, pc, pd)
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_far_apart_mixed_pair_keeps_its_window(self, swap):
