@@ -169,8 +169,6 @@ def _profile_ref(cfg: ExperimentConfig, section: dict, key: str, section_name: s
 # ---------------------------------------------------------------------------
 
 def _render(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -293,20 +291,8 @@ def _cmd_grow(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int) ->
         recycle_annotations=_take(section, "recycle", bool, default=True),
     )
     pieces, stats, graph = run_pipeline(strategy)
-    artifacts = [emit_csv(stats.round_csv_rows(), out_dir / "grow_rounds.csv")]
-    summary = [("quantity", "value"),
-               ("dh_attempts", stats.dh_attempts),
-               ("dh_successes", stats.dh_successes),
-               ("qubits_drawn", stats.qubits_drawn),
-               ("qubits_consumed", stats.qubits_consumed),
-               ("realignments_attempted", stats.realignments_attempted),
-               ("realignments_succeeded", stats.realignments_succeeded),
-               ("merges", stats.merges),
-               ("bridges", stats.bridges),
-               ("join_dh_attempts", stats.join_dh_attempts),
-               ("final_pieces", len(stats.final_sizes)),
-               ("mean_final_fidelity", stats.mean_final_fidelity)]
-    artifacts.append(emit_csv(summary, out_dir / "grow_summary.csv"))
+    artifacts = [emit_csv(stats.round_csv_rows(), out_dir / "grow_rounds.csv"),
+                 emit_csv(stats.summary_csv_rows(), out_dir / "grow_summary.csv")]
     if graph is not None:
         target = out_dir / "grow_graph.txt"
         target.write_text(graph.to_text(), encoding="utf-8")

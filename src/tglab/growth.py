@@ -24,7 +24,7 @@ any schedule of a round's attempts produces identical statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -138,6 +138,15 @@ class RunStats:
         for r in self.rounds:
             yield (r.round, r.attempts, r.successes, r.qubits_consumed,
                    r.mean_tilt, r.mean_fidelity)
+
+    def summary_csv_rows(self):
+        """Header, every int counter in declaration order, then the final pieces."""
+        yield ("quantity", "value")
+        for f in fields(self):
+            if f.type == "int":
+                yield (f.name, getattr(self, f.name))
+        yield ("final_pieces", len(self.final_sizes))
+        yield ("mean_final_fidelity", self.mean_final_fidelity)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ below 1 to represent photon loss; sampling always renormalises.
 
 The critically damped cavity (kappa = 4g) has the closed-form density
 C(t, g) = 4 g^3 t^2 exp(-2 g t) for t > 0, which is the Gamma(3, 2g)
-shape.  Arbitrary calibrated profiles are supported through tabulation
-(linear interpolation inside the grid, zero outside).
+shape; CriticallyDamped(g).density evaluates it.  Arbitrary calibrated
+profiles are supported through tabulation (linear interpolation inside the
+grid, zero outside).
 
 Sampling inverts a tabulated CDF.  A single float quantile takes a scalar
 bisection path that equals np.interp bit for bit.
@@ -41,27 +42,6 @@ class CavityParams:
             raise ProfileError(f"coupling strength must be positive and finite, got {self.g}")
         if not (np.isfinite(self.kappa) and self.kappa > 0):
             raise ProfileError(f"cavity leakage rate must be positive and finite, got {self.kappa}")
-
-
-def critically_damped_density(g: float, t):
-    """Density 4 g^3 t^2 exp(-2 g t) with a Heaviside cutoff at t = 0.
-
-    Accepts scalar or ndarray t; rejects non-finite input.  A Python or
-    NumPy float t takes a scalar path (math.exp), which agrees with the
-    array path to rounding.
-    """
-    if not (math.isfinite(g) and g > 0):
-        raise ProfileError(f"coupling strength must be positive and finite, got {g}")
-    if isinstance(t, float):
-        t = float(t)
-        if not math.isfinite(t):
-            raise ProfileError("non-finite time passed to critically_damped_density")
-        return 4.0 * g**3 * (t * t) * math.exp(-2.0 * g * t) if t > 0 else 0.0
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ProfileError("non-finite time passed to critically_damped_density")
-    out = np.where(t > 0, 4.0 * g**3 * t**2 * np.exp(-2.0 * g * np.where(t > 0, t, 0.0)), 0.0)
-    return float(out) if out.ndim == 0 else out
 
 
 def critically_damped_difference_density(g1: float, g2: float, r):
@@ -166,7 +146,24 @@ class CriticallyDamped(LeakageProfile):
         self.g = float(g)
 
     def density(self, t):
-        return critically_damped_density(self.g, t)
+        """4 g^3 t^2 exp(-2 g t) with a Heaviside cutoff at t = 0.
+
+        Accepts scalar or ndarray t; rejects non-finite input.  A Python or
+        NumPy float t takes a scalar path (math.exp), which agrees with the
+        array path to rounding.
+        """
+        g = self.g
+        if isinstance(t, float):
+            t = float(t)
+            if not math.isfinite(t):
+                raise ProfileError("non-finite time passed to CriticallyDamped.density")
+            return 4.0 * g**3 * (t * t) * math.exp(-2.0 * g * t) if t > 0 else 0.0
+        t = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(t)):
+            raise ProfileError("non-finite time passed to CriticallyDamped.density")
+        out = np.where(t > 0, 4.0 * g**3 * t**2 * np.exp(-2.0 * g * np.where(t > 0, t, 0.0)),
+                       0.0)
+        return float(out) if out.ndim == 0 else out
 
     @property
     def t_max(self) -> float:

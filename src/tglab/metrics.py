@@ -431,23 +431,16 @@ def _cell_integral(kernel, x0: float, h: float, lo: float, hi: float, d0, d1, e0
     return total
 
 
-def _closed_form(pa, pb) -> bool:
-    return isinstance(pa, CriticallyDamped) and isinstance(pb, CriticallyDamped)
-
-
-def _distribution_law(pa, pb):
+def _law(pa, pb, what: str | None = None) -> _DifferenceLaw | _TabulatedLaw:
     """The law of S of a pair: closed form for two critically damped profiles, else
-    binned, each side that is not tabulated first tabulated at _TABULATION_POINTS."""
-    if _closed_form(pa, pb):
+    binned, each side that is not tabulated first tabulated at _TABULATION_POINTS.
+    `what` names a quantity that takes only the closed form; any other pair raises."""
+    if isinstance(pa, CriticallyDamped) and isinstance(pb, CriticallyDamped):
         return _DifferenceLaw(pa, pb)
+    if what is not None:
+        raise QuadratureError(f"{what} needs two critically damped profiles, got {pa!r}, {pb!r}")
     return _TabulatedLaw(*(p if isinstance(p, Tabulated) else
                            tabulate_profile(p, _TABULATION_POINTS) for p in (pa, pb)))
-
-
-def _law(pa, pb, what: str) -> _DifferenceLaw:
-    if not _closed_form(pa, pb):
-        raise QuadratureError(f"{what} needs two critically damped profiles, got {pa!r}, {pb!r}")
-    return _DifferenceLaw(pa, pb)
 
 
 def _thetas(theta_a, theta_b):
@@ -576,7 +569,7 @@ def fidelity_histogram(theta_a: float, theta_b: float, pa: LeakageProfile, pb: L
         raise QuadratureError(f"need at least 10 fidelity bins, got {bins}")
     th1, th2 = map(float, _thetas(theta_a, theta_b))
     edges = np.linspace(0.0, MAX_F, bins + 1)
-    return FidelityHistogram(edges, _law_histogram(th1, th2, _distribution_law(pa, pb), edges))
+    return FidelityHistogram(edges, _law_histogram(th1, th2, _law(pa, pb), edges))
 
 
 def first_attempt_success(f, mode: str):
@@ -590,14 +583,8 @@ def first_attempt_success(f, mode: str):
     f2 = np.square(np.asarray(f, dtype=float))
     if mode == "3f2":
         out = 3.0 * f2
-    else:                       # 2 (F^2 + F^4 / (1 - 2 F^2)), few block-sized temporaries
-        den = np.minimum(f2, 0.25)
-        den *= -2.0
-        den += 1.0
-        out = np.square(f2)
-        out /= den
-        out += f2
-        out *= 2.0
+    else:                       # the cap keeps the denominator >= 1/2 for any F
+        out = 2.0 * (f2 + np.square(f2) / (1.0 - 2.0 * np.minimum(f2, 0.25)))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -609,7 +596,7 @@ def _law_window_sums(law: _DifferenceLaw | _TabulatedLaw, threshold: float):
     """
     total = sum(big_thetas(QUARTER_PI, QUARTER_PI))
     if threshold <= 0.0 or law.slope == 0.0:      # F > threshold at every finite S
-        return total * law.finite_mass, np.zeros(len(MODES))
+        return float(total * law.finite_mass), np.zeros(len(MODES))
     scale = abs(law.slope)
     edge = 2.0 * math.acosh(0.5 / threshold) / scale
 
@@ -643,7 +630,7 @@ def compare_strategies(pa: LeakageProfile, pb: LeakageProfile, epsilon: float,
     for mode in modes:
         if mode not in MODES:
             raise QuadratureError(f"unknown comparison mode {mode!r}")
-    p_post, p_outs = _law_window_sums(_distribution_law(pa, pb), MAX_F - epsilon)
+    p_post, p_outs = _law_window_sums(_law(pa, pb), MAX_F - epsilon)
     out = {mode: float(p) for mode, p in zip(MODES, p_outs)}
     return [ComparisonReport(p_post, p_post + out[mode], p_post + (p_post + out[mode]),
                              out[mode], epsilon, mode) for mode in modes]

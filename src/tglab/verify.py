@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import VerificationError
 from .heralding import ClickPair, DhContext, tilt_after_dh
-from .leakage import CavityParams, CriticallyDamped, critically_damped_density
+from .leakage import CavityParams, CriticallyDamped
 from .oracle import build_states, overlap, project, trajectory_dh_grid
 from .procedures import bridge, merge, realign
 from .seeding import VERIFY_CANONICALIZATION, VERIFY_PROCEDURES, derive_rng
@@ -125,10 +125,9 @@ def trajectory_vs_closed_form() -> tuple[float, float]:
     t1s = np.linspace(0.03, 0.45, 5)
     t2s = np.linspace(0.04, 0.5, 5)
     theta, dens = trajectory_dh_grid(a, b, t1s, t2s)
-    pa = lambda t: critically_damped_density(a.g, t)
-    pb = lambda t: critically_damped_density(b.g, t)
-    worst_theta, worst_dens = 0.0, 0.0
     ctx = DhContext(QUARTER_PI, QUARTER_PI, CriticallyDamped(a.g), CriticallyDamped(b.g))
+    pa, pb = ctx.pa.density, ctx.pb.density
+    worst_theta, worst_dens = 0.0, 0.0
     for i, t1 in enumerate(t1s):
         for j, t2 in enumerate(t2s):
             ref_theta = tilt_after_dh(ctx, ClickPair(t1, t2))

@@ -1,10 +1,13 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tglab import cli
 from tglab.cli import emit_csv, main, parse_config, run_command
 from tglab.errors import ConfigError, TglabError
+from tglab.growth import RunStats
 from tglab.leakage import CriticallyDamped, load_profile_csv
 
 GOOD = """
@@ -325,6 +328,27 @@ class TestMainExitCodes:
             assert main(["grow", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert (a / "grow_rounds.csv").read_bytes() == (b / "grow_rounds.csv").read_bytes()
         assert (a / "grow_summary.csv").read_bytes() == (b / "grow_summary.csv").read_bytes()
+
+    def test_grow_summary_lists_every_counter(self, cfg_path, tmp_path, monkeypatch, capsys):
+        # every int field of RunStats in declaration order, then the final pieces, so
+        # a new counter cannot be left out of the CSV
+        runs, original = [], cli.run_pipeline
+
+        def run_pipeline(strategy):
+            runs.append(original(strategy))
+            return runs[-1]
+        monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+        assert main(["grow", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        (_, stats, _), = runs
+        counters = [f.name for f in dataclasses.fields(RunStats)
+                    if isinstance(getattr(stats, f.name), int)]
+        assert counters[0] == "dh_attempts" and counters[-1] == "join_dh_attempts"
+        want = [("quantity", "value"), *((name, getattr(stats, name)) for name in counters),
+                ("final_pieces", len(stats.final_sizes)),
+                ("mean_final_fidelity", stats.mean_final_fidelity)]
+        assert list(stats.summary_csv_rows()) == want
+        assert ((tmp_path / "out" / "grow_summary.csv").read_bytes()
+                == emit_csv(want, tmp_path / "want.csv").read_bytes())
 
     @pytest.mark.parametrize("command", ["grow", "verify"])
     def test_negative_seed_override_is_config_error(self, cfg_path, tmp_path, capsys, command):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from reference_growth import run_phase1_reference
-from tglab import seeding
+from tglab import growth, seeding
 from tglab.errors import GraphConfigError
 from tglab.growth import (
     GhzPiece,
@@ -21,7 +21,7 @@ from tglab.growth import (
     run_pipeline,
     run_realignment,
 )
-from tglab.heralding import sample_dh
+from tglab.heralding import DhContext, apply_dh_to_graph, classify_dh_side, sample_dh
 from tglab.leakage import CriticallyDamped
 from tglab.metrics import efsq_series
 from tglab.oracle import build_state
@@ -361,6 +361,27 @@ class TestJoin:
         pieces = synthetic_inventory(4, 5)
         g, centers, stats = run_join(pieces, cfg)
         assert stats.bridges == 3
+
+    @pytest.mark.parametrize("kind, seed", [("bridge", 21), ("merge", 33)])
+    def test_dh_attempts_take_the_effective_tilt_of_each_side(self, kind, seed, monkeypatch):
+        # the click statistics of a join's DH attempt read the effective tilt that the
+        # rewrite classifies each side with, not only a raw vertex tilt
+        contexts, sides = [], []
+
+        def context(*args):
+            contexts.append(DhContext(*args))
+            return contexts[-1]
+
+        def apply(g, qa, qb, outcome):
+            sides.append([classify_dh_side(g, q).theta_eff for q in (qa, qb)])
+            return apply_dh_to_graph(g, qa, qb, outcome)
+        monkeypatch.setattr(growth, "DhContext", context)
+        monkeypatch.setattr(growth, "apply_dh_to_graph", apply)
+        _, _, stats = run_join(synthetic_inventory(3, 9),
+                               join_cfg(30, seed, join_nodes=3, join_kind=kind))
+        assert len(contexts) == len(sides) == stats.join_dh_attempts >= 2
+        for ctx, thetas in zip(contexts, sides):
+            assert [ctx.theta_a, ctx.theta_b] == pytest.approx(thetas, rel=0.0, abs=1e-12)
 
     def test_tilted_pieces_realigned_before_join(self):
         cfg = join_cfg(20, 4, join_nodes=2, join_kind="bridge")

@@ -11,7 +11,6 @@ from tglab.leakage import (
     CriticallyDamped,
     Tabulated,
     _interp_scalar,
-    critically_damped_density,
     integrate,
     load_profile_csv,
     overlap_integral,
@@ -25,15 +24,16 @@ def closed_form_overlap(ga, gb):
 
 class TestCriticallyDampedDensity:
     def test_heaviside_cutoff(self):
-        assert critically_damped_density(10.0, 0.0) == 0.0
-        assert critically_damped_density(10.0, -0.3) == 0.0
+        assert CriticallyDamped(10.0).density(0.0) == 0.0
+        assert CriticallyDamped(10.0).density(-0.3) == 0.0
 
     def test_maximum_at_inverse_g(self):
         # maximising 4 g^3 t^2 exp(-2gt) gives t* = 1/g, value 4 g / e^2
         g = 10.0
-        assert critically_damped_density(g, 1.0 / g) == pytest.approx(40.0 * math.exp(-2.0), rel=1e-12)
+        density = CriticallyDamped(g).density
+        assert density(1.0 / g) == pytest.approx(40.0 * math.exp(-2.0), rel=1e-12)
         t = np.linspace(1e-4, 1.0, 3000)
-        assert critically_damped_density(g, t).max() <= 40.0 * math.exp(-2.0) + 1e-12
+        assert density(t).max() <= 40.0 * math.exp(-2.0) + 1e-12
 
     @pytest.mark.parametrize("g", [0.5, 10.0, 12.5, 80.0])
     def test_unit_normalisation(self, g):
@@ -42,18 +42,22 @@ class TestCriticallyDampedDensity:
         assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ProfileError):
-            critically_damped_density(-1.0, 0.1)
+        for bad_g in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ProfileError):
+                CriticallyDamped(bad_g)
         for bad in (float("nan"), float("inf"), np.float64("nan"), np.float64("inf")):
             with pytest.raises(ProfileError):
-                critically_damped_density(10.0, bad)
+                CriticallyDamped(10.0).density(bad)
+            with pytest.raises(ProfileError):
+                CriticallyDamped(10.0).density(np.array([0.1, bad]))
 
     @pytest.mark.parametrize("g", [0.5, 10.0, 12.5])
     def test_scalar_path_matches_array_path(self, g):
+        density = CriticallyDamped(g).density
         for t in (0.0, -0.3, 1e-9, 0.13, 2.0, 20.0 / g):
-            (expect,) = critically_damped_density(g, np.array([t]))
+            (expect,) = density(np.array([t]))
             for scalar in (t, np.float64(t)):
-                got = critically_damped_density(g, scalar)
+                got = density(scalar)
                 assert type(got) is float
                 assert got == pytest.approx(expect, rel=1e-15, abs=0.0)
 
@@ -246,7 +250,7 @@ def _csv_twin(tmp_path, g):
     """A critically damped profile as a 2049-point calibrated CSV file, loaded back."""
     t = np.linspace(0.0, 20.0 / g, 2049)
     path = tmp_path / f"twin_{g}.csv"
-    emit_csv([("time", "density"), *zip(t, critically_damped_density(g, t))], path)
+    emit_csv([("time", "density"), *zip(t, CriticallyDamped(g).density(t))], path)
     return load_profile_csv(path)
 
 

@@ -334,6 +334,16 @@ class TestCompareStrategies:
         assert compare_strategies(pa, pb, 1e-4, MODES) == apart
         assert compare_strategies(pa, pb, 1e-4, MODES[::-1]) == apart[::-1]
 
+    @pytest.mark.parametrize("epsilon", [1e-4, 0.5])
+    @pytest.mark.parametrize("pair", ["readme", "csv-2049"])
+    def test_reports_python_floats(self, pair, epsilon):
+        # a window that holds every finite S reads the law's mass, a NumPy float for
+        # the binned law
+        for rep in compare_strategies(*GRID_PAIRS[pair], epsilon):
+            for value in (rep.p_postselect, rep.p_outside_window, rep.p_total,
+                          rep.p_outside_only):
+                assert type(value) is float
+
     @pytest.mark.parametrize("modes", ["3f2", ("3f2", "exct")])
     def test_modes_validated(self, modes):
         with pytest.raises(QuadratureError, match="mode"):

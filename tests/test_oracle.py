@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tglab.errors import GraphConfigError, TrajectoryError, VerificationError
-from tglab.leakage import CavityParams, critically_damped_density
+from tglab.leakage import CavityParams, CriticallyDamped
 from tglab.oracle import (
     build_state,
     evolve_single,
@@ -117,7 +117,7 @@ class TestTrajectory:
     def test_single_system_density_matches_closed_form(self):
         ts = np.linspace(0.01, 1.0, 40)
         dens = single_system_click_density(EXAMPLE_A, ts)
-        ref = critically_damped_density(EXAMPLE_A.g, ts)
+        ref = CriticallyDamped(EXAMPLE_A.g).density(ts)
         assert np.abs(dens - ref).max() < 1e-6
 
     def test_norm_decay_rate_is_click_density(self):
@@ -165,8 +165,7 @@ class TestTrajectory:
     def test_example_point_matches_closed_forms(self):
         t1, t2 = 0.05, 0.2
         theta, dens = trajectory_dh_grid(EXAMPLE_A, EXAMPLE_B, [t1], [t2])
-        pa = lambda t: critically_damped_density(10.0, t)
-        pb = lambda t: critically_damped_density(12.5, t)
+        pa, pb = CriticallyDamped(10.0).density, CriticallyDamped(12.5).density
         u = pa(t1) * pb(t2)
         v = pb(t1) * pa(t2)
         theta_ref = math.acos((1.0 + u / v) ** -0.5)
