@@ -20,13 +20,12 @@ first-order form Theta_L (1 - K/2) I_0 integration-free up to I_0.
 Divided by V, each integrand is a function of w = V/U alone, under the density
 V (t1 ~ P_B, t2 ~ P_A): Theta_1 Theta_2 / (Theta_1 + Theta_2 w) for E(F^2),
 (1/(1 + w)) (1/(1 + 1/w))^n for I_n and (1/(1 + w))^(n+1) for J_n (U for V in
-I_n's numerator).  For critically damped profiles w = e^(-S), S = 2 (g_B - g_A)
-D with D = t1 - t2, a difference of two Gamma(3) click times; E(F^2) and its
-series take no other profile pair.  One private law object per pair holds the
-slope, a closed-form CDF of D and `expect`, one batched `leakage.integrate`
-call per sign of D, over every tilt pair of an `expected_f_sq` call or every
-order of a `series_moments` call: nested Simpson levels, each evaluating only
-its new points, at most leakage.BLOCK_CELLS integrand values at once.
+I_n's numerator).  Each is one `expect` of any pair's law of S (below), batched
+over every tilt pair of an `expected_f_sq` call or every order of a
+`series_moments` call, at most leakage.BLOCK_CELLS kernel values per block.  For
+critically damped profiles w = e^(-S), S = 2 (g_B - g_A) D with D = t1 - t2, a
+difference of two Gamma(3) click times, and `expect` is one `leakage.integrate`
+call per sign of D: nested Simpson levels, each evaluating only its new points.
 
 Distribution-level quantities (the fidelity histogram and the post-selection
 comparison) take the mixture Theta_1 (A x B) + Theta_2 (B x A) of Q12, under
@@ -40,8 +39,8 @@ form, so these are exact up to rounding.  Any other pair takes the binned law
 of two tabulated profiles, a side that is not tabulated first tabulated at
 _TABULATION_POINTS: L#P_A and L#P_B in _LAW_BINS uniform L-bins, exact per bin,
 with a first-moment tilt, and convolved by FFT (see _TabulatedLaw).  It reads
-the README pair's 2049-point tabulation to about 1e-8 relative, and a mixed
-pair (P_A against that tabulation's P_B) to about 1e-7.
+the README pair's 2049-point tabulation to about 1e-8 relative (E(F^2) to about
+1e-9), and a mixed pair (P_A against that tabulation's P_B) to about 1e-7.
 """
 
 from __future__ import annotations
@@ -53,9 +52,9 @@ import numpy as np
 
 from .errors import QuadratureError
 from .heralding import DhContext, big_thetas, joint_terms
-from .leakage import (RELATIVE_TOLERANCE, CriticallyDamped, LeakageProfile, Tabulated,
-                      critically_damped_difference_density, integrate, overlap_integral,
-                      tabulate_profile)
+from .leakage import (BLOCK_CELLS, RELATIVE_TOLERANCE, CriticallyDamped, LeakageProfile,
+                      Tabulated, critically_damped_difference_density, integrate,
+                      overlap_integral, tabulate_profile)
 from .tilted_graph import QUARTER_PI
 
 MAX_F = 0.5
@@ -410,15 +409,17 @@ def _cell_integral(kernel, x0: float, h: float, lo: float, hi: float, d0, d1, e0
     """Integral of kernel(e^s) times a density over lo <= |s| <= hi.  At
     s = x0 + (i + u) h, u in [0, 1], the density is (d0[i] (1 - u) + d1[i] u) / h, plus
     6 (e0[i] - e1[i]) u (1 - u) / h^2 if e0 and e1 are given: 2-point Gauss-Legendre
-    on each cell cut at the limits, _PIECE_BLOCK cells at a time."""
+    on each cell cut at the limits, at most _PIECE_BLOCK cells and BLOCK_CELLS kernel
+    values at a time."""
     total = 0.0 * kernel(np.ones(1))[..., 0]           # a zero of the batch shape
+    block = max(1, min(_PIECE_BLOCK, BLOCK_CELLS // (2 * total.size)))
     end = x0 + d0.size * h
     with np.errstate(over="ignore", divide="ignore"):   # e^s overflows, 1/w for w = 0
         for cut_lo, cut_hi in ((lo, hi), (-hi, -lo)):
             first = max(0, math.floor((max(cut_lo, x0) - x0) / h))
             last = min(d0.size, math.ceil((min(cut_hi, end) - x0) / h))
-            for start in range(first, last, _PIECE_BLOCK):
-                i = slice(start, min(start + _PIECE_BLOCK, last))
+            for start in range(first, last, block):
+                i = slice(start, min(start + block, last))
                 left = x0 + h * np.arange(i.start, i.stop)
                 a, b = np.maximum(left, cut_lo), np.minimum(left + h, cut_hi)
                 s = a + np.multiply.outer(_GL2_NODES, b - a)       # both points of each cell
@@ -431,14 +432,12 @@ def _cell_integral(kernel, x0: float, h: float, lo: float, hi: float, d0, d1, e0
     return total
 
 
-def _law(pa, pb, what: str | None = None) -> _DifferenceLaw | _TabulatedLaw:
-    """The law of S of a pair: closed form for two critically damped profiles, else
-    binned, each side that is not tabulated first tabulated at _TABULATION_POINTS.
-    `what` names a quantity that takes only the closed form; any other pair raises."""
+def _law(pa, pb) -> _DifferenceLaw | _TabulatedLaw:
+    """The law of S of a pair, which every quantity reads: closed form for two
+    critically damped profiles, else binned, each side that is not tabulated first
+    tabulated at _TABULATION_POINTS."""
     if isinstance(pa, CriticallyDamped) and isinstance(pb, CriticallyDamped):
         return _DifferenceLaw(pa, pb)
-    if what is not None:
-        raise QuadratureError(f"{what} needs two critically damped profiles, got {pa!r}, {pb!r}")
     return _TabulatedLaw(*(p if isinstance(p, Tabulated) else
                            tabulate_profile(p, _TABULATION_POINTS) for p in (pa, pb)))
 
@@ -452,7 +451,7 @@ def _thetas(theta_a, theta_b):
 
 def expected_f_sq(theta_a, theta_b, pa: LeakageProfile,
                   pb: LeakageProfile) -> ExpectationResult:
-    """E(F^2) = E_V[Theta_1 Theta_2 / (Theta_1 + Theta_2 w)] (critically damped pair).
+    """E(F^2) = E_V[Theta_1 Theta_2 / (Theta_1 + Theta_2 w)], read off the pair's law.
 
     Tilts may be arrays, broadcast together; one batched integral covers every
     entry.  The value is a float for scalar tilts and an ndarray otherwise;
@@ -463,7 +462,7 @@ def expected_f_sq(theta_a, theta_b, pa: LeakageProfile,
     value = np.zeros(th1.shape)
     if live.any():
         a, b = th1[live][:, None], th2[live][:, None]
-        value[live] = _law(pa, pb, "E(F^2)").expect(lambda w: a * b / (a + b * w))
+        value[live] = _law(pa, pb).expect(lambda w: a * b / (a + b * w))
     value = float(value) if value.ndim == 0 else value
     return ExpectationResult(value, "quadrature", 2.0 * RELATIVE_TOLERANCE * value)
 
@@ -481,7 +480,7 @@ def series_moments(pa: LeakageProfile, pb: LeakageProfile, max_order: int,
     def kernel(w):              # U/(U + V) times (V or U)/(U + V) to the n
         up = 1.0 / (1.0 + w)
         return up * (1.0 / (1.0 + 1.0 / w) if numerator == "V" else up) ** orders
-    return _law(pa, pb, "series moments").expect(kernel)
+    return _law(pa, pb).expect(kernel)
 
 
 def _series_region(theta_a: float, theta_b: float) -> tuple[str, float, float]:

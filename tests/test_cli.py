@@ -9,6 +9,7 @@ from tglab.cli import emit_csv, main, parse_config, run_command
 from tglab.errors import ConfigError, TglabError
 from tglab.growth import RunStats
 from tglab.leakage import CriticallyDamped, load_profile_csv
+from tglab.metrics import efsq_first_order, expected_f_sq
 
 GOOD = """
 [profile A]
@@ -206,9 +207,10 @@ class TestMainExitCodes:
                      "[grow]\npool = A:3\ntarget_ghz_size = 4\n")
         assert main(["grow", "--config", str(p), "--out", str(tmp_path)]) == 2
 
-    def test_csv_profile_surface_is_numeric_failure(self, tmp_path, capsys):
-        # E(F^2) takes two critically damped profiles; a tabulated pair fails at once
-        text = GOOD
+    def test_csv_profile_surface_succeeds(self, tmp_path, capsys):
+        # a tabulated pair takes the binned law of S; a 65-point CSV reads up to 1.2e-3
+        # off the closed form, so the rows are checked against the library
+        text = GOOD.replace("grid = 4", "grid = 21")
         for name, g in (("A", "10.0"), ("B", "12.5")):
             profile = CriticallyDamped(float(g))
             t = np.linspace(0.0, profile.t_max, 65)
@@ -217,9 +219,16 @@ class TestMainExitCodes:
                                 f"kind = csv\npath = {name}.csv")
         p = tmp_path / "exp.cfg"
         p.write_text(text)
-        assert main(["efsq-surface", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
-        assert "needs two critically damped profiles" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert main(["efsq-surface", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "efsq_surface.csv").read_text().splitlines()
+        assert len(lines) == 21 * 21 + 1
+        pa, pb = (load_profile_csv(tmp_path / f"{name}.csv") for name in "AB")
+        theta = np.arcsin(np.sqrt(np.linspace(0.02, 0.98, 21)))
+        want = expected_f_sq(theta[:, None], theta[None, :], pa, pb).value
+        got = np.array([float(line.split(",")[2]) for line in lines[1:]]).reshape(21, 21)
+        np.testing.assert_array_equal(got, want)
+        first = [efsq_first_order(t, t, pa, pb).value for t in theta]
+        np.testing.assert_allclose(np.diagonal(got), first, rtol=1e-14, atol=0.0)
 
     def test_verification_failure_is_three(self, cfg_path, tmp_path, capsys):
         p = tmp_path / "v.cfg"
