@@ -129,16 +129,19 @@ def _build_profile(name: str, section: dict, config_dir: Path) -> LeakageProfile
         return CriticallyDamped(_take(section, "g", float, required=True, section_name=where,
                                       positive=True))
     path = config_dir / _take(section, "path", str, required=True, section_name=where)
-    if not path.exists():
-        raise ConfigError(f"profile file {path} does not exist", section["path"][1])
-    return load_profile_csv(path)
+    try:
+        return load_profile_csv(path)
+    except FileNotFoundError:
+        raise ConfigError(f"profile file {path} does not exist", section["path"][1]) from None
+    except OSError as exc:
+        raise ConfigError(f"profile file {path}: {exc.strerror}", section["path"][1]) from None
 
 
 def parse_config(path) -> ExperimentConfig:
     """Parse and validate an experiment file; errors carry line numbers."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     sections = _parse_sections(text)
@@ -242,7 +245,8 @@ def _cmd_compare(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int)
             raise ConfigError(f"mode {mode!r} appears twice in modes", section["modes"][1])
     rows = [("mode", "epsilon", "p_postselect", "p_outside_window", "p_total",
              "p_outside_only")]
-    for rep in compare_strategies(pa, pb, epsilon, modes):
+    reports = {rep.mode: rep for rep in compare_strategies(pa, pb, epsilon)}
+    for rep in (reports[mode] for mode in modes):
         rows.append((rep.mode, rep.epsilon, rep.p_postselect, rep.p_outside_window,
                      rep.p_total, rep.p_outside_only))
         print(f"{rep.mode:>6s}: P(post-select) = {rep.p_postselect:.4f}   "
@@ -363,7 +367,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         artifacts = run_command(args.command, cfg, args.out, args.seed)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:   # parse_config wraps its reads: an OSError is --out
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except VerificationError as exc:

@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import GraphConfigError, ImpossibleStateError
 from .leakage import LeakageProfile
 from .tilted_graph import (
@@ -127,7 +125,7 @@ def click_density_second(t2, t1: float, ctx: DhContext):
 
 
 def sample_clicks(ctx: DhContext, u) -> ClickPair:
-    """Draw (t1, t2) from Q12 conditioned on success, from three uniforms.
+    """The one click sampler: (t1, t2) from Q12 given success, from three uniforms.
 
     Q12 is the exact mixture Theta_1 P_A(t1) P_B(t2) + Theta_2 P_B(t1) P_A(t2):
     u[0] < Theta_1/(Theta_1 + Theta_2) picks the Theta_1 branch, and u[1],
@@ -139,17 +137,6 @@ def sample_clicks(ctx: DhContext, u) -> ClickPair:
         raise ImpossibleStateError("degenerate tilts: success probability is zero")
     first, second = (ctx.pa, ctx.pb) if u[0] < th1 / (th1 + th2) else (ctx.pb, ctx.pa)
     return ClickPair(float(first.inverse_cdf(u[1])), float(second.inverse_cdf(u[2])))
-
-
-def sample_clicks_array(ctx: DhContext, rng: np.random.Generator, n: int):
-    """Vectorised sample_clicks: two arrays (t1s, t2s) of n success-conditioned draws."""
-    th1, th2 = ctx.thetas
-    if th1 + th2 <= 0.0:
-        raise ImpossibleStateError("degenerate tilts: success probability is zero")
-    from_a = rng.random(n) < th1 / (th1 + th2)
-    ta1, tb1 = ctx.pa.sample(rng, n), ctx.pb.sample(rng, n)
-    ta2, tb2 = ctx.pb.sample(rng, n), ctx.pa.sample(rng, n)
-    return np.where(from_a, ta1, ta2), np.where(from_a, tb1, tb2)
 
 
 def tilt_after_dh(ctx: DhContext, clicks: ClickPair) -> float:

@@ -222,8 +222,8 @@ def tabulate_profile(profile: LeakageProfile, points: int = 4097) -> Tabulated:
 
 
 def load_profile_csv(path) -> Tabulated:
-    """Load a two-column `time,density` CSV (UTF-8, header row required)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Load a two-column `time,density` CSV (UTF-8, BOM allowed, header row required)."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -608,10 +608,10 @@ def _law_window_sums(law: _DifferenceLaw | _TabulatedLaw, threshold: float):
             total * law.expect(successes, edge, max(edge, _S_CUT / scale)))
 
 
-def compare_strategies(pa: LeakageProfile, pb: LeakageProfile, epsilon: float,
-                       modes=MODES) -> list[ComparisonReport]:
+def compare_strategies(pa: LeakageProfile, pb: LeakageProfile,
+                       epsilon: float) -> list[ComparisonReport]:
     """Post-selection versus adaptive growth on the first merge/bridge attempt,
-    one report per first-attempt success mode, in the order of modes.
+    one report per first-attempt success mode, in the order of MODES.
 
     Both qubits enter untilted (theta = pi/4), as in the paper's Section IV.
     p_postselect is the window mass; p_outside_window adds the out-of-window
@@ -619,20 +619,13 @@ def compare_strategies(pa: LeakageProfile, pb: LeakageProfile, epsilon: float,
     off the pair's law of S, and one integral over |S| outside the window gives
     every mode's successes: exact for the closed-form law of t1 - t2, about 1e-7
     relative for the binned law, where F = 0 (a vanishing density) is never in
-    the window.  Every mode of MODES is evaluated, so a report does not depend on
-    which other modes were asked for.
+    the window.
     """
     if not 0.0 < epsilon < math.inf:
         raise QuadratureError(f"window width must be positive and finite, got {epsilon}")
-    if isinstance(modes, str):
-        raise QuadratureError(f"modes is a sequence of mode names, got the string {modes!r}")
-    for mode in modes:
-        if mode not in MODES:
-            raise QuadratureError(f"unknown comparison mode {mode!r}")
     p_post, p_outs = _law_window_sums(_law(pa, pb), MAX_F - epsilon)
-    out = {mode: float(p) for mode, p in zip(MODES, p_outs)}
-    return [ComparisonReport(p_post, p_post + out[mode], p_post + (p_post + out[mode]),
-                             out[mode], epsilon, mode) for mode in modes]
+    return [ComparisonReport(p_post, p_post + float(p), p_post + (p_post + float(p)),
+                             float(p), epsilon, mode) for mode, p in zip(MODES, p_outs)]
 
 
 def resource_ratio(p_gate: float, n: float) -> float:

@@ -305,7 +305,8 @@ def _join_site(g: TiltedGraph, central: int, expected: EdgeKind):
         wv = g.vertex(w)
         if wv.hadamard or wv.x_flip or not wv.untilted:
             raise GraphConfigError(f"join endpoint {w} must be a plain untilted vertex")
-    if y in probe.component_of(x):
+    # search from y: in an engine join x (the lower id) heads the chain built so far
+    if x in probe.component_of(y):
         raise GraphConfigError("join endpoints are entangled beyond the recorded annotation")
     return x, y, gamma1
 

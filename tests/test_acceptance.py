@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from reference_growth import run_phase1_reference
+from reference_heralding import click_rows, sample_clicks_rows
 from tglab.cli import main as cli_main
 from tglab.growth import StrategyConfig, effective_pair_tilts, pair_inventory, run_phase1
-from tglab.heralding import DhContext, big_thetas, sample_clicks_array, success_probability
+from tglab.heralding import DhContext, big_thetas, success_probability
 from tglab.leakage import CavityParams, CriticallyDamped
 from tglab.metrics import (
     compare_strategies,
@@ -44,7 +45,7 @@ def report(criterion, ok, detail):
 class TestAcceptance:
     def test_criterion_1_section_iv_reproduction(self):
         t0 = time.time()
-        approx, exact = compare_strategies(PA, PB, 1e-4, ("3f2", "exact"))
+        approx, exact = compare_strategies(PA, PB, 1e-4)
         elapsed = time.time() - t0
         ok = (abs(approx.p_postselect - 0.033) <= 0.003
               and abs(approx.p_outside_window - 0.357) <= 0.005
@@ -149,7 +150,7 @@ class TestAcceptance:
             hits = int((rng.random(n) < p).sum())
             dev = abs(hits / n - p) / math.sqrt(p * (1 - p) / n)
             worst_sigma = max(worst_sigma, dev)
-            t1, t2 = sample_clicks_array(ctx, rng, n)
+            t1, t2 = sample_clicks_rows(ctx, click_rows(ctx, rng, n))
             f = fidelity_value(theta_a, theta_b, PA, PB, t1, t2)
             for sample, target in (
                     (f, expected_f(theta_a, theta_b, PA, PB).value / p),

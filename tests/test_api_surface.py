@@ -8,8 +8,7 @@ its own definition, or it is declared below with the reason it stays.
 Uses are matched by name only, so a name collision counts as a use: any
 attribute of the same name on any object keeps a method alive.  So
 `LeakageProfile.cdf` counts as used through the `.cdf` of a table and of a
-law, `LeakageProfile.sample` through `sample_clicks_array` (itself only
-declared API), and `StateVector.norm` through `np.linalg.norm`.
+law, and `StateVector.norm` through `np.linalg.norm`.
 """
 
 import ast
@@ -28,7 +27,6 @@ DECLARED_API = {
     "click_density_joint",
     "click_density_second",
     "success_probability",      # sample_dh reads Theta_1, Theta_2 from its context instead
-    "sample_clicks_array",
     "single_system_click_density",
     # the oracle's one-graph entry point; the package builds its states in
     # batches through build_states
@@ -39,6 +37,7 @@ DECLARED_API = {
 DECLARED_METHODS = {
     "TiltedGraph.components": "the perfbench harness wraps it as a traced layer",
     "TiltedGraph.map_vertex": "the perfbench harness wraps it among the graph rewrites",
+    "LeakageProfile.sample": "the perfbench harness wraps it for the leakage.sample metrics",
     "StateVector.qubit_count": "the perfbench harness reads it for oracle.build_state.max_qubits",
     "TiltedGraph.from_text": "reads back the grow_graph.txt artifact that to_text writes",
 }

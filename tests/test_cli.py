@@ -9,7 +9,7 @@ from tglab.cli import emit_csv, main, parse_config, run_command
 from tglab.errors import ConfigError, TglabError
 from tglab.growth import RunStats
 from tglab.leakage import CriticallyDamped, load_profile_csv
-from tglab.metrics import efsq_first_order, expected_f_sq
+from tglab.metrics import compare_strategies, efsq_first_order, expected_f_sq
 
 GOOD = """
 [profile A]
@@ -91,6 +91,16 @@ class TestParseConfig:
             parse_config(p)
         assert "does not exist" in str(err.value)
 
+    def test_byte_order_mark_allowed(self, cfg_path, tmp_path):
+        # Excel's "CSV UTF-8" and some editors start a UTF-8 file with a BOM
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + GOOD.encode())
+        plain, marked = parse_config(cfg_path), parse_config(bom)
+        assert (marked.sections, marked.seed, marked.efficiency) == \
+            (plain.sections, plain.seed, plain.efficiency)
+        assert {k: p.g for k, p in marked.profiles.items()} == \
+            {k: p.g for k, p in plain.profiles.items()}
+
     def test_unknown_profile_reference(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("[run]\nseed = 1\n[compare]\nprofile_a = X\nprofile_b = X\n")
@@ -153,6 +163,20 @@ class TestCommands:
         row = art.read_text().splitlines()[1].split(",")
         assert row[0] == "3f2"
         assert float(row[2]) == pytest.approx(0.033, abs=0.003)
+
+    @pytest.mark.parametrize("modes", ["3f2,exact", "exact,3f2", "exact"])
+    def test_compare_rows_follow_modes(self, tmp_path, capsys, modes):
+        # compare_strategies reports every mode; the CLI picks and orders the rows
+        p = tmp_path / "exp.cfg"
+        p.write_text(GOOD.replace("modes = 3f2", f"modes = {modes}"))
+        (art,) = run_command("compare", parse_config(p), tmp_path / "out")
+        reports = {r.mode: r for r in compare_strategies(CriticallyDamped(10.0),
+                                                         CriticallyDamped(12.5), 1e-4)}
+        rows = [row.split(",") for row in art.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == modes.split(",")
+        assert [float(row[4]) for row in rows] == [reports[m].p_total for m in modes.split(",")]
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0].strip() for line in printed] == modes.split(",")
 
     def test_grow_and_verify_run(self, cfg_path, tmp_path):
         cfg = parse_config(cfg_path)
@@ -229,6 +253,23 @@ class TestMainExitCodes:
         np.testing.assert_array_equal(got, want)
         first = [efsq_first_order(t, t, pa, pb).value for t in theta]
         np.testing.assert_allclose(np.diagonal(got), first, rtol=1e-14, atol=0.0)
+
+    def test_profile_path_naming_a_directory_is_a_config_error(self, tmp_path, capsys):
+        (tmp_path / "A.csv").mkdir()
+        p = tmp_path / "exp.cfg"
+        p.write_text("[profile A]\nkind = csv\npath = A.csv\n[run]\nseed = 1\n")
+        assert main(["calibrate", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: line 3: ")
+        assert str(tmp_path / "A.csv") in err[0]
+
+    def test_output_under_a_file_is_a_config_error(self, cfg_path, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "x"
+        assert main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert str(out) in err[0]
 
     def test_verification_failure_is_three(self, cfg_path, tmp_path, capsys):
         p = tmp_path / "v.cfg"

@@ -383,6 +383,22 @@ class TestJoin:
         for ctx, thetas in zip(contexts, sides):
             assert [ctx.theta_a, ctx.theta_b] == pytest.approx(thetas, rel=0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("kind, n_pieces", [("bridge", 12), ("merge", 6)])
+    def test_disconnection_probe_walks_the_joined_piece(self, kind, n_pieces, monkeypatch):
+        # the probe searches from the node being joined, never the whole chain
+        from tglab.tilted_graph import TiltedGraph
+        real, sizes = TiltedGraph.component_of, []
+
+        def component_of(g, vid):
+            comp = real(g, vid)
+            sizes.append(len(comp))
+            return comp
+        monkeypatch.setattr(TiltedGraph, "component_of", component_of)
+        run_join(synthetic_inventory(n_pieces, 12),
+                 join_cfg(12 * n_pieces, 0, join_nodes=n_pieces, join_kind=kind))
+        assert len(sizes) >= n_pieces - 1
+        assert max(sizes) <= 12
+
     def test_tilted_pieces_realigned_before_join(self):
         cfg = join_cfg(20, 4, join_nodes=2, join_kind="bridge")
         pieces = [GhzPiece(6, 0.6, tuple(f"c{i:02d}" for i in range(6))),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from reference_heralding import click_rows, sample_clicks_rows
 from tglab.errors import GraphConfigError, ImpossibleStateError
 from tglab.heralding import (
     CHERRY,
@@ -145,6 +146,18 @@ class TestSampling:
         emp_lo = np.arange(0, n) / n
         ks = max(np.max(emp_hi - model), np.max(model - emp_lo))
         assert ks < 0.01
+
+    @pytest.mark.parametrize("theta_a, theta_b", [(0.6, 1.0), (0.7, 1.0)])
+    def test_vectorised_mirror_is_sample_clicks(self, theta_a, theta_b):
+        # the Monte Carlo tests draw through the test-side mirror: row k must be
+        # sample_clicks(ctx, u[k]) bit for bit, in both branches
+        ctx = ctx_of(theta_a, theta_b)
+        u = click_rows(ctx, np.random.default_rng(11), 2000)
+        th1, th2 = ctx.thetas
+        assert 0 < np.count_nonzero(u[:, 0] < th1 / (th1 + th2)) < len(u)
+        t1, t2 = sample_clicks_rows(ctx, u)
+        assert [sample_clicks(ctx, row) for row in u] == [
+            ClickPair(a, b) for a, b in zip(t1.tolist(), t2.tolist())]
 
     def test_sample_dh_success_rate(self):
         ctx = ctx_of(0.5, 1.0)

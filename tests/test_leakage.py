@@ -207,6 +207,16 @@ class TestTabulated:
         q = load_profile_csv(path)
         assert np.array_equal(q.densities, p.density(t))
 
+    def test_csv_byte_order_mark_allowed(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a BOM
+        p = CriticallyDamped(10.0)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        t = np.linspace(0.0, p.t_max, 257)
+        emit_csv([("time", "density"), *zip(t, p.density(t))], plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = load_profile_csv(plain), load_profile_csv(marked)
+        assert np.array_equal(a.times, b.times) and np.array_equal(a.densities, b.densities)
+
     def test_csv_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0.0,1.0\n1.0,0.0\n")

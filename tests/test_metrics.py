@@ -8,7 +8,7 @@ import pytest
 
 from tglab import metrics
 from tglab.errors import QuadratureError
-from tglab.heralding import DhContext, big_thetas, sample_clicks_array, success_probability
+from tglab.heralding import DhContext, big_thetas, success_probability
 from tglab.leakage import BLOCK_CELLS, CriticallyDamped, Tabulated, tabulate_profile
 from tglab.metrics import (
     MAX_F,
@@ -298,24 +298,17 @@ class TestFidelityHistogram:
 
 class TestCompareStrategies:
     def test_3f2_mode_reproduces_reported_numbers(self):
-        (rep,) = compare_strategies(PA, PB, 1e-4, ("3f2",))
+        rep = compare_strategies(PA, PB, 1e-4)[0]
         assert rep.p_postselect == pytest.approx(0.033, abs=0.003)
         assert rep.p_outside_window == pytest.approx(0.357, abs=0.005)
         assert rep.p_total == pytest.approx(0.390, abs=0.006)
         assert rep.p_total == pytest.approx(rep.p_postselect + rep.p_outside_window, abs=1e-12)
 
     def test_exact_mode_reported_alongside(self):
-        approx, rep = compare_strategies(PA, PB, 1e-4, ("3f2", "exact"))
-        assert rep.mode == "exact"
+        approx, rep = compare_strategies(PA, PB, 1e-4)
+        assert (approx.mode, rep.mode) == MODES == ("3f2", "exact")
         assert 0.0 < rep.p_outside_only < rep.p_outside_window
         assert rep.p_outside_only < approx.p_outside_only   # 2F^2 + ... < 3F^2 below 1/2
-
-    @pytest.mark.parametrize("pair", ["readme", "csv-2049", "mixed-2049"])
-    def test_all_modes_in_one_pass_equal_per_mode_runs(self, pair):
-        pa, pb = GRID_PAIRS[pair]
-        apart = [compare_strategies(pa, pb, 1e-4, (mode,))[0] for mode in MODES]
-        assert compare_strategies(pa, pb, 1e-4, MODES) == apart
-        assert compare_strategies(pa, pb, 1e-4, MODES[::-1]) == apart[::-1]
 
     @pytest.mark.parametrize("epsilon", [1e-4, 0.5])
     @pytest.mark.parametrize("pair", ["readme", "csv-2049"])
@@ -327,11 +320,6 @@ class TestCompareStrategies:
                           rep.p_outside_only):
                 assert type(value) is float
 
-    @pytest.mark.parametrize("modes", ["3f2", ("3f2", "exct")])
-    def test_modes_validated(self, modes):
-        with pytest.raises(QuadratureError, match="mode"):
-            compare_strategies(PA, PB, 1e-4, modes)
-
     def test_first_attempt_forms(self):
         assert first_attempt_success(0.5, "3f2") == pytest.approx(0.75)
         assert first_attempt_success(0.5, "exact") == pytest.approx(0.75)
@@ -340,12 +328,12 @@ class TestCompareStrategies:
             2 * f**2 + 2 * f**4 / (1 - 2 * f**2))
 
     def test_wide_window_limit(self):
-        (rep,) = compare_strategies(PA, PB, 0.5, ("3f2",))
+        rep = compare_strategies(PA, PB, 0.5)[0]
         assert rep.p_postselect == pytest.approx(0.5, abs=1e-9)
         assert rep.p_outside_only == pytest.approx(0.0, abs=1e-12)
 
     def test_monotone_in_window_width(self):
-        reps = [compare_strategies(PA, PB, eps, ("3f2",))[0]
+        reps = [compare_strategies(PA, PB, eps)[0]
                 for eps in (1e-4, 1e-3, 1e-2, 0.1, 0.5)]
         posts = [r.p_postselect for r in reps]
         outs = [r.p_outside_only for r in reps]
@@ -448,7 +436,7 @@ class TestAgainstDenseGrid:
         if not (pair in FAR_APART and eps == 0.5)])
     def test_compare_matches(self, pair, epsilon, mode):
         pa, pb = GRID_PAIRS[pair]
-        (rep,) = compare_strategies(pa, pb, epsilon, (mode,))
+        rep = compare_strategies(pa, pb, epsilon)[MODES.index(mode)]
         if pair in CLOSED_FORM:
             assert_law_compare(rep, pa, pb, epsilon, mode)
         else:
@@ -474,7 +462,7 @@ class TestAgainstDenseGrid:
         # whose densities are all positive; the law keeps all the mass.
         from reference_quadrature import dense_compare_strategies
         pa, pb = GRID_PAIRS[pair]
-        for mode, rep in zip(MODES, compare_strategies(pa, pb, 0.5, MODES)):
+        for mode, rep in zip(MODES, compare_strategies(pa, pb, 0.5)):
             dense = dense_compare_strategies(pa, pb, 0.5, mode, GRID_NODES)
             assert rep.p_postselect == sum(big_thetas(QUARTER_PI, QUARTER_PI))
             assert dense[0] < rep.p_postselect
@@ -528,7 +516,7 @@ class TestAgainstDenseGrid:
         # grid lands; it adds under 1e-19 to each sum
         from reference_quadrature import dense_compare_strategies
         pa, pb = self.tiny_pair(swap, (QUARTER_PI, QUARTER_PI))
-        for mode, rep in zip(MODES, compare_strategies(pa, pb, epsilon, MODES)):
+        for mode, rep in zip(MODES, compare_strategies(pa, pb, epsilon)):
             want = dense_compare_strategies(pa, pb, epsilon, mode, GRID_NODES)
             got = (rep.p_postselect, rep.p_outside_window, rep.p_total, rep.p_outside_only)
             assert got == pytest.approx(want, rel=1e-14, abs=1e-19)
@@ -539,7 +527,7 @@ class TestAgainstDenseGrid:
         # whichever profile comes first, so the window holds the whole mass
         from reference_quadrature import dense_compare_strategies, profile_mass
         pa, pb = TINY_PAIR
-        reports = [compare_strategies(p, q, 0.5, MODES) for p, q in ((pa, pb), (pb, pa))]
+        reports = [compare_strategies(p, q, 0.5) for p, q in ((pa, pb), (pb, pa))]
         assert reports[0] == reports[1]
         whole = sum(big_thetas(QUARTER_PI, QUARTER_PI)) * profile_mass(pa) * profile_mass(pb)
         for mode, rep in zip(MODES, reports[0]):
@@ -567,7 +555,7 @@ class TestAgainstDenseGrid:
         from reference_quadrature import grid_window_sums
         pa, pb = GRID_PAIRS[pair]
         rel = 2e-5 if pair == "readme" else 5e-5
-        reps = compare_strategies(pa, pb, 1e-4, MODES)
+        reps = compare_strategies(pa, pb, 1e-4)
         hist = fidelity_histogram(QUARTER_PI, QUARTER_PI, pa, pb, bins=200)
         grid_post, grid_outs = grid_window_sums(pa, pb, MAX_F - 1e-4, 4000)
         for rep, grid_out in zip(reps, grid_outs):
@@ -587,7 +575,7 @@ def traced_peaks(pa, pb):
     """tracemalloc peaks of the commands' compare and fidelity-hist calls on a pair."""
     tracemalloc.start()
     try:
-        compare_strategies(pa, pb, 1e-4, MODES)
+        compare_strategies(pa, pb, 1e-4)
         compare_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         fidelity_histogram(QUARTER_PI, QUARTER_PI, pa, pb)
@@ -849,11 +837,12 @@ class TestResourceRatio:
 
 class TestMonteCarloConsistency:
     def test_sampled_histogram_matches_quadrature(self):
+        from reference_heralding import click_rows, sample_clicks_rows
         theta_a, theta_b = 0.6, 1.0
         ctx = DhContext(theta_a, theta_b, PA, PB)
         rng = np.random.default_rng(31)
         n = 100_000
-        t1, t2 = sample_clicks_array(ctx, rng, n)
+        t1, t2 = sample_clicks_rows(ctx, click_rows(ctx, rng, n))
         f = fidelity_value(theta_a, theta_b, PA, PB, t1, t2)
         hist = fidelity_histogram(theta_a, theta_b, PA, PB, bins=10)
         p = success_probability(theta_a, theta_b)
@@ -865,11 +854,12 @@ class TestMonteCarloConsistency:
             assert abs(counts[k] / n - frac) < 3 * se + 3e-4
 
     def test_sampled_moments_match_quadrature(self):
+        from reference_heralding import click_rows, sample_clicks_rows
         theta_a, theta_b = 0.7, 1.0
         ctx = DhContext(theta_a, theta_b, PA, PB)
         rng = np.random.default_rng(4242)
         n = 100_000
-        t1, t2 = sample_clicks_array(ctx, rng, n)
+        t1, t2 = sample_clicks_rows(ctx, click_rows(ctx, rng, n))
         f = fidelity_value(theta_a, theta_b, PA, PB, t1, t2)
         p = success_probability(theta_a, theta_b)
         ef = expected_f(theta_a, theta_b, PA, PB).value / p
