@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, TglabError, VerificationError
+from .errors import ConfigError, ProfileError, TglabError, VerificationError
 from .growth import JOIN_KINDS, JOIN_METHODS, PAIRINGS, StrategyConfig, run_pipeline
 from .leakage import CriticallyDamped, LeakageProfile, load_profile_csv
 from .metrics import MODES, compare_strategies, expected_f_sq, fidelity_histogram
@@ -129,12 +129,15 @@ def _build_profile(name: str, section: dict, config_dir: Path) -> LeakageProfile
         return CriticallyDamped(_take(section, "g", float, required=True, section_name=where,
                                       positive=True))
     path = config_dir / _take(section, "path", str, required=True, section_name=where)
+    line = section["path"][1]
     try:
         return load_profile_csv(path)
     except FileNotFoundError:
-        raise ConfigError(f"profile file {path} does not exist", section["path"][1]) from None
+        raise ConfigError(f"profile file {path} does not exist", line) from None
     except OSError as exc:
-        raise ConfigError(f"profile file {path}: {exc.strerror}", section["path"][1]) from None
+        raise ConfigError(f"profile file {path}: {exc.strerror}", line) from None
+    except ProfileError as exc:                 # its message names the file
+        raise ConfigError(f"profile file {exc}", line) from None
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -142,7 +145,7 @@ def parse_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     sections = _parse_sections(text)
     profiles = {}
@@ -349,7 +352,9 @@ def run_command(command: str, cfg: ExperimentConfig, out_dir, seed: int | None =
     if seed is not None and seed < 0:
         raise ConfigError(f"seed must be at least 0, got {seed}")
     handler = SECTIONS[command][0]
-    return handler(cfg, cfg.sections.get(command, {}), Path(out_dir),
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)       # an unwritable --out fails before any work
+    return handler(cfg, cfg.sections.get(command, {}), out_dir,
                    cfg.seed if seed is None else seed)
 
 

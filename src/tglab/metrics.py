@@ -25,7 +25,8 @@ over every tilt pair of an `expected_f_sq` call or every order of a
 `series_moments` call, at most leakage.BLOCK_CELLS kernel values per block.  For
 critically damped profiles w = e^(-S), S = 2 (g_B - g_A) D with D = t1 - t2, a
 difference of two Gamma(3) click times, and `expect` is one `leakage.integrate`
-call per sign of D: nested Simpson levels, each evaluating only its new points.
+call per sign of D: Gauss-Legendre panels, on which these smooth integrands come
+out good to rounding.
 
 Distribution-level quantities (the fidelity histogram and the post-selection
 comparison) take the mixture Theta_1 (A x B) + Theta_2 (B x A) of Q12, under
@@ -603,7 +604,8 @@ def _law_window_sums(law: _DifferenceLaw | _TabulatedLaw, threshold: float):
         f = 1.0 / (np.sqrt(w) + 1.0 / np.sqrt(w))
         return np.array([first_attempt_success(f, mode) for mode in MODES])
     # Beyond |S| = _S_CUT the successes are below 3 e^(-_S_CUT) ~ 5e-35; stopping
-    # there keeps a steep pair's decay, over 1/slope, resolved by the Simpson levels.
+    # there keeps a steep pair's decay, over 1/slope, resolved by the Gauss-Legendre
+    # panels.
     return (float(total * law.window(edge)),
             total * law.expect(successes, edge, max(edge, _S_CUT / scale)))
 

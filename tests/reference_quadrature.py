@@ -1,12 +1,16 @@
-"""Test-side references: the per-point doubling Simpson rule and the per-point
-E(F^2) it gave, composite-Simpson quadrature on the square [0, t_max]^2, and
-the dense midpoint grid of the distribution-level metrics.
+"""Test-side references: the Simpson doubling rule that `tglab.leakage.integrate`
+used before its Gauss-Legendre panels and the per-point E(F^2) it gave,
+composite-Simpson quadrature on the square [0, t_max]^2, Gauss-Legendre rules
+that follow the structure of an integrand (the density of t1 - t2, the union
+knots of two tabulations), and the dense midpoint grid of the
+distribution-level metrics.
 
-`tglab.leakage.integrate` integrates a batch of integrands at once on nested
-levels, evaluating only the new nodes of each level.  simpson_doubling is the
-rule it replaced: one integrand, every node of each level evaluated again, a
-fresh weighted sum per level.  per_point_expected_f_sq is `expected_f_sq` as it
-was before the batch: one pair of such integrals per tilt pair.
+`tglab.leakage.integrate` integrates a batch of integrands at once by
+composite 16-point Gauss-Legendre on equal panels, doubling their number.
+simpson_doubling is the rule it replaced, for one integrand: composite Simpson
+panels doubling from 64, every node of each level evaluated afresh (the
+library's batched version evaluated only the new ones).  per_point_expected_f_sq
+is `expected_f_sq` on that rule, one pair of integrals per tilt pair.
 
 The library reduces E(F^2) and its series to 1-d integrals over t1 - t2
 (tglab.metrics); this independent tensor-product Simpson rule checks them
@@ -17,7 +21,10 @@ For two critically damped profiles the library reads `compare_strategies`
 and `fidelity_histogram` off the closed-form law of D = t1 - t2.  The
 Gauss-Legendre references below integrate the density of D instead, on panels
 that halve towards both ends of each interval, split at D = 0 and at the
-window edges, with F = 1/(2 cosh((S + x)/2)) written out afresh.
+window edges, with F = 1/(2 cosh((S + x)/2)) written out afresh; gl_expected_f_sq
+takes E(F^2) the same way, to rounding.  segment_overlap integrates the overlap
+of two tabulations segment by segment between their union knots, where both
+densities are linear, so no panel straddles a kink.
 
 Every other pair the library reads off a binned law of S.  The midpoint grid
 below is the path that law replaced: the product measure in profile-CDF
@@ -57,7 +64,8 @@ def _simpson_value(f, t_max: float, n: int) -> float:
 
 def simpson_doubling(f, t_max: float, rtol: float = 1e-9) -> float:
     """Integral of a scalar integrand f over [0, t_max]: Simpson panels double
-    from 64 until two levels agree to rtol, up to 2^21 panels."""
+    from 64 until two levels agree to rtol, up to 2^21 panels (the library's rule
+    before Gauss-Legendre panels)."""
     n = 64
     prev = _simpson_value(f, t_max, n)
     while n <= 1 << 20:
@@ -284,3 +292,26 @@ def gl_fidelity_histogram(theta_a, theta_b, pa, pb, bins):
             d1, d2 = (z_lo - x) / s, (z_hi - x) / s
             masses += th * difference_integrals(pa, pb, np.minimum(d1, d2), np.maximum(d1, d2))
     return masses
+
+
+def gl_expected_f_sq(theta_a, theta_b, pa, pb) -> float:
+    """E(F^2) of a critically damped pair for one tilt pair: the density of
+    D = T_A - T_B against Theta_2 sigma(log(Theta_1/Theta_2) - 2 (g_B - g_A) D), that
+    is Theta_1 Theta_2 / (Theta_1 + Theta_2 w) with w = V/U, by difference_integrals."""
+    th1, th2 = big_thetas(theta_a, theta_b)
+    if th1 == 0.0 or th2 == 0.0:
+        return 0.0
+    shift, slope = math.log(th1 / th2), 2.0 * (pb.g - pa.g)
+
+    def kernel(d):
+        return th2 * np.exp(-np.logaddexp(0.0, slope * d - shift))
+    return float(difference_integrals(pa, pb, -math.inf, math.inf, kernel)[0])
+
+
+def segment_overlap(pa, pb) -> float:
+    """int sqrt(P_A P_B) dt of two tabulated profiles: 32-node Gauss-Legendre on
+    each segment between their union knots, where both densities are linear."""
+    t = np.union1d(pa.times, pb.times)
+    half = 0.5 * np.diff(t)[:, None]
+    nodes = t[:-1, None] + half * (_GL_X + 1.0)
+    return float((half * _GL_W * np.sqrt(pa.density(nodes) * pb.density(nodes))).sum())

@@ -263,13 +263,40 @@ class TestMainExitCodes:
         assert len(err) == 1 and err[0].startswith("config error: line 3: ")
         assert str(tmp_path / "A.csv") in err[0]
 
+    @pytest.mark.parametrize("content", [
+        b"x,y\n0,0\n1,0.5\n",                         # wrong header
+        b"time,density\n0,0\n0.5\n",                   # malformed row
+        b"time,density\n0,0\n1,0.5\n0.5,0.5\n",       # times not ascending
+        b"time,density\n0,0\n1,0.5 \xe9\n",            # not UTF-8 (Latin-1)
+    ], ids=["header", "row", "grid", "encoding"])
+    def test_invalid_profile_file_is_a_config_error(self, tmp_path, capsys, content):
+        (tmp_path / "A.csv").write_bytes(content)
+        p = tmp_path / "exp.cfg"
+        p.write_text("[profile A]\nkind = csv\npath = A.csv\n[run]\nseed = 1\n")
+        assert main(["calibrate", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: line 3: ")
+        assert str(tmp_path / "A.csv") in err[0]
+        assert captured.out == ""
+
+    def test_config_file_not_utf8_is_a_config_error(self, cfg_path, tmp_path, capsys):
+        cfg_path.write_bytes(GOOD.replace("[run]", "# r\xe9glage\n[run]").encode("latin-1"))
+        assert main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert str(cfg_path) in err[0]
+
     def test_output_under_a_file_is_a_config_error(self, cfg_path, tmp_path, capsys):
+        # found before the command computes or reports anything
         (tmp_path / "taken").write_text("")
         out = tmp_path / "taken" / "x"
         assert main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 1
-        err = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert str(out) in err[0]
+        assert captured.out == ""
 
     def test_verification_failure_is_three(self, cfg_path, tmp_path, capsys):
         p = tmp_path / "v.cfg"

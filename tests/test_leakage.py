@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from tglab import leakage
 from tglab.cli import emit_csv
 from tglab.errors import ProfileError, QuadratureError
 from tglab.leakage import (
@@ -102,7 +106,8 @@ class TestIntegrate:
             integrate(lambda t: np.ones((t.size % 3 + 1, t.size)), 1.0)
 
     def test_batch_matches_per_integrand_doubling(self):
-        # the nested batched rule against the per-integrand doubling it replaced
+        # the batched Gauss-Legendre rule against the per-integrand Simpson
+        # doubling it replaced
         from reference_quadrature import simpson_doubling
         rates = np.array([0.5, 3.0, 10.0, 40.0])
         powers = np.arange(3)
@@ -140,6 +145,21 @@ class TestIntegrate:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_node_table_is_16_point_gauss_legendre(self):
+        x, w = np.polynomial.legendre.leggauss(16)
+        assert np.max(np.abs(leakage._GL_NODES - 0.5 * (x + 1.0))) <= 1e-15
+        assert np.max(np.abs(leakage._GL_WEIGHTS - 0.5 * w)) <= 1e-15
+
+    def test_import_builds_no_node_table(self):
+        # a table from leggauss would load numpy.polynomial, and its memory, into
+        # every run; the rule's table is written out
+        code = ("import sys, tglab.cli, tglab.metrics; "
+                "print(any(m.startswith('numpy.polynomial') for m in sys.modules))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out.strip() == "False"
+
 
 class TestOverlapIntegral:
     def test_identical_profiles(self):
@@ -163,6 +183,13 @@ class TestOverlapIntegral:
                 for gb in (12.5, 25.0, 50.0, 100.0, 400.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 0.1
+
+    def test_kinked_twin_meets_the_tolerance(self):
+        # sqrt(P_A P_B) of two 2049-point tabulations kinks at every knot, inside
+        # the equal panels; the reference integrates each union-knot segment
+        from reference_quadrature import segment_overlap
+        twin = [tabulate_profile(CriticallyDamped(g), 2049) for g in (10.0, 12.5)]
+        assert overlap_integral(*twin) == pytest.approx(segment_overlap(*twin), rel=1e-9)
 
     def test_tabulated_reproduces_closed_form(self):
         pa = CriticallyDamped(10.0)

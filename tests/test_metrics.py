@@ -136,6 +136,33 @@ class TestExpectedFSq:
         assert got.shape == (21, 21)
         assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
 
+    def test_surface_is_good_to_rounding(self):
+        # against Gauss-Legendre on panels that halve towards both ends of each
+        # side of t1 - t2, good to rounding on this smooth integrand
+        from reference_quadrature import gl_expected_f_sq
+        theta = np.arcsin(np.sqrt(np.linspace(0.02, 0.98, 21)))
+        got = expected_f_sq(theta[:, None], theta[None, :], PA, PB).value
+        want = np.array([[gl_expected_f_sq(ta, tb, PA, PB) for tb in theta] for ta in theta])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_surface_evaluates_few_nodes(self, monkeypatch):
+        # one integral per sign of t1 - t2, each stopping at its second level
+        from tglab.leakage import integrate
+        nodes = []
+
+        def spy(f, t_max):
+            nodes.append(0)
+
+            def counted(t):
+                nodes[-1] += t.size
+                return f(t)
+            return integrate(counted, t_max)
+
+        monkeypatch.setattr("tglab.metrics.integrate", spy)
+        theta = np.arcsin(np.sqrt(np.linspace(0.02, 0.98, 21)))
+        expected_f_sq(theta[:, None], theta[None, :], PA, PB)
+        assert len(nodes) == 2 and max(nodes) <= 1024
+
     @pytest.mark.parametrize("ga, gb", [(1.0, 200.0), (200.0, 1.0)])
     def test_overflowing_ratio_takes_its_limits(self, ga, gb):
         # S = 2 (g_B - g_A) (t1 - t2) spans +-7960 here, so w = e^(-S) overflows
