@@ -18,8 +18,8 @@ other profile kind, a value outside its set or range, a non-finite number, or
 a count below its minimum is a configuration error.  All randomness derives from the
 single seed, so identical config and seed give byte-identical outputs.
 
-Exit codes: 0 success, 1 configuration error, 2 numeric failure,
-3 verification failure.
+Exit codes: 0 success, 1 configuration error, 2 numeric failure (out of memory
+included), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -126,8 +126,11 @@ def _build_profile(name: str, section: dict, config_dir: Path) -> LeakageProfile
     if other in section:
         raise ConfigError(f"a {kind} profile takes no {other}", section[other][1])
     if kind == "critically_damped":
-        return CriticallyDamped(_take(section, "g", float, required=True, section_name=where,
-                                      positive=True))
+        g = _take(section, "g", float, required=True, section_name=where)
+        try:
+            return CriticallyDamped(g)
+        except ProfileError as exc:             # g outside the range it allows
+            raise ConfigError(str(exc), section["g"][1]) from None
     path = config_dir / _take(section, "path", str, required=True, section_name=where)
     line = section["path"][1]
     try:
@@ -380,6 +383,9 @@ def main(argv=None) -> int:
         return 3
     except TglabError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"numeric failure: out of memory in {args.command}", file=sys.stderr)
         return 2
     for artifact in artifacts:
         print(f"wrote {artifact}")

@@ -141,8 +141,8 @@ class CriticallyDamped(LeakageProfile):
     """Closed-form critically damped cavity profile, unit mass."""
 
     def __init__(self, g: float):
-        if not (np.isfinite(g) and g > 0):
-            raise ProfileError(f"coupling strength must be positive and finite, got {g}")
+        if not 1e-100 <= g <= 1e100:       # so g^3 and (20/g)^2 are finite normal doubles
+            raise ProfileError(f"coupling strength g must lie in [1e-100, 1e100], got {g}")
         self.g = float(g)
 
     def density(self, t):

@@ -39,9 +39,11 @@ critically damped pair S is a multiple of D = t1 - t2, whose CDF is closed
 form, so these are exact up to rounding.  Any other pair takes the binned law
 of two tabulated profiles, a side that is not tabulated first tabulated at
 _TABULATION_POINTS: L#P_A and L#P_B in _LAW_BINS uniform L-bins, exact per bin,
-with a first-moment tilt, and convolved by FFT (see _TabulatedLaw).  It reads
-the README pair's 2049-point tabulation to about 1e-8 relative (E(F^2) to about
-1e-9), and a mixed pair (P_A against that tabulation's P_B) to about 1e-7.
+with a first-moment tilt, and convolved by FFT into hat cells (see _TabulatedLaw);
+an atom of L (a segment where P_A / P_B is constant) adds the other measure's
+bins, shifted, to the same cells, and atom pairs stay exact.  It reads the README
+pair's 2049-point tabulation to about 1e-8 relative (E(F^2) to about 1e-9), and a
+mixed pair (P_A against that tabulation's P_B) to about 1e-7.
 """
 
 from __future__ import annotations
@@ -207,11 +209,12 @@ class _TabulatedLaw:
     tilts its uniform density linearly, clipped to stay >= 0: the pushforward
     densities jump at the knots, and a uniform bin would leave an O(h^2) error
     there.  The masses convolve (FFT) into hat-shaped cells centred on S = k h, and
-    the tilts into a zero-mass quadratic term on the same cells; an atom meets the
-    other measure's tilted bins as shifted cells and its atoms as atoms.  A piece
-    where one density vanishes at an end has L unbounded there: the range stops at
-    the L a fraction _SINGULAR_CUT of the piece from that end, and the mass past it
-    falls in the end bin.
+    the tilts into a zero-mass quadratic term on the same cells.  An atom adds the
+    other measure's bins, shifted by its L, to the same cells, and the L range takes
+    in every atom; atom pairs stay exact atoms.  A piece where one density vanishes
+    at an end has L unbounded there: the range stops at the L a fraction
+    _SINGULAR_CUT of the piece from that end, and the mass past it falls in the end
+    bin.
     """
 
     slope = 1.0
@@ -220,6 +223,8 @@ class _TabulatedLaw:
         pieces, inf_a, inf_b = self._split(pa, pb)
         self._bin_pieces(*pieces)
         self._convolve()
+        self._fold_atoms()
+        self.hats_below = np.cumsum(self.hats)
         diffs = np.subtract.outer(self.pos, self.pos).ravel()
         order = np.argsort(diffs, kind="stable")
         self.pair_pos = diffs[order]
@@ -271,7 +276,7 @@ class _TabulatedLaw:
         every = slice(None)
         ends = np.concatenate([np.where(np.isfinite(l0), l0, ell_at(every, _SINGULAR_CUT)),
                                np.where(np.isfinite(l1), l1,
-                                        ell_at(every, 1.0 - _SINGULAR_CUT))])
+                                        ell_at(every, 1.0 - _SINGULAR_CUT)), self.pos])
         lo, hi = (ends.min(), ends.max()) if ends.size else (0.0, 1.0)
         self.lo, self.h = lo, (hi - lo) / bins if hi > lo else 1.0
         h = self.h
@@ -325,8 +330,9 @@ class _TabulatedLaw:
             np.cumsum(cum, out=cum)
 
     def _convolve(self):
-        """Set the hat masses and tilts of S on the cells k = 0 .. 2 bins, centred on
-        S = (k - bins) h; the two end cells are empty."""
+        """Set the hat masses and tilts of S on the nodes k = 0 .. 2 bins + 2, centred on
+        S = (k - bins - 1) h; the two end nodes are empty, and so are their neighbours
+        until _fold_atoms."""
         from numpy.fft import irfft, rfft            # loaded only where a pair needs it
         n = 2 * (self.cum_a.size - 1)
         fb = rfft(np.diff(self.cum_b)[::-1], n)
@@ -334,45 +340,49 @@ class _TabulatedLaw:
         tilts *= fb                                    # A's tilts against B's masses
         fa = rfft(np.diff(self.cum_a), n)
         fb *= fa
-        self.hats = np.zeros(n + 1)
-        irfft(fb, n, out=self.hats[1:])
+        self.hats = np.zeros(n + 3)
+        irfft(fb, n, out=self.hats[2:-1])
         rfft(self.tilt_b[::-1], n, out=fb)
         fa *= fb
         tilts -= fa                                    # less A's masses against B's tilts
         del fa, fb                                     # freed first: the law's peak memory
-        self.tilts = np.zeros(n + 1)
-        irfft(tilts, n, out=self.tilts[1:])
-        self.hats[-1] = self.tilts[-1] = 0.0           # past the convolution: 0 up to rounding
+        self.tilts = np.zeros(n + 3)
+        irfft(tilts, n, out=self.tilts[2:-1])
+        self.hats[-2] = self.tilts[-2] = 0.0           # past the convolution: 0 up to rounding
         np.maximum(self.hats, 0.0, out=self.hats)
 
-    def _cell(self, x0: float, cells: int, s):
-        """(index, fraction u) of each s in the cells [x0 + k h, x0 + (k + 1) h],
-        k = 0 .. cells - 1, clamped to them."""
-        q = np.clip((s - x0) / self.h, 0.0, cells)
-        k = np.minimum(np.floor(q), cells - 1)
-        return k.astype(np.intp), q - k
-
-    def _mu_below(self, cum, tilt, x):
-        """mu([lo, x]) of one tilted binned measure at an array of x."""
-        k, u = self._cell(self.lo, tilt.size, x)
-        return cum[k] + (cum[k + 1] - cum[k]) * u - (6.0 / self.h) * tilt[k] * u * (1.0 - u)
+    def _fold_atoms(self):
+        """Add each atom's products with the other measure's bins to the hat cells: an
+        atom at p shifts A's bins by -p (X - p) and B's, reversed with their tilts
+        negated, by p (p - Y), each bin split between the two nodes around its centre,
+        so its mass and first moment stay exact; a cell spreads a density jump at an
+        end of the copy by O(h).  The bins keep their order, so each split is a slice."""
+        h, bins = self.h, self.tilt_a.size
+        a_bins = np.diff(self.cum_a), self.tilt_a                  # X - p
+        b_bins = np.diff(self.cum_b)[::-1], -self.tilt_b[::-1]     # p - Y, from the top down
+        for p, wa, wb in zip(self.pos, self.atoms_a, self.atoms_b):
+            # first: the node of bin 0's centre, in [1.5, bins + 1.5] as lo <= p <= lo + bins h
+            for w, first, copy in ((wb, (self.lo - p) / h + bins + 1.5, a_bins),
+                                   (wa, (p - self.lo) / h + 1.5, b_bins)):
+                k = math.floor(first)
+                for values, add in zip((self.hats, self.tilts), copy):
+                    values[k:k + bins] += (w * (k + 1 - first)) * add
+                    values[k + 1:k + 1 + bins] += (w * (first - k)) * add
 
     def _below(self, s):
-        """P(S <= s) at a 1-d array of s, +-inf included."""
-        pos, cells = self.pos[:, None], self.hats.size - 1
-        j, u = self._cell(-0.5 * cells * self.h, cells, s)
+        """P(S <= s) at a 1-d array of s, +-inf included: the hat cells' CDF, cell j
+        read at the fraction u of it, and the atom pairs'."""
+        cells = self.hats.size - 1
+        q = np.clip((s + 0.5 * cells * self.h) / self.h, 0.0, cells)
+        j = np.minimum(np.floor(q), cells - 1).astype(np.intp)
+        u = q - j
         v = 1.0 - u
-        hats = (np.cumsum(self.hats)[j] - 0.5 * self.hats[j] * v * v
+        hats = (self.hats_below[j] - 0.5 * self.hats[j] * v * v
                 + 0.5 * self.hats[j + 1] * u * u
                 - (self.tilts[j] * (1.0 - u * u * (3.0 - 2.0 * u))
                    + self.tilts[j + 1] * (1.0 - v * v * (3.0 - 2.0 * v))) / self.h)
-        atom_box = (self.atoms_a[:, None]
-                    * (self.cum_b[-1] - self._mu_below(self.cum_b, self.tilt_b, pos - s))).sum(0)
-        box_atom = (self.atoms_b[:, None]
-                    * self._mu_below(self.cum_a, self.tilt_a, s + pos)).sum(0)
         atom_atom = self.pair_below[np.searchsorted(self.pair_pos, s, side="right")]
-        return (hats + atom_box + box_atom + atom_atom
-                + np.where(s == math.inf, self.mass - self.finite_mass, 0.0))
+        return hats + atom_atom + np.where(s == math.inf, self.mass - self.finite_mass, 0.0)
 
     def cdf(self, d):
         """(P(S <= d), P(S > d)) at an array of d, +-inf included."""
@@ -386,51 +396,33 @@ class _TabulatedLaw:
         return float(below[0] - below[1])
 
     def expect(self, kernel, lo: float = 0.0, hi: float = math.inf):
-        """E[kernel(w)] over lo <= |S| <= hi with w = e^S, as _DifferenceLaw.expect:
-        the hat cells and each atom's shifted bins by _cell_integral, the atom pairs
-        as atoms."""
-        h, cells = self.h, self.hats.size - 1
-        total = _cell_integral(kernel, -0.5 * cells * h, h, lo, hi, self.hats[:-1],
-                               self.hats[1:], self.tilts[:-1], self.tilts[1:])
-        for p, wa, wb in zip(self.pos, self.atoms_a, self.atoms_b):
-            # p - Y for Y in B's bins from the top down, X - p for X in A's bins
-            for w, x0, cum, tilt in ((wa, p - self.lo - self.tilt_b.size * h, -self.cum_b[::-1],
-                                      -self.tilt_b[::-1]),
-                                     (wb, self.lo - p, self.cum_a, self.tilt_a)):
-                mass, slant = np.diff(cum), (6.0 / h) * tilt    # tilted: ends mass -+ slant
-                total = total + w * _cell_integral(kernel, x0, h, lo, hi, mass - slant,
-                                                   mass + slant)
-        mass = np.diff(self.pair_below)
+        """E[kernel(w)] over lo <= |S| <= hi with w = e^S, as _DifferenceLaw.expect.  At
+        S = x0 + (i + u) h, u in [0, 1], the cells' density is (hats[i] (1 - u) +
+        hats[i + 1] u) / h + 6 (tilts[i] - tilts[i + 1]) u (1 - u) / h^2: 2-point
+        Gauss-Legendre on each cell cut at the limits, at most _PIECE_BLOCK cells and
+        BLOCK_CELLS kernel values at a time; then the atom pairs as atoms."""
+        h, hats, tilts, cells = self.h, self.hats, self.tilts, self.hats.size - 1
+        x0 = -0.5 * cells * h
+        total = 0.0 * kernel(np.ones(1))[..., 0]           # a zero of the batch shape
+        block = max(1, min(_PIECE_BLOCK, BLOCK_CELLS // (2 * total.size)))
         keep = (np.abs(self.pair_pos) >= lo) & (np.abs(self.pair_pos) <= hi)
-        with np.errstate(over="ignore", divide="ignore"):   # e^S overflows, 1/w for w = 0
-            return total + (mass[keep] * kernel(np.exp(self.pair_pos[keep]))).sum(-1)
-
-
-def _cell_integral(kernel, x0: float, h: float, lo: float, hi: float, d0, d1, e0=None, e1=None):
-    """Integral of kernel(e^s) times a density over lo <= |s| <= hi.  At
-    s = x0 + (i + u) h, u in [0, 1], the density is (d0[i] (1 - u) + d1[i] u) / h, plus
-    6 (e0[i] - e1[i]) u (1 - u) / h^2 if e0 and e1 are given: 2-point Gauss-Legendre
-    on each cell cut at the limits, at most _PIECE_BLOCK cells and BLOCK_CELLS kernel
-    values at a time."""
-    total = 0.0 * kernel(np.ones(1))[..., 0]           # a zero of the batch shape
-    block = max(1, min(_PIECE_BLOCK, BLOCK_CELLS // (2 * total.size)))
-    end = x0 + d0.size * h
-    with np.errstate(over="ignore", divide="ignore"):   # e^s overflows, 1/w for w = 0
-        for cut_lo, cut_hi in ((lo, hi), (-hi, -lo)):
-            first = max(0, math.floor((max(cut_lo, x0) - x0) / h))
-            last = min(d0.size, math.ceil((min(cut_hi, end) - x0) / h))
-            for start in range(first, last, block):
-                i = slice(start, min(start + block, last))
-                left = x0 + h * np.arange(i.start, i.stop)
-                a, b = np.maximum(left, cut_lo), np.minimum(left + h, cut_hi)
-                s = a + np.multiply.outer(_GL2_NODES, b - a)       # both points of each cell
-                u = (s - left) / h
-                dens = d0[i] + (d1[i] - d0[i]) * u
-                if e0 is not None:
-                    dens += (6.0 / h) * (e0[i] - e1[i]) * u * (1.0 - u)
-                dens *= np.maximum(b - a, 0.0) / (2.0 * h)
-                total = total + (dens.ravel() * kernel(np.exp(s.ravel()))).sum(-1)
-    return total
+        with np.errstate(over="ignore", divide="ignore"):   # e^s overflows, 1/w for w = 0
+            for cut_lo, cut_hi in ((lo, hi), (-hi, -lo)):
+                first = max(0, math.floor((max(cut_lo, x0) - x0) / h))
+                last = min(cells, math.ceil((min(cut_hi, -x0) - x0) / h))
+                for start in range(first, last, block):
+                    stop = min(start + block, last)
+                    i, j = slice(start, stop), slice(start + 1, stop + 1)   # each cell's nodes
+                    left = x0 + h * np.arange(start, stop)
+                    a, b = np.maximum(left, cut_lo), np.minimum(left + h, cut_hi)
+                    s = a + np.multiply.outer(_GL2_NODES, b - a)   # both points of each cell
+                    u = (s - left) / h
+                    dens = (hats[i] + (hats[j] - hats[i]) * u
+                            + (6.0 / h) * (tilts[i] - tilts[j]) * u * (1.0 - u))
+                    dens *= np.maximum(b - a, 0.0) / (2.0 * h)
+                    total = total + (dens.ravel() * kernel(np.exp(s.ravel()))).sum(-1)
+            mass = np.diff(self.pair_below)[keep]
+            return total + (mass * kernel(np.exp(self.pair_pos[keep]))).sum(-1)
 
 
 def _law(pa, pb) -> _DifferenceLaw | _TabulatedLaw:

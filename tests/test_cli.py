@@ -355,6 +355,29 @@ class TestMainExitCodes:
                                                               old, new):
         assert_config_error(tmp_path, capsys, command, GOOD.replace(old, new), new)
 
+    @pytest.mark.parametrize("g", ["1e-300", "1e300"])
+    def test_coupling_outside_its_range_is_a_config_error(self, tmp_path, capsys, g):
+        # (20/g)^2 overflows at 1e-300, where g^3 underflows to 0, and g^3 overflows at
+        # 1e300: nan densities and an OverflowError before the range check
+        assert_config_error(tmp_path, capsys, "calibrate", GOOD.replace("g = 10.0", f"g = {g}"),
+                            f"g = {g}")
+
+    @pytest.mark.parametrize("g", ["1e-3", "10", "1e3"])
+    def test_coupling_inside_its_range_calibrates(self, tmp_path, capsys, g):
+        p = tmp_path / "exp.cfg"
+        p.write_text(GOOD.replace("g = 10.0", f"g = {g}"))
+        assert main(["calibrate", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+        prof = load_profile_csv(tmp_path / "out" / "calibrate_A.csv")
+        assert np.all(np.isfinite(prof.densities)) and prof.densities.max() > 0.0
+
+    def test_out_of_memory_is_a_numeric_failure(self, cfg_path, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 763. MiB")
+        monkeypatch.setattr(cli, "fidelity_histogram", exhausted)
+        assert main(["fidelity-hist", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: out of memory") and err.count("\n") == 1
+
     @pytest.mark.parametrize("old, new, bad_line", [
         ("g = 10.0\n", "", "kind = critically_damped"),
         ("kind = critically_damped\ng = 10.0", "kind = csv", "kind = csv"),

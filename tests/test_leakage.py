@@ -55,6 +55,21 @@ class TestCriticallyDampedDensity:
             with pytest.raises(ProfileError):
                 CriticallyDamped(10.0).density(np.array([0.1, bad]))
 
+    @pytest.mark.parametrize("g", [1e-300, 1e300, 9.9e-101, 1.01e100])
+    def test_rejects_couplings_outside_the_range(self, g):
+        # past it g^3 or (20/g)^2 is not a finite normal double: nan densities at
+        # 1e-300, an OverflowError at 1e300
+        with pytest.raises(ProfileError, match=r"\[1e-100, 1e100\]"):
+            CriticallyDamped(g)
+
+    @pytest.mark.parametrize("g", [1e-100, 1e-3, 10.0, 1e3, 1e100])
+    def test_couplings_in_the_range_have_finite_densities(self, g):
+        prof = CriticallyDamped(g)
+        t = np.linspace(0.0, prof.t_max, 2049)
+        values = prof.density(t)
+        assert np.all(np.isfinite(values)) and values.max() > 0.0
+        assert math.isfinite(prof.density(float(t[100])))
+
     @pytest.mark.parametrize("g", [0.5, 10.0, 12.5])
     def test_scalar_path_matches_array_path(self, g):
         density = CriticallyDamped(g).density

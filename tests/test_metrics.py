@@ -642,8 +642,16 @@ def identical_pair():
     return p, Tabulated(p.times, p.densities)
 
 
+# P_A / P_B is 1/2 on [0, 0.2] and 1 on [0.3, 0.4], two atoms at L = -log 2 and 0 of
+# masses (0.15, 0.3) and (0.05, 0.05); [0.4, 0.5] is the one piece, L on [0, log 2],
+# so the first atom lies outside the continuous L range.  Both profiles are linear
+# in t on every segment, so the laws are exact up to their bins.
+_ATOM_KNOTS = np.linspace(0.0, 0.5, 6)
+ATOM_PAIR = (Tabulated(_ATOM_KNOTS, [1.0, 1.0, 0.0, 0.0, 1.0, 2.0]),
+             Tabulated(_ATOM_KNOTS, [2.0, 2.0, 0.0, 0.0, 1.0, 1.0]))
 LAW_PAIRS = {"csv-2049": GRID_PAIRS["csv-2049"], "tiny": TINY_PAIR,
-             "tiny-swapped": TINY_PAIR[::-1], "identical": identical_pair()}
+             "tiny-swapped": TINY_PAIR[::-1], "identical": identical_pair(),
+             "atoms": ATOM_PAIR}
 HIST_THETAS = [(QUARTER_PI, QUARTER_PI), (0.6, 1.0), (0.0, 1.0)]
 FINE_PAIRS = [(10.0, 12.5), (3.0, 3.1), (1.0, 3.0)]
 
@@ -721,6 +729,45 @@ class TestTabulatedLaw:
         monkeypatch.setattr(metrics._TabulatedLaw, "expect", spy)
         self.surface(*GRID_PAIRS["csv-2049"])
         assert sizes and max(sizes) <= BLOCK_CELLS
+
+    def test_twin_compare_reads_each_cell_at_two_points(self, monkeypatch):
+        # each atom's products with the other measure's bins are folded into the hat
+        # cells, so no pass over the bins per atom adds to the cells' 2 points each
+        laws, sizes = [], []
+        expect = metrics._TabulatedLaw.expect
+
+        def spy(law, kernel, *limits):
+            def counted(w):
+                out = kernel(w)
+                sizes.append(out.size)
+                return out
+            laws.append(law)
+            return expect(law, counted, *limits)
+
+        monkeypatch.setattr(metrics._TabulatedLaw, "expect", spy)
+        compare_strategies(*GRID_PAIRS["csv-2049"], 1e-4)
+        assert len(laws) == 1 and laws[0].pos.size == 1
+        assert sum(sizes) <= 2 * (laws[0].hats.size - 1) * len(MODES)
+
+    def test_atom_outside_the_continuous_range_keeps_its_mass(self, monkeypatch):
+        # (Theta_1 + Theta_2) = 1/2 of the product mass 0.35 x 0.45, 0.06 of it in
+        # the atom at -log 2 against the other measure's piece
+        from reference_quadrature import grid_window_sums
+        pa, pb = ATOM_PAIR
+        thetas = [(QUARTER_PI, QUARTER_PI), (0.6, 1.0)]
+        hists = [fidelity_histogram(*th, pa, pb).masses for th in thetas]
+        assert abs(hists[0].sum() - 0.07875) <= 1e-12
+        values = self.values(pa, pb)
+        post, (out, _) = grid_window_sums(pa, pb, MAX_F - 1e-4, 4000)
+        assert values[0, 0] == pytest.approx(post, rel=5e-4)
+        assert values[0, 3] == pytest.approx(out, rel=5e-4)
+        monkeypatch.setattr(metrics, "_LAW_BINS", 4 * metrics._LAW_BINS)
+        np.testing.assert_allclose(values, self.values(pa, pb), rtol=1e-9, atol=0.0)
+        # the atom's products end where S = 2 log 2, the edge of the bin at F = 0.4;
+        # a hat cell spreads each shifted bin over two cells, so the bins on either
+        # side of that edge move by O(h) (1.2e-6 here), every other bin by < 1e-10
+        for hist, th in zip(hists, thetas):
+            assert np.abs(hist - fidelity_histogram(*th, pa, pb).masses).max() <= 2e-6
 
     def test_agrees_with_a_four_times_finer_law(self, monkeypatch):
         pa, pb = GRID_PAIRS["csv-2049"]
