@@ -270,7 +270,7 @@ def _cmd_grow(cfg: ExperimentConfig, section: dict, out_dir: Path, seed: int) ->
             continue
         try:
             name, count = item.split(":")
-            count = int(count)
+            name, count = name.strip(), int(count)
         except ValueError:
             raise ConfigError(f"grow pool entries look like NAME:COUNT, got {item!r}",
                               section["pool"][1]) from None

@@ -11,8 +11,9 @@ shape; CriticallyDamped(g).density evaluates it.  Arbitrary calibrated
 profiles are supported through tabulation (linear interpolation inside the
 grid, zero outside).
 
-Sampling inverts a tabulated CDF.  A single float quantile takes a scalar
-bisection path that equals np.interp bit for bit.
+Sampling inverts a tabulated CDF, whose nodes and the overlap of two tabulated
+profiles follow each profile's own knots.  A float quantile in [0, 1), as a
+sampler draws, takes a scalar bisection path that equals np.interp bit for bit.
 """
 
 from __future__ import annotations
@@ -87,24 +88,29 @@ class LeakageProfile:
     def inverse_cdf(self, u):
         """Quantile function of the renormalised density (tabulated).
 
-        A Python or NumPy float u takes a scalar path that returns a float
-        equal to np.interp's value bit for bit.
+        A Python or NumPy float u in [0, 1) takes a scalar path, np.interp's
+        own arithmetic bit for bit; any other u goes to np.interp.
         """
         table = self._inverse_cdf_table
-        if isinstance(u, float):
-            return _interp_scalar(float(u), table.cdf_items, table.grid_items)
+        if isinstance(u, float) and 0.0 <= u < 1.0:
+            u, xp, fp = float(u), table.cdf_items, table.grid_items
+            j = bisect_right(xp, u) - 1                 # xp[j] <= u < xp[j + 1]: xp ends at 1
+            out = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (u - xp[j]) + fp[j]
+            return out if out == out else fp[j]     # an infinite slope times 0 at a knot
         return np.interp(u, table.cdf, table.grid)
 
 
 class _CdfTable:
-    """A profile's renormalised trapezoid CDF on _CDF_TABLE_SIZE uniform nodes
-    of [0, t_max]: read-only arrays for np.interp, and memoryviews of the same
-    bytes (whose items are Python floats) for the scalar path."""
+    """A profile's renormalised trapezoid CDF on _CDF_TABLE_SIZE uniform nodes of
+    [0, t_max] and a Tabulated profile's own times: read-only arrays for
+    np.interp, and memoryviews of the same bytes (items: Python floats) to bisect."""
 
     __slots__ = ("grid", "cdf", "grid_items", "cdf_items")
 
     def __init__(self, profile: LeakageProfile):
         t = np.linspace(0.0, profile.t_max, _CDF_TABLE_SIZE)
+        if isinstance(profile, Tabulated):
+            t = np.union1d(t, profile.times)
         p = profile.density(t)
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(t))])
         if cdf[-1] <= 0.0:
@@ -114,27 +120,6 @@ class _CdfTable:
         cdf.setflags(write=False)
         self.grid, self.cdf = t, cdf
         self.grid_items, self.cdf_items = memoryview(t), memoryview(cdf)
-
-
-def _interp_scalar(x: float, xp, fp) -> float:
-    """np.interp(x, xp, fp) for one float, bit for bit: a NaN stays NaN, x is
-    clamped to [xp[0], xp[-1]], j is the last knot with xp[j] <= x (the last of
-    equal knots), a knot returns its value, and a NaN interpolant is retried
-    from the right knot."""
-    if x != x:
-        return x
-    j = bisect_right(xp, x) - 1
-    if j < 0:
-        return fp[0]
-    if j == len(xp) - 1 or xp[j] == x:
-        return fp[j]
-    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
-    out = slope * (x - xp[j]) + fp[j]
-    if out != out:
-        out = slope * (x - xp[j + 1]) + fp[j + 1]
-        if out != out and fp[j] == fp[j + 1]:
-            out = fp[j]
-    return out
 
 
 class CriticallyDamped(LeakageProfile):
@@ -148,16 +133,13 @@ class CriticallyDamped(LeakageProfile):
     def density(self, t):
         """4 g^3 t^2 exp(-2 g t) with a Heaviside cutoff at t = 0.
 
-        Accepts scalar or ndarray t; rejects non-finite input.  A Python or
-        NumPy float t takes a scalar path (math.exp), which agrees with the
-        array path to rounding.
+        Accepts scalar or ndarray t; rejects non-finite input.  A Python or NumPy
+        float t in (0, inf) takes a scalar path (math.exp), equal to rounding.
         """
         g = self.g
-        if isinstance(t, float):
+        if isinstance(t, float) and 0.0 < t < math.inf:
             t = float(t)
-            if not math.isfinite(t):
-                raise ProfileError("non-finite time passed to CriticallyDamped.density")
-            return 4.0 * g**3 * (t * t) * math.exp(-2.0 * g * t) if t > 0 else 0.0
+            return 4.0 * g**3 * (t * t) * math.exp(-2.0 * g * t)
         t = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(t)):
             raise ProfileError("non-finite time passed to CriticallyDamped.density")
@@ -321,15 +303,52 @@ def integrate(f, t_max: float):
     raise QuadratureError(f"quadrature did not reach rtol={RELATIVE_TOLERANCE} within {n} panels")
 
 
+# The 16-point rule after the substitution x = s^2 (3 - 2 s) on [0, 1], whose dx/ds
+# vanishes at both ends: where a linear density falls to zero at a knot, sqrt(P_A P_B)
+# has a square-root end in x but is smooth in s.
+_KNOT_NODES = _GL_NODES**2 * (3.0 - 2.0 * _GL_NODES)
+_KNOT_WEIGHTS = 6.0 * _GL_WEIGHTS * _GL_NODES * (1.0 - _GL_NODES)
+
+
+def _cell_rule(cells: np.ndarray) -> np.ndarray:
+    """int sqrt(P_A P_B) by the substituted rule over each cell where both densities
+    are linear; `cells` has a column per cell: P_A at its left and right ends, the
+    same for P_B, and its width.  At most BLOCK_CELLS values per block."""
+    blocks = np.array_split(cells[:, :, None], -(-cells.shape[1] * _KNOT_NODES.size // BLOCK_CELLS), axis=1)
+    return np.concatenate([(h * _KNOT_WEIGHTS * np.sqrt((a0 + (a1 - a0) * _KNOT_NODES)
+                                                         * (b0 + (b1 - b0) * _KNOT_NODES))).sum(axis=1)
+                           for a0, a1, b0, b1, h in blocks])
+
+
 def overlap_integral(pa: LeakageProfile, pb: LeakageProfile) -> float:
     """Bhattacharyya overlap of two profiles, int sqrt(P_A P_B) dt in [0, 1].
 
     Integrated over both profiles' support.  Equals
     8 (g_A g_B)^{3/2} / (g_A + g_B)^3 for two critically damped profiles;
-    1 exactly when the profiles coincide.
+    1 exactly when the profiles coincide.  Two tabulated profiles, linear on each
+    cell between their union knots, take _cell_rule on each cell, halved until its
+    halves agree with it to RELATIVE_TOLERANCE of their value plus the cell's
+    width's share of the integral; every other pair goes to `integrate`.
     """
 
     def integrand(t):
         return np.sqrt(pa.density(t) * pb.density(t))
 
-    return integrate(integrand, max(pa.t_max, pb.t_max))
+    if not (isinstance(pa, Tabulated) and isinstance(pb, Tabulated)):
+        return integrate(integrand, max(pa.t_max, pb.t_max))
+    knots, total = np.union1d(pa.times, pb.times), 0.0
+    lo, hi = knots[:-1], knots[1:]
+    # a density is zero past its last knot, so a cell starting there starts at 0
+    cells = np.array([pa.density(lo) * (lo < pa.t_max), pa.density(hi),
+                      pb.density(lo) * (lo < pb.t_max), pb.density(hi), hi - lo])
+    for _ in range(64):
+        a0, a1, b0, b1, h = cells
+        am, bm = 0.5 * (a0 + a1), 0.5 * (b0 + b1)
+        left, right = np.array([a0, am, b0, bm, 0.5 * h]), np.array([am, a1, bm, b1, 0.5 * h])
+        whole, halves = _cell_rule(cells), _cell_rule(left) + _cell_rule(right)
+        split = abs(halves - whole) > RELATIVE_TOLERANCE * (halves + (total + halves.sum()) * h / knots[-1])
+        total += float(halves[~split].sum())
+        if not split.any():
+            return total
+        cells = np.c_[left[:, split], right[:, split]]
+    raise QuadratureError(f"overlap did not reach rtol={RELATIVE_TOLERANCE} within 64 halvings")

@@ -202,6 +202,16 @@ class TestCommands:
             run_command("grow", parse_config(p), tmp_path / "out")
         assert pools == [1004]
 
+    def test_spaces_around_pool_colons_are_allowed(self, tmp_path):
+        written = []
+        for pool in ("A:4,B:4", "A : 4, B: 4"):
+            p = tmp_path / "exp.cfg"
+            p.write_text(GOOD.replace("pool = A:24,B:24\ntarget_ghz_size = 8\njoin_nodes = 2",
+                                      f"pool = {pool}\ntarget_ghz_size = 4"))
+            arts = run_command("grow", parse_config(p), tmp_path / pool)
+            written.append({a.name: a.read_bytes() for a in arts})
+        assert written[0] == written[1] and {"grow_rounds.csv", "grow_summary.csv"} <= set(written[0])
+
 
 def assert_config_error(tmp_path, capsys, command, text, bad_line):
     """`command` on config `text` exits 1 naming the line of `bad_line`, printing

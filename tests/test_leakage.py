@@ -14,7 +14,6 @@ from tglab.leakage import (
     CavityParams,
     CriticallyDamped,
     Tabulated,
-    _interp_scalar,
     integrate,
     load_profile_csv,
     overlap_integral,
@@ -24,6 +23,13 @@ from tglab.leakage import (
 
 def closed_form_overlap(ga, gb):
     return 8.0 * (ga * gb) ** 1.5 / (ga + gb) ** 3
+
+
+# A peak of mass 1 (and one of mass 0.995 with a 1e-3 tail) narrower than the
+# 8193-node table's spacing of [0, 10]
+PEAK_TIMES = [0.0, 9e-4, 1e-3, 1.1e-3, 10.0]
+PEAK = Tabulated(PEAK_TIMES, [0.0, 0.0, 1e4, 0.0, 0.0])
+PEAK_WITH_TAIL = Tabulated(PEAK_TIMES, [0.0, 0.0, 0.995e4, 0.0, 1e-3])
 
 
 class TestCriticallyDampedDensity:
@@ -69,6 +75,17 @@ class TestCriticallyDampedDensity:
         values = prof.density(t)
         assert np.all(np.isfinite(values)) and values.max() > 0.0
         assert math.isfinite(prof.density(float(t[100])))
+
+    def test_scalar_path_takes_only_positive_finite_times(self, monkeypatch):
+        calls, exp = [], math.exp
+        monkeypatch.setattr(math, "exp", lambda x: calls.append(x) or exp(x))
+        density = CriticallyDamped(10.0).density
+        for t in (1e-9, np.float64(0.13), 0.0, -0.3, np.array(0.13)):
+            assert type(density(t)) is float
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ProfileError):
+                density(t)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("g", [0.5, 10.0, 12.5])
     def test_scalar_path_matches_array_path(self, g):
@@ -200,17 +217,65 @@ class TestOverlapIntegral:
         assert vals[-1] < 0.1
 
     def test_kinked_twin_meets_the_tolerance(self):
-        # sqrt(P_A P_B) of two 2049-point tabulations kinks at every knot, inside
-        # the equal panels; the reference integrates each union-knot segment
+        # sqrt(P_A P_B) of two 2049-point tabulations kinks at every knot; both the
+        # library and the reference integrate each union-knot segment
         from reference_quadrature import segment_overlap
         twin = [tabulate_profile(CriticallyDamped(g), 2049) for g in (10.0, 12.5)]
-        assert overlap_integral(*twin) == pytest.approx(segment_overlap(*twin), rel=1e-9)
+        assert overlap_integral(*twin) == pytest.approx(segment_overlap(*twin), rel=0.0, abs=1e-13)
+
+    def test_narrow_peak_is_not_missed(self):
+        # equal panels over [0, 10] put no node in the peak at 8 and 16 panels
+        assert overlap_integral(PEAK, PEAK) == pytest.approx(1.0, rel=0.0, abs=1e-12)
+        assert overlap_integral(PEAK, PEAK_WITH_TAIL) == pytest.approx(
+            math.sqrt(0.995), rel=0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("times_a, dens_a, times_b, dens_b, exact", [
+        # P_A rises from 0 on [0, 0.5], so sqrt(P_A P_B) there is sqrt(t): plain
+        # 16-point Gauss-Legendre on that cell is 1.4e-5 off
+        ([0.0, 0.5, 1.0], [0.0, 4 / 3, 4 / 3], [0.0, 1.0], [1.0, 1.0],
+         math.sqrt(8 / 3) * 2 / 3 * 0.5**1.5 + math.sqrt(4 / 3) * 0.5),
+        ([0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [0.0, 1.0, 2.0], [0.0, 1.0, 0.0], math.pi / 4),
+        # a triangle 2e-3 wide in a span of 1000, so its cells' width share of the
+        # tolerance is 2e-15 of their value
+        ([0.0, 1e-3, 2e-3, 1e3], [0.0, 1e3, 0.0, 0.0], [0.0, 1e3], [1e-3, 1e-3], 4e-3 / 3),
+    ], ids=["ramp", "vee_and_tent", "narrow_triangle"])
+    def test_square_root_ends_need_no_halving(self, monkeypatch, times_a, dens_a, times_b,
+                                              dens_b, exact):
+        calls, rule = [], leakage._cell_rule
+        monkeypatch.setattr(leakage, "_cell_rule", lambda cells: calls.append(cells) or rule(cells))
+        got = overlap_integral(Tabulated(times_a, dens_a), Tabulated(times_b, dens_b))
+        assert got == pytest.approx(exact, rel=1e-12)
+        assert len(calls) == 3                              # the cells and their two halves
+
+    def test_density_near_zero_at_a_knot_is_halved_to_the_tolerance(self):
+        # P_A = 1e-4 at both ends: one rule on each cell, unhalved, is 1.9e-7 off
+        peaked, flat = Tabulated([0.0, 1.0, 2.0], [1e-4, 0.99, 1e-4]), Tabulated([0.0, 2.0], [0.5, 0.5])
+        exact = math.sqrt(0.5) * 2 * 2 / 3 * (0.99**1.5 - 1e-4**1.5) / (0.99 - 1e-4)
+        assert overlap_integral(peaked, flat) == pytest.approx(exact, rel=1e-10)
 
     def test_tabulated_reproduces_closed_form(self):
         pa = CriticallyDamped(10.0)
         pb = CriticallyDamped(12.5)
         ta, tb = tabulate_profile(pa, 8193), tabulate_profile(pb, 8193)
         assert overlap_integral(ta, tb) == pytest.approx(overlap_integral(pa, pb), abs=1e-6)
+
+    def test_cell_rule_builds_at_most_block_cells_values_a_block(self):
+        cells = np.random.default_rng(5).random((5, 1 << 17))
+        x, w = leakage._KNOT_NODES, leakage._KNOT_WEIGHTS
+        a0, a1, b0, b1, h = cells[:, :, None]
+        want = (h * w * np.sqrt((a0 + (a1 - a0) * x) * (b0 + (b1 - b0) * x))).sum(axis=1)
+        tracemalloc.start()
+        got = leakage._cell_rule(cells)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert peak < 8 * 2**20             # one unblocked (cells, 16) array is 16 MB
+
+    def test_density_past_the_last_knot_is_zero(self):
+        # P_A = 1 on [0, 1] and 0 after it, P_B = 0.5 on [0, 2]: the overlap is sqrt(0.5)
+        short, long = Tabulated([0.0, 1.0], [1.0, 1.0]), Tabulated([0.0, 2.0], [0.5, 0.5])
+        assert overlap_integral(short, long) == pytest.approx(math.sqrt(0.5), rel=1e-14)
+        assert overlap_integral(long, short) == pytest.approx(math.sqrt(0.5), rel=1e-14)
 
 
 class TestTabulated:
@@ -298,6 +363,33 @@ class TestSampling:
             Tabulated([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
 
 
+class TestKnotAlignedTable:
+    @pytest.mark.parametrize("profile", [PEAK, PEAK_WITH_TAIL], ids=["peak", "peak_with_tail"])
+    def test_narrow_peak_is_sampled(self, profile):
+        # on the uniform nodes alone the peak had no mass: PEAK raised "cannot
+        # sample from a zero-mass profile" and PEAK_WITH_TAIL drew only its tail
+        draws = profile.sample(np.random.default_rng(3), size=100_000)
+        assert np.mean((draws >= 9e-4) & (draws <= 1.1e-3)) >= 0.99
+        assert 9e-4 < profile.inverse_cdf(0.5) < 1.1e-3
+        assert 9e-4 < profile.inverse_cdf(np.array([0.5]))[0] < 1.1e-3
+
+    @pytest.mark.parametrize("kind", ["critically_damped", "twin", "csv"])
+    def test_uniform_node_tables_are_unchanged(self, kind, tmp_path):
+        # the 2049-point twin's knots are every fourth of the 8193 uniform nodes,
+        # so joining them leaves its table, and every draw, as before
+        profile = {"critically_damped": lambda: CriticallyDamped(10.0),
+                   "twin": lambda: tabulate_profile(CriticallyDamped(10.0), 2049),
+                   "csv": lambda: _csv_twin(tmp_path, 10.0)}[kind]()
+        t = np.linspace(0.0, profile.t_max, 8193)
+        p = profile.density(t)
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(t))])
+        cdf = cdf / cdf[-1]
+        u = np.random.default_rng(17).random(10_000)
+        assert profile.inverse_cdf(u).tobytes() == np.interp(u, cdf, t).tobytes()
+        scalar = np.array([profile.inverse_cdf(x) for x in u[:1000].tolist()])
+        assert scalar.tobytes() == np.interp(u[:1000], cdf, t).tobytes()
+
+
 def _csv_twin(tmp_path, g):
     """A critically damped profile as a 2049-point calibrated CSV file, loaded back."""
     t = np.linspace(0.0, 20.0 / g, 2049)
@@ -322,16 +414,27 @@ class TestScalarInverseCdf:
         assert got.tobytes() == want.tobytes()
         assert all(type(profile.inverse_cdf(x)) is float for x in (0.3, np.float64(0.3)))
 
-    def test_degenerate_tables_follow_np_interp(self):
-        # infinite slopes (a subnormal knot gap), infinite values (a NaN slope
-        # between two), equal knots
-        xp = [0.0, 5e-324, 1e-300, 0.4, 0.5, 0.5, 0.5, 1.0, 2.0]
-        fp = [0.0, 1.0, 1e308, math.inf, math.inf, math.inf, -1.0, 3.0, 3.0]
-        xs = sorted({y for x in xp + [-1.0, 0.25, 0.75, 1.5, 3.0]
-                     for y in (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf))})
-        want = np.interp(xs, xp, fp)
-        got = np.array([_interp_scalar(x, xp, fp) for x in xs])
-        assert got.tobytes() == want.tobytes()
+    def test_infinite_slopes_follow_np_interp(self):
+        # a density of 1e-310 on the first segment leaves subnormal CDF gaps, so
+        # the table holds infinite slopes; at a knot np.interp returns its value
+        profile = Tabulated([0.0, 1.0, 2.0], [0.0, 1e-310, 1.0])
+        table = profile._inverse_cdf_table
+        with np.errstate(divide="ignore", over="ignore"):
+            assert np.isinf(np.diff(table.grid) / np.diff(table.cdf)).any()
+        knots = table.cdf[:50].tolist()
+        u = sorted({y for k in knots for y in (k, math.nextafter(k, math.inf))})
+        got = np.array([profile.inverse_cdf(x) for x in u])
+        assert got.tobytes() == profile.inverse_cdf(np.array(u)).tobytes()
+        assert profile.inverse_cdf(0.0) == 0.0
+
+    def test_scalar_path_takes_only_the_unit_interval(self, monkeypatch):
+        calls, bisect = [], leakage.bisect_right
+        monkeypatch.setattr(leakage, "bisect_right", lambda a, x: calls.append(x) or bisect(a, x))
+        p = CriticallyDamped(10.0)
+        for u in (0.0, 0.3, np.float64(0.7), math.nextafter(1.0, 0.0), math.nan, -0.5,
+                  1.0, 1.5, math.inf, np.array(0.3), np.array([0.3])):
+            p.inverse_cdf(u)
+        assert calls == [0.0, 0.3, 0.7, math.nextafter(1.0, 0.0)]
 
     def test_nan_and_clamping(self):
         p = CriticallyDamped(10.0)

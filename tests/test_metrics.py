@@ -68,6 +68,17 @@ class TestExpectedF:
             b = expected_f(math.pi / 2 - ta, math.pi / 2 - tb, PA, PB).value
             assert a == pytest.approx(b, abs=1e-12)
 
+    @pytest.mark.parametrize("height, want", [(1e4, 0.25), (5e3, 0.125)],
+                             ids=["itself", "half_height"])
+    def test_narrow_tabulated_peak(self, height, want):
+        # a peak narrower than the 8- and 16-panel spacing of [0, 10]: equal panels
+        # read 0 at both levels and stopped there
+        times = [0.0, 9e-4, 1e-3, 1.1e-3, 10.0]
+        peak = Tabulated(times, [0.0, 0.0, 1e4, 0.0, 0.0])
+        other = Tabulated(times, [0.0, 0.0, height, 0.0, 0.0])
+        assert expected_f(QUARTER_PI, QUARTER_PI, peak, other).value == pytest.approx(
+            want, rel=0.0, abs=1e-12)
+
 
 class TestExpectedFSq:
     def test_degenerate_tilts_vanish(self):
