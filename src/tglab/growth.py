@@ -168,7 +168,7 @@ def pair_inventory(tilts) -> tuple[list, int | None]:
     Returns ([(i, j), ...], leftover_index) of indices into `tilts`;
     an odd piece waits for the next round.
     """
-    order = sorted(range(len(tilts)), key=lambda i: (-tilts[i], i))
+    order = sorted(range(len(tilts)), key=tilts.__getitem__, reverse=True)  # stable: ties by i
     pairs = [(order[k], order[k + 1]) for k in range(0, len(order) - 1, 2)]
     leftover = order[-1] if len(order) % 2 else None
     return pairs, leftover

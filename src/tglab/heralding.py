@@ -8,9 +8,15 @@ densities P_A, P_B:
     Theta_2 = sin^2(theta_a) cos^2(theta_b)     Y = Theta_2 P_B(t1) P_A(t2)
 
     success probability   Theta_1 + Theta_2  (scaled by efficiency^2)
-    round-one density     Q1(t1) = Theta_1 P_A(t1) + Theta_2 P_B(t1)
-    joint density         Q12(t1, t2) = X + Y,   Q2 = Q12 / Q1
+    joint density         Q12(t1, t2) = X + Y
     resulting tilt        cos(theta_beta) = sqrt(Y / (X + Y))
+
+`sample_dh` draws one whole application from five uniforms in one frame: the
+success test, the branch of the two-term mixture Q12, the two click
+quantiles, X and Y at the clicks, the tilt and the detector parity.  Its
+records, `ClickPair` and `DhOutcome`, are immutable tuples.  `joint_terms`
+and `tilt_after_dh` give the same X, Y and tilt at given click times to the
+analysis and verification code.
 
 The graph rewrites cover the two supported configurations of each side: a
 member of a GHZ star (a fresh qubit is a one-qubit star) and a
@@ -23,10 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GraphConfigError, ImpossibleStateError
 from .leakage import LeakageProfile
 from .tilted_graph import (
+    HALF_PI,
     QUARTER_PI,
     EdgeAnnotation,
     EdgeKind,
@@ -50,46 +58,43 @@ class DhContext:
     `thetas` holds (Theta_1, Theta_2) of the tilts, computed once here for
     every statistic of the application.  Phase 1 builds one per DH attempt, so
     this is a slotted class with a plain constructor; treat it as read-only.
+    A tilt already in (-pi/2, pi/2], where canonical_angle is the identity, is
+    kept as given.
     """
 
     __slots__ = ("theta_a", "theta_b", "pa", "pb", "detection_efficiency", "thetas")
 
     def __init__(self, theta_a: float, theta_b: float, pa: LeakageProfile, pb: LeakageProfile,
                  detection_efficiency: float = 1.0):
-        self.theta_a = theta_a = canonical_angle(theta_a)
-        self.theta_b = theta_b = canonical_angle(theta_b)
+        if not -HALF_PI < theta_a <= HALF_PI:
+            theta_a = canonical_angle(theta_a)
+        if not -HALF_PI < theta_b <= HALF_PI:
+            theta_b = canonical_angle(theta_b)
         if not (0.0 < detection_efficiency <= 1.0):
             raise GraphConfigError(
                 f"detection efficiency must lie in (0, 1], got {detection_efficiency}")
+        self.theta_a, self.theta_b = theta_a, theta_b
         self.pa, self.pb, self.detection_efficiency = pa, pb, detection_efficiency
-        self.thetas = big_thetas(theta_a, theta_b)
+        self.thetas = ((math.cos(theta_a) * math.sin(theta_b)) ** 2,
+                       (math.sin(theta_a) * math.cos(theta_b)) ** 2)
 
 
-@dataclass(frozen=True)
-class ClickPair:
-    """Detector click times of the two rounds."""
+class ClickPair(NamedTuple("ClickPair", [("t1", float), ("t2", float)])):
+    """Detector click times of the two rounds (an immutable record)."""
 
-    t1: float
-    t2: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.t1 > 0 and self.t2 > 0):
-            raise GraphConfigError(f"click times must be positive, got ({self.t1}, {self.t2})")
+    def __new__(cls, t1: float, t2: float):
+        if not (t1 > 0 and t2 > 0):
+            raise GraphConfigError(f"click times must be positive, got ({t1}, {t2})")
+        return tuple.__new__(cls, (t1, t2))
 
 
 def big_thetas(theta_a: float, theta_b: float) -> tuple[float, float]:
+    """(Theta_1, Theta_2) of two tilts, as DhContext computes them."""
     t1 = (math.cos(theta_a) * math.sin(theta_b)) ** 2
     t2 = (math.sin(theta_a) * math.cos(theta_b)) ** 2
     return t1, t2
-
-
-def success_probability(theta_a: float, theta_b: float, detection_efficiency: float = 1.0) -> float:
-    """Upper-bound DH success probability, scaled by efficiency^2 (two clicks)."""
-    return _scaled_success(big_thetas(theta_a, theta_b), detection_efficiency)
-
-
-def _scaled_success(thetas: tuple, detection_efficiency: float) -> float:
-    return (thetas[0] + thetas[1]) * detection_efficiency**2
 
 
 def joint_terms(t1, t2, ctx: DhContext):
@@ -98,45 +103,6 @@ def joint_terms(t1, t2, ctx: DhContext):
     x = th1 * ctx.pa.density(t1) * ctx.pb.density(t2)
     y = th2 * ctx.pb.density(t1) * ctx.pa.density(t2)
     return x, y
-
-
-def click_density_first(t1, ctx: DhContext):
-    """Round-one click density Q1; integrates to the success probability.
-
-    Accepts scalar or array t1.
-    """
-    th1, th2 = ctx.thetas
-    return th1 * ctx.pa.density(t1) + th2 * ctx.pb.density(t1)
-
-
-def click_density_joint(clicks: ClickPair, ctx: DhContext) -> float:
-    """Joint click density Q12 = X + Y."""
-    x, y = joint_terms(clicks.t1, clicks.t2, ctx)
-    return float(x) + float(y)
-
-
-def click_density_second(t2, t1: float, ctx: DhContext):
-    """Conditional round-two density Q2(t2 | t1) = Q12 / Q1(t1)."""
-    q1 = float(click_density_first(t1, ctx))
-    if q1 <= 0.0:
-        raise ImpossibleStateError(f"conditioning on Q1({t1}) = 0")
-    x, y = joint_terms(t1, t2, ctx)
-    return (x + y) / q1
-
-
-def sample_clicks(ctx: DhContext, u) -> ClickPair:
-    """The one click sampler: (t1, t2) from Q12 given success, from three uniforms.
-
-    Q12 is the exact mixture Theta_1 P_A(t1) P_B(t2) + Theta_2 P_B(t1) P_A(t2):
-    u[0] < Theta_1/(Theta_1 + Theta_2) picks the Theta_1 branch, and u[1],
-    u[2] are the quantiles of the first and second click under the branch's
-    renormalised profiles.
-    """
-    th1, th2 = ctx.thetas
-    if th1 + th2 <= 0.0:
-        raise ImpossibleStateError("degenerate tilts: success probability is zero")
-    first, second = (ctx.pa, ctx.pb) if u[0] < th1 / (th1 + th2) else (ctx.pb, ctx.pa)
-    return ClickPair(float(first.inverse_cdf(u[1])), float(second.inverse_cdf(u[2])))
 
 
 def tilt_after_dh(ctx: DhContext, clicks: ClickPair) -> float:
@@ -148,8 +114,7 @@ def tilt_after_dh(ctx: DhContext, clicks: ClickPair) -> float:
     return math.atan2(math.sqrt(x), math.sqrt(y))
 
 
-@dataclass(frozen=True)
-class DhOutcome:
+class DhOutcome(NamedTuple):
     """Success (tilt, clicks, detector parity) or failure of one application."""
 
     success: bool
@@ -157,30 +122,45 @@ class DhOutcome:
     clicks: ClickPair | None = None
     parity: int = 1
 
-    @staticmethod
-    def failure() -> "DhOutcome":
-        """The failure outcome: one shared instance, since outcomes are immutable."""
-        return _FAILURE
 
-
-_FAILURE = DhOutcome(False)
+_FAILURE = DhOutcome(False)    # every failed attempt returns this one instance
+_record = tuple.__new__        # builds a record from its field tuple, skipping its __new__
 
 
 def sample_dh(ctx: DhContext, u) -> DhOutcome:
     """Sample one full DH application (success flag, clicks, tilt, parity).
 
     The outcome is a pure function of ctx and five uniforms in [0, 1):
-    u[0] is the success test (success when u[0] < p), u[1:4] go to
-    sample_clicks (branch, first and second click quantile) and u[4] draws
-    the detector parity.  Phase 1 passes each pair its own row of the
-    round's uniform block; the join phase passes rng.random(5).  Theta_1 and
-    Theta_2 come from the context, computed once per application.
+    u[0] is the success test (success when u[0] < p), u[1] picks the branch
+    of Q12 = Theta_1 P_A(t1) P_B(t2) + Theta_2 P_B(t1) P_A(t2) (the Theta_1
+    branch when u[1] < Theta_1/(Theta_1 + Theta_2)), u[2] and u[3] are the
+    quantiles of the first and second click under the branch's renormalised
+    profiles, and u[4] draws the detector parity.  The tilt is tilt_after_dh
+    of the clicks.  Phase 1 passes each pair its own row of the round's
+    uniform block; the join phase passes rng.random(5).
+
+    Phase 1 calls this once per DH attempt, so the whole attempt runs in this
+    one frame, with the same float expressions in the same order as
+    tilt_after_dh and joint_terms.
     """
-    if u[0] >= _scaled_success(ctx.thetas, ctx.detection_efficiency):
-        return DhOutcome.failure()
-    clicks = sample_clicks(ctx, u[1:4])
+    th1, th2 = ctx.thetas
+    total = th1 + th2
+    if u[0] >= total * ctx.detection_efficiency**2:
+        return _FAILURE
+    if total <= 0.0:
+        raise ImpossibleStateError("degenerate tilts: success probability is zero")
+    pa, pb = ctx.pa, ctx.pb
+    first, second = (pa, pb) if u[1] < th1 / total else (pb, pa)
+    t1, t2 = float(first.inverse_cdf(u[2])), float(second.inverse_cdf(u[3]))
+    # the records are built as tuples; ClickPair's own check runs only to raise
+    clicks = _record(ClickPair, (t1, t2)) if t1 > 0 and t2 > 0 else ClickPair(t1, t2)
     parity = 1 if u[4] < 0.5 else -1
-    return DhOutcome(True, tilt_after_dh(ctx, clicks), clicks, parity)
+    x = th1 * pa.density(t1) * pb.density(t2)
+    y = th2 * pb.density(t1) * pa.density(t2)
+    if x <= 0.0 and y <= 0.0:
+        raise ImpossibleStateError(
+            f"both click likelihoods vanish at ({t1}, {t2}); tilt undefined")
+    return _record(DhOutcome, (True, math.atan2(math.sqrt(x), math.sqrt(y)), clicks, parity))
 
 
 # ---------------------------------------------------------------------------

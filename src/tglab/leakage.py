@@ -29,6 +29,7 @@ import numpy as np
 from .errors import ProfileError, QuadratureError
 
 _CDF_TABLE_SIZE = 8193
+TABULATION_POINTS = 2**16 + 1  # where a pair with one tabulated side tabulates the other
 
 
 @dataclass(frozen=True)
@@ -325,17 +326,17 @@ def overlap_integral(pa: LeakageProfile, pb: LeakageProfile) -> float:
 
     Integrated over both profiles' support.  Equals
     8 (g_A g_B)^{3/2} / (g_A + g_B)^3 for two critically damped profiles;
-    1 exactly when the profiles coincide.  Two tabulated profiles, linear on each
-    cell between their union knots, take _cell_rule on each cell, halved until its
+    1 exactly when the profiles coincide.  A pair with a tabulated side, the other
+    side first tabulated at TABULATION_POINTS if it is not, is linear on each cell
+    between the union knots and takes _cell_rule on each cell, halved until its
     halves agree with it to RELATIVE_TOLERANCE of their value plus the cell's
-    width's share of the integral; every other pair goes to `integrate`.
+    width's share of the integral; a pair with no tabulated side goes to
+    `integrate`.
     """
-
-    def integrand(t):
-        return np.sqrt(pa.density(t) * pb.density(t))
-
-    if not (isinstance(pa, Tabulated) and isinstance(pb, Tabulated)):
-        return integrate(integrand, max(pa.t_max, pb.t_max))
+    if not (isinstance(pa, Tabulated) or isinstance(pb, Tabulated)):
+        return integrate(lambda t: np.sqrt(pa.density(t) * pb.density(t)), max(pa.t_max, pb.t_max))
+    pa, pb = (p if isinstance(p, Tabulated) else tabulate_profile(p, TABULATION_POINTS)
+              for p in (pa, pb))
     knots, total = np.union1d(pa.times, pb.times), 0.0
     lo, hi = knots[:-1], knots[1:]
     # a density is zero past its last knot, so a cell starting there starts at 0

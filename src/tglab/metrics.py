@@ -38,7 +38,7 @@ successes of every mode are one `expect` over |S| past the window edge.  For a
 critically damped pair S is a multiple of D = t1 - t2, whose CDF is closed
 form, so these are exact up to rounding.  Any other pair takes the binned law
 of two tabulated profiles, a side that is not tabulated first tabulated at
-_TABULATION_POINTS: L#P_A and L#P_B in _LAW_BINS uniform L-bins, exact per bin,
+TABULATION_POINTS: L#P_A and L#P_B in _LAW_BINS uniform L-bins, exact per bin,
 with a first-moment tilt, and convolved by FFT into hat cells (see _TabulatedLaw);
 an atom of L (a segment where P_A / P_B is constant) adds the other measure's
 bins, shifted, to the same cells, and atom pairs stay exact.  It reads the README
@@ -55,16 +55,15 @@ import numpy as np
 
 from .errors import QuadratureError
 from .heralding import DhContext, big_thetas, joint_terms
-from .leakage import (BLOCK_CELLS, RELATIVE_TOLERANCE, CriticallyDamped, LeakageProfile,
-                      Tabulated, critically_damped_difference_density, integrate,
-                      overlap_integral, tabulate_profile)
+from .leakage import (BLOCK_CELLS, RELATIVE_TOLERANCE, TABULATION_POINTS, CriticallyDamped,
+                      LeakageProfile, Tabulated, critically_damped_difference_density,
+                      integrate, overlap_integral, tabulate_profile)
 from .tilted_graph import QUARTER_PI
 
 MAX_F = 0.5
 MODES = ("3f2", "exact")       # first-attempt success models
 _S_CUT = 80.0                  # |S| past which out-of-window successes are negligible
 _LAW_BINS = 2**14              # uniform L-bins of a tabulated pair's law of S
-_TABULATION_POINTS = 2**16 + 1  # points where a binned-law pair tabulates an untabulated side
 _SINGULAR_CUT = 2.0**-32       # where a piece's unbounded L range stops (a fraction of it)
 _PIECE_BLOCK = 2048            # law pieces and cells handled at once
 _GL2_NODES = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])  # on [0, 1]
@@ -428,11 +427,11 @@ class _TabulatedLaw:
 def _law(pa, pb) -> _DifferenceLaw | _TabulatedLaw:
     """The law of S of a pair, which every quantity reads: closed form for two
     critically damped profiles, else binned, each side that is not tabulated first
-    tabulated at _TABULATION_POINTS."""
+    tabulated at TABULATION_POINTS."""
     if isinstance(pa, CriticallyDamped) and isinstance(pb, CriticallyDamped):
         return _DifferenceLaw(pa, pb)
     return _TabulatedLaw(*(p if isinstance(p, Tabulated) else
-                           tabulate_profile(p, _TABULATION_POINTS) for p in (pa, pb)))
+                           tabulate_profile(p, TABULATION_POINTS) for p in (pa, pb)))
 
 
 def _thetas(theta_a, theta_b):

@@ -1,14 +1,111 @@
-"""Test-side vectorised mirror of `tglab.heralding.sample_clicks`.
+"""Test-side references for `tglab.heralding`: the click densities and the
+composed DH sampler that `sample_dh` runs in one frame.
+
+`sample_dh_reference` is the sampler as a composition: the success test,
+`sample_clicks` (branch and click quantiles), then `heralding.tilt_after_dh`,
+with frozen-dataclass records.  `sample_dh` must equal it field for field and
+bit for bit (tests/test_heralding.py pins it).
 
 The Monte Carlo tests draw 1e5 success-conditioned click pairs per setting.
 `click_rows` builds n rows of the three uniforms that `sample_clicks` reads,
 and `sample_clicks_rows` reads each row as `sample_clicks` does, through
 `inverse_cdf` on whole columns.  np.interp evaluates each element on its own,
 and the scalar path of `inverse_cdf` equals it bit for bit, so row k of the
-mirror is `sample_clicks(ctx, u[k])` exactly (tests/test_heralding.py pins it).
+mirror is `sample_clicks(ctx, u[k])` exactly.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from tglab.errors import GraphConfigError, ImpossibleStateError
+from tglab.heralding import big_thetas, joint_terms, tilt_after_dh
+
+
+@dataclass(frozen=True)
+class ClickPair:
+    """Detector click times of the two rounds."""
+
+    t1: float
+    t2: float
+
+    def __post_init__(self):
+        if not (self.t1 > 0 and self.t2 > 0):
+            raise GraphConfigError(f"click times must be positive, got ({self.t1}, {self.t2})")
+
+
+@dataclass(frozen=True)
+class DhOutcome:
+    """Success (tilt, clicks, detector parity) or failure of one application."""
+
+    success: bool
+    theta_beta: float | None = None
+    clicks: ClickPair | None = None
+    parity: int = 1
+
+
+def success_probability(theta_a: float, theta_b: float, detection_efficiency: float = 1.0) -> float:
+    """Upper-bound DH success probability, scaled by efficiency^2 (two clicks)."""
+    return _scaled_success(big_thetas(theta_a, theta_b), detection_efficiency)
+
+
+def _scaled_success(thetas: tuple, detection_efficiency: float) -> float:
+    return (thetas[0] + thetas[1]) * detection_efficiency**2
+
+
+def click_density_first(t1, ctx):
+    """Round-one click density Q1; integrates to the success probability.
+
+    Accepts scalar or array t1.
+    """
+    th1, th2 = ctx.thetas
+    return th1 * ctx.pa.density(t1) + th2 * ctx.pb.density(t1)
+
+
+def click_density_joint(clicks, ctx) -> float:
+    """Joint click density Q12 = X + Y."""
+    x, y = joint_terms(clicks.t1, clicks.t2, ctx)
+    return float(x) + float(y)
+
+
+def click_density_second(t2, t1: float, ctx):
+    """Conditional round-two density Q2(t2 | t1) = Q12 / Q1(t1)."""
+    q1 = float(click_density_first(t1, ctx))
+    if q1 <= 0.0:
+        raise ImpossibleStateError(f"conditioning on Q1({t1}) = 0")
+    x, y = joint_terms(t1, t2, ctx)
+    return (x + y) / q1
+
+
+def sample_clicks(ctx, u) -> ClickPair:
+    """(t1, t2) from Q12 given success, from three uniforms.
+
+    Q12 is the exact mixture Theta_1 P_A(t1) P_B(t2) + Theta_2 P_B(t1) P_A(t2):
+    u[0] < Theta_1/(Theta_1 + Theta_2) picks the Theta_1 branch, and u[1],
+    u[2] are the quantiles of the first and second click under the branch's
+    renormalised profiles.
+    """
+    th1, th2 = ctx.thetas
+    if th1 + th2 <= 0.0:
+        raise ImpossibleStateError("degenerate tilts: success probability is zero")
+    first, second = (ctx.pa, ctx.pb) if u[0] < th1 / (th1 + th2) else (ctx.pb, ctx.pa)
+    return ClickPair(float(first.inverse_cdf(u[1])), float(second.inverse_cdf(u[2])))
+
+
+def sample_dh_reference(ctx, u) -> DhOutcome:
+    """One DH application from five uniforms, composed from its parts: u[0] is the
+    success test, u[1:4] go to sample_clicks and u[4] draws the parity."""
+    if u[0] >= _scaled_success(ctx.thetas, ctx.detection_efficiency):
+        return DhOutcome(False)
+    clicks = sample_clicks(ctx, u[1:4])
+    parity = 1 if u[4] < 0.5 else -1
+    return DhOutcome(True, tilt_after_dh(ctx, clicks), clicks, parity)
+
+
+def as_fields(out) -> tuple:
+    """An outcome of either sampler as plain values, to compare the two exactly."""
+    clicks = None if out.clicks is None else (out.clicks.t1, out.clicks.t2)
+    return out.success, out.theta_beta, clicks, out.parity
 
 
 def click_rows(ctx, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from reference_growth import run_phase1_reference
-from reference_heralding import click_rows, sample_clicks_rows
+from reference_heralding import click_rows, sample_clicks_rows, success_probability
 from tglab.cli import main as cli_main
 from tglab.growth import StrategyConfig, effective_pair_tilts, pair_inventory, run_phase1
-from tglab.heralding import DhContext, big_thetas, success_probability
+from tglab.heralding import DhContext, big_thetas
 from tglab.leakage import CavityParams, CriticallyDamped
 from tglab.metrics import (
     compare_strategies,

@@ -24,9 +24,6 @@ DECLARED_API = {
     "efsq_first_order",
     "resource_ratio",
     "fidelity_value",
-    "click_density_joint",
-    "click_density_second",
-    "success_probability",      # sample_dh reads Theta_1, Theta_2 from its context instead
     "single_system_click_density",
     # the oracle's one-graph entry point; the package builds its states in
     # batches through build_states

@@ -85,6 +85,15 @@ class TestPairInventory:
         pairs, leftover = pair_inventory([0.6] * 6)
         assert len(pairs) == 3 and leftover is None
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_order_is_descending_tilt_then_index(self, seed):
+        # ties (atoms at pi/4, shared tilts, -0.0 against 0.0) keep index order
+        rng = np.random.default_rng(seed)
+        tilts = rng.choice([QUARTER_PI, 0.3, -0.2, 0.0, -0.0, 1.1], size=41).tolist()
+        order = sorted(range(len(tilts)), key=lambda i: (-tilts[i], i))
+        pairs, leftover = pair_inventory(tilts)
+        assert [i for pair in pairs for i in pair] + [leftover] == order
+
 
 class TestPhase1:
     def test_identical_cavities_stay_untilted(self):
@@ -435,6 +444,35 @@ class TestJoin:
         a = run_pipeline(cfg)
         b = run_pipeline(cfg)
         assert a[0] == b[0] and a[2] == b[2]
+
+
+class TestOneSampleDhCallPerAttempt:
+    """The benchmark's traced run counts DH attempts as `growth.sample_dh` calls
+    (perfbench/layers.py::reconcile), so every attempt of either phase makes
+    exactly one call; a batched sampler has to change that count first."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+
+        def counting(ctx, u):
+            made.append(ctx)
+            return sample_dh(ctx, u)
+        monkeypatch.setattr(growth, "sample_dh", counting)
+        return made
+
+    @pytest.mark.parametrize("pairing", ["sorted", "random"])
+    def test_phase1(self, calls, pairing):
+        cfg = StrategyConfig(profiles=pool(40), seed=5, target_ghz_size=8, pairing=pairing,
+                             detection_efficiency=0.7)
+        _, stats = run_phase1(cfg)
+        assert len(calls) == stats.dh_attempts == sum(r.attempts for r in stats.rounds) > 0
+
+    @pytest.mark.parametrize("kind, seed", [("bridge", 21), ("merge", 33)])
+    def test_join(self, calls, kind, seed):
+        _, _, stats = run_join(synthetic_inventory(3, 9),
+                               join_cfg(30, seed, join_nodes=3, join_kind=kind))
+        assert len(calls) == stats.join_dh_attempts >= 2
 
 
 class TestJoinOracle:

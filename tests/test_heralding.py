@@ -2,9 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference_heralding import click_rows, sample_clicks_rows
-from tglab.errors import GraphConfigError, ImpossibleStateError
+from reference_heralding import (
+    as_fields,
+    click_density_first,
+    click_density_joint,
+    click_density_second,
+    click_rows,
+    sample_clicks,
+    sample_clicks_rows,
+    sample_dh_reference,
+    success_probability,
+)
+from tglab.errors import GraphConfigError, ImpossibleStateError, TglabError
 from tglab.heralding import (
     CHERRY,
     GHZ,
@@ -14,15 +26,10 @@ from tglab.heralding import (
     apply_dh_to_graph,
     big_thetas,
     classify_dh_side,
-    click_density_first,
-    click_density_joint,
-    click_density_second,
-    sample_clicks,
     sample_dh,
-    success_probability,
     tilt_after_dh,
 )
-from tglab.leakage import CriticallyDamped, integrate
+from tglab.leakage import CriticallyDamped, Tabulated, integrate, tabulate_profile
 from tglab.oracle import StateVector, build_state, overlap, trajectory_dh_grid
 from tglab.tilted_graph import (
     EdgeAnnotation,
@@ -156,8 +163,8 @@ class TestSampling:
         th1, th2 = ctx.thetas
         assert 0 < np.count_nonzero(u[:, 0] < th1 / (th1 + th2)) < len(u)
         t1, t2 = sample_clicks_rows(ctx, u)
-        assert [sample_clicks(ctx, row) for row in u] == [
-            ClickPair(a, b) for a, b in zip(t1.tolist(), t2.tolist())]
+        assert [(c.t1, c.t2) for c in (sample_clicks(ctx, row) for row in u)] == list(
+            zip(t1.tolist(), t2.tolist()))
 
     def test_sample_dh_success_rate(self):
         ctx = ctx_of(0.5, 1.0)
@@ -184,7 +191,7 @@ class TestSampling:
         for u0 in (0.0, math.nextafter(p, 0.0)):
             assert sample_dh(ctx, [u0, branch_u, 0.3, 0.7, 0.2]).success
         for u0 in (p, math.nextafter(p, 1.0), 0.999):
-            assert sample_dh(ctx, [u0, branch_u, 0.3, 0.7, 0.2]) == DhOutcome.failure()
+            assert sample_dh(ctx, [u0, branch_u, 0.3, 0.7, 0.2]) == DhOutcome(False)
         out = sample_dh(ctx, [0.0, branch_u, 0.3, 0.7, 0.2])
         first, second = (PA, PB) if branch_u < th1 / (th1 + th2) else (PB, PA)
         assert out.clicks == ClickPair(float(first.inverse_cdf(0.3)),
@@ -192,6 +199,71 @@ class TestSampling:
         assert out.theta_beta == tilt_after_dh(ctx, out.clicks)
         assert out.parity == 1
         assert sample_dh(ctx, [0.0, branch_u, 0.3, 0.7, 0.5]).parity == -1
+
+
+# no mass on (1, 2): a quantile at the flat CDF value there reads t = 2, where the
+# density is 0, so with this profile on both sides both likelihoods vanish
+GAP = Tabulated([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 0.0, 1.0])
+NARROW = Tabulated([0.0, 9e-4, 1e-3, 1.1e-3, 10.0], [0.0, 0.0, 1e4, 0.0, 0.0])
+TILTS = st.one_of(st.sampled_from([0.0, QUARTER_PI, math.pi / 2, -math.pi / 2, math.pi, 3.0]),
+                  st.floats(-7.0, 7.0))
+
+
+def outcome_or_error(sampler, ctx, u):
+    try:
+        return as_fields(sampler(ctx, u))
+    except TglabError as exc:
+        return type(exc), str(exc)
+
+
+class TestOneFrameSampler:
+    """sample_dh equals the composed reference (success test, sample_clicks,
+    tilt_after_dh) bit for bit, errors included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(theta_a=TILTS, theta_b=TILTS,
+           efficiency=st.floats(0.0, 1.0, exclude_min=True),
+           pa=st.sampled_from([PA, PB, GAP, NARROW, tabulate_profile(PB, 257)]),
+           pb=st.sampled_from([PA, PB, GAP, NARROW, tabulate_profile(PA, 257)]),
+           u=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=5, max_size=5),
+           success=st.sampled_from(["drawn", "scaled", "below", "at"]), as_array=st.booleans())
+    def test_equals_the_composed_reference(self, theta_a, theta_b, efficiency, pa, pb, u,
+                                           success, as_array):
+        ctx = DhContext(theta_a, theta_b, pa, pb, efficiency)
+        assert (ctx.theta_a, ctx.theta_b) == (canonical_angle(theta_a), canonical_angle(theta_b))
+        assert ctx.thetas == big_thetas(ctx.theta_a, ctx.theta_b)
+        # u[0] as drawn, scaled below p (success unless p = 0), or on either side of p
+        p = success_probability(theta_a, theta_b, efficiency)
+        u[0] = {"drawn": u[0], "scaled": u[0] * p, "below": math.nextafter(p, 0.0), "at": p}[success]
+        if as_array:
+            u = np.array(u)
+        assert outcome_or_error(sample_dh, ctx, u) == outcome_or_error(sample_dh_reference, ctx, u)
+
+    def test_vanishing_likelihoods_still_raise(self):
+        ctx = DhContext(0.6, 0.9, GAP, GAP)
+        table = GAP._inverse_cdf_table
+        flat = float(table.cdf[np.searchsorted(table.grid, 1.5)])
+        assert GAP.inverse_cdf(flat) == 2.0 and GAP.density(2.0) == 0.0
+        u = [0.0, 0.3, flat, flat, 0.2]
+        with pytest.raises(ImpossibleStateError, match="both click likelihoods vanish"):
+            sample_dh(ctx, u)
+        assert outcome_or_error(sample_dh, ctx, u) == outcome_or_error(sample_dh_reference, ctx, u)
+
+    def test_a_zero_quantile_is_a_rejected_click_time(self):
+        ctx = ctx_of(0.6, 0.9)
+        with pytest.raises(GraphConfigError, match="click times must be positive"):
+            sample_dh(ctx, [0.0, 0.3, 0.0, 0.5, 0.2])
+
+    def test_records_are_immutable_and_check_their_times(self):
+        out = sample_dh(ctx_of(0.6, 0.9), [0.0, 0.3, 0.4, 0.5, 0.2])
+        with pytest.raises(AttributeError):
+            out.theta_beta = 0.1
+        with pytest.raises(AttributeError):
+            out.clicks.t1 = 0.1
+        for t1, t2 in [(0.0, 0.1), (0.1, -1.0), (math.nan, 0.1)]:
+            with pytest.raises(GraphConfigError):
+                ClickPair(t1, t2)
+        assert sample_dh(ctx_of(0.6, 0.9), [0.99, 0.3, 0.4, 0.5, 0.2]) == DhOutcome(False)
 
 
 class TestTiltAfterDh:
@@ -263,7 +335,7 @@ class TestClassification:
     def test_same_component_rejected(self):
         g = ghz_graph([0, 1, 2], 0.7)
         with pytest.raises(GraphConfigError):
-            apply_dh_to_graph(g, 0, 1, DhOutcome.failure())
+            apply_dh_to_graph(g, 0, 1, DhOutcome(False))
 
     def test_unsupported_z_flags_rejected(self):
         star = ghz_graph([0, 1, 2], 0.7)        # centre 0, Hadamard leaves 1, 2
@@ -402,12 +474,12 @@ class TestGraphRewrites:
 
     def test_failure_fresh_and_ghz_remove_components(self):
         g = TiltedGraph([Vertex(0), Vertex(1)])
-        assert apply_dh_to_graph(g, 0, 1, DhOutcome.failure()).vertex_count == 0
+        assert apply_dh_to_graph(g, 0, 1, DhOutcome(False)).vertex_count == 0
         ga = ghz_graph([0, 1, 2], 0.5)
         gb = ghz_graph([3, 4, 5], 0.7)
         g = TiltedGraph(list(ga.vertices()) + list(gb.vertices()),
                         list(ga.edges()) + list(gb.edges()))
-        after = apply_dh_to_graph(g, 0, 3, DhOutcome.failure())
+        after = apply_dh_to_graph(g, 0, 3, DhOutcome(False))
         assert after.vertex_count == 0
 
     def test_failure_ghz_collapse_is_separable(self):
@@ -428,7 +500,7 @@ class TestGraphRewrites:
                             list(g.edges()) + list(star.edges()))
             g = g.with_vertex(Vertex(base + 3, QUARTER_PI))
             g = g.with_edge(base + 3, base, EdgeAnnotation.pure())
-        after = apply_dh_to_graph(g, 3, 13, DhOutcome.failure())
+        after = apply_dh_to_graph(g, 3, 13, DhOutcome(False))
         assert set(after.vertex_ids) == {0, 1, 2, 10, 11, 12}
         assert after.component_of(0) == frozenset({0, 1, 2})
 

@@ -229,6 +229,25 @@ class TestOverlapIntegral:
         assert overlap_integral(PEAK, PEAK_WITH_TAIL) == pytest.approx(
             math.sqrt(0.995), rel=0.0, abs=1e-6)
 
+    def test_mixed_pair_finds_a_narrow_peak(self):
+        # equal panels over [0, 20/g] read 0 at 8 and 16 panels and stopped there;
+        # the critically damped side is tabulated at TABULATION_POINTS instead
+        cd = CriticallyDamped(10.0)
+        got = overlap_integral(cd, PEAK)
+        assert got == overlap_integral(PEAK, cd)
+        assert f"{got:.3e}" == "8.349e-04"
+        # dense midpoint reference over the peak with the closed-form density
+        edges = np.linspace(9e-4, 1.1e-3, 1_000_001)
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        dense = float(np.sqrt(cd.density(mid) * PEAK.density(mid)).sum() * (edges[1] - edges[0]))
+        assert dense == pytest.approx(8.3486e-4, rel=1e-5)
+        assert got == pytest.approx(dense, rel=1e-4)
+
+    def test_two_critically_damped_profiles_stay_on_integrate(self, monkeypatch):
+        monkeypatch.setattr(leakage, "tabulate_profile", None)
+        assert overlap_integral(CriticallyDamped(10.0), CriticallyDamped(12.5)) == pytest.approx(
+            closed_form_overlap(10.0, 12.5), abs=1e-9)
+
     @pytest.mark.parametrize("times_a, dens_a, times_b, dens_b, exact", [
         # P_A rises from 0 on [0, 0.5], so sqrt(P_A P_B) there is sqrt(t): plain
         # 16-point Gauss-Legendre on that cell is 1.4e-5 off

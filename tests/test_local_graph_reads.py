@@ -96,7 +96,7 @@ class TestStarTest:
     def test_dh_rewrites_match_component_star_test(self, g, data):
         qa, qb = data.draw(st.lists(st.sampled_from(g.vertex_ids), min_size=2, max_size=2,
                                     unique=True)) if g.vertex_count > 1 else (0, 0)
-        outcome = data.draw(st.sampled_from((DhOutcome.failure(), DhOutcome(True, 0.6))))
+        outcome = data.draw(st.sampled_from((DhOutcome(False), DhOutcome(True, 0.6))))
 
         def run():
             try:

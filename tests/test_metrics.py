@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+from reference_heralding import success_probability
 from tglab import metrics
 from tglab.errors import QuadratureError
-from tglab.heralding import DhContext, big_thetas, success_probability
+from tglab.heralding import DhContext, big_thetas
 from tglab.leakage import BLOCK_CELLS, CriticallyDamped, Tabulated, tabulate_profile
 from tglab.metrics import (
     MAX_F,
