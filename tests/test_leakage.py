@@ -198,7 +198,9 @@ class TestOverlapIntegral:
         p = CriticallyDamped(10.0)
         assert overlap_integral(p, p) == pytest.approx(1.0, abs=1e-9)
 
-    def test_example_pair_closed_form(self):
+    def test_example_pair_closed_form(self, monkeypatch):
+        # two critically damped profiles stay on `integrate`: nothing is tabulated
+        monkeypatch.setattr(leakage, "tabulate_profile", None)
         val = overlap_integral(CriticallyDamped(10.0), CriticallyDamped(12.5))
         assert val == pytest.approx(0.981539, abs=1e-6)
         assert val == pytest.approx(closed_form_overlap(10.0, 12.5), abs=1e-9)
@@ -242,11 +244,6 @@ class TestOverlapIntegral:
         dense = float(np.sqrt(cd.density(mid) * PEAK.density(mid)).sum() * (edges[1] - edges[0]))
         assert dense == pytest.approx(8.3486e-4, rel=1e-5)
         assert got == pytest.approx(dense, rel=1e-4)
-
-    def test_two_critically_damped_profiles_stay_on_integrate(self, monkeypatch):
-        monkeypatch.setattr(leakage, "tabulate_profile", None)
-        assert overlap_integral(CriticallyDamped(10.0), CriticallyDamped(12.5)) == pytest.approx(
-            closed_form_overlap(10.0, 12.5), abs=1e-9)
 
     @pytest.mark.parametrize("times_a, dens_a, times_b, dens_b, exact", [
         # P_A rises from 0 on [0, 0.5], so sqrt(P_A P_B) there is sqrt(t): plain
