@@ -198,10 +198,16 @@ class Tabulated(LeakageProfile):
         return f"Tabulated({self.times.size} points, mass={self._mass:.6g})"
 
 
-def tabulate_profile(profile: LeakageProfile, points: int = 4097) -> Tabulated:
+def tabulate_profile(profile: LeakageProfile, points: int) -> Tabulated:
     """Any profile as a Tabulated one, sampled on `points` uniform nodes of [0, t_max]."""
     t = np.linspace(0.0, profile.t_max, points)
     return Tabulated(t, profile.density(t))
+
+
+def as_tabulated(profile: LeakageProfile) -> Tabulated:
+    """The profile if it is Tabulated, else its tabulation at TABULATION_POINTS: how a
+    pair with a tabulated side, or any pair but two critically damped profiles, is read."""
+    return profile if isinstance(profile, Tabulated) else tabulate_profile(profile, TABULATION_POINTS)
 
 
 def load_profile_csv(path) -> Tabulated:
@@ -324,19 +330,16 @@ def _cell_rule(cells: np.ndarray) -> np.ndarray:
 def overlap_integral(pa: LeakageProfile, pb: LeakageProfile) -> float:
     """Bhattacharyya overlap of two profiles, int sqrt(P_A P_B) dt in [0, 1].
 
-    Integrated over both profiles' support.  Equals
-    8 (g_A g_B)^{3/2} / (g_A + g_B)^3 for two critically damped profiles;
-    1 exactly when the profiles coincide.  A pair with a tabulated side, the other
-    side first tabulated at TABULATION_POINTS if it is not, is linear on each cell
-    between the union knots and takes _cell_rule on each cell, halved until its
-    halves agree with it to RELATIVE_TOLERANCE of their value plus the cell's
-    width's share of the integral; a pair with no tabulated side goes to
-    `integrate`.
+    Two critically damped profiles read the closed form
+    8 (g_A g_B)^{3/2} / (g_A + g_B)^3, written as (2 sqrt(g_A g_B) / (g_A + g_B))^3 so
+    that it is 1 exactly when the couplings coincide.  Any other pair, each side
+    through as_tabulated, is linear on each cell between the union knots and takes
+    _cell_rule on each cell, halved until its halves agree with it to
+    RELATIVE_TOLERANCE of their value plus the cell's width's share of the integral.
     """
-    if not (isinstance(pa, Tabulated) or isinstance(pb, Tabulated)):
-        return integrate(lambda t: np.sqrt(pa.density(t) * pb.density(t)), max(pa.t_max, pb.t_max))
-    pa, pb = (p if isinstance(p, Tabulated) else tabulate_profile(p, TABULATION_POINTS)
-              for p in (pa, pb))
+    if isinstance(pa, CriticallyDamped) and isinstance(pb, CriticallyDamped):
+        return (2.0 * math.sqrt(pa.g * pb.g) / (pa.g + pb.g)) ** 3
+    pa, pb = as_tabulated(pa), as_tabulated(pb)
     knots, total = np.union1d(pa.times, pb.times), 0.0
     lo, hi = knots[:-1], knots[1:]
     # a density is zero past its last knot, so a cell starting there starts at 0

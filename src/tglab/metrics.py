@@ -1,4 +1,4 @@
-"""Gate-quality expectations, series machinery, and the strategy comparison.
+"""Gate-quality expectations, the fidelity distribution, and the strategy comparison.
 
 With X and Y the joint click-density terms (see heralding), one double
 heralding application has gate fidelity excess F = sqrt(X Y) / (X + Y)
@@ -7,26 +7,18 @@ heralding application has gate fidelity excess F = sqrt(X Y) / (X + Y)
     E(F)   = sqrt(Theta_1 Theta_2) (int sqrt(P_A P_B) dt)^2
     E(F^2) = int int Theta_1 Theta_2 U V / (Theta_1 U + Theta_2 V) dt1 dt2
 
-with U = P_A(t1) P_B(t2), V = P_B(t1) P_A(t2).  E(F^2) admits alternating
-series in either of two tilt regions,
-
-    E(F^2) = Theta_pre sum_n (-1)^n K^n I_n,      K = Theta_pre/Theta_other - 1,
-    I_n = int int (U V/(U+V)) (V/(U+V))^n dt1 dt2,
-
-convergent where |K| < 1 (the R_I region tan^2 theta_b < 2 tan^2 theta_a
-carries prefactor Theta_1, R_J the mirror image); I_1 = I_0 / 2 makes the
-first-order form Theta_L (1 - K/2) I_0 integration-free up to I_0.
+with U = P_A(t1) P_B(t2), V = P_B(t1) P_A(t2).  The first-order form of E(F^2),
+Theta_L (1 - K/2) I_0 with Theta_L the larger tilt factor and K = Theta_L/Theta_S - 1,
+is exact on the diagonal and needs the one integral I_0 = int int U V/(U+V).
 
 Divided by V, each integrand is a function of w = V/U alone, under the density
-V (t1 ~ P_B, t2 ~ P_A): Theta_1 Theta_2 / (Theta_1 + Theta_2 w) for E(F^2),
-(1/(1 + w)) (1/(1 + 1/w))^n for I_n and (1/(1 + w))^(n+1) for J_n (U for V in
-I_n's numerator).  Each is one `expect` of any pair's law of S (below), batched
-over every tilt pair of an `expected_f_sq` call or every order of a
-`series_moments` call, at most leakage.BLOCK_CELLS kernel values per block.  For
-critically damped profiles w = e^(-S), S = 2 (g_B - g_A) D with D = t1 - t2, a
-difference of two Gamma(3) click times, and `expect` is one `leakage.integrate`
-call per sign of D: Gauss-Legendre panels, on which these smooth integrands come
-out good to rounding.
+V (t1 ~ P_B, t2 ~ P_A): Theta_1 Theta_2 / (Theta_1 + Theta_2 w) for E(F^2) and
+1/(1 + w) for I_0.  Each is one `expect` of any pair's law of S (below), batched
+over every tilt pair of an `expected_f_sq` call, at most leakage.BLOCK_CELLS
+kernel values per block.  For critically damped profiles w = e^(-S),
+S = 2 (g_B - g_A) D with D = t1 - t2, a difference of two Gamma(3) click times,
+and `expect` is one `leakage.integrate` call per sign of D: Gauss-Legendre
+panels, on which these smooth integrands come out good to rounding.
 
 Distribution-level quantities (the fidelity histogram and the post-selection
 comparison) take the mixture Theta_1 (A x B) + Theta_2 (B x A) of Q12, under
@@ -37,11 +29,11 @@ S-intervals whose mass is a difference of its CDF, and the out-of-window
 successes of every mode are one `expect` over |S| past the window edge.  For a
 critically damped pair S is a multiple of D = t1 - t2, whose CDF is closed
 form, so these are exact up to rounding.  Any other pair takes the binned law
-of two tabulated profiles, a side that is not tabulated first tabulated at
-TABULATION_POINTS: L#P_A and L#P_B in _LAW_BINS uniform L-bins, exact per bin,
-with a first-moment tilt, and convolved by FFT into hat cells (see _TabulatedLaw);
-an atom of L (a segment where P_A / P_B is constant) adds the other measure's
-bins, shifted, to the same cells, and atom pairs stay exact.  It reads the README
+of two tabulated profiles, each side through leakage.as_tabulated: L#P_A and
+L#P_B in _LAW_BINS uniform L-bins, exact per bin, with a first-moment tilt, and
+convolved by FFT into hat cells (see _TabulatedLaw); an atom of L (a segment
+where P_A / P_B is constant) adds the other measure's bins, shifted, to the same
+cells, and atom pairs stay exact.  It reads the README
 pair's 2049-point tabulation to about 1e-8 relative (E(F^2) to about 1e-9), and a
 mixed pair (P_A against that tabulation's P_B) to about 1e-7.
 """
@@ -54,10 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError
-from .heralding import DhContext, big_thetas, joint_terms
-from .leakage import (BLOCK_CELLS, RELATIVE_TOLERANCE, TABULATION_POINTS, CriticallyDamped,
-                      LeakageProfile, Tabulated, critically_damped_difference_density,
-                      integrate, overlap_integral, tabulate_profile)
+from .heralding import big_thetas
+from .leakage import (BLOCK_CELLS, RELATIVE_TOLERANCE, CriticallyDamped, LeakageProfile,
+                      Tabulated, as_tabulated, critically_damped_difference_density,
+                      integrate, overlap_integral)
 from .tilted_graph import QUARTER_PI
 
 MAX_F = 0.5
@@ -72,14 +64,7 @@ _GL2_NODES = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)]) 
 @dataclass(frozen=True)
 class ExpectationResult:
     value: float
-    method: str
     estimated_error: float
-
-
-@dataclass(frozen=True)
-class SeriesTerms:
-    i_values: tuple
-    region: str              # "R_I" (prefactor Theta_1) or "R_J" (Theta_2)
 
 
 @dataclass(frozen=True)
@@ -117,7 +102,7 @@ def expected_f(theta_a: float, theta_b: float, pa: LeakageProfile,
     """Closed form for E(F): the tilt factor times the profile overlap squared."""
     th1, th2 = map(float, _thetas(theta_a, theta_b))
     value = math.sqrt(th1 * th2) * overlap_integral(pa, pb) ** 2
-    return ExpectationResult(value, "closed-form", 2.0 * RELATIVE_TOLERANCE * value)
+    return ExpectationResult(value, 2.0 * RELATIVE_TOLERANCE * value)
 
 
 @dataclass(frozen=True)
@@ -398,8 +383,8 @@ class _TabulatedLaw:
         """E[kernel(w)] over lo <= |S| <= hi with w = e^S, as _DifferenceLaw.expect.  At
         S = x0 + (i + u) h, u in [0, 1], the cells' density is (hats[i] (1 - u) +
         hats[i + 1] u) / h + 6 (tilts[i] - tilts[i + 1]) u (1 - u) / h^2: 2-point
-        Gauss-Legendre on each cell cut at the limits, at most _PIECE_BLOCK cells and
-        BLOCK_CELLS kernel values at a time; then the atom pairs as atoms."""
+        Gauss-Legendre on each cell cut at the limits, at most _PIECE_BLOCK cells at a
+        time; then the atom pairs as atoms.  At most BLOCK_CELLS kernel values at once."""
         h, hats, tilts, cells = self.h, self.hats, self.tilts, self.hats.size - 1
         x0 = -0.5 * cells * h
         total = 0.0 * kernel(np.ones(1))[..., 0]           # a zero of the batch shape
@@ -420,18 +405,20 @@ class _TabulatedLaw:
                             + (6.0 / h) * (tilts[i] - tilts[j]) * u * (1.0 - u))
                     dens *= np.maximum(b - a, 0.0) / (2.0 * h)
                     total = total + (dens.ravel() * kernel(np.exp(s.ravel()))).sum(-1)
-            mass = np.diff(self.pair_below)[keep]
-            return total + (mass * kernel(np.exp(self.pair_pos[keep]))).sum(-1)
+            pos, mass = self.pair_pos[keep], np.diff(self.pair_below)[keep]
+            block = max(1, BLOCK_CELLS // total.size)
+            for start in range(0, pos.size, block):
+                cut = slice(start, start + block)
+                total = total + (mass[cut] * kernel(np.exp(pos[cut]))).sum(-1)
+            return total
 
 
 def _law(pa, pb) -> _DifferenceLaw | _TabulatedLaw:
     """The law of S of a pair, which every quantity reads: closed form for two
-    critically damped profiles, else binned, each side that is not tabulated first
-    tabulated at TABULATION_POINTS."""
+    critically damped profiles, else binned, each side through as_tabulated."""
     if isinstance(pa, CriticallyDamped) and isinstance(pb, CriticallyDamped):
         return _DifferenceLaw(pa, pb)
-    return _TabulatedLaw(*(p if isinstance(p, Tabulated) else
-                           tabulate_profile(p, TABULATION_POINTS) for p in (pa, pb)))
+    return _TabulatedLaw(as_tabulated(pa), as_tabulated(pb))
 
 
 def _thetas(theta_a, theta_b):
@@ -456,66 +443,25 @@ def expected_f_sq(theta_a, theta_b, pa: LeakageProfile,
         a, b = th1[live][:, None], th2[live][:, None]
         value[live] = _law(pa, pb).expect(lambda w: a * b / (a + b * w))
     value = float(value) if value.ndim == 0 else value
-    return ExpectationResult(value, "quadrature", 2.0 * RELATIVE_TOLERANCE * value)
-
-
-def series_moments(pa: LeakageProfile, pb: LeakageProfile, max_order: int,
-                   numerator: str = "V") -> np.ndarray:
-    """I_n (numerator "V") or J_n (numerator "U") moments up to max_order, all
-    orders in one batched integral."""
-    if numerator not in ("U", "V"):
-        raise QuadratureError(f"series numerator must be 'V' or 'U', got {numerator!r}")
-    if max_order < 0:
-        raise QuadratureError(f"series order must be at least 0, got {max_order}")
-    orders = np.arange(max_order + 1)[:, None]
-
-    def kernel(w):              # U/(U + V) times (V or U)/(U + V) to the n
-        up = 1.0 / (1.0 + w)
-        return up * (1.0 / (1.0 + 1.0 / w) if numerator == "V" else up) ** orders
-    return _law(pa, pb).expect(kernel)
-
-
-def _series_region(theta_a: float, theta_b: float) -> tuple[str, float, float]:
-    th1, th2 = map(float, _thetas(theta_a, theta_b))
-    if th1 == 0.0 or th2 == 0.0:
-        raise QuadratureError("degenerate tilts lie outside both series regions")
-    k_i = th1 / th2 - 1.0
-    k_j = th2 / th1 - 1.0
-    candidates = [("R_I", th1, k_i), ("R_J", th2, k_j)]
-    valid = [c for c in candidates if abs(c[2]) < 1.0]
-    if not valid:
-        raise QuadratureError(
-            f"tilts ({theta_a:.4g}, {theta_b:.4g}) lie outside both series regions (|K| >= 1)")
-    return min(valid, key=lambda c: abs(c[2]))
-
-
-def efsq_series(theta_a: float, theta_b: float, pa: LeakageProfile, pb: LeakageProfile,
-                order: int) -> tuple[ExpectationResult, SeriesTerms]:
-    """Alternating-series evaluation of E(F^2) in the better-converging region."""
-    region, prefactor, k = _series_region(theta_a, theta_b)
-    moments = series_moments(pa, pb, order)
-    powers = (-k) ** np.arange(order + 1)
-    value = float(prefactor * np.dot(powers, moments))
-    tail = prefactor * abs(k) ** (order + 1) * moments[-1] / max(1.0 - abs(k), 1e-12)
-    return (ExpectationResult(value, f"series{order}", tail),
-            SeriesTerms(tuple(moments), region))
+    return ExpectationResult(value, 2.0 * RELATIVE_TOLERANCE * value)
 
 
 def efsq_first_order(theta_a: float, theta_b: float, pa: LeakageProfile,
                      pb: LeakageProfile) -> ExpectationResult:
     """First-order form Theta_L (1 - K/2) I_0, exact on the diagonal.
 
-    Up to the constant I_0 this is independent of the leakage profiles
-    (I_1 = I_0/2 needs no extra integration).
+    Up to the constant I_0 = E_V[1/(1 + w)] this is independent of the leakage
+    profiles: the paper's alternating series has I_1 = I_0/2, so its first-order
+    term needs no integral beyond I_0.
     """
     th1, th2 = map(float, _thetas(theta_a, theta_b))
     th_l, th_s = max(th1, th2), min(th1, th2)
     if th_s == 0.0:
-        return ExpectationResult(0.0, "series1", 0.0)
-    i0 = float(series_moments(pa, pb, 0)[0])
+        return ExpectationResult(0.0, 0.0)
+    i0 = float(_law(pa, pb).expect(lambda w: 1.0 / (1.0 + w)))
     k = th_l / th_s - 1.0
     value = th_l * (1.0 - 0.5 * k) * i0
-    return ExpectationResult(value, "series1", abs(th_l * 0.5 * k**2 * i0))
+    return ExpectationResult(value, abs(th_l * 0.5 * k**2 * i0))
 
 
 # ---------------------------------------------------------------------------
@@ -619,20 +565,3 @@ def compare_strategies(pa: LeakageProfile, pb: LeakageProfile,
     p_post, p_outs = _law_window_sums(_law(pa, pb), MAX_F - epsilon)
     return [ComparisonReport(p_post, p_post + float(p), p_post + (p_post + float(p)),
                              float(p), epsilon, mode) for mode, p in zip(MODES, p_outs)]
-
-
-def resource_ratio(p_gate: float, n: float) -> float:
-    """Overhead factor p^(-log n) (natural logarithm), for relative reporting."""
-    if not (0.0 < p_gate <= 1.0):
-        raise QuadratureError(f"gate probability must lie in (0, 1], got {p_gate}")
-    if not n > 1.0:
-        raise QuadratureError(f"computation size must exceed 1, got {n}")
-    return p_gate ** (-math.log(n))
-
-
-def fidelity_value(theta_a: float, theta_b: float, pa: LeakageProfile, pb: LeakageProfile,
-                   t1, t2):
-    """F = sqrt(XY)/(X+Y) at given click times (vectorised), 0 where both terms vanish."""
-    x, y = joint_terms(t1, t2, DhContext(theta_a, theta_b, pa, pb))
-    out = np.sqrt(x * y) / np.where(x + y > 0.0, x + y, 1.0)
-    return float(out) if np.ndim(out) == 0 else out

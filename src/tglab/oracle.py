@@ -13,8 +13,8 @@ Two independent oracles:
   with beam-splitter jump operators
       J_pm = sqrt(kappa_A/2) a pm sqrt(kappa_B/2) b,
   which replays a full double-heralding application (click, decay, X flips,
-  re-excitation, click) and reports the resulting matter-qubit tilt and the
-  joint click density.
+  re-excitation, click) over a grid of click times and reports the resulting
+  matter-qubit tilt and the joint click density (trajectory_dh_grid).
 
 Both are deliberately naive: fixed-step RK4, dense amplitudes, a 14-qubit
 cap.  They exist to arbitrate every analytic formula in the package.  The
@@ -290,28 +290,6 @@ def _evolve(psi: np.ndarray, k_matrix: np.ndarray, duration: float, h: float) ->
     if rem > 1e-15:
         prop = _rk4_propagator(k_matrix, rem) @ prop
     return psi @ prop.T
-
-
-def evolve_single(p: CavityParams, times) -> np.ndarray:
-    """Amplitudes (len(times), 4) of one system started in |e>|vac>."""
-    times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) < 0):
-        raise TrajectoryError("times must be non-decreasing")
-    k = -1j * _single_hamiltonian(p)
-    h = rk4_step_size(p)
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = 1.0
-    out, cur = [], 0.0
-    for t in times:
-        psi = _evolve(psi, k, t - cur, h)
-        cur = t
-        out.append(psi.copy())
-    return np.array(out)
-
-
-def single_system_click_density(p: CavityParams, times) -> np.ndarray:
-    """kappa |c2(t)|^2 along the conditional evolution: the leakage density."""
-    return p.kappa * np.abs(evolve_single(p, times)[:, 1]) ** 2
 
 
 def _flip_and_pump(psi: np.ndarray) -> np.ndarray:

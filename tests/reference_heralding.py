@@ -1,5 +1,6 @@
-"""Test-side references for `tglab.heralding`: the click densities and the
-composed DH sampler that `sample_dh` runs in one frame.
+"""Test-side references for `tglab.heralding`: the click densities, the gate
+fidelity excess at given click times, and the composed DH sampler that
+`sample_dh` runs in one frame.
 
 `sample_dh_reference` is the sampler as a composition: the success test,
 `sample_clicks` (branch and click quantiles), then `heralding.tilt_after_dh`,
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tglab.errors import GraphConfigError, ImpossibleStateError
-from tglab.heralding import big_thetas, joint_terms, tilt_after_dh
+from tglab.heralding import DhContext, big_thetas, joint_terms, tilt_after_dh
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,13 @@ def click_density_second(t2, t1: float, ctx):
         raise ImpossibleStateError(f"conditioning on Q1({t1}) = 0")
     x, y = joint_terms(t1, t2, ctx)
     return (x + y) / q1
+
+
+def fidelity_value(theta_a: float, theta_b: float, pa, pb, t1, t2):
+    """F = sqrt(XY)/(X+Y) at given click times (vectorised), 0 where both terms vanish."""
+    x, y = joint_terms(t1, t2, DhContext(theta_a, theta_b, pa, pb))
+    out = np.sqrt(x * y) / np.where(x + y > 0.0, x + y, 1.0)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def sample_clicks(ctx, u) -> ClickPair:

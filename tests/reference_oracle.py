@@ -7,6 +7,10 @@ renormalisation, then H, X and Z(phase) per vertex through moveaxis and
 tensordot.  `evolve_reference` takes the fixed RK4 steps one by one.
 `tglab.oracle` folds both into array operations; these pin that it still
 computes the same thing.
+
+`evolve_single` and `single_system_click_density` run the oracle's RK4 on one
+atom-cavity system alone, whose click density is the critically damped
+closed form for kappa = 4 g: a check of the integrator's Hamiltonian and step.
 """
 
 import math
@@ -14,7 +18,7 @@ import math
 import numpy as np
 
 from tglab.errors import GraphConfigError, ImpossibleStateError, TrajectoryError
-from tglab.oracle import H_GATE, StateVector
+from tglab.oracle import H_GATE, StateVector, _evolve, _single_hamiltonian, rk4_step_size
 from tglab.tilted_graph import EdgeKind
 
 X_GATE = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -101,3 +105,25 @@ def evolve_reference(psi, k_matrix, duration, h):
         k4 = (psi + dt * k3) @ kt
         psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return psi
+
+
+def evolve_single(p, times) -> np.ndarray:
+    """Amplitudes (len(times), 4) of one system (CavityParams p) started in |e>|vac>."""
+    times = np.asarray(times, dtype=float)
+    if np.any(np.diff(times) < 0):
+        raise TrajectoryError("times must be non-decreasing")
+    k = -1j * _single_hamiltonian(p)
+    h = rk4_step_size(p)
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = 1.0
+    out, cur = [], 0.0
+    for t in times:
+        psi = _evolve(psi, k, t - cur, h)
+        cur = t
+        out.append(psi.copy())
+    return np.array(out)
+
+
+def single_system_click_density(p, times) -> np.ndarray:
+    """kappa |c2(t)|^2 along the conditional evolution: the leakage density."""
+    return p.kappa * np.abs(evolve_single(p, times)[:, 1]) ** 2

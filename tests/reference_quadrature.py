@@ -31,7 +31,9 @@ below is the path that law replaced: the product measure in profile-CDF
 coordinates, where every cell carries equal mass, F from per-axis density
 ratios in row blocks (grid_sum, with grid_window_sums for `compare`).  The
 dense path builds the full nodes x nodes X, Y and F arrays from outer products
-of the densities instead.
+of the densities instead.  binned_law_terms reads a built binned law whole, with
+no blocks: every cell's two Gauss-Legendre points and every atom pair as one
+list of weights and values of w = e^S, one kernel call each.
 """
 
 import math
@@ -315,3 +317,17 @@ def segment_overlap(pa, pb) -> float:
     half = 0.5 * np.diff(t)[:, None]
     nodes = t[:-1, None] + half * (_GL_X + 1.0)
     return float((half * _GL_W * np.sqrt(pa.density(nodes) * pb.density(nodes))).sum())
+
+
+def binned_law_terms(law):
+    """(weights, w) of metrics._TabulatedLaw `law` over all of S, unblocked: the two
+    Gauss-Legendre points of every hat cell (whose edges include S = 0), then every
+    atom pair, so that E[kernel(w)] = (weights * kernel(w)).sum(-1)."""
+    h, hats, tilts = law.h, law.hats, law.tilts
+    cells = hats.size - 1
+    u = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])[:, None]
+    s = -0.5 * cells * h + h * (np.arange(cells) + u)
+    dens = 0.5 * (hats[:-1] + (hats[1:] - hats[:-1]) * u
+                  + (6.0 / h) * (tilts[:-1] - tilts[1:]) * u * (1.0 - u))
+    return (np.concatenate([dens.ravel(), np.diff(law.pair_below)]),
+            np.exp(np.concatenate([s.ravel(), law.pair_pos])))

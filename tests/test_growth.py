@@ -23,7 +23,6 @@ from tglab.growth import (
 )
 from tglab.heralding import DhContext, apply_dh_to_graph, classify_dh_side, sample_dh
 from tglab.leakage import CriticallyDamped
-from tglab.metrics import efsq_series
 from tglab.oracle import build_state
 from tglab.procedures import p_success, r_function
 from tglab.tilted_graph import EdgeKind, canonicalize

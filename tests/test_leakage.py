@@ -22,7 +22,8 @@ from tglab.leakage import (
 
 
 def closed_form_overlap(ga, gb):
-    return 8.0 * (ga * gb) ** 1.5 / (ga + gb) ** 3
+    # 8 (g_A g_B)^{3/2} / (g_A + g_B)^3, grouped so that equal couplings give 1 exactly
+    return (2.0 * math.sqrt(ga * gb) / (ga + gb)) ** 3
 
 
 # A peak of mass 1 (and one of mass 0.995 with a 1e-3 tail) narrower than the
@@ -198,12 +199,27 @@ class TestOverlapIntegral:
         p = CriticallyDamped(10.0)
         assert overlap_integral(p, p) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("g", [1e-100, 0.1, 0.3, 1.7, 10.0, 12.5, 1e100])
+    def test_identical_critically_damped_profiles_read_one_exactly(self, g):
+        # (g g)^{3/2} and (g + g)^3 round apart for g = 0.3; sqrt(g g) is g exactly
+        assert overlap_integral(CriticallyDamped(g), CriticallyDamped(g)) == 1.0
+
     def test_example_pair_closed_form(self, monkeypatch):
-        # two critically damped profiles stay on `integrate`: nothing is tabulated
+        # two critically damped profiles read the closed form: nothing is tabulated
         monkeypatch.setattr(leakage, "tabulate_profile", None)
         val = overlap_integral(CriticallyDamped(10.0), CriticallyDamped(12.5))
         assert val == pytest.approx(0.981539, abs=1e-6)
-        assert val == pytest.approx(closed_form_overlap(10.0, 12.5), abs=1e-9)
+        assert val == closed_form_overlap(10.0, 12.5)
+        assert val == pytest.approx(8.0 * (10.0 * 12.5) ** 1.5 / 22.5**3, rel=1e-15)
+
+    @pytest.mark.parametrize("ga, gb", [(10.0, 12.5), (1.0, 200.0), (3.0, 3.1), (10.0, 40.0),
+                                        (5.0, 5.0001), (10.0, 10.0)])
+    def test_closed_form_agrees_with_the_quadrature_it_replaced(self, ga, gb):
+        # `integrate` of sqrt(P_A P_B) over both supports, the path two critically
+        # damped profiles took before the closed form
+        pa, pb = CriticallyDamped(ga), CriticallyDamped(gb)
+        quad = integrate(lambda t: np.sqrt(pa.density(t) * pb.density(t)), max(pa.t_max, pb.t_max))
+        assert overlap_integral(pa, pb) == pytest.approx(quad, rel=1e-14, abs=0.0)
 
     def test_symmetry_and_bound(self):
         pa, pb = CriticallyDamped(10.0), CriticallyDamped(25.0)

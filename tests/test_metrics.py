@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from reference_heralding import success_probability
+from reference_heralding import fidelity_value, success_probability
+from reference_series import efsq_series, resource_ratio, series_moments
 from tglab import metrics
 from tglab.errors import QuadratureError
 from tglab.heralding import DhContext, big_thetas
@@ -16,14 +17,10 @@ from tglab.metrics import (
     MODES,
     compare_strategies,
     efsq_first_order,
-    efsq_series,
     expected_f,
     expected_f_sq,
     fidelity_histogram,
-    fidelity_value,
     first_attempt_success,
-    resource_ratio,
-    series_moments,
 )
 
 QUARTER_PI = math.pi / 4
@@ -641,6 +638,37 @@ def test_twin_surface_peak_allocation_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def atom_only_pair(knots):
+    """Two tabulated profiles that are 0 at every even knot, so every segment is an
+    atom of L: (knots - 1) / 2 atoms, whose pairs all stay atoms."""
+    t = np.linspace(0.0, 1.0, knots)
+    odd = np.arange(knots) % 2 == 1
+    da, db = (np.where(odd, 1.0 + 0.5 * f(c * t), 0.0) for f, c in ((np.sin, 7.0), (np.cos, 5.0)))
+    return Tabulated(t, da / np.trapezoid(da, t)), Tabulated(t, db / np.trapezoid(db, t))
+
+
+def test_atom_pairs_surface_stays_in_blocks():
+    # 256 atoms make 65,536 atom pairs; taken against the 441 tilt pairs at once
+    # they peaked at 445 MiB.  The pairs go in slices of BLOCK_CELLS kernel values,
+    # and the surface agrees with one unblocked sum per tilt pair
+    from reference_quadrature import binned_law_terms
+    pa, pb = atom_only_pair(513)
+    theta = np.arcsin(np.sqrt(np.linspace(0.02, 0.98, 21)))
+    tracemalloc.start()
+    try:
+        got = expected_f_sq(theta[:, None], theta[None, :], pa, pb).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    law = metrics._law(pa, pb)
+    assert law.pos.size == 256
+    weights, w = binned_law_terms(law)
+    want = np.array([[(weights * (a * b / (a + b * w))).sum()
+                      for a, b in (big_thetas(ta, tb) for tb in theta)] for ta in theta])
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_mixed_pair_peak_allocation_stays_small():

@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from reference_oracle import evolve_single, single_system_click_density
 from tglab.errors import GraphConfigError, TrajectoryError, VerificationError
 from tglab.leakage import CavityParams, CriticallyDamped
 from tglab.oracle import (
     build_state,
-    evolve_single,
     jump_operators,
     overlap,
     project,
     rk4_step_size,
-    single_system_click_density,
     trajectory_dh_grid,
 )
 from tglab.tilted_graph import EdgeAnnotation, TiltedGraph, Vertex, canonicalize, ghz_graph
