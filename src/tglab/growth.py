@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import GraphConfigError, TglabError
-from .heralding import DhContext, apply_dh_to_graph, sample_dh
+from .heralding import apply_dh_to_graph, sample_dh
 from .procedures import bridge, choose_method, merge, p_success, r_function, realign
 from .seeding import JOIN, JOIN_REALIGN, PAIRING, PHASE1, REALIGN, derive_rng
 from .tilted_graph import QUARTER_PI, TiltedGraph, canonical_angle, ghz_graph, swap_tilt
@@ -223,9 +223,8 @@ def run_phase1(cfg: StrategyConfig, stats: RunStats | None = None) -> tuple[list
         draws = derive_rng(cfg.seed, PHASE1, round_idx).random((len(pairs), 5)).tolist()
         for (ia, ib), row in zip(pairs, draws):
             ta, tb = effective_pair_tilts(tilts[ia], tilts[ib], flip_rule)
-            ctx = DhContext(ta, tb, profiles[members[ia][round_idx % sizes[ia]]],
-                            profiles[members[ib][round_idx % sizes[ib]]], efficiency)
-            out = sample_dh(ctx, row)
+            out = sample_dh(ta, tb, profiles[members[ia][round_idx % sizes[ia]]],
+                            profiles[members[ib][round_idx % sizes[ib]]], row, efficiency)
             if out.success:
                 successes += 1
                 sizes[ia] += sizes[ib]
@@ -352,10 +351,8 @@ def _join_once(g: TiltedGraph, anchor: int, other: int, cfg: StrategyConfig,
                 f"join {join_idx}: no sacrificial qubits left after {attempt} attempts")
         # removing the Hadamard label turns the leaves into cherry-config qubits
         g = g.edited(vertices=[replace(g.vertex(q), hadamard=False) for q in (qa, qb)])
-        ctx = DhContext(g.vertex(qa).tilt, g.vertex(qb).tilt,
-                        cfg.profiles[cavity_of[qa]], cfg.profiles[cavity_of[qb]],
-                        cfg.detection_efficiency)
-        out = sample_dh(ctx, rng.random(5))
+        out = sample_dh(g.vertex(qa).tilt, g.vertex(qb).tilt, cfg.profiles[cavity_of[qa]],
+                        cfg.profiles[cavity_of[qb]], rng.random(5), cfg.detection_efficiency)
         stats.join_dh_attempts += 1
         nb_a, nb_b = g.neighbors(qa)[0], g.neighbors(qb)[0]
         g = apply_dh_to_graph(g, qa, qb, out)

@@ -11,12 +11,13 @@ densities P_A, P_B:
     joint density         Q12(t1, t2) = X + Y
     resulting tilt        cos(theta_beta) = sqrt(Y / (X + Y))
 
-`sample_dh` draws one whole application from five uniforms in one frame: the
+`sample_dh` is the one place that states this rule.  It draws one whole
+application from the tilts, the profiles and five uniforms in one frame: the
 success test, the branch of the two-term mixture Q12, the two click
-quantiles, X and Y at the clicks, the tilt and the detector parity.  Its
-records, `ClickPair` and `DhOutcome`, are immutable tuples.  `joint_terms`
-and `tilt_after_dh` give the same X, Y and tilt at given click times to the
-analysis and verification code.
+quantiles, X and Y at the clicks, the tilt and the detector parity.  Phase 1
+and the join phase call it once per attempt, and `tglab verify` checks its
+tilts against the trajectory oracle on a grid of click quantiles.  Its
+records, `ClickPair` and `DhOutcome`, are immutable tuples.
 
 The graph rewrites cover the two supported configurations of each side: a
 member of a GHZ star (a fresh qubit is a one-qubit star) and a
@@ -52,33 +53,6 @@ from .tilted_graph import (
 # Click statistics
 # ---------------------------------------------------------------------------
 
-class DhContext:
-    """Tilts, profiles and detection efficiency of one DH application.
-
-    `thetas` holds (Theta_1, Theta_2) of the tilts, computed once here for
-    every statistic of the application.  Phase 1 builds one per DH attempt, so
-    this is a slotted class with a plain constructor; treat it as read-only.
-    A tilt already in (-pi/2, pi/2], where canonical_angle is the identity, is
-    kept as given.
-    """
-
-    __slots__ = ("theta_a", "theta_b", "pa", "pb", "detection_efficiency", "thetas")
-
-    def __init__(self, theta_a: float, theta_b: float, pa: LeakageProfile, pb: LeakageProfile,
-                 detection_efficiency: float = 1.0):
-        if not -HALF_PI < theta_a <= HALF_PI:
-            theta_a = canonical_angle(theta_a)
-        if not -HALF_PI < theta_b <= HALF_PI:
-            theta_b = canonical_angle(theta_b)
-        if not (0.0 < detection_efficiency <= 1.0):
-            raise GraphConfigError(
-                f"detection efficiency must lie in (0, 1], got {detection_efficiency}")
-        self.theta_a, self.theta_b = theta_a, theta_b
-        self.pa, self.pb, self.detection_efficiency = pa, pb, detection_efficiency
-        self.thetas = ((math.cos(theta_a) * math.sin(theta_b)) ** 2,
-                       (math.sin(theta_a) * math.cos(theta_b)) ** 2)
-
-
 class ClickPair(NamedTuple("ClickPair", [("t1", float), ("t2", float)])):
     """Detector click times of the two rounds (an immutable record)."""
 
@@ -91,27 +65,10 @@ class ClickPair(NamedTuple("ClickPair", [("t1", float), ("t2", float)])):
 
 
 def big_thetas(theta_a: float, theta_b: float) -> tuple[float, float]:
-    """(Theta_1, Theta_2) of two tilts, as DhContext computes them."""
+    """(Theta_1, Theta_2) of two tilts."""
     t1 = (math.cos(theta_a) * math.sin(theta_b)) ** 2
     t2 = (math.sin(theta_a) * math.cos(theta_b)) ** 2
     return t1, t2
-
-
-def joint_terms(t1, t2, ctx: DhContext):
-    """(X, Y) of the joint click density; t1, t2 may be arrays (broadcast)."""
-    th1, th2 = ctx.thetas
-    x = th1 * ctx.pa.density(t1) * ctx.pb.density(t2)
-    y = th2 * ctx.pb.density(t1) * ctx.pa.density(t2)
-    return x, y
-
-
-def tilt_after_dh(ctx: DhContext, clicks: ClickPair) -> float:
-    """The resulting tilt: cos(theta_beta) = sqrt(Y/(X+Y)), in [0, pi/2]."""
-    x, y = joint_terms(clicks.t1, clicks.t2, ctx)
-    if x <= 0.0 and y <= 0.0:
-        raise ImpossibleStateError(
-            f"both click likelihoods vanish at ({clicks.t1}, {clicks.t2}); tilt undefined")
-    return math.atan2(math.sqrt(x), math.sqrt(y))
 
 
 class DhOutcome(NamedTuple):
@@ -127,29 +84,35 @@ _FAILURE = DhOutcome(False)    # every failed attempt returns this one instance
 _record = tuple.__new__        # builds a record from its field tuple, skipping its __new__
 
 
-def sample_dh(ctx: DhContext, u) -> DhOutcome:
+def sample_dh(theta_a: float, theta_b: float, pa: LeakageProfile, pb: LeakageProfile, u,
+              detection_efficiency: float = 1.0) -> DhOutcome:
     """Sample one full DH application (success flag, clicks, tilt, parity).
 
-    The outcome is a pure function of ctx and five uniforms in [0, 1):
-    u[0] is the success test (success when u[0] < p), u[1] picks the branch
-    of Q12 = Theta_1 P_A(t1) P_B(t2) + Theta_2 P_B(t1) P_A(t2) (the Theta_1
-    branch when u[1] < Theta_1/(Theta_1 + Theta_2)), u[2] and u[3] are the
-    quantiles of the first and second click under the branch's renormalised
-    profiles, and u[4] draws the detector parity.  The tilt is tilt_after_dh
-    of the clicks.  Phase 1 passes each pair its own row of the round's
-    uniform block; the join phase passes rng.random(5).
-
-    Phase 1 calls this once per DH attempt, so the whole attempt runs in this
-    one frame, with the same float expressions in the same order as
-    tilt_after_dh and joint_terms.
+    The outcome is a pure function of the tilts, the profiles P_A = pa and
+    P_B = pb, the detection efficiency and five uniforms in [0, 1): u[0] is
+    the success test (success when u[0] < p), u[1] picks the branch of
+    Q12 = X + Y (the Theta_1 branch when u[1] < Theta_1/(Theta_1 + Theta_2)),
+    u[2] and u[3] are the quantiles of the first and second click under the
+    branch's renormalised profiles, and u[4] draws the detector parity.  The
+    tilt is atan2(sqrt(X), sqrt(Y)) at the clicks.  A tilt outside
+    (-pi/2, pi/2] is canonicalized first (inside it canonical_angle is the
+    identity); an efficiency outside (0, 1] is a GraphConfigError.  Phase 1
+    calls this once per DH attempt with its row of the round's uniform block,
+    the join phase with rng.random(5), and verify on a grid of click quantiles.
     """
-    th1, th2 = ctx.thetas
+    if not -HALF_PI < theta_a <= HALF_PI:
+        theta_a = canonical_angle(theta_a)
+    if not -HALF_PI < theta_b <= HALF_PI:
+        theta_b = canonical_angle(theta_b)
+    if not 0.0 < detection_efficiency <= 1.0:
+        raise GraphConfigError(
+            f"detection efficiency must lie in (0, 1], got {detection_efficiency}")
+    th1, th2 = big_thetas(theta_a, theta_b)
     total = th1 + th2
-    if u[0] >= total * ctx.detection_efficiency**2:
+    if u[0] >= total * detection_efficiency**2:
         return _FAILURE
     if total <= 0.0:
         raise ImpossibleStateError("degenerate tilts: success probability is zero")
-    pa, pb = ctx.pa, ctx.pb
     first, second = (pa, pb) if u[1] < th1 / total else (pb, pa)
     t1, t2 = float(first.inverse_cdf(u[2])), float(second.inverse_cdf(u[3]))
     # the records are built as tuples; ClickPair's own check runs only to raise

@@ -396,6 +396,8 @@ class _TabulatedLaw:
                 last = min(cells, math.ceil((min(cut_hi, -x0) - x0) / h))
                 for start in range(first, last, block):
                     stop = min(start + block, last)
+                    if not (hats[start:stop + 1].any() or tilts[start:stop + 1].any()):
+                        continue                            # empty cells add exactly 0
                     i, j = slice(start, stop), slice(start + 1, stop + 1)   # each cell's nodes
                     left = x0 + h * np.arange(start, stop)
                     a, b = np.maximum(left, cut_lo), np.minimum(left + h, cut_hi)

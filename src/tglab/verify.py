@@ -2,12 +2,14 @@
 
 Randomised realign/merge/bridge instances are checked against the dense
 state-vector oracle (Born probability and post-state for both outcomes),
-the double-heralding trajectory integrator is checked against the closed
-forms, and canonicalization is checked to preserve states.  Everything is
-deterministic in the seed: case k draws from its own stream, so the oracle
-checks can run in blocks of CASE_BLOCK cases, each block's states built by
-one oracle.build_states call.  The suite reports the largest discrepancy of
-each check and fails with VerificationError on a non-finite one.
+the double-heralding trajectory integrator against the tilts of
+`heralding.sample_dh`, the sampler that `grow` runs, and against the
+closed-form joint density, and canonicalization is checked to preserve
+states.  Everything is deterministic in the seed: case k draws from its own
+stream, so the oracle checks can run in blocks of CASE_BLOCK cases, each
+block's states built by one oracle.build_states call.  The suite reports the
+largest discrepancy of each check and fails with VerificationError on a
+non-finite one.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from .errors import VerificationError
-from .heralding import ClickPair, DhContext, tilt_after_dh
+from .heralding import sample_dh
 from .leakage import CavityParams, CriticallyDamped
 from .oracle import build_states, overlap, project, trajectory_dh_grid
 from .procedures import bridge, merge, realign
@@ -120,19 +122,21 @@ def procedures_vs_oracle(seed: int, cases: int) -> float:
 
 
 def trajectory_vs_closed_form() -> tuple[float, float]:
-    """Max tilt and joint-density deviation of the trajectory integrator (5 x 5 clicks)."""
+    """Max tilt and joint-density deviation of the trajectory integrator on a 5 x 5
+    grid of clicks that sample_dh draws (click quantiles 0.05 .. 0.95 of the
+    Theta_1 branch): the tilt against sample_dh's, the density against X + Y."""
     a, b = CavityParams(10.0, 40.0), CavityParams(12.5, 50.0)
-    t1s = np.linspace(0.03, 0.45, 5)
-    t2s = np.linspace(0.04, 0.5, 5)
-    theta, dens = trajectory_dh_grid(a, b, t1s, t2s)
-    ctx = DhContext(QUARTER_PI, QUARTER_PI, CriticallyDamped(a.g), CriticallyDamped(b.g))
-    pa, pb = ctx.pa.density, ctx.pb.density
+    pa, pb = CriticallyDamped(a.g), CriticallyDamped(b.g)
+    qs = np.linspace(0.05, 0.95, 5)
+    grid = [[sample_dh(QUARTER_PI, QUARTER_PI, pa, pb, (0.0, 0.0, q1, q2, 0.0)) for q2 in qs]
+            for q1 in qs]
+    theta, dens = trajectory_dh_grid(a, b, [row[0].clicks.t1 for row in grid],
+                                     [out.clicks.t2 for out in grid[0]])
     worst_theta, worst_dens = 0.0, 0.0
-    for i, t1 in enumerate(t1s):
-        for j, t2 in enumerate(t2s):
-            ref_theta = tilt_after_dh(ctx, ClickPair(t1, t2))
-            ref_dens = 0.25 * (pa(t1) * pb(t2) + pb(t1) * pa(t2))
-            worst_theta = _worse(worst_theta, abs(theta[i, j] - ref_theta))
+    for i, row in enumerate(grid):
+        for j, (_, theta_beta, (t1, t2), _) in enumerate(row):
+            ref_dens = 0.25 * (pa.density(t1) * pb.density(t2) + pb.density(t1) * pa.density(t2))
+            worst_theta = _worse(worst_theta, abs(theta[i, j] - theta_beta))
             worst_dens = _worse(worst_dens, abs(dens[i, j] - ref_dens))
     return worst_theta, worst_dens
 

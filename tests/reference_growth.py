@@ -18,7 +18,7 @@ from tglab.growth import (
     effective_pair_tilts,
     pair_inventory,
 )
-from tglab.heralding import DhContext, sample_dh
+from tglab.heralding import sample_dh
 from tglab.seeding import PAIRING, PHASE1, derive_rng
 from tglab.tilted_graph import QUARTER_PI
 
@@ -29,9 +29,8 @@ def _phase1_attempt(piece_a, piece_b, cfg, u, round_idx):
     ta, tb = effective_pair_tilts(piece_a.tilt, piece_b.tilt, cfg.flip_rule)
     cav_a = piece_a.cavities[round_idx % piece_a.size]
     cav_b = piece_b.cavities[round_idx % piece_b.size]
-    ctx = DhContext(ta, tb, cfg.profiles[cav_a], cfg.profiles[cav_b],
+    out = sample_dh(ta, tb, cfg.profiles[cav_a], cfg.profiles[cav_b], u,
                     cfg.detection_efficiency)
-    out = sample_dh(ctx, u)
     if not out.success:
         return None
     return GhzPiece(piece_a.size + piece_b.size, out.theta_beta,

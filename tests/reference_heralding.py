@@ -2,9 +2,12 @@
 fidelity excess at given click times, and the composed DH sampler that
 `sample_dh` runs in one frame.
 
-`sample_dh_reference` is the sampler as a composition: the success test,
-`sample_clicks` (branch and click quantiles), then `heralding.tilt_after_dh`,
-with frozen-dataclass records.  `sample_dh` must equal it field for field and
+`DhContext` holds one application's tilts (canonicalized), profiles,
+efficiency and (Theta_1, Theta_2); `joint_terms` and `tilt_after_dh` give X, Y
+and the tilt at given click times.  `sample_dh_reference` is the sampler as a
+composition: the success test, `sample_clicks` (branch and click quantiles),
+then `tilt_after_dh`, with frozen-dataclass records.  None of these calls the
+library's sampler; `sample_dh` must equal the composition field for field and
 bit for bit (tests/test_heralding.py pins it).
 
 The Monte Carlo tests draw 1e5 success-conditioned click pairs per setting.
@@ -15,12 +18,55 @@ and the scalar path of `inverse_cdf` equals it bit for bit, so row k of the
 mirror is `sample_clicks(ctx, u[k])` exactly.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from tglab.errors import GraphConfigError, ImpossibleStateError
-from tglab.heralding import DhContext, big_thetas, joint_terms, tilt_after_dh
+from tglab.tilted_graph import HALF_PI, canonical_angle
+
+
+class DhContext:
+    """Tilts, profiles and detection efficiency of one DH application, with
+    (Theta_1, Theta_2) as `thetas`.  A tilt outside (-pi/2, pi/2] is
+    canonicalized and an efficiency outside (0, 1] is a GraphConfigError, as
+    `sample_dh` does."""
+
+    def __init__(self, theta_a, theta_b, pa, pb, detection_efficiency=1.0):
+        if not -HALF_PI < theta_a <= HALF_PI:
+            theta_a = canonical_angle(theta_a)
+        if not -HALF_PI < theta_b <= HALF_PI:
+            theta_b = canonical_angle(theta_b)
+        if not (0.0 < detection_efficiency <= 1.0):
+            raise GraphConfigError(
+                f"detection efficiency must lie in (0, 1], got {detection_efficiency}")
+        self.theta_a, self.theta_b = theta_a, theta_b
+        self.pa, self.pb, self.detection_efficiency = pa, pb, detection_efficiency
+        self.thetas = _thetas(theta_a, theta_b)
+
+
+def _thetas(theta_a: float, theta_b: float) -> tuple[float, float]:
+    """(Theta_1, Theta_2) = (cos^2(theta_a) sin^2(theta_b), sin^2(theta_a) cos^2(theta_b))."""
+    return ((math.cos(theta_a) * math.sin(theta_b)) ** 2,
+            (math.sin(theta_a) * math.cos(theta_b)) ** 2)
+
+
+def joint_terms(t1, t2, ctx: DhContext):
+    """(X, Y) of the joint click density; t1, t2 may be arrays (broadcast)."""
+    th1, th2 = ctx.thetas
+    x = th1 * ctx.pa.density(t1) * ctx.pb.density(t2)
+    y = th2 * ctx.pb.density(t1) * ctx.pa.density(t2)
+    return x, y
+
+
+def tilt_after_dh(ctx: DhContext, clicks) -> float:
+    """The resulting tilt: cos(theta_beta) = sqrt(Y/(X+Y)), in [0, pi/2]."""
+    x, y = joint_terms(clicks.t1, clicks.t2, ctx)
+    if x <= 0.0 and y <= 0.0:
+        raise ImpossibleStateError(
+            f"both click likelihoods vanish at ({clicks.t1}, {clicks.t2}); tilt undefined")
+    return math.atan2(math.sqrt(x), math.sqrt(y))
 
 
 @dataclass(frozen=True)
@@ -47,7 +93,7 @@ class DhOutcome:
 
 def success_probability(theta_a: float, theta_b: float, detection_efficiency: float = 1.0) -> float:
     """Upper-bound DH success probability, scaled by efficiency^2 (two clicks)."""
-    return _scaled_success(big_thetas(theta_a, theta_b), detection_efficiency)
+    return _scaled_success(_thetas(theta_a, theta_b), detection_efficiency)
 
 
 def _scaled_success(thetas: tuple, detection_efficiency: float) -> float:
@@ -100,9 +146,11 @@ def sample_clicks(ctx, u) -> ClickPair:
     return ClickPair(float(first.inverse_cdf(u[1])), float(second.inverse_cdf(u[2])))
 
 
-def sample_dh_reference(ctx, u) -> DhOutcome:
-    """One DH application from five uniforms, composed from its parts: u[0] is the
-    success test, u[1:4] go to sample_clicks and u[4] draws the parity."""
+def sample_dh_reference(theta_a, theta_b, pa, pb, u, detection_efficiency=1.0) -> DhOutcome:
+    """One DH application from five uniforms, composed from its parts, with
+    `sample_dh`'s signature: u[0] is the success test, u[1:4] go to
+    sample_clicks and u[4] draws the parity."""
+    ctx = DhContext(theta_a, theta_b, pa, pb, detection_efficiency)
     if u[0] >= _scaled_success(ctx.thetas, ctx.detection_efficiency):
         return DhOutcome(False)
     clicks = sample_clicks(ctx, u[1:4])

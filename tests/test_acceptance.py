@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from reference_growth import run_phase1_reference
-from reference_heralding import (click_rows, fidelity_value, sample_clicks_rows,
+from reference_heralding import (DhContext, click_rows, fidelity_value, sample_clicks_rows,
                                  success_probability)
 from reference_series import series_moments
 from tglab.cli import main as cli_main
 from tglab.growth import StrategyConfig, effective_pair_tilts, pair_inventory, run_phase1
-from tglab.heralding import DhContext, big_thetas
+from tglab.heralding import big_thetas
 from tglab.leakage import CavityParams, CriticallyDamped
 from tglab.metrics import compare_strategies, expected_f, expected_f_sq
 from tglab.oracle import trajectory_dh_grid

@@ -1,10 +1,13 @@
 import math
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from reference_growth import run_phase1_reference
+from reference_heralding import sample_dh_reference
 from tglab import growth, seeding
 from tglab.errors import GraphConfigError
 from tglab.growth import (
@@ -21,7 +24,7 @@ from tglab.growth import (
     run_pipeline,
     run_realignment,
 )
-from tglab.heralding import DhContext, apply_dh_to_graph, classify_dh_side, sample_dh
+from tglab.heralding import apply_dh_to_graph, classify_dh_side, sample_dh
 from tglab.leakage import CriticallyDamped
 from tglab.oracle import build_state
 from tglab.procedures import p_success, r_function
@@ -374,22 +377,22 @@ class TestJoin:
     def test_dh_attempts_take_the_effective_tilt_of_each_side(self, kind, seed, monkeypatch):
         # the click statistics of a join's DH attempt read the effective tilt that the
         # rewrite classifies each side with, not only a raw vertex tilt
-        contexts, sides = [], []
+        tilts, sides = [], []
 
-        def context(*args):
-            contexts.append(DhContext(*args))
-            return contexts[-1]
+        def sampler(theta_a, theta_b, *args):
+            tilts.append([theta_a, theta_b])
+            return sample_dh(theta_a, theta_b, *args)
 
         def apply(g, qa, qb, outcome):
             sides.append([classify_dh_side(g, q).theta_eff for q in (qa, qb)])
             return apply_dh_to_graph(g, qa, qb, outcome)
-        monkeypatch.setattr(growth, "DhContext", context)
+        monkeypatch.setattr(growth, "sample_dh", sampler)
         monkeypatch.setattr(growth, "apply_dh_to_graph", apply)
         _, _, stats = run_join(synthetic_inventory(3, 9),
                                join_cfg(30, seed, join_nodes=3, join_kind=kind))
-        assert len(contexts) == len(sides) == stats.join_dh_attempts >= 2
-        for ctx, thetas in zip(contexts, sides):
-            assert [ctx.theta_a, ctx.theta_b] == pytest.approx(thetas, rel=0.0, abs=1e-12)
+        assert len(tilts) == len(sides) == stats.join_dh_attempts >= 2
+        for pair, thetas in zip(tilts, sides):
+            assert pair == pytest.approx(thetas, rel=0.0, abs=1e-12)
 
     @pytest.mark.parametrize("kind, n_pieces", [("bridge", 12), ("merge", 6)])
     def test_disconnection_probe_walks_the_joined_piece(self, kind, n_pieces, monkeypatch):
@@ -454,9 +457,9 @@ class TestOneSampleDhCallPerAttempt:
     def calls(self, monkeypatch):
         made = []
 
-        def counting(ctx, u):
-            made.append(ctx)
-            return sample_dh(ctx, u)
+        def counting(*args):
+            made.append(args)
+            return sample_dh(*args)
         monkeypatch.setattr(growth, "sample_dh", counting)
         return made
 
@@ -472,6 +475,35 @@ class TestOneSampleDhCallPerAttempt:
         _, _, stats = run_join(synthetic_inventory(3, 9),
                                join_cfg(30, seed, join_nodes=3, join_kind=kind))
         assert len(calls) == stats.join_dh_attempts >= 2
+
+
+class TestGrowUnderTheReferenceSampler:
+    """`grow` writes the same bytes when every DH attempt, of phase 1 and of the
+    join phase, draws through the test-side composition in place of sample_dh."""
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    @pytest.mark.parametrize("join_kind", ["bridge", "merge"])
+    def test_artifacts_are_byte_identical(self, join_kind, tmp_path, monkeypatch):
+        from tglab.cli import parse_config, run_command
+        text = re.search(r"```ini\n(.*?)```", self.README.read_text(encoding="utf-8"),
+                         re.S).group(1)
+        assert "join_nodes = 2\njoin_kind = bridge" in text
+        path = tmp_path / "readme.cfg"
+        path.write_text(text.replace("join_kind = bridge", f"join_kind = {join_kind}"))
+        written, calls = [], []
+        for sampler in (sample_dh, sample_dh_reference):
+            def counted(*args, sampler=sampler):
+                calls.append(sampler)
+                return sampler(*args)
+            monkeypatch.setattr(growth, "sample_dh", counted)
+            arts = run_command("grow", parse_config(path), tmp_path / sampler.__name__)
+            written.append({a.name: a.read_bytes() for a in arts})
+        assert set(written[0]) == {"grow_rounds.csv", "grow_summary.csv", "grow_graph.txt"}
+        assert written[0] == written[1]
+        assert calls.count(sample_dh) == calls.count(sample_dh_reference) > 0
+        summary = written[0]["grow_summary.csv"].decode()
+        assert re.search(r"^join_dh_attempts,[1-9]", summary, re.M), summary
 
 
 class TestJoinOracle:

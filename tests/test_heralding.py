@@ -6,28 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_heralding import (
+    DhContext,
     as_fields,
     click_density_first,
     click_density_joint,
     click_density_second,
     click_rows,
+    joint_terms,
     sample_clicks,
     sample_clicks_rows,
     sample_dh_reference,
     success_probability,
+    tilt_after_dh,
 )
 from tglab.errors import GraphConfigError, ImpossibleStateError, TglabError
 from tglab.heralding import (
     CHERRY,
     GHZ,
     ClickPair,
-    DhContext,
     DhOutcome,
     apply_dh_to_graph,
     big_thetas,
     classify_dh_side,
     sample_dh,
-    tilt_after_dh,
 )
 from tglab.leakage import CriticallyDamped, Tabulated, integrate, tabulate_profile
 from tglab.oracle import StateVector, build_state, overlap, trajectory_dh_grid
@@ -111,7 +112,6 @@ class TestClickDensities:
     def test_joint_mass_is_success_probability(self, theta_a, theta_b):
         ctx = ctx_of(theta_a, theta_b)
         from reference_quadrature import simpson_2d
-        from tglab.heralding import joint_terms
         mass = simpson_2d(lambda a, b: sum(joint_terms(a, b, ctx)), T_MAX)
         assert mass == pytest.approx(success_probability(theta_a, theta_b), abs=1e-8)
 
@@ -167,38 +167,38 @@ class TestSampling:
             zip(t1.tolist(), t2.tolist()))
 
     def test_sample_dh_success_rate(self):
-        ctx = ctx_of(0.5, 1.0)
         rng = np.random.default_rng(123)
         n = 20_000
-        hits = sum(sample_dh(ctx, rng.random(5)).success for _ in range(n))
+        hits = sum(sample_dh(0.5, 1.0, PA, PB, rng.random(5)).success for _ in range(n))
         p = success_probability(0.5, 1.0)
         assert abs(hits / n - p) < 3 * math.sqrt(p * (1 - p) / n)
 
     def test_sample_dh_is_a_function_of_its_uniforms(self):
-        ctx = ctx_of(0.6, 0.9, eff=0.9)
         rng = np.random.default_rng(8)
         for _ in range(200):
             u = rng.random(5).tolist()
-            assert sample_dh(ctx, u) == sample_dh(ctx, np.array(u))
+            assert sample_dh(0.6, 0.9, PA, PB, u, 0.9) == sample_dh(0.6, 0.9, PA, PB,
+                                                                    np.array(u), 0.9)
 
     @pytest.mark.parametrize("branch_u", [0.05, 0.95])
     def test_sample_dh_reads_its_uniforms_in_order(self, branch_u):
-        ctx = ctx_of(0.6, 0.9, eff=0.9)
+        def draw(u):
+            return sample_dh(0.6, 0.9, PA, PB, u, 0.9)
         p = success_probability(0.6, 0.9, 0.9)
-        th1, th2 = big_thetas(ctx.theta_a, ctx.theta_b)
+        th1, th2 = big_thetas(0.6, 0.9)
         assert 0.05 < th1 / (th1 + th2) < 0.95
         # success exactly when u[0] < p
         for u0 in (0.0, math.nextafter(p, 0.0)):
-            assert sample_dh(ctx, [u0, branch_u, 0.3, 0.7, 0.2]).success
+            assert draw([u0, branch_u, 0.3, 0.7, 0.2]).success
         for u0 in (p, math.nextafter(p, 1.0), 0.999):
-            assert sample_dh(ctx, [u0, branch_u, 0.3, 0.7, 0.2]) == DhOutcome(False)
-        out = sample_dh(ctx, [0.0, branch_u, 0.3, 0.7, 0.2])
+            assert draw([u0, branch_u, 0.3, 0.7, 0.2]) == DhOutcome(False)
+        out = draw([0.0, branch_u, 0.3, 0.7, 0.2])
         first, second = (PA, PB) if branch_u < th1 / (th1 + th2) else (PB, PA)
         assert out.clicks == ClickPair(float(first.inverse_cdf(0.3)),
                                        float(second.inverse_cdf(0.7)))
-        assert out.theta_beta == tilt_after_dh(ctx, out.clicks)
+        assert out.theta_beta == tilt_after_dh(ctx_of(0.6, 0.9, eff=0.9), out.clicks)
         assert out.parity == 1
-        assert sample_dh(ctx, [0.0, branch_u, 0.3, 0.7, 0.5]).parity == -1
+        assert draw([0.0, branch_u, 0.3, 0.7, 0.5]).parity == -1
 
 
 # no mass on (1, 2): a quantile at the flat CDF value there reads t = 2, where the
@@ -209,16 +209,17 @@ TILTS = st.one_of(st.sampled_from([0.0, QUARTER_PI, math.pi / 2, -math.pi / 2, m
                   st.floats(-7.0, 7.0))
 
 
-def outcome_or_error(sampler, ctx, u):
+def outcome_or_error(sampler, *args):
     try:
-        return as_fields(sampler(ctx, u))
+        return as_fields(sampler(*args))
     except TglabError as exc:
         return type(exc), str(exc)
 
 
 class TestOneFrameSampler:
-    """sample_dh equals the composed reference (success test, sample_clicks,
-    tilt_after_dh) bit for bit, errors included."""
+    """sample_dh equals the composed reference (tilt canonicalization and the
+    efficiency check, success test, sample_clicks, tilt_after_dh) bit for bit,
+    errors included."""
 
     @settings(max_examples=400, deadline=None)
     @given(theta_a=TILTS, theta_b=TILTS,
@@ -229,33 +230,41 @@ class TestOneFrameSampler:
            success=st.sampled_from(["drawn", "scaled", "below", "at"]), as_array=st.booleans())
     def test_equals_the_composed_reference(self, theta_a, theta_b, efficiency, pa, pb, u,
                                            success, as_array):
-        ctx = DhContext(theta_a, theta_b, pa, pb, efficiency)
-        assert (ctx.theta_a, ctx.theta_b) == (canonical_angle(theta_a), canonical_angle(theta_b))
-        assert ctx.thetas == big_thetas(ctx.theta_a, ctx.theta_b)
         # u[0] as drawn, scaled below p (success unless p = 0), or on either side of p
         p = success_probability(theta_a, theta_b, efficiency)
         u[0] = {"drawn": u[0], "scaled": u[0] * p, "below": math.nextafter(p, 0.0), "at": p}[success]
         if as_array:
             u = np.array(u)
-        assert outcome_or_error(sample_dh, ctx, u) == outcome_or_error(sample_dh_reference, ctx, u)
+        args = theta_a, theta_b, pa, pb, u, efficiency
+        got = outcome_or_error(sample_dh, *args)
+        assert got == outcome_or_error(sample_dh_reference, *args)
+        # a tilt outside (-pi/2, pi/2] reads as its canonical angle
+        assert got == outcome_or_error(sample_dh, canonical_angle(theta_a),
+                                       canonical_angle(theta_b), *args[2:])
+
+    @pytest.mark.parametrize("efficiency", [0.0, -0.5, 1.0000001, math.inf, math.nan])
+    def test_efficiency_outside_the_unit_interval_is_rejected(self, efficiency):
+        # checked before the success test, so a failing u[0] raises too
+        for u0 in (0.0, 0.999):
+            with pytest.raises(GraphConfigError, match=r"efficiency must lie in \(0, 1\]"):
+                sample_dh(0.6, 0.9, PA, PB, [u0, 0.3, 0.4, 0.5, 0.2], efficiency)
 
     def test_vanishing_likelihoods_still_raise(self):
-        ctx = DhContext(0.6, 0.9, GAP, GAP)
         table = GAP._inverse_cdf_table
         flat = float(table.cdf[np.searchsorted(table.grid, 1.5)])
         assert GAP.inverse_cdf(flat) == 2.0 and GAP.density(2.0) == 0.0
         u = [0.0, 0.3, flat, flat, 0.2]
         with pytest.raises(ImpossibleStateError, match="both click likelihoods vanish"):
-            sample_dh(ctx, u)
-        assert outcome_or_error(sample_dh, ctx, u) == outcome_or_error(sample_dh_reference, ctx, u)
+            sample_dh(0.6, 0.9, GAP, GAP, u)
+        args = 0.6, 0.9, GAP, GAP, u
+        assert outcome_or_error(sample_dh, *args) == outcome_or_error(sample_dh_reference, *args)
 
     def test_a_zero_quantile_is_a_rejected_click_time(self):
-        ctx = ctx_of(0.6, 0.9)
         with pytest.raises(GraphConfigError, match="click times must be positive"):
-            sample_dh(ctx, [0.0, 0.3, 0.0, 0.5, 0.2])
+            sample_dh(0.6, 0.9, PA, PB, [0.0, 0.3, 0.0, 0.5, 0.2])
 
     def test_records_are_immutable_and_check_their_times(self):
-        out = sample_dh(ctx_of(0.6, 0.9), [0.0, 0.3, 0.4, 0.5, 0.2])
+        out = sample_dh(0.6, 0.9, PA, PB, [0.0, 0.3, 0.4, 0.5, 0.2])
         with pytest.raises(AttributeError):
             out.theta_beta = 0.1
         with pytest.raises(AttributeError):
@@ -263,7 +272,7 @@ class TestOneFrameSampler:
         for t1, t2 in [(0.0, 0.1), (0.1, -1.0), (math.nan, 0.1)]:
             with pytest.raises(GraphConfigError):
                 ClickPair(t1, t2)
-        assert sample_dh(ctx_of(0.6, 0.9), [0.99, 0.3, 0.4, 0.5, 0.2]) == DhOutcome(False)
+        assert sample_dh(0.6, 0.9, PA, PB, [0.99, 0.3, 0.4, 0.5, 0.2]) == DhOutcome(False)
 
 
 class TestTiltAfterDh:

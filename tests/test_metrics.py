@@ -6,11 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from reference_heralding import fidelity_value, success_probability
+from reference_heralding import DhContext, fidelity_value, success_probability
 from reference_series import efsq_series, resource_ratio, series_moments
 from tglab import metrics
 from tglab.errors import QuadratureError
-from tglab.heralding import DhContext, big_thetas
+from tglab.heralding import big_thetas
 from tglab.leakage import BLOCK_CELLS, CriticallyDamped, Tabulated, tabulate_profile
 from tglab.metrics import (
     MAX_F,
@@ -669,6 +669,41 @@ def test_atom_pairs_surface_stays_in_blocks():
     want = np.array([[(weights * (a * b / (a + b * w))).sum()
                       for a, b in (big_thetas(ta, tb) for tb in theta)] for ta in theta])
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+class _Nonempty(np.ndarray):
+    """Cells that read as nonempty, so expect runs its whole cell pass over them."""
+
+    def any(self, *args, **kwargs):
+        return True
+
+
+def test_atom_only_surface_skips_the_empty_cells(monkeypatch):
+    # every segment of this pair is an atom, so its hats and tilts are all 0 and
+    # expect skips every cell block: the kernel reads w = 1 (the batch shape) and
+    # the atom pairs only.  The surface keeps the bytes of the full cell pass, run
+    # on the same law with each block read as nonempty
+    pa, pb = atom_only_pair(513)
+    law = metrics._law(pa, pb)
+    assert not (law.hats.any() or law.tilts.any())
+    theta = np.arcsin(np.sqrt(np.linspace(0.02, 0.98, 21)))
+    points, expect = [], metrics._TabulatedLaw.expect
+
+    def spy(law, kernel, *limits):
+        def counted(w):
+            points.append(w.size)
+            return kernel(w)
+        return expect(law, counted, *limits)
+
+    monkeypatch.setattr(metrics._TabulatedLaw, "expect", spy)
+    monkeypatch.setattr(metrics, "_law", lambda pa, pb: law)
+    skipped = expected_f_sq(theta[:, None], theta[None, :], pa, pb).value
+    assert points[0] == 1 and sum(points[1:]) == law.pair_pos.size
+    law.hats, law.tilts = law.hats.view(_Nonempty), law.tilts.view(_Nonempty)
+    points.clear()
+    full = expected_f_sq(theta[:, None], theta[None, :], pa, pb).value
+    assert sum(points[1:]) == law.pair_pos.size + 2 * (law.hats.size - 1)   # 2 per cell
+    assert full.tobytes() == skipped.tobytes()
 
 
 def test_mixed_pair_peak_allocation_stays_small():

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from reference_verify import canonicalization_reference, run_verification_reference
-from tglab import verify
+from tglab import growth, verify
 from tglab.cli import main
 from tglab.errors import VerificationError
 
@@ -52,3 +52,17 @@ def test_nan_discrepancy_exits_three(nan_realign, tmp_path):
     cfg.write_text("[profile A]\nkind = critically_damped\ng = 10.0\n\n"
                    "[run]\nseed = 3\n\n[verify]\ncases = 40\n", encoding="utf-8")
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+
+
+def test_trajectory_check_reads_the_sampler_that_grow_runs(monkeypatch):
+    # verify draws its click grid through growth's own DH kernel, so a tilt 1e-6 off
+    # in that kernel shows in the trajectory row
+    real = verify.sample_dh
+    assert real is growth.sample_dh
+
+    def skewed(*args):
+        out = real(*args)
+        return out._replace(theta_beta=out.theta_beta + 1e-6)
+
+    monkeypatch.setattr(verify, "sample_dh", skewed)
+    assert verify.run_verification(0, 1)["trajectory_tilt"] >= 1e-6
