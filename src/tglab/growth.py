@@ -405,18 +405,19 @@ def run_join(pieces, cfg: StrategyConfig, stats: RunStats | None = None,
     Pieces still tilted at this stage are realigned to exactly untilted
     first (the procedure formulas require pure segments).
     """
+    if cfg.join_nodes == 0:
+        raise GraphConfigError("join_nodes = 0 joins no pieces; run_pipeline skips the phase")
     stats = stats or RunStats()
-    n_nodes = cfg.join_nodes or len(pieces)
     usable = []
     for idx, piece in enumerate(pieces):
         if piece.fidelity < 1.0 - 1e-12:
             piece = realign_piece(piece, 1.0, cfg.seed, idx, stats, JOIN_REALIGN)
         if piece is not None and piece.size >= 3:
             usable.append(piece)
-    if len(usable) < n_nodes:
+    if len(usable) < cfg.join_nodes:
         raise InventoryExhausted(
-            f"need {n_nodes} pieces of size >= 3 for the join phase, have {len(usable)}")
-    usable = sorted(usable, key=lambda p: -p.size)[:n_nodes]
+            f"need {cfg.join_nodes} pieces of size >= 3 for the join phase, have {len(usable)}")
+    usable = sorted(usable, key=lambda p: -p.size)[:cfg.join_nodes]
     g, centers, cavity_of = _materialise(usable)
     if trace is not None:
         trace.append(("start", g))

@@ -33,7 +33,7 @@ of two tabulated profiles, each side through leakage.as_tabulated: L#P_A and
 L#P_B in _LAW_BINS uniform L-bins, exact per bin, with a first-moment tilt, and
 convolved by FFT into hat cells (see _TabulatedLaw); an atom of L (a segment
 where P_A / P_B is constant) adds the other measure's bins, shifted, to the same
-cells, and atom pairs stay exact.  It reads the README
+cells, and atom pairs stay exact, read off the atoms.  It reads the README
 pair's 2049-point tabulation to about 1e-8 relative (E(F^2) to about 1e-9), and a
 mixed pair (P_A against that tabulation's P_B) to about 1e-7.
 """
@@ -195,10 +195,11 @@ class _TabulatedLaw:
     there.  The masses convolve (FFT) into hat-shaped cells centred on S = k h, and
     the tilts into a zero-mass quadratic term on the same cells.  An atom adds the
     other measure's bins, shifted by its L, to the same cells, and the L range takes
-    in every atom; atom pairs stay exact atoms.  A piece where one density vanishes
-    at an end has L unbounded there: the range stops at the L a fraction
-    _SINGULAR_CUT of the piece from that end, and the mass past it falls in the end
-    bin.
+    in every atom.  The atoms are kept once (with B's tail sums), and each atom pair,
+    an exact atom at S = pos_i - pos_j, is read from them in blocks: memory is linear
+    in the atoms.  A piece where one density vanishes at an end has L unbounded
+    there: the range stops at the L a fraction _SINGULAR_CUT of the piece from that
+    end, and the mass past it falls in the end bin.
     """
 
     slope = 1.0
@@ -208,12 +209,8 @@ class _TabulatedLaw:
         self._bin_pieces(*pieces)
         self._convolve()
         self._fold_atoms()
-        self.hats_below = np.cumsum(self.hats)
-        diffs = np.subtract.outer(self.pos, self.pos).ravel()
-        order = np.argsort(diffs, kind="stable")
-        self.pair_pos = diffs[order]
-        self.pair_below = np.concatenate(
-            [[0.0], np.cumsum(np.multiply.outer(self.atoms_a, self.atoms_b).ravel()[order])])
+        self.hats_cdf = np.cumsum(self.hats)
+        self.tail_b = np.append(np.cumsum(self.atoms_b[::-1])[::-1], 0.0)   # b_k + b_k+1 + ...
         finite_a = self.atoms_a.sum() + self.cum_a[-1]
         finite_b = self.atoms_b.sum() + self.cum_b[-1]
         self.finite_mass = finite_a * finite_b
@@ -353,30 +350,32 @@ class _TabulatedLaw:
                     values[k:k + bins] += (w * (k + 1 - first)) * add
                     values[k + 1:k + 1 + bins] += (w * (first - k)) * add
 
-    def _below(self, s):
-        """P(S <= s) at a 1-d array of s, +-inf included: the hat cells' CDF, cell j
-        read at the fraction u of it, and the atom pairs'."""
+    def cdf(self, d):
+        """(P(S <= d), P(S > d)) at an array of d, +-inf included: the hat cells' CDF,
+        cell j read at the fraction u of it, and each a_i times B's atoms at pos_j >=
+        pos_i - d (as rounded), at most BLOCK_CELLS atom-point pairs at a time."""
+        s = np.asarray(d, dtype=float).ravel()
         cells = self.hats.size - 1
         q = np.clip((s + 0.5 * cells * self.h) / self.h, 0.0, cells)
         j = np.minimum(np.floor(q), cells - 1).astype(np.intp)
         u = q - j
         v = 1.0 - u
-        hats = (self.hats_below[j] - 0.5 * self.hats[j] * v * v
-                + 0.5 * self.hats[j + 1] * u * u
-                - (self.tilts[j] * (1.0 - u * u * (3.0 - 2.0 * u))
-                   + self.tilts[j + 1] * (1.0 - v * v * (3.0 - 2.0 * v))) / self.h)
-        atom_atom = self.pair_below[np.searchsorted(self.pair_pos, s, side="right")]
-        return hats + atom_atom + np.where(s == math.inf, self.mass - self.finite_mass, 0.0)
-
-    def cdf(self, d):
-        """(P(S <= d), P(S > d)) at an array of d, +-inf included."""
-        d = np.asarray(d, dtype=float)
-        below = self._below(d.ravel()).reshape(d.shape)
+        below = (self.hats_cdf[j] - 0.5 * self.hats[j] * v * v
+                 + 0.5 * self.hats[j + 1] * u * u
+                 - (self.tilts[j] * (1.0 - u * u * (3.0 - 2.0 * u))
+                    + self.tilts[j + 1] * (1.0 - v * v * (3.0 - 2.0 * v))) / self.h)
+        below += np.where(s == math.inf, self.mass - self.finite_mass, 0.0)
+        block = max(1, BLOCK_CELLS // max(1, self.pos.size))
+        for start in range(0, s.size, block):
+            cut = slice(start, start + block)
+            firsts = np.searchsorted(self.pos, self.pos - s[cut, None])   # points x atoms
+            below[cut] += (self.atoms_a * self.tail_b[firsts]).sum(-1)
+        below = below.reshape(np.shape(d))
         return below, self.mass - below
 
     def window(self, d: float) -> float:
         """P(-d < S <= d), d >= 0: P(|S| < d) but for an atom at S = d."""
-        below = self._below(np.array([d, -d]))
+        below = self.cdf([d, -d])[0]
         return float(below[0] - below[1])
 
     def expect(self, kernel, lo: float = 0.0, hi: float = math.inf):
@@ -384,12 +383,11 @@ class _TabulatedLaw:
         S = x0 + (i + u) h, u in [0, 1], the cells' density is (hats[i] (1 - u) +
         hats[i + 1] u) / h + 6 (tilts[i] - tilts[i + 1]) u (1 - u) / h^2: 2-point
         Gauss-Legendre on each cell cut at the limits, at most _PIECE_BLOCK cells at a
-        time; then the atom pairs as atoms.  At most BLOCK_CELLS kernel values at once."""
+        time; then the atom pairs in blocks.  At most BLOCK_CELLS kernel values at once."""
         h, hats, tilts, cells = self.h, self.hats, self.tilts, self.hats.size - 1
         x0 = -0.5 * cells * h
         total = 0.0 * kernel(np.ones(1))[..., 0]           # a zero of the batch shape
         block = max(1, min(_PIECE_BLOCK, BLOCK_CELLS // (2 * total.size)))
-        keep = (np.abs(self.pair_pos) >= lo) & (np.abs(self.pair_pos) <= hi)
         with np.errstate(over="ignore", divide="ignore"):   # e^s overflows, 1/w for w = 0
             for cut_lo, cut_hi in ((lo, hi), (-hi, -lo)):
                 first = max(0, math.floor((max(cut_lo, x0) - x0) / h))
@@ -407,11 +405,14 @@ class _TabulatedLaw:
                             + (6.0 / h) * (tilts[i] - tilts[j]) * u * (1.0 - u))
                     dens *= np.maximum(b - a, 0.0) / (2.0 * h)
                     total = total + (dens.ravel() * kernel(np.exp(s.ravel()))).sum(-1)
-            pos, mass = self.pair_pos[keep], np.diff(self.pair_below)[keep]
+            n = self.pos.size
             block = max(1, BLOCK_CELLS // total.size)
-            for start in range(0, pos.size, block):
-                cut = slice(start, start + block)
-                total = total + (mass[cut] * kernel(np.exp(pos[cut]))).sum(-1)
+            for start in range(0, n * n, block):      # atom pair i n + j at S = pos_i - pos_j
+                i, j = np.divmod(np.arange(start, min(start + block, n * n)), n)
+                s = self.pos[i] - self.pos[j]
+                keep = (np.abs(s) >= lo) & (np.abs(s) <= hi)
+                mass = self.atoms_a[i[keep]] * self.atoms_b[j[keep]]
+                total = total + (mass * kernel(np.exp(s[keep]))).sum(-1)
             return total
 
 
@@ -490,8 +491,8 @@ def _law_histogram(th1: float, th2: float, law: _DifferenceLaw | _TabulatedLaw,
 
     def split(v):                                     # (mass(z <= v), mass(z > v))
         below, above = law.cdf((v - x) / scale)
-        mirror_below, mirror_above = law.cdf((x - v) / scale)
-        return th_d * below + th_mirror * mirror_above, th_d * above + th_mirror * mirror_below
+        mirror_le, mirror_gt = law.cdf((x - v) / scale)
+        return th_d * below + th_mirror * mirror_gt, th_d * above + th_mirror * mirror_le
 
     rising = (split(z)[1], split(-z)[0])              # mass(z > z_i), mass(z <= -z_i)
     return sum(np.diff(np.maximum.accumulate(c)) for c in rising)

@@ -67,9 +67,6 @@ class StateVector:
         except ValueError:
             raise GraphConfigError(f"qubit {qubit} not in state") from None
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def apply_single(self, qubit, gate) -> "StateVector":
         gate = np.asarray(gate, dtype=complex)
         return StateVector(self.qubit_ids, gate @ _slab(self.amps, self.axis(qubit)))
@@ -257,15 +254,11 @@ def _annihilator() -> np.ndarray:
 
 
 def jump_operators(a: CavityParams, b: CavityParams):
-    """(J_plus, J_minus, J_A, J_B) as 16x16 matrices on the joint space."""
+    """(J_plus, J_minus) as 16x16 matrices on the joint space."""
     i4 = np.eye(4, dtype=complex)
-    a_op = np.kron(_annihilator(), i4)
-    b_op = np.kron(i4, _annihilator())
-    ja = math.sqrt(a.kappa) * a_op
-    jb = math.sqrt(b.kappa) * b_op
-    jp = math.sqrt(a.kappa / 2.0) * a_op + math.sqrt(b.kappa / 2.0) * b_op
-    jm = math.sqrt(a.kappa / 2.0) * a_op - math.sqrt(b.kappa / 2.0) * b_op
-    return jp, jm, ja, jb
+    a_op = math.sqrt(a.kappa / 2.0) * np.kron(_annihilator(), i4)
+    b_op = math.sqrt(b.kappa / 2.0) * np.kron(i4, _annihilator())
+    return a_op + b_op, a_op - b_op
 
 
 def rk4_step_size(*params: CavityParams) -> float:
@@ -332,7 +325,7 @@ def trajectory_dh_grid(a: CavityParams, b: CavityParams, t1s, t2s,
         decay_time = 25.0 / min(a.g, b.g)
     k = -1j * (np.kron(_single_hamiltonian(a), np.eye(4)) +
                np.kron(np.eye(4), _single_hamiltonian(b)))
-    jp, jm, _, _ = jump_operators(a, b)
+    jp, jm = jump_operators(a, b)
 
     v = np.zeros(4, dtype=complex)
     v[0] = v[2] = 1.0 / math.sqrt(2.0)

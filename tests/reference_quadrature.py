@@ -329,5 +329,6 @@ def binned_law_terms(law):
     s = -0.5 * cells * h + h * (np.arange(cells) + u)
     dens = 0.5 * (hats[:-1] + (hats[1:] - hats[:-1]) * u
                   + (6.0 / h) * (tilts[:-1] - tilts[1:]) * u * (1.0 - u))
-    return (np.concatenate([dens.ravel(), np.diff(law.pair_below)]),
-            np.exp(np.concatenate([s.ravel(), law.pair_pos])))
+    pairs = np.multiply.outer(law.atoms_a, law.atoms_b).ravel()
+    return (np.concatenate([dens.ravel(), pairs]),
+            np.exp(np.concatenate([s.ravel(), np.subtract.outer(law.pos, law.pos).ravel()])))

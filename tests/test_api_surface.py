@@ -8,7 +8,7 @@ its own definition, or it is declared below with the reason it stays.
 Uses are matched by name only, so a name collision counts as a use: any
 attribute of the same name on any object keeps a method alive.  So
 `LeakageProfile.cdf` counts as used through the `.cdf` of a table and of a
-law, and `StateVector.norm` through `np.linalg.norm`.
+law.
 """
 
 import ast

@@ -346,6 +346,12 @@ def join_cfg(n_cavities, seed, **kw):
 
 
 class TestJoin:
+    def test_zero_join_nodes_rejected(self):
+        # run_pipeline skips the join phase at join_nodes = 0; run_join joins exactly
+        # join_nodes pieces, so it joins none of the three pieces rather than all
+        with pytest.raises(GraphConfigError, match="join_nodes = 0.*run_pipeline skips"):
+            run_join(synthetic_inventory(3, 5), join_cfg(30, 21, join_kind="bridge"))
+
     def test_bridge_chain_structure(self):
         cfg = join_cfg(30, 21, join_nodes=3, join_kind="bridge")
         pieces = synthetic_inventory(3, 9)

@@ -75,8 +75,8 @@ def dh_physical_post_state(state: StateVector, qa, qb, clicks, parity, pa=PA, pb
     put(0, 1, su)
     put(1, 0, parity * sv)
     post = StateVector(state.qubit_ids, amps)
-    density = post.norm() ** 2
-    post.amps /= post.norm()
+    density = np.linalg.norm(post.amps) ** 2
+    post.amps /= np.linalg.norm(post.amps)
     return post, density
 
 

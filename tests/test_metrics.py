@@ -671,6 +671,15 @@ def test_atom_pairs_surface_stays_in_blocks():
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
+def test_atom_pairs_are_read_from_the_atoms_in_linear_memory():
+    # 1,024 atoms make 1,048,576 atom pairs, whose positions and masses as dense
+    # arrays peak at 41 MiB; cdf and expect read the pairs off the sorted atoms in
+    # blocks, so the law, compare and fidelity-hist stay small
+    pa, pb = atom_only_pair(2049)
+    assert metrics._law(pa, pb).pos.size == 1024
+    assert max(traced_peaks(pa, pb)) < 16 * 2**20
+
+
 class _Nonempty(np.ndarray):
     """Cells that read as nonempty, so expect runs its whole cell pass over them."""
 
@@ -698,11 +707,11 @@ def test_atom_only_surface_skips_the_empty_cells(monkeypatch):
     monkeypatch.setattr(metrics._TabulatedLaw, "expect", spy)
     monkeypatch.setattr(metrics, "_law", lambda pa, pb: law)
     skipped = expected_f_sq(theta[:, None], theta[None, :], pa, pb).value
-    assert points[0] == 1 and sum(points[1:]) == law.pair_pos.size
+    assert points[0] == 1 and sum(points[1:]) == law.pos.size ** 2
     law.hats, law.tilts = law.hats.view(_Nonempty), law.tilts.view(_Nonempty)
     points.clear()
     full = expected_f_sq(theta[:, None], theta[None, :], pa, pb).value
-    assert sum(points[1:]) == law.pair_pos.size + 2 * (law.hats.size - 1)   # 2 per cell
+    assert sum(points[1:]) == law.pos.size ** 2 + 2 * (law.hats.size - 1)   # 2 per cell
     assert full.tobytes() == skipped.tobytes()
 
 
@@ -843,6 +852,24 @@ class TestTabulatedLaw:
         # side of that edge move by O(h) (1.2e-6 here), every other bin by < 1e-10
         for hist, th in zip(hists, thetas):
             assert np.abs(hist - fidelity_histogram(*th, pa, pb).masses).max() <= 2e-6
+
+    def test_atom_pair_at_exactly_s_counts_below_s(self):
+        # the atom pairs sit at S = -log 2 (masses 0.15 x 0.05), 0 (0.15 x 0.3 and
+        # 0.05 x 0.05) and log 2 (0.05 x 0.3), exact in floating point.  P(S <= s)
+        # counts a pair at s: each jump is the pair's mass, and the values are
+        # pinned to 1e-15
+        law = metrics._law(*ATOM_PAIR)
+        log2 = math.log(2.0)
+        assert law.pos.tolist() == [-log2, 0.0]
+        s = np.array([-math.inf, -log2, 0.0, log2, math.inf])
+        below, above = law.cdf(s)
+        np.testing.assert_allclose(below, [0.0, 0.02249989421921873, 0.08166666666965011,
+                                           0.11250021159139392, 0.1575000000000013],
+                                   rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(below + above, law.mass)
+        assert abs(law.window(log2) - 0.09000031737217519) <= 1e-15
+        jumps = below[1:4] - law.cdf(s[1:4] - 1e-9)[0]
+        np.testing.assert_allclose(jumps, [0.0075, 0.0475, 0.015], rtol=0.0, atol=1e-8)
 
     def test_agrees_with_a_four_times_finer_law(self, monkeypatch):
         pa, pb = GRID_PAIRS["csv-2049"]

@@ -132,14 +132,19 @@ class TestTrajectory:
         assert np.all(np.diff(norms) <= 1e-15)  # monotone non-increasing
 
     def test_jump_operator_resolution_exact(self):
-        jp, jm, ja, jb = jump_operators(EXAMPLE_A, EXAMPLE_B)
+        # J_A = sqrt(kappa_A) a and J_B = sqrt(kappa_B) b, each cavity's own decay |1> -> |3>
+        jp, jm = jump_operators(EXAMPLE_A, EXAMPLE_B)
+        decay = np.zeros((4, 4), dtype=complex)
+        decay[3, 1] = 1.0
+        ja = math.sqrt(EXAMPLE_A.kappa) * np.kron(decay, np.eye(4))
+        jb = math.sqrt(EXAMPLE_B.kappa) * np.kron(np.eye(4), decay)
         lhs = jp.conj().T @ jp + jm.conj().T @ jm
         rhs = ja.conj().T @ ja + jb.conj().T @ jb
         assert np.abs(lhs - rhs).max() < 1e-13
 
     def test_equal_detector_click_rates(self):
         # <J+^dag J+> = <J-^dag J-> at every instant of both rounds
-        jp, jm, _, _ = jump_operators(EXAMPLE_A, EXAMPLE_B)
+        jp, jm = jump_operators(EXAMPLE_A, EXAMPLE_B)
         gp = jp.conj().T @ jp
         gm = jm.conj().T @ jm
         theta, dens = trajectory_dh_grid(EXAMPLE_A, EXAMPLE_B, [0.05], [0.2])
