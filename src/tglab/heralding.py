@@ -19,17 +19,17 @@ and the join phase call it once per attempt, and `tglab verify` checks its
 tilts against the trajectory oracle on a grid of click quantiles.  Its
 records, `ClickPair` and `DhOutcome`, are immutable tuples.
 
-The graph rewrites cover the two supported configurations of each side: a
-member of a GHZ star (a fresh qubit is a one-qubit star) and a
-"Hadamard-removed" cherry (a plain degree-one vertex hanging off a star
-centre).  Both are read from the side's neighbourhood alone.  Detector parity
-is a known Z error and is corrected immediately.
+The graph rewrite covers the one configuration that the join phase builds:
+two "Hadamard-removed" cherries, each a plain degree-one vertex on a pure edge
+to a plain node, read from the side's neighbourhood alone.  Detector parity is
+a known Z error and is corrected immediately.  Phase 1 keeps its pieces as
+sizes and tilts, so the fusion of two GHZ stars is a test-side reference
+(tests/reference_heralding.py), pinned on the state-vector oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import GraphConfigError, ImpossibleStateError
@@ -41,10 +41,7 @@ from .tilted_graph import (
     EdgeKind,
     TiltedGraph,
     Vertex,
-    branch_amplitudes,
     canonical_angle,
-    star_center_id,
-    with_star,
     z_pi_count,
 )
 
@@ -127,118 +124,45 @@ def sample_dh(theta_a: float, theta_b: float, pa: LeakageProfile, pb: LeakagePro
 
 
 # ---------------------------------------------------------------------------
-# Graph rewrites
+# Graph rewrite
 # ---------------------------------------------------------------------------
 
-GHZ = "ghz"
-CHERRY = "cherry"
+def classify_dh_side(g: TiltedGraph, q: int) -> int:
+    """The node centre of DH side q, read from q's neighbourhood alone.
 
-
-@dataclass(frozen=True)
-class SideInfo:
-    """Classification of one DH side."""
-
-    config: str
-    qubit: int
-    members: frozenset     # the whole star (ghz) / the qubit alone (cherry)
-    center: int            # star centre (ghz) / remnant centre (cherry)
-    theta_eff: float       # effective tilt fed to the click statistics
-
-
-def _effective_tilt(tilt: float, flip: bool, z_flips: int) -> float:
-    """theta_eff in [0, pi/2] of a side's amplitudes."""
-    alpha, beta = branch_amplitudes(tilt, flip, z_flips)
-    return math.atan2(abs(beta), abs(alpha))
-
-
-def classify_dh_side(g: TiltedGraph, q: int) -> SideInfo:
-    """Match one side against the two supported configurations, from q's neighbourhood."""
+    q must be a "Hadamard-removed" cherry: a plain degree-one vertex on a pure
+    edge to a plain node (the node behind it may be any graph), with no Z flag
+    other than Z(pi).  Anything else is a GraphConfigError.
+    """
     v = g.vertex(q)
-    # a plain degree-one vertex hanging off its node by a pure edge: the
-    # "Hadamard-removed" cherry case (the node behind it may be any graph;
-    # with no Hadamard flag on either end, the pair is never a GHZ star)
     if not v.hadamard and not v.x_flip and g.degree(q) == 1:
         (nb,) = g.neighbors(q)
         if not g.vertex(nb).hadamard and g.edge(q, nb).kind is EdgeKind.PURE:
-            theta = _effective_tilt(v.tilt, False, z_pi_count(g, [q]))
-            return SideInfo(CHERRY, q, frozenset([q]), nb, theta)
-    # a member (centre or Hadamard leaf) of a GHZ star; a fresh qubit is a one-qubit star
-    center = star_center_id(g, q)
-    if center is None:
-        raise GraphConfigError(f"qubit {q} is neither a cherry nor in a GHZ star")
-    if center == q and v.hadamard:
-        raise GraphConfigError(f"fresh qubit {q} may not carry a Hadamard flag")
-    members = frozenset((center, *g.neighbors(center)))
-    theta = _effective_tilt(g.vertex(center).tilt, v.x_flip, z_pi_count(g, members))
-    return SideInfo(GHZ, q, members, center, theta)
-
-
-def _check_pairing(a: SideInfo, b: SideInfo) -> None:
-    """Distinct nodes are disjoint pieces (a cherry's component holds two plain
-    vertices, so is no star) unless both sides are cherries, which prior annotations
-    may link (recycled entanglement, which commutes with the click analysis)."""
-    if a.qubit == b.qubit or a.center == b.center:
-        raise GraphConfigError(f"qubits {a.qubit}, {b.qubit} do not head distinct nodes")
-
-
-def _rewrite_ghz_success(g: TiltedGraph, a: SideInfo, b: SideInfo,
-                         theta_beta: float) -> TiltedGraph:
-    """Fuse two GHZ stars into one (the Eq.-12-style 2n-qubit tilted GHZ).
-
-    The new centre is the first side's qubit with tilt theta_beta; the branch
-    matching the Y term maps to all-zeros, which puts X-flip corrections on
-    the partner qubit, on the first side's other members (XOR their previous
-    flips and the used qubit's), and symmetrically on the second side.
-    """
-    fa = g.vertex(a.qubit).x_flip
-    fb = g.vertex(b.qubit).x_flip
-    members = a.members | b.members
-    leaves = []
-    for vid in sorted(members - {a.qubit}):
-        if vid == b.qubit:
-            flip = True
-        elif vid in a.members:
-            flip = (not fa) ^ g.vertex(vid).x_flip
-        else:
-            flip = fb ^ g.vertex(vid).x_flip
-        leaves.append(Vertex(vid, QUARTER_PI, hadamard=True, x_flip=flip))
-    return with_star(g, members, Vertex(a.qubit, theta_beta), leaves)
-
-
-def _rewrite_cherry_success(g: TiltedGraph, a: SideInfo, b: SideInfo,
-                            theta_beta: float) -> TiltedGraph:
-    """Install the central tilted vertex with its cherry between the two nodes.
-
-    Corrections (derived against the constructive target and checked by the
-    state-vector oracle): X on the partner qubit, Z(pi) on the first node's
-    centre.
-    """
-    central = Vertex(a.qubit, theta_beta)
-    cherry = Vertex(b.qubit, QUARTER_PI, hadamard=True).append_x()
-    pure = EdgeAnnotation.pure()
-    return g.edited(drop=(a.qubit, b.qubit),
-                    vertices=(central, cherry, g.vertex(a.center).append_z(math.pi)),
-                    edges=[(a.qubit, vid, pure) for vid in (b.qubit, a.center, b.center)])
+            z_pi_count(g, (q,))     # raises on a Z flag other than Z(pi)
+            return nb
+    raise GraphConfigError(f"qubit {q} is not a Hadamard-removed cherry")
 
 
 def apply_dh_to_graph(g: TiltedGraph, qa: int, qb: int, outcome: DhOutcome) -> TiltedGraph:
-    """Rewrite the graph for one DH outcome between qubits qa and qb.
+    """Rewrite the graph for one DH outcome between the cherries qa and qb.
 
-    Success fuses the two components according to their configuration;
-    failure Z-measures the used qubits (collapsing GHZ components to
-    separable states, which are dropped, and trimming cherry-configured
-    nodes by their used qubit only).  Measurement byproducts of the removals
-    are corrected immediately, and so is the Z error on the new centre that
-    the detector parity and the sides' Z(pi) flags leave, so a success
-    rewrite does not depend on them.
+    The two cherries must hang off distinct nodes; prior annotations may link
+    the nodes (recycled entanglement, which commutes with the click analysis).
+    Success installs qa as the central vertex with tilt theta_beta, on pure
+    edges to qb and to both node centres, with qb as its Hadamard cherry.
+    Corrections (derived against the constructive target and checked by the
+    state-vector oracle): X on qb, Z(pi) on qa's node centre.  The Z error on
+    the new centre that the detector parity and the sides' Z(pi) flags leave
+    is corrected immediately, so the rewrite does not depend on them.  Failure
+    Z-measures the used qubits, which trims each node by its cherry only.
     """
-    a, b = classify_dh_side(g, qa), classify_dh_side(g, qb)
-    _check_pairing(a, b)
-
+    ca, cb = classify_dh_side(g, qa), classify_dh_side(g, qb)
+    if ca == cb:
+        raise GraphConfigError(f"qubits {qa}, {qb} do not head distinct nodes")
     if not outcome.success:
-        return g.without_vertices(a.members | b.members)
-    if a.config == b.config == GHZ:
-        return _rewrite_ghz_success(g, a, b, outcome.theta_beta)
-    if a.config == b.config == CHERRY:
-        return _rewrite_cherry_success(g, a, b, outcome.theta_beta)
-    raise GraphConfigError(f"unsupported DH configuration pair: {a.config} with {b.config}")
+        return g.without_vertices((qa, qb))
+    central = Vertex(qa, outcome.theta_beta)
+    cherry = Vertex(qb, QUARTER_PI, hadamard=True).append_x()
+    pure = EdgeAnnotation.pure()
+    return g.edited(drop=(qa, qb), vertices=(central, cherry, g.vertex(ca).append_z(math.pi)),
+                    edges=[(qa, vid, pure) for vid in (qb, ca, cb)])

@@ -7,8 +7,9 @@ versions against them.  `without_vertices_by_comprehension` is the earlier
 `TiltedGraph.without_vertices`, which rebuilt both maps key by key.
 
 The `chained_*` rewrites are the earlier fusion rewrite, edge canonicalization
-and cherry-success rewrite, each a chain of one-step copy-on-write edits; the
-library makes each of them in one `TiltedGraph.edited` call.
+and DH success rewrite between two cherries, each a chain of one-step
+copy-on-write edits; the library makes each of them in one `TiltedGraph.edited`
+call.
 """
 
 import math
@@ -79,15 +80,17 @@ def chained_canonical_edge(g, a, b):
     return out.map_vertex(b, lambda v: v.absorb_inner_z(-sgn * HALF_PI))
 
 
-def chained_cherry_success(g, a, b, theta_beta):
-    """`heralding._rewrite_cherry_success` as a star rewrite, two edges and a
-    vertex update, one after another."""
-    central = Vertex(a.qubit, theta_beta)
-    cherry = Vertex(b.qubit, QUARTER_PI, hadamard=True).append_x()
-    out = with_star(g, [a.qubit, b.qubit], central, [cherry])
-    for node in (a.center, b.center):
-        out = out.with_edge(a.qubit, node, EdgeAnnotation.pure())
-    return out.map_vertex(a.center, lambda v: v.append_z(math.pi))
+def chained_cherry_success(g, qa, qb, theta_beta):
+    """The success rewrite of `heralding.apply_dh_to_graph` between the cherries
+    qa and qb, as a star rewrite, two edges and a vertex update, one after
+    another."""
+    (ca,), (cb,) = g.neighbors(qa), g.neighbors(qb)
+    central = Vertex(qa, theta_beta)
+    cherry = Vertex(qb, QUARTER_PI, hadamard=True).append_x()
+    out = with_star(g, [qa, qb], central, [cherry])
+    for node in (ca, cb):
+        out = out.with_edge(qa, node, EdgeAnnotation.pure())
+    return out.map_vertex(ca, lambda v: v.append_z(math.pi))
 
 
 def component_star_center(g, comp):

@@ -16,6 +16,16 @@ and `sample_clicks_rows` reads each row as `sample_clicks` does, through
 `inverse_cdf` on whole columns.  np.interp evaluates each element on its own,
 and the scalar path of `inverse_cdf` equals it bit for bit, so row k of the
 mirror is `sample_clicks(ctx, u[k])` exactly.
+
+The graph rewrite `apply_dh_reference` is the two-configuration rule whose
+cherry case `heralding.apply_dh_to_graph` keeps.  `classify_side_reference`
+reads each side as a member of a GHZ star (a fresh qubit is a one-qubit star)
+or as a Hadamard-removed cherry, with the effective tilt of its amplitudes.
+Two stars fuse into one (the Eq.-12-style 2n-qubit tilted GHZ); two cherries
+install the central vertex between their nodes.  Phase 1 keeps its pieces as
+sizes and tilts, so no command builds a star side; tests/test_heralding.py
+pins the star fusion on the state-vector oracle, and tests/test_local_graph_reads.py
+checks that the library equals this reference on every pair of cherries.
 """
 
 import math
@@ -24,7 +34,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from tglab.errors import GraphConfigError, ImpossibleStateError
-from tglab.tilted_graph import HALF_PI, canonical_angle
+from tglab.tilted_graph import (
+    HALF_PI,
+    QUARTER_PI,
+    EdgeAnnotation,
+    EdgeKind,
+    Vertex,
+    branch_amplitudes,
+    canonical_angle,
+    star_center_id,
+    with_star,
+    z_pi_count,
+)
 
 
 class DhContext:
@@ -184,3 +205,102 @@ def sample_clicks_rows(ctx, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t1 = np.where(from_a, ctx.pa.inverse_cdf(u[:, 1]), ctx.pb.inverse_cdf(u[:, 1]))
     t2 = np.where(from_a, ctx.pb.inverse_cdf(u[:, 2]), ctx.pa.inverse_cdf(u[:, 2]))
     return t1, t2
+
+
+GHZ = "ghz"
+CHERRY = "cherry"
+
+
+@dataclass(frozen=True)
+class SideInfo:
+    """Classification of one DH side."""
+
+    config: str
+    qubit: int
+    members: frozenset     # the whole star (ghz) / the qubit alone (cherry)
+    center: int            # star centre (ghz) / remnant centre (cherry)
+    theta_eff: float       # effective tilt fed to the click statistics
+
+
+def effective_tilt(tilt: float, flip: bool, z_flips: int) -> float:
+    """theta_eff in [0, pi/2] of a side's amplitudes."""
+    alpha, beta = branch_amplitudes(tilt, flip, z_flips)
+    return math.atan2(abs(beta), abs(alpha))
+
+
+def classify_side_reference(g, q) -> SideInfo:
+    """Match one side against the two configurations, from q's neighbourhood."""
+    v = g.vertex(q)
+    # a plain degree-one vertex hanging off its node by a pure edge: the
+    # "Hadamard-removed" cherry case (the node behind it may be any graph;
+    # with no Hadamard flag on either end, the pair is never a GHZ star)
+    if not v.hadamard and not v.x_flip and g.degree(q) == 1:
+        (nb,) = g.neighbors(q)
+        if not g.vertex(nb).hadamard and g.edge(q, nb).kind is EdgeKind.PURE:
+            theta = effective_tilt(v.tilt, False, z_pi_count(g, [q]))
+            return SideInfo(CHERRY, q, frozenset([q]), nb, theta)
+    # a member (centre or Hadamard leaf) of a GHZ star; a fresh qubit is a one-qubit star
+    center = star_center_id(g, q)
+    if center is None:
+        raise GraphConfigError(f"qubit {q} is neither a cherry nor in a GHZ star")
+    if center == q and v.hadamard:
+        raise GraphConfigError(f"fresh qubit {q} may not carry a Hadamard flag")
+    members = frozenset((center, *g.neighbors(center)))
+    theta = effective_tilt(g.vertex(center).tilt, v.x_flip, z_pi_count(g, members))
+    return SideInfo(GHZ, q, members, center, theta)
+
+
+def rewrite_ghz_success(g, a: SideInfo, b: SideInfo, theta_beta: float):
+    """Fuse two GHZ stars into one (the Eq.-12-style 2n-qubit tilted GHZ).
+
+    The new centre is the first side's qubit with tilt theta_beta; the branch
+    matching the Y term maps to all-zeros, which puts X-flip corrections on
+    the partner qubit, on the first side's other members (XOR their previous
+    flips and the used qubit's), and symmetrically on the second side.
+    """
+    fa = g.vertex(a.qubit).x_flip
+    fb = g.vertex(b.qubit).x_flip
+    members = a.members | b.members
+    leaves = []
+    for vid in sorted(members - {a.qubit}):
+        if vid == b.qubit:
+            flip = True
+        elif vid in a.members:
+            flip = (not fa) ^ g.vertex(vid).x_flip
+        else:
+            flip = fb ^ g.vertex(vid).x_flip
+        leaves.append(Vertex(vid, QUARTER_PI, hadamard=True, x_flip=flip))
+    return with_star(g, members, Vertex(a.qubit, theta_beta), leaves)
+
+
+def rewrite_cherry_success(g, a: SideInfo, b: SideInfo, theta_beta: float):
+    """Install the central tilted vertex with its cherry between the two nodes:
+    X on the partner qubit, Z(pi) on the first node's centre."""
+    central = Vertex(a.qubit, theta_beta)
+    cherry = Vertex(b.qubit, QUARTER_PI, hadamard=True).append_x()
+    pure = EdgeAnnotation.pure()
+    return g.edited(drop=(a.qubit, b.qubit),
+                    vertices=(central, cherry, g.vertex(a.center).append_z(math.pi)),
+                    edges=[(a.qubit, vid, pure) for vid in (b.qubit, a.center, b.center)])
+
+
+def apply_dh_reference(g, qa, qb, outcome):
+    """Rewrite the graph for one DH outcome between qubits qa and qb.
+
+    Success fuses the two components according to their configuration;
+    failure Z-measures the used qubits (collapsing GHZ components to
+    separable states, which are dropped, and trimming cherry-configured
+    nodes by their used qubit only).  Distinct nodes are disjoint pieces (a
+    cherry's component holds two plain vertices, so is no star) unless both
+    sides are cherries, which prior annotations may link.
+    """
+    a, b = classify_side_reference(g, qa), classify_side_reference(g, qb)
+    if a.qubit == b.qubit or a.center == b.center:
+        raise GraphConfigError(f"qubits {a.qubit}, {b.qubit} do not head distinct nodes")
+    if not outcome.success:
+        return g.without_vertices(a.members | b.members)
+    if a.config == b.config == GHZ:
+        return rewrite_ghz_success(g, a, b, outcome.theta_beta)
+    if a.config == b.config == CHERRY:
+        return rewrite_cherry_success(g, a, b, outcome.theta_beta)
+    raise GraphConfigError(f"unsupported DH configuration pair: {a.config} with {b.config}")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from reference_growth import run_phase1_reference
-from reference_heralding import sample_dh_reference
+from reference_heralding import CHERRY, classify_side_reference, sample_dh_reference
 from tglab import growth, seeding
 from tglab.errors import GraphConfigError
 from tglab.growth import (
@@ -24,7 +24,7 @@ from tglab.growth import (
     run_pipeline,
     run_realignment,
 )
-from tglab.heralding import apply_dh_to_graph, classify_dh_side, sample_dh
+from tglab.heralding import apply_dh_to_graph, sample_dh
 from tglab.leakage import CriticallyDamped
 from tglab.oracle import build_state
 from tglab.procedures import p_success, r_function
@@ -381,8 +381,9 @@ class TestJoin:
 
     @pytest.mark.parametrize("kind, seed", [("bridge", 21), ("merge", 33)])
     def test_dh_attempts_take_the_effective_tilt_of_each_side(self, kind, seed, monkeypatch):
-        # the click statistics of a join's DH attempt read the effective tilt that the
-        # rewrite classifies each side with, not only a raw vertex tilt
+        # the click statistics of a join's DH attempt read each side's raw vertex
+        # tilt; `_free_leaf` admits only flag-free leaves, so that raw tilt is the
+        # effective tilt of the two-configuration reference's cherry side
         tilts, sides = [], []
 
         def sampler(theta_a, theta_b, *args):
@@ -390,7 +391,9 @@ class TestJoin:
             return sample_dh(theta_a, theta_b, *args)
 
         def apply(g, qa, qb, outcome):
-            sides.append([classify_dh_side(g, q).theta_eff for q in (qa, qb)])
+            infos = [classify_side_reference(g, q) for q in (qa, qb)]
+            assert [info.config for info in infos] == [CHERRY, CHERRY]
+            sides.append([info.theta_eff for info in infos])
             return apply_dh_to_graph(g, qa, qb, outcome)
         monkeypatch.setattr(growth, "sample_dh", sampler)
         monkeypatch.setattr(growth, "apply_dh_to_graph", apply)
@@ -399,6 +402,30 @@ class TestJoin:
         assert len(tilts) == len(sides) == stats.join_dh_attempts >= 2
         for pair, thetas in zip(tilts, sides):
             assert pair == pytest.approx(thetas, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("tilt", [QUARTER_PI, 0.6], ids=["untilted", "tilted"])
+    @pytest.mark.parametrize("efficiency", [1.0, 0.8])
+    @pytest.mark.parametrize("recycle", [True, False])
+    @pytest.mark.parametrize("method", ["auto", "force-i", "force-ii"])
+    @pytest.mark.parametrize("kind", ["bridge", "merge"])
+    def test_every_join_dh_side_is_a_cherry(self, kind, method, recycle, efficiency, tilt,
+                                            monkeypatch):
+        # the library rewrites only two cherries: over the whole option grid a
+        # campaign completes or runs out of inventory, and never builds another side
+        configs = []
+
+        def apply(g, qa, qb, outcome):
+            configs.extend(classify_side_reference(g, q).config for q in (qa, qb))
+            return apply_dh_to_graph(g, qa, qb, outcome)
+        monkeypatch.setattr(growth, "apply_dh_to_graph", apply)
+        for seed in range(3):
+            cfg = join_cfg(72, seed, join_nodes=5 + seed % 2, join_kind=kind, join_method=method,
+                           recycle_annotations=recycle, detection_efficiency=efficiency)
+            try:
+                run_join(synthetic_inventory(8, 9, tilt), cfg)
+            except InventoryExhausted:
+                pass
+        assert configs and set(configs) == {CHERRY}
 
     @pytest.mark.parametrize("kind, n_pieces", [("bridge", 12), ("merge", 6)])
     def test_disconnection_probe_walks_the_joined_piece(self, kind, n_pieces, monkeypatch):

@@ -6,12 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_heralding import (
+    CHERRY,
+    GHZ,
     DhContext,
+    apply_dh_reference,
     as_fields,
     click_density_first,
     click_density_joint,
     click_density_second,
     click_rows,
+    classify_side_reference,
     joint_terms,
     sample_clicks,
     sample_clicks_rows,
@@ -21,8 +25,6 @@ from reference_heralding import (
 )
 from tglab.errors import GraphConfigError, ImpossibleStateError, TglabError
 from tglab.heralding import (
-    CHERRY,
-    GHZ,
     ClickPair,
     DhOutcome,
     apply_dh_to_graph,
@@ -325,26 +327,38 @@ class TestTiltAfterDh:
 
 class TestClassification:
     def test_fresh_ghz_cherry(self):
+        # the reference reads stars and cherries; the library reads only the
+        # cherry, as its node centre, and rejects every star side
         g = TiltedGraph([Vertex(0, 0.4)])
-        assert classify_dh_side(g, 0).config == GHZ        # a one-qubit star
         g2 = ghz_graph([1, 2, 3], 0.7)
-        assert classify_dh_side(g2, 2).config == GHZ
-        assert classify_dh_side(g2, 2).theta_eff == pytest.approx(0.7)
+        assert classify_side_reference(g, 0).config == GHZ        # a one-qubit star
+        assert classify_side_reference(g2, 2).config == GHZ
+        assert classify_side_reference(g2, 2).theta_eff == pytest.approx(0.7)
+        for star, q in ((g, 0), (g2, 1), (g2, 2)):
+            with pytest.raises(GraphConfigError, match="is not a Hadamard-removed cherry"):
+                classify_dh_side(star, q)
         g3 = ghz_graph([4, 5], 0.9).with_vertex(Vertex(6, QUARTER_PI))
         g3 = g3.with_edge(6, 4, EdgeAnnotation.pure())
-        info = classify_dh_side(g3, 6)
+        info = classify_side_reference(g3, 6)
         assert info.config == CHERRY and info.center == 4
         assert info.theta_eff == pytest.approx(QUARTER_PI)
+        assert classify_dh_side(g3, 6) == 4
 
     def test_x_flip_gives_complementary_tilt(self):
         g = ghz_graph([0, 1, 2], 0.7).map_vertex(1, lambda v: v.append_x())
-        assert classify_dh_side(g, 1).theta_eff == pytest.approx(math.pi / 2 - 0.7)
-        assert classify_dh_side(g, 2).theta_eff == pytest.approx(0.7)
+        assert classify_side_reference(g, 1).theta_eff == pytest.approx(math.pi / 2 - 0.7)
+        assert classify_side_reference(g, 2).theta_eff == pytest.approx(0.7)
 
     def test_same_component_rejected(self):
         g = ghz_graph([0, 1, 2], 0.7)
-        with pytest.raises(GraphConfigError):
-            apply_dh_to_graph(g, 0, 1, DhOutcome(False))
+        with pytest.raises(GraphConfigError, match="do not head distinct nodes"):
+            apply_dh_reference(g, 0, 1, DhOutcome(False))
+        # two cherries on one node
+        g = g.edited(vertices=[Vertex(3), Vertex(4)],
+                     edges=[(0, q, EdgeAnnotation.pure()) for q in (3, 4)])
+        for rewrite in (apply_dh_reference, apply_dh_to_graph):
+            with pytest.raises(GraphConfigError, match="do not head distinct nodes"):
+                rewrite(g, 3, 4, DhOutcome(False))
 
     def test_unsupported_z_flags_rejected(self):
         star = ghz_graph([0, 1, 2], 0.7)        # centre 0, Hadamard leaves 1, 2
@@ -357,7 +371,10 @@ class TestClassification:
         ]
         for g, q in cases:
             with pytest.raises(GraphConfigError):
-                classify_dh_side(g, q)
+                classify_side_reference(g, q)
+        # the library keeps the cherry's check of its Z flags
+        with pytest.raises(GraphConfigError, match="z_phase"):
+            classify_dh_side(*cases[-1])
 
 
 def random_success(rng, theta_eff_a, theta_eff_b):
@@ -379,15 +396,18 @@ def branch_sign(g, info):
 
 
 class TestGraphRewrites:
-    def assert_success_rewrite_matches_physics(self, g, qa, qb, rng):
-        info_a, info_b = classify_dh_side(g, qa), classify_dh_side(g, qb)
+    """The star fusion is pinned on the reference, the cherry rewrite on the library."""
+
+    def assert_success_rewrite_matches_physics(self, g, qa, qb, rng, rewrite=apply_dh_reference):
+        info_a, info_b = classify_side_reference(g, qa), classify_side_reference(g, qb)
         out = random_success(rng, info_a.theta_eff, info_b.theta_eff)
         before = build_state(g)
         post, density = dh_physical_post_state(before, qa, qb, out.clicks, out.parity)
         if out.parity * branch_sign(g, info_a) * branch_sign(g, info_b) < 0:
             # the rewrite corrects the known Z(pi) on the new centre qa
             post = post.apply_single(qa, np.diag([1.0, -1.0]))
-        after = apply_dh_to_graph(g, qa, qb, out)
+        after = rewrite(g, qa, qb, out)
+        assert after == apply_dh_reference(g, qa, qb, out)
         got = build_state(after)
         assert overlap(post, got) > 1 - 1e-10
         ctx = DhContext(info_a.theta_eff, info_b.theta_eff, PA, PB)
@@ -396,7 +416,7 @@ class TestGraphRewrites:
     def test_fresh_pair_success_is_tilted_bell_pair(self):
         g = TiltedGraph([Vertex(0), Vertex(1)])
         out = DhOutcome(True, 0.6, ClickPair(0.1, 0.2), 1)
-        after = apply_dh_to_graph(g, 0, 1, out)
+        after = apply_dh_reference(g, 0, 1, out)
         # Eq.-9-style pair: cos(tb)|00> + sin(tb)|11> up to the recorded X
         s = build_state(after)
         ref = ghz_graph([0, 1], 0.6)
@@ -436,9 +456,9 @@ class TestGraphRewrites:
         gb = ghz_graph([3, 4, 5], 1.1)
         g = TiltedGraph(list(ga.vertices()) + list(gb.vertices()),
                         list(ga.edges()) + list(gb.edges()))
-        info_a, info_b = classify_dh_side(g, 1), classify_dh_side(g, 4)
+        info_a, info_b = classify_side_reference(g, 1), classify_side_reference(g, 4)
         out = random_success(rng, info_a.theta_eff, info_b.theta_eff)
-        after = apply_dh_to_graph(g, 1, 4, out)
+        after = apply_dh_reference(g, 1, 4, out)
         comp = after.component_of(0)
         assert comp == frozenset(range(6))
         # physically a 6-qubit GHZ with tilt theta_beta, modulo the recorded flips
@@ -464,7 +484,7 @@ class TestGraphRewrites:
             g = g.with_edge(q, base, EdgeAnnotation.pure())
             used.append(q)
             base += n + 1
-        self.assert_success_rewrite_matches_physics(g, used[0], used[1], rng)
+        self.assert_success_rewrite_matches_physics(g, used[0], used[1], rng, apply_dh_to_graph)
 
     def test_cherry_success_shape(self):
         g = TiltedGraph([])
@@ -482,14 +502,18 @@ class TestGraphRewrites:
         assert after.degree(13) == 1
 
     def test_failure_fresh_and_ghz_remove_components(self):
-        g = TiltedGraph([Vertex(0), Vertex(1)])
-        assert apply_dh_to_graph(g, 0, 1, DhOutcome(False)).vertex_count == 0
+        fresh = TiltedGraph([Vertex(0), Vertex(1)])
+        assert apply_dh_reference(fresh, 0, 1, DhOutcome(False)).vertex_count == 0
         ga = ghz_graph([0, 1, 2], 0.5)
         gb = ghz_graph([3, 4, 5], 0.7)
         g = TiltedGraph(list(ga.vertices()) + list(gb.vertices()),
                         list(ga.edges()) + list(gb.edges()))
-        after = apply_dh_to_graph(g, 0, 3, DhOutcome(False))
+        after = apply_dh_reference(g, 0, 3, DhOutcome(False))
         assert after.vertex_count == 0
+        # the library rewrites only cherries: a star side is a configuration error
+        for graph, qa, qb in ((fresh, 0, 1), (g, 0, 3)):
+            with pytest.raises(GraphConfigError, match="is not a Hadamard-removed cherry"):
+                apply_dh_to_graph(graph, qa, qb, DhOutcome(False))
 
     def test_failure_ghz_collapse_is_separable(self):
         # Z-measuring one member of each GHZ leaves a product state
@@ -518,5 +542,7 @@ class TestGraphRewrites:
         g = TiltedGraph(list(ga.vertices()) + [Vertex(5, QUARTER_PI), Vertex(6, QUARTER_PI)],
                         list(ga.edges()) + [(5, 6, EdgeAnnotation.pure())])
         out = DhOutcome(True, 0.5, ClickPair(0.1, 0.1), 1)
-        with pytest.raises(GraphConfigError):
+        with pytest.raises(GraphConfigError, match="unsupported DH configuration pair"):
+            apply_dh_reference(g, 0, 6, out)
+        with pytest.raises(GraphConfigError, match="qubit 0 is not a Hadamard-removed cherry"):
             apply_dh_to_graph(g, 0, 6, out)

@@ -1,5 +1,7 @@
 """Per-attempt graph reads and rewrites stay local, and agree with the
-whole-component and whole-graph references in reference_graph.py."""
+whole-component and whole-graph references in reference_graph.py.  The
+library's DH rewrite equals the two-configuration reference of
+reference_heralding.py on every pair of cherries and rejects every other side."""
 
 from collections import Counter
 from dataclasses import replace
@@ -10,7 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference_graph import component_star_center, whole_graph_canonicalize, whole_graph_join
 
-from tglab import heralding, procedures, tilted_graph
+import reference_heralding
+from reference_heralding import CHERRY, apply_dh_reference, classify_side_reference
+from tglab import procedures, tilted_graph
 from tglab.errors import GraphConfigError
 from tglab.heralding import DhOutcome, apply_dh_to_graph, classify_dh_side
 from tglab.oracle import build_state, overlap, project
@@ -83,13 +87,18 @@ class TestStarTest:
     def test_lone_vertex_is_its_own_star(self):
         g = TiltedGraph([Vertex(3, 0.4)])
         assert star_center_id(g, 3) == 3
-        info = classify_dh_side(g, 3)
-        assert (info.config, info.members, info.center) == (heralding.GHZ, {3}, 3)
+        info = classify_side_reference(g, 3)
+        assert (info.config, info.members, info.center) == (reference_heralding.GHZ, {3}, 3)
         assert info.theta_eff == pytest.approx(0.4)
+        with pytest.raises(GraphConfigError, match="is not a Hadamard-removed cherry"):
+            classify_dh_side(g, 3)
 
     def test_flagged_fresh_qubit_rejected(self):
+        g = TiltedGraph([Vertex(0, 0.4, hadamard=True)])
         with pytest.raises(GraphConfigError, match="may not carry a Hadamard flag"):
-            classify_dh_side(TiltedGraph([Vertex(0, 0.4, hadamard=True)]), 0)
+            classify_side_reference(g, 0)
+        with pytest.raises(GraphConfigError, match="is not a Hadamard-removed cherry"):
+            classify_dh_side(g, 0)
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(star_forests(), st.data())
@@ -98,16 +107,24 @@ class TestStarTest:
                                     unique=True)) if g.vertex_count > 1 else (0, 0)
         outcome = data.draw(st.sampled_from((DhOutcome(False), DhOutcome(True, 0.6))))
 
-        def run():
+        def run(rewrite):
             try:
-                return apply_dh_to_graph(g, qa, qb, outcome)
+                return rewrite(g, qa, qb, outcome)
             except GraphConfigError as exc:
                 return type(exc)
-        local = run()
+        local = run(apply_dh_reference)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(heralding, "star_center_id",
+            mp.setattr(reference_heralding, "star_center_id",
                        lambda g, vid: component_star_center(g, g.component_of(vid)))
-            assert run() == local
+            assert run(apply_dh_reference) == local
+        # the library is the reference's cherry case, and rejects every other side
+        def config(q):
+            try:
+                return classify_side_reference(g, q).config
+            except GraphConfigError:
+                return None
+        cherries = config(qa) == config(qb) == CHERRY
+        assert run(apply_dh_to_graph) == (local if cherries else GraphConfigError)
 
 
 def eq29_cases(count):
@@ -217,8 +234,9 @@ class TestNoWholeGraphPass:
         star = union(ghz_graph(range(4), 0.6), TiltedGraph([Vertex(10, 0.4)]))
         cherried = star.with_vertex(Vertex(11)).with_edge(11, 0, EdgeAnnotation.pure())
         for q in (0, 2, 10):
-            classify_dh_side(star, q)
-        classify_dh_side(cherried, 11)
+            with pytest.raises(GraphConfigError):
+                classify_dh_side(star, q)
+        assert classify_dh_side(cherried, 11) == 0
         realign(star, 3, outcome=1)
         g, _, cherry = _eq29_instance(np.random.default_rng(2), with_cherry=True)
         realign(g, cherry, outcome=0)

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from reference_graph import chained_canonical_edge, chained_cherry_success
 from test_oracle_reference import decorated_graphs
 
-from tglab import growth, heralding, procedures
+from tglab import growth, procedures
 from tglab.errors import GraphConfigError
-from tglab.heralding import classify_dh_side
+from tglab.heralding import DhOutcome, apply_dh_to_graph, classify_dh_side
 from tglab.leakage import CriticallyDamped
 from tglab.tilted_graph import (
     QUARTER_PI,
@@ -89,10 +89,9 @@ class TestCherrySuccess:
                         [e for s in stars for e in s.edges()]
                         + [(0, 3, EdgeAnnotation.weighted(0.4))])
         g = g.edited(vertices=[Vertex(1), Vertex(4), Vertex(0, **flags)])
-        a, b = classify_dh_side(g, 1), classify_dh_side(g, 4)
-        assert a.config == b.config == heralding.CHERRY
-        assert_same(heralding._rewrite_cherry_success(g, a, b, theta_beta),
-                    chained_cherry_success(g, a, b, theta_beta))
+        assert (classify_dh_side(g, 1), classify_dh_side(g, 4)) == (0, 3)
+        assert_same(apply_dh_to_graph(g, 1, 4, DhOutcome(True, theta_beta)),
+                    chained_cherry_success(g, 1, 4, theta_beta))
 
 
 def join_campaign(kind, pieces, seed):
@@ -110,11 +109,18 @@ def join_campaign(kind, pieces, seed):
     return graph, stats
 
 
+def chained_dh(g, qa, qb, outcome):
+    """`apply_dh_to_graph` with its success rewrite made by the chained edits."""
+    if outcome.success:
+        return chained_cherry_success(g, qa, qb, outcome.theta_beta)
+    return apply_dh_to_graph(g, qa, qb, outcome)
+
+
 @pytest.mark.parametrize("kind", ["merge", "bridge"])
 def test_join_campaigns_match_the_chained_rewrites(kind, monkeypatch):
     got, stats = join_campaign(kind, 20, 5)
     monkeypatch.setattr(procedures, "canonical_edge", chained_canonical_edge)
-    monkeypatch.setattr(heralding, "_rewrite_cherry_success", chained_cherry_success)
+    monkeypatch.setattr(growth, "apply_dh_to_graph", chained_dh)
     want, want_stats = join_campaign(kind, 20, 5)
     assert_same(got, want)
     assert stats == want_stats
