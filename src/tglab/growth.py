@@ -354,10 +354,10 @@ def _join_once(g: TiltedGraph, anchor: int, other: int, cfg: StrategyConfig,
         out = sample_dh(g.vertex(qa).tilt, g.vertex(qb).tilt, cfg.profiles[cavity_of[qa]],
                         cfg.profiles[cavity_of[qb]], rng.random(5), cfg.detection_efficiency)
         stats.join_dh_attempts += 1
-        nb_a, nb_b = g.neighbors(qa)[0], g.neighbors(qb)[0]
-        g = apply_dh_to_graph(g, qa, qb, out)
         if trace is not None:
-            trace.append(("dh", qa, qb, out, cavity_of[qa], cavity_of[qb], nb_a, nb_b))
+            trace.append(("dh", qa, qb, out, cavity_of[qa], cavity_of[qb],
+                          g.neighbors(qa)[0], g.neighbors(qb)[0]))
+        g = apply_dh_to_graph(g, qa, qb, out)
         stats.qubits_consumed += 0 if out.success else 2
         if not out.success:
             continue

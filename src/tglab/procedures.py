@@ -8,9 +8,10 @@ All three procedures rotate one qubit by a member of the M family,
 measure it in the computational basis, and rewrite the graph according to
 the outcome:
 
-* realign: measure the cherry of a tilted vertex (or any Hadamard leaf of
-  a tilted GHZ star).  Success probability p_s(theta) = sin^2(2 theta)/2
-  leaves the structure untilted; failure worsens the tilt to -R(theta),
+* realign: measure the cherry of a tilted vertex, a +pi/4 Hadamard leaf on
+  it (any leaf of a GHZ star is one) or, in a two-qubit star, the plain
+  centre.  Success probability p_s(theta) = sin^2(2 theta)/2 leaves the
+  structure untilted; failure worsens the tilt to -R(theta),
   cos R(phi) = cos^2(phi) / sqrt(1 - sin^2(2 phi)/2).
 
 * merge: measure a degree-two tilted central vertex after M(+-theta_b).
@@ -50,9 +51,7 @@ from .tilted_graph import (
     canonical_edge,
     combine_partial_fusions,
     combine_weighted_edges,
-    star_center_id,
     swap_tilt,
-    with_star,
     z_pi_count,
 )
 
@@ -228,32 +227,32 @@ def realign(g: TiltedGraph, cherry: int, rng=None, outcome: int | None = None
             ) -> tuple[ProcedureOutcome, TiltedGraph]:
     """Attempt to purify the tilt holder by measuring out its cherry.
 
-    The cherry must be a degree-one qubit whose computational amplitudes
-    carry the holder's tilt: any Hadamard leaf of a GHZ star (every GHZ
-    qubit is such a cherry), the plain centre of a two-qubit star, or the
-    Hadamard cherry hanging off a tilted central vertex.
+    The cherry is a degree-one qubit on a pure edge whose computational value
+    tracks its holder's: a Hadamard cherry prepared at +pi/4 on a plain holder
+    (the tilt is the holder's), or the plain centre of a two-qubit star, whose
+    holder is a +pi/4 Hadamard leaf (the tilt is the cherry's).  A partial
+    fusion at the holder would reweigh its branches, so it is rejected.
+    Rewrites only the holder; the rest of g stays as given.
     """
     v = g.vertex(cherry)
     if g.degree(cherry) != 1:
         raise GraphConfigError(f"vertex {cherry} has degree {g.degree(cherry)}, not a cherry")
     (holder,) = g.neighbors(cherry)
+    hv = g.vertex(holder)
     if g.edge(cherry, holder).kind is not EdgeKind.PURE:
         raise GraphConfigError("the cherry must hang on a pure edge")
-    center = star_center_id(g, cherry)
-    if center is not None:
-        flagged = comp = frozenset((center, *g.neighbors(center)))
-        tilt = g.vertex(center).tilt
-    else:                           # central-vertex flavour: a Hadamard cherry on a tilt holder
-        hv = g.vertex(holder)
-        if not v.hadamard:
-            raise GraphConfigError(
-                f"vertex {cherry} is not a realignable cherry (no Hadamard correlation)")
-        if hv.hadamard or hv.x_flip:
-            raise GraphConfigError(f"tilt holder {holder} carries unsupported frame flags")
-        tilt, flagged = hv.tilt, [holder, cherry]
-    # the cherry value tracks the holder branch (through CZ + H in the
-    # central flavour); a recorded X flip on the cherry inverts the correlation
-    alpha, beta = branch_amplitudes(tilt, v.x_flip, z_pi_count(g, flagged))
+    if v.hadamard and not hv.hadamard and abs(v.tilt - QUARTER_PI) < ANGLE_TOL:
+        tilt = hv.tilt
+    elif (hv.hadamard and not v.hadamard and abs(hv.tilt - QUARTER_PI) < ANGLE_TOL
+          and g.degree(holder) == 1):
+        tilt = v.tilt
+    else:
+        raise GraphConfigError(f"vertex {cherry} is not a realignable cherry of {holder}")
+    if any(g.edge(holder, nb).kind is EdgeKind.PARTIAL for nb in g.neighbors(holder)):
+        raise GraphConfigError(f"tilt holder {holder} carries a partial fusion")
+    # the cherry value tracks the holder branch; a recorded X flip on the
+    # cherry inverts the correlation
+    alpha, beta = branch_amplitudes(tilt, v.x_flip, z_pi_count(g, (holder, cherry)))
     theta_rot = math.atan2(beta, alpha)
     p = p_success(theta_rot)
     bit = _draw(outcome, rng, p)
@@ -261,15 +260,7 @@ def realign(g: TiltedGraph, cherry: int, rng=None, outcome: int | None = None
     # are global, so the surviving structure is +pi/4 tilted
     t_cherry_basis = QUARTER_PI if bit else -r_function(theta_rot)
     tilt_after = swap_tilt(t_cherry_basis) if v.x_flip else t_cherry_basis
-    if center is not None:
-        remaining = sorted(comp - {cherry})
-        new_center = center if center in remaining else remaining[0]
-        leaves = [Vertex(vid, QUARTER_PI, hadamard=True, x_flip=g.vertex(vid).x_flip)
-                  for vid in remaining if vid != new_center]
-        out = with_star(g, comp, Vertex(new_center, tilt_after,
-                                        x_flip=g.vertex(new_center).x_flip), leaves)
-    else:
-        out = g.edited(drop=(cherry,), vertices=(Vertex(holder, tilt_after),))
+    out = g.edited(drop=(cherry,), vertices=(Vertex(holder, tilt_after, x_flip=hv.x_flip),))
     record = ProcedureOutcome("realign", bool(bit), p, cherry,
                               RotationDescriptor("M", theta_rot), bit, tilt_after=tilt_after)
     return record, out

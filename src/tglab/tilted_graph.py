@@ -402,19 +402,8 @@ class TiltedGraph:
 
 
 # ---------------------------------------------------------------------------
-# GHZ-star structure helpers
+# GHZ stars
 # ---------------------------------------------------------------------------
-
-def with_star(g: TiltedGraph, removed, center: Vertex, leaves) -> TiltedGraph:
-    """Drop the vertices `removed`, then join `center` to each leaf by a pure edge."""
-    removed, leaves, seen = set(removed), tuple(leaves), set()
-    for v in (center, *leaves):
-        if v.id in seen or (v.id in g._vertices and v.id not in removed):
-            raise GraphConfigError(f"duplicate vertex id {v.id}")
-        seen.add(v.id)
-    pure = EdgeAnnotation.pure()
-    return g.edited(removed, (center, *leaves), [(center.id, leaf.id, pure) for leaf in leaves])
-
 
 def ghz_graph(ids, tilt: float = QUARTER_PI, center: int | None = None) -> TiltedGraph:
     """Star representation of an N-qubit (tilted) GHZ state.
@@ -429,29 +418,9 @@ def ghz_graph(ids, tilt: float = QUARTER_PI, center: int | None = None) -> Tilte
         center = ids[0]
     if center not in ids:
         raise GraphConfigError(f"centre {center} not among ids {ids}")
-    leaves = [Vertex(i, QUARTER_PI, hadamard=True) for i in ids if i != center]
-    return with_star(TiltedGraph(), (), Vertex(center, tilt), leaves)
-
-
-def star_center_id(g: TiltedGraph, vid: int) -> int | None:
-    """The centre of the GHZ star holding vid, or None, from vid's neighbourhood.
-
-    A lone vertex is its own star.  Otherwise the centre is vid (if plain) or a
-    Hadamard vid's only neighbour, and it must be plain with every neighbour an
-    untilted Hadamard leaf of degree 1 on a pure edge.
-    """
-    v, row = g.vertex(vid), g._adj[vid]
-    if not row:
-        return vid
-    center = next(iter(row)) if v.hadamard and len(row) == 1 else vid
-    if g.vertex(center).hadamard:
-        return None
-    for nb, annot in g._adj[center].items():
-        leaf = g.vertex(nb)
-        if (annot.kind is not EdgeKind.PURE or len(g._adj[nb]) != 1 or not leaf.hadamard
-                or not leaf.untilted):
-            return None
-    return center
+    pure = EdgeAnnotation.pure()
+    return TiltedGraph([Vertex(i, tilt) if i == center else Vertex(i, QUARTER_PI, hadamard=True)
+                        for i in ids], [(center, i, pure) for i in ids if i != center])
 
 
 # ---------------------------------------------------------------------------

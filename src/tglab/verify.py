@@ -32,7 +32,6 @@ from .tilted_graph import (
     Vertex,
     canonicalize,
     ghz_graph,
-    with_star,
 )
 
 CASE_BLOCK = 32     # oracle cases generated, built and checked together
@@ -43,18 +42,19 @@ def _eq29_instance(rng, annot_kind=None, with_cherry=False):
     theta = float(rng.uniform(0.02, math.pi / 2 - 0.02))
     la, lb = int(rng.integers(0, 3)), int(rng.integers(0, 3))
     centers, nid = (1, 2 + la), 3 + la + lb
-    g = with_star(TiltedGraph(), (), Vertex(0, theta),
-                  [Vertex(nid, QUARTER_PI, hadamard=True)] if with_cherry else [])
-    for center, leaves in zip(centers, (la, lb)):
-        g = with_star(g, (), Vertex(center, QUARTER_PI), [
-            Vertex(k, QUARTER_PI, hadamard=True) for k in range(center + 1, center + 1 + leaves)])
-        g = g.with_edge(0, center, EdgeAnnotation.pure())
+    pure = EdgeAnnotation.pure()
+    vertices = [Vertex(0, theta)] + [Vertex(k, QUARTER_PI, hadamard=k not in centers)
+                                     for k in range(1, nid)]
+    edges = [(0, c, pure) for c in centers] + [(c, k, pure) for c, n in zip(centers, (la, lb))
+                                               for k in range(c + 1, c + 1 + n)]
+    if with_cherry:
+        vertices.append(Vertex(nid, QUARTER_PI, hadamard=True))
+        edges.append((0, nid, pure))
     if annot_kind is not None:
         gamma = float(rng.uniform(-math.pi / 2 + 0.02, math.pi / 2 - 0.02))
-        annot = (EdgeAnnotation.partial_fusion(gamma) if annot_kind == "partial"
-                 else EdgeAnnotation.weighted(gamma))
-        g = g.with_edge(*centers, annot)
-    return g, centers, (nid if with_cherry else None)
+        edges.append((*centers, EdgeAnnotation.partial_fusion(gamma) if annot_kind == "partial"
+                      else EdgeAnnotation.weighted(gamma)))
+    return TiltedGraph(vertices, edges), centers, (nid if with_cherry else None)
 
 
 def _worse(worst: float, disc: float) -> float:

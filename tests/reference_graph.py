@@ -1,9 +1,18 @@
-"""Whole-component, whole-graph and chained references for the graph rewrites.
+"""Test-side graph references: the GHZ-star helpers, and whole-component,
+whole-graph and chained versions of the graph rewrites.
 
-The library answers "is this a GHZ star" from one vertex's neighbourhood and
-rewrites only the edge a merge or bridge makes.  These are the earlier
-versions that read the whole component or graph; tests check the local
-versions against them.  `without_vertices_by_comprehension` is the earlier
+The library builds GHZ stars (`ghz_graph`) but does not recognise or rebuild
+them: `realign` reads only the cherry and its holder, and the DH rewrite only
+its two cherries.  `star_center_id` (the centre of the star holding a vertex,
+read from that vertex's neighbourhood) and `with_star` (drop some vertices,
+then join a centre to its leaves) are the helpers the library used for
+that; `reference_heralding`'s GHZ-star fusion and the tests still use them.
+`component_star_center` is the earlier star test that read the whole
+component; `star_center_id` is checked against it.
+
+Merge and bridge rewrite only the edge they make; `whole_graph_join` is the
+earlier version that canonicalized the whole graph.
+`without_vertices_by_comprehension` is the earlier
 `TiltedGraph.without_vertices`, which rebuilt both maps key by key.
 
 The `chained_*` rewrites are the earlier fusion rewrite, edge canonicalization
@@ -23,8 +32,39 @@ from tglab.tilted_graph import (
     EdgeKind,
     TiltedGraph,
     Vertex,
-    with_star,
 )
+
+
+def with_star(g, removed, center, leaves):
+    """Drop the vertices `removed`, then join `center` to each leaf by a pure edge."""
+    removed, leaves, seen = set(removed), tuple(leaves), set()
+    for v in (center, *leaves):
+        if v.id in seen or (v.id in g._vertices and v.id not in removed):
+            raise GraphConfigError(f"duplicate vertex id {v.id}")
+        seen.add(v.id)
+    pure = EdgeAnnotation.pure()
+    return g.edited(removed, (center, *leaves), [(center.id, leaf.id, pure) for leaf in leaves])
+
+
+def star_center_id(g, vid):
+    """The centre of the GHZ star holding vid, or None, from vid's neighbourhood.
+
+    A lone vertex is its own star.  Otherwise the centre is vid (if plain) or a
+    Hadamard vid's only neighbour, and it must be plain with every neighbour an
+    untilted Hadamard leaf of degree 1 on a pure edge.
+    """
+    v, row = g.vertex(vid), g._adj[vid]
+    if not row:
+        return vid
+    center = next(iter(row)) if v.hadamard and len(row) == 1 else vid
+    if g.vertex(center).hadamard:
+        return None
+    for nb, annot in g._adj[center].items():
+        leaf = g.vertex(nb)
+        if (annot.kind is not EdgeKind.PURE or len(g._adj[nb]) != 1 or not leaf.hadamard
+                or not leaf.untilted):
+            return None
+    return center
 
 
 def chained_fusion_rewrite(g, a, b, sign):

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from reference_graph import star_center_id, with_star
 from tglab.errors import GraphConfigError, ImpossibleStateError
 from tglab.tilted_graph import (
     HALF_PI,
@@ -42,8 +43,6 @@ from tglab.tilted_graph import (
     Vertex,
     branch_amplitudes,
     canonical_angle,
-    star_center_id,
-    with_star,
     z_pi_count,
 )
 

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from reference_graph import component_star_center, whole_graph_canonicalize, whole_graph_join
+from reference_graph import (
+    component_star_center,
+    star_center_id,
+    whole_graph_canonicalize,
+    whole_graph_join,
+)
 
 import reference_heralding
 from reference_heralding import CHERRY, apply_dh_reference, classify_side_reference
@@ -28,7 +33,6 @@ from tglab.tilted_graph import (
     canonical_edge,
     canonicalize,
     ghz_graph,
-    star_center_id,
 )
 from tglab.verify import _eq29_instance
 
@@ -166,20 +170,26 @@ class TestProceduresAgainstReferences:
                         assert after == whole_graph_join(g, 0, record)
         assert negative > 30 and maximal > 300
 
-    def test_realign_matches_component_star_test(self, monkeypatch):
+    def test_realign_cases_match_the_oracle(self):
         cases = [(g, cherry) for g, _, cherry in eq29_cases(60) if cherry is not None]
         cases += [(ghz_graph(range(n), 0.3 * n, center=n // 2), q)
                   for n in (2, 3, 5) for q in range(n)]
         cases += [(g, q) for g, _, _ in eq29_cases(12) for q in g.vertex_ids if g.degree(q) == 1]
-
-        def run():
-            return [attempt(realign, g, q, outcome=outcome)
-                    for g, q in cases for outcome in (0, 1)]
-        local = run()
-        monkeypatch.setattr(procedures, "star_center_id",
-                            lambda g, vid: component_star_center(g, g.component_of(vid)))
-        assert run() == local
-        assert sum(isinstance(r, str) for r in local) < len(local) / 2
+        accepted = 0
+        for g, q in cases:
+            state = build_state(g)
+            for outcome in (0, 1):
+                got = attempt(realign, g, q, outcome=outcome)
+                if isinstance(got, str):
+                    continue
+                accepted += 1
+                record, after = got
+                p, post = project(state, q, outcome, record.rotation.matrix())
+                assert p == pytest.approx(record.probability if outcome
+                                          else 1.0 - record.probability, abs=1e-10)
+                if p > 1e-12:
+                    assert overlap(post, build_state(after)) > 1 - 1e-10
+        assert accepted > len(cases)
 
     def test_canonicalize_matches_whole_graph_reference(self):
         for g, (x, y), _ in eq29_cases(90):

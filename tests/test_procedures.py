@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from tglab.tilted_graph import (
     Vertex,
     ghz_graph,
 )
+from tglab.verify import _eq29_instance
 
 QUARTER_PI = math.pi / 4
 HALF_PI = math.pi / 2
@@ -202,10 +204,15 @@ class TestRealignGhz:
 
     def test_unsupported_z_flags_rejected(self):
         g = ghz_graph(range(3), 0.7)             # centre 0, Hadamard leaves 1, 2
-        for bad in (g.map_vertex(0, lambda v: v.append_z(math.pi / 2)),
-                    g.map_vertex(2, lambda v: v.append_z(math.pi))):
-            with pytest.raises(GraphConfigError):
-                realign(bad, 1, outcome=1)
+        with pytest.raises(GraphConfigError):
+            realign(g.map_vertex(0, lambda v: v.append_z(math.pi / 2)), 1, outcome=1)
+        # a flag on the sibling leaf is neither read nor rewritten: it stays
+        # in the graph after, and the oracle agrees
+        flagged = g.map_vertex(2, lambda v: v.append_z(math.pi))
+        for outcome in (0, 1):
+            record, after = realign(flagged, 1, outcome=outcome)
+            assert after.vertex(2) == flagged.vertex(2)
+            replay(flagged, record, after)
 
     def test_two_qubit_star_center_as_cherry(self):
         g = ghz_graph([0, 1], 0.8)
@@ -286,6 +293,86 @@ class TestRealignCentral:
         g = g.with_edge(50, 0, EdgeAnnotation.pure())
         with pytest.raises(GraphConfigError):
             realign(g, 50, outcome=0)
+
+
+def random_realign_input(rng):
+    """2-8 vertices with random tilts and frame flags, the cherry 0 on a pure
+    edge to holder 1, each later vertex attached to an earlier non-cherry
+    vertex by a pure edge, a weighted edge or a partial fusion.  Two draws in
+    three then make the pair one of the two realignable kinds."""
+    n = int(rng.integers(2, 9))
+    tilts = (QUARTER_PI, QUARTER_PI, -QUARTER_PI, None)
+    phases = (0.0, 0.0, 0.0, math.pi, HALF_PI)
+    vertices = []
+    for vid in range(n):
+        tilt = tilts[rng.integers(4)]
+        vertices.append(Vertex(vid, rng.uniform(-1.5, 1.5) if tilt is None else tilt,
+                               hadamard=bool(rng.random() < 0.5),
+                               z_phase=phases[rng.integers(5)], x_flip=bool(rng.random() < 0.3)))
+    kind = rng.integers(3)
+    if kind == 0:                       # a +pi/4 Hadamard cherry on a plain holder
+        vertices[0] = replace(vertices[0], tilt=QUARTER_PI, hadamard=True, z_phase=0.0)
+        vertices[1] = replace(vertices[1], hadamard=False)
+    elif kind == 1:                     # the plain centre of a two-qubit star
+        n, vertices = 2, vertices[:2]
+        vertices[0] = replace(vertices[0], hadamard=False)
+        vertices[1] = replace(vertices[1], tilt=QUARTER_PI, hadamard=True, z_phase=0.0)
+    edges = [(0, 1, EdgeAnnotation.pure())]
+    for vid in range(2, n):
+        how = rng.integers(5)
+        annot = (EdgeAnnotation.pure() if how < 3
+                 else EdgeAnnotation.weighted(rng.uniform(-1.0, 1.0)) if how == 3
+                 else EdgeAnnotation.partial_fusion(rng.uniform(-0.7, 0.7)))
+        edges.append((int(rng.integers(1, vid)), vid, annot))
+    return TiltedGraph(vertices, edges)
+
+
+class TestRealignRule:
+    """One rule: a +pi/4 Hadamard cherry on a plain holder, or the plain centre
+    of a two-qubit star, with no partial fusion at the holder."""
+
+    def test_cherry_of_the_wrong_tilt_rejected(self):
+        g, _, cherry = _eq29_instance(np.random.default_rng(5), with_cherry=True)
+        g = g.map_vertex(cherry, lambda v: replace(v, tilt=-QUARTER_PI))
+        with pytest.raises(GraphConfigError, match="not a realignable cherry"):
+            realign(g, cherry, outcome=0)
+        star = ghz_graph([0, 1, 2], 0.6).map_vertex(2, lambda v: replace(v, tilt=0.3))
+        with pytest.raises(GraphConfigError, match="not a realignable cherry"):
+            realign(star, 2, outcome=0)
+
+    def test_holder_with_a_partial_fusion_rejected(self):
+        g = TiltedGraph([Vertex(0, 0.7), Vertex(1, QUARTER_PI, hadamard=True), Vertex(2, 0.4)],
+                        [(0, 1, EdgeAnnotation.pure()), (0, 2, EdgeAnnotation.partial_fusion(0.5))])
+        with pytest.raises(GraphConfigError, match="carries a partial fusion"):
+            realign(g, 1, outcome=0)
+
+    @pytest.mark.parametrize("outcome", [0, 1])
+    def test_sibling_leaf_at_minus_quarter_pi(self, outcome):
+        star = ghz_graph([0, 1, 2], 0.6).map_vertex(2, lambda v: replace(v, tilt=-QUARTER_PI))
+        record, after = realign(star, 1, outcome=outcome)
+        assert after.vertex(2) == star.vertex(2)
+        replay(star, record, after)
+        with pytest.raises(GraphConfigError, match="not a realignable cherry"):
+            realign(star, 2, outcome=outcome)
+
+    def test_random_inputs_match_the_oracle_or_are_rejected(self):
+        rng = np.random.default_rng(2024)
+        accepted, cases = 0, 2000
+        for _ in range(cases):
+            g = random_realign_input(rng)
+            try:
+                runs = [realign(g, 0, outcome=outcome) for outcome in (0, 1)]
+            except GraphConfigError:
+                continue
+            accepted += 1
+            state = build_state(g)
+            for record, after in runs:
+                p, post = project(state, 0, record.outcome_bit, record.rotation.matrix())
+                expected = record.probability if record.outcome_bit else 1.0 - record.probability
+                assert abs(p - expected) < 1e-10, g.to_text()
+                if p > 1e-12:
+                    assert 1.0 - overlap(post, build_state(after)) < 1e-10, g.to_text()
+        assert accepted >= cases / 3
 
 
 class TestMerge:

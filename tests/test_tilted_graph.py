@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference_graph import without_vertices_by_comprehension
+from reference_graph import star_center_id, with_star, without_vertices_by_comprehension
 from tglab.errors import GraphConfigError, ImpossibleStateError
 from tglab.oracle import build_state, overlap
 from tglab.tilted_graph import (
@@ -20,9 +20,7 @@ from tglab.tilted_graph import (
     combine_weighted_edges,
     ghz_graph,
     is_untilted,
-    star_center_id,
     swap_tilt,
-    with_star,
 )
 
 HALF_PI = math.pi / 2
@@ -339,8 +337,8 @@ class TestWithoutVertices:
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
     def test_matches_the_comprehension_in_key_order(self, data):
-        # insertion order matters: star_center_id reads a Hadamard leaf's
-        # centre as the first key of its row
+        # insertion order matters: the reference star_center_id reads a
+        # Hadamard leaf's centre as the first key of its row
         ids = data.draw(st.lists(st.integers(0, 30), min_size=1, max_size=15, unique=True))
         ids = data.draw(st.permutations(ids))
         pairs = [(a, b) for k, a in enumerate(ids) for b in ids[k + 1:]]
@@ -387,6 +385,11 @@ class TestGhzStar:
     def test_non_star_rejected(self):
         g = TiltedGraph([Vertex(0), Vertex(1)], [(0, 1, EdgeAnnotation.pure())])
         assert star_center_id(g, 0) is None    # two centres
+
+    @pytest.mark.parametrize("ids, dup", [([0, 0], 0), ([0, 1, 1], 1)])
+    def test_repeated_id_rejected(self, ids, dup):
+        with pytest.raises(GraphConfigError, match=f"^duplicate vertex id {dup}$"):
+            ghz_graph(ids)
 
 
 class TestCanonicalize:
